@@ -11,6 +11,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from .data import format_float
+
 log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 1
@@ -75,7 +77,9 @@ def extract_raw(user_id, ratings, catalog: dict, demography=None) -> RawContextF
     genre_hist = {g: c / genre_total for g, c in genre_counts.items()} if genre_total else {}
     kw_total = sum(keyword_counts.values())
     kw_hist = {k: c / kw_total for k, c in keyword_counts.items()} if kw_total else {}
-    entropy = -sum(p * math.log(p) for p in genre_hist.values() if p > 0)
+    # summed in genre order: the histogram's own order follows string hashing
+    entropy = -sum(genre_hist[g] * math.log(genre_hist[g])
+                   for g in sorted(genre_hist) if genre_hist[g] > 0)
 
     max_runtime = max((it.runtime_minutes for it in catalog.values()
                        if it.runtime_minutes is not None), default=0)
@@ -314,4 +318,4 @@ def export_matrix(path, matrix: np.ndarray, names, user_ids):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("user_id," + ",".join(names) + "\n")
         for uid, row in zip(user_ids, matrix):
-            fh.write(str(uid) + "," + ",".join(repr(v) for v in row) + "\n")
+            fh.write(str(uid) + "," + ",".join(format_float(v) for v in row) + "\n")

@@ -21,6 +21,12 @@ log = logging.getLogger(__name__)
 MISSING = None  # missing metadata fields stay None until the context module encodes them
 
 
+def format_float(value) -> str:
+    """A float as a CSV cell: the shortest repr that reads back to the same
+    double. numpy scalars are converted first; their own repr is not a number."""
+    return repr(float(value))
+
+
 class IngestError(Exception):
     """Raised when an input file is missing or malformed beyond tolerance."""
 

@@ -15,7 +15,7 @@ from . import context as ctx
 from . import forest as rf
 from . import hybrid as hy
 from . import recommenders as rec
-from .data import Dataset
+from .data import Dataset, format_float
 from .metrics import RelevanceConfig, ndcg_at, precision_recall_at
 from .seeding import derive_seed
 from .splits import SplitPlan, nested_split, slice_events
@@ -105,7 +105,7 @@ class ExperimentReport:
         lines = ["user_id," + ",".join(keys)]
         for row in self.per_user:
             lines.append(str(row["user_id"]) + "," + ",".join(
-                repr(row[k]) if isinstance(row[k], float) else str(row[k])
+                format_float(row[k]) if isinstance(row[k], float) else str(row[k])
                 for k in keys))
         return "\n".join(lines) + "\n"
 

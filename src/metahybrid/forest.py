@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import format_float
+
 log = logging.getLogger(__name__)
 
 
@@ -58,14 +60,14 @@ class ForestParams:
         return cls(**d)
 
 
-def gini(counts) -> float:
-    """Gini impurity of a class-count (or class-weight) vector."""
+def gini(counts):
+    """Gini impurity of a class-count (or class-weight) vector, or of each
+    row of a matrix of them."""
     counts = np.asarray(counts, dtype=float)
-    total = counts.sum()
-    if total <= 0:
-        return 0.0
-    p = counts / total
-    return float(1.0 - (p * p).sum())
+    total = counts.sum(axis=-1, keepdims=True)
+    p = counts / np.where(total > 0, total, 1.0)
+    impurity = np.where(total[..., 0] > 0, 1.0 - (p * p).sum(axis=-1), 0.0)
+    return float(impurity) if impurity.ndim == 0 else impurity
 
 
 @dataclass
@@ -118,42 +120,50 @@ class _TreeBuilder:
         return node
 
     def _best_split(self, idx, counts, node_gini):
+        """Best Gini split over `mtry` sampled features, or None.
+
+        Every threshold of every sampled feature is scored at once from the
+        cumulative class counts of the feature-sorted samples. Candidates
+        come feature by feature, thresholds ascending; a later one replaces
+        the best only when its gain is larger by more than 1e-15 (so among
+        near-equal gains the smallest (feature, threshold) wins).
+        """
         d = self.X.shape[1]
         mtry = self.params.n_features_per_split(d)
         feats = np.sort(self.rng.choice(d, size=mtry, replace=False))
-        best = None  # (gain, feature, threshold, left_idx, right_idx)
+        n = len(idx)
         min_leaf = self.params.min_samples_leaf
-        total_w = counts.sum()
-        for feat in feats:
-            x = self.X[idx, feat]
-            order = np.argsort(x, kind="mergesort")
-            xs = x[order]
-            ys = self.y[idx][order]
-            ws = self.w[idx][order]
-            # cumulative weighted class counts from the left
-            onehot = np.zeros((len(idx), self.n_classes))
-            onehot[np.arange(len(idx)), ys] = ws
-            cum = np.cumsum(onehot, axis=0)
-            boundaries = np.flatnonzero(xs[:-1] != xs[1:])  # split after position b
-            for b in boundaries:
-                nl = b + 1
-                nr = len(idx) - nl
-                if nl < min_leaf or nr < min_leaf:
-                    continue
-                left_counts = cum[b]
-                right_counts = counts - left_counts
-                wl = left_counts.sum()
-                wr = total_w - wl
-                child = (wl * gini(left_counts) + wr * gini(right_counts)) / total_w
-                gain = node_gini - child
-                thr = (xs[b] + xs[b + 1]) / 2.0
-                if best is None or gain > best[0] + 1e-15 or (
-                        abs(gain - best[0]) <= 1e-15
-                        and (feat, thr) < (best[1], best[2])):
-                    best = (gain, feat, thr, None, None)
-        if best is None or best[0] <= 0.0:
+        # a split after sorted position b leaves b + 1 samples on the left
+        after = np.arange(min_leaf - 1, n - min_leaf)
+        if after.size == 0:
             return None
-        gain, feat, thr, _, _ = best
+        x = self.X[np.ix_(idx, feats)]
+        order = np.argsort(x, axis=0, kind="mergesort")
+        xs = np.take_along_axis(x, order, axis=0)
+        # cumulative weighted class counts from the left, per feature
+        onehot = np.zeros((n, mtry, self.n_classes))
+        onehot[np.arange(n)[:, None], np.arange(mtry), self.y[idx][order]] = self.w[idx][order]
+        cum = np.cumsum(onehot, axis=0)
+        f, b = np.nonzero((xs[after] != xs[after + 1]).T)
+        if f.size == 0:
+            return None
+        b = after[b]
+        left = cum[b, f]
+        total_w = counts.sum()
+        wl = left.sum(axis=1)
+        wr = total_w - wl
+        gains = node_gini - (wl * gini(left) + wr * gini(counts - left)) / total_w
+        best = 0
+        while True:
+            later = np.flatnonzero(gains[best + 1:] > gains[best] + 1e-15)
+            if later.size == 0:
+                break
+            best += 1 + int(later[0])
+        gain = gains[best]
+        if gain <= 0.0:
+            return None
+        feat, col = feats[f[best]], f[best]
+        thr = (xs[b[best], col] + xs[b[best] + 1, col]) / 2.0
         mask = self.X[idx, feat] <= thr
         return feat, thr, gain, idx[mask], idx[~mask]
 
@@ -292,8 +302,8 @@ def export_importances(path, importances: dict):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("feature,importance\n")
         for name, value in importances["per_column"].items():
-            fh.write(f"{name},{repr(value)}\n")
+            fh.write(f"{name},{format_float(value)}\n")
         if "per_attribute" in importances:
             fh.write("\nattribute,importance\n")
             for name, value in importances["per_attribute"].items():
-                fh.write(f"{name},{repr(value)}\n")
+                fh.write(f"{name},{format_float(value)}\n")

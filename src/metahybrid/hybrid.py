@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import forest as rf
+from .data import format_float
 from .metrics import RelevanceConfig, ndcg_at
 from .recommenders import RecommenderSpec
 
@@ -57,7 +58,7 @@ class LabeledTrainingSet:
             fh.write("user_id,label," + ",".join(
                 f"ndcg_{n}" for n in self.candidate_names) + "\n")
             for uid, lab, row in zip(self.user_ids, self.labels, self.scores):
-                fh.write(f"{uid},{lab}," + ",".join(repr(v) for v in row) + "\n")
+                fh.write(f"{uid},{lab}," + ",".join(format_float(v) for v in row) + "\n")
 
 
 def generate_labels(candidates: CandidateSet, fitted: dict, user_ids,

@@ -102,9 +102,32 @@ class FittedRecommender:
         """Algorithm-specific rating estimate, or None when undefined."""
         raise NotImplementedError
 
-    def _rank_score(self, user, item) -> float:
-        """Score used for Top-N ordering; defaults to the predicted rating."""
-        return self.predict_rating(user, item)
+    def _estimate_catalog(self, user, item_means) -> tuple:
+        """`_estimate` for every item of `item_ids` at once.
+
+        `item_means` holds each item's training mean, NaN where nobody
+        rated it. Returns (estimates, defined):
+        where `defined` is False `_estimate` returns None; elsewhere the
+        estimate is the one `_estimate` returns for that item.
+        """
+        raise NotImplementedError
+
+    def _rank_catalog(self, user, keep) -> np.ndarray:
+        """Top-N ordering score of each catalog item where `keep` is True;
+        defaults to the predicted rating, fallbacks counted per kept item."""
+        # None (nobody rated the item) becomes NaN
+        item_means = np.array(list(map(self.item_means.get, self.item_ids)), dtype=float)
+        est, defined = self._estimate_catalog(user, item_means)
+        est, defined, item_means = est[keep], defined[keep], item_means[keep]
+        if not defined.all():
+            self.fallback_count += int((~defined).sum())
+            # `_fallback`: an item without a training mean falls through to
+            # the user mean and beyond
+            fallback = np.where(np.isnan(item_means), self._fallback(user, None), item_means)
+            est = np.where(defined, est, fallback)
+        # predict_rating's min(5.0, max(1.0, est)), which also maps NaN to 1.0
+        est = np.where(est > 1.0, est, 1.0)
+        return np.where(est < 5.0, est, 5.0)
 
     # -- public contract -------------------------------------------------
 
@@ -128,7 +151,9 @@ class FittedRecommender:
         """Top-n catalog items by descending score, ties by ascending item id."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        scored = [(-self._rank_score(user, iid), iid)
-                  for iid in self.item_ids if iid not in exclude]
-        scored.sort()
-        return [iid for _, iid in scored[:n]]
+        keep = np.ones(len(self.item_ids), dtype=bool)
+        keep[[self.iidx[iid] for iid in exclude if iid in self.iidx]] = False
+        scores = self._rank_catalog(user, keep)
+        positions = np.flatnonzero(keep)  # ascending, so ascending item id
+        order = np.lexsort((positions, -scores))[:n]
+        return [self.item_ids[j] for j in positions[order]]

@@ -40,6 +40,12 @@ class BaselineOnlyModel(FittedRecommender):
             est += self.bi[i]
         return est
 
+    def _estimate_catalog(self, user, item_means):
+        known = ~np.isnan(item_means)
+        u = self.uidx.get(user)
+        est = self.mu if u is None else self.mu + self.bu[u]
+        return np.where(known, est + self.bi, est), known | (u is not None)
+
 
 class SlopeOneModel(FittedRecommender):
     """Weighted Slope One: per item-pair average rating deviations."""
@@ -77,6 +83,17 @@ class SlopeOneModel(FittedRecommender):
         c = c[mask]
         num = ((self.dev[i, idx][mask] + vals[mask]) * c).sum()
         return num / c.sum()
+
+    def _estimate_catalog(self, user, item_means):
+        n = len(self.item_ids)
+        if user not in self._user_items:
+            return np.zeros(n), np.zeros(n, dtype=bool)
+        idx, vals = self._user_items[user]
+        c = self.counts[:, idx]  # 0 where an item pair was never co-rated
+        num = ((self.dev[:, idx] + vals) * c).sum(axis=1)
+        den = c.sum(axis=1)
+        defined = den > 0
+        return np.divide(num, den, out=np.zeros(n), where=defined), defined
 
 
 class CoClusteringModel(FittedRecommender):
@@ -171,6 +188,17 @@ class CoClusteringModel(FittedRecommender):
                 + (self.umean[u] - self.Ag[g])
                 + (self.imean[i] - self.Ah[h]))
 
+    def _estimate_catalog(self, user, item_means):
+        known = ~np.isnan(item_means)
+        u = self.uidx.get(user)
+        if u is None:
+            return item_means, known
+        g, h = self.ug[u], self.ig
+        est = (self.A[g, h]
+               + (self.umean[u] - self.Ag[g])
+               + (self.imean - self.Ah[h]))
+        return np.where(known, est, self.user_means[user]), np.ones_like(known)
+
 
 class SvdMfModel(FittedRecommender):
     """Biased matrix factorization trained by SGD (probabilistic-MF family)."""
@@ -214,6 +242,17 @@ class SvdMfModel(FittedRecommender):
             est += float(self.p[u] @ self.q[i])
         return est
 
+    def _estimate_catalog(self, user, item_means):
+        # one gemv for the dot products: they may differ from _estimate's
+        # per-item dot in the last bit
+        known = ~np.isnan(item_means)
+        u = self.uidx.get(user)
+        if u is None:
+            return np.where(known, self.mu + self.bi, self.mu), known
+        est = self.mu + self.bu[u]
+        return (np.where(known, est + self.bi + self.q @ self.p[u], est),
+                np.ones_like(known))
+
 
 class KnnBasicModel(FittedRecommender):
     """User-based kNN with cosine similarity over co-rated items."""
@@ -227,7 +266,7 @@ class KnnBasicModel(FittedRecommender):
         nu = len(self.user_ids)
         dot = np.zeros((nu, nu))
         sq = np.zeros((nu, nu))  # sq[u, v] = sum of r_u^2 over items co-rated with v
-        self._item_raters: dict = {}
+        item_raters: dict = {}
         by_item: dict = {}
         for r in train:
             by_item.setdefault(r.item_id, []).append(r)
@@ -237,10 +276,17 @@ class KnnBasicModel(FittedRecommender):
             vals = np.array([float(r.rating) for r in events])
             dot[np.ix_(idx, idx)] += np.outer(vals, vals)
             sq[np.ix_(idx, idx)] += vals[:, None] ** 2
-            self._item_raters[iid] = (idx, vals)
+            item_raters[iid] = (idx, vals)
         support = np.zeros((nu, nu), dtype=np.int64)
-        for iid, (idx, _) in self._item_raters.items():
+        for idx, _ in item_raters.values():
             support[np.ix_(idx, idx)] += 1
+        # raters of catalog item j, ascending user index: positions
+        # _rater_ptr[j]:_rater_ptr[j + 1] of _raters and _rater_vals
+        no_raters = (np.zeros(0, dtype=np.int64), np.zeros(0))
+        per_item = [item_raters.get(iid, no_raters) for iid in self.item_ids]
+        self._rater_ptr = np.cumsum([0] + [len(idx) for idx, _ in per_item])
+        self._raters = np.concatenate([idx for idx, _ in per_item])
+        self._rater_vals = np.concatenate([vals for _, vals in per_item])
         norm = np.sqrt(sq * sq.T)
         with np.errstate(invalid="ignore", divide="ignore"):
             sim = np.where(norm > 0, dot / np.where(norm > 0, norm, 1.0), 0.0)
@@ -250,9 +296,11 @@ class KnnBasicModel(FittedRecommender):
 
     def _estimate(self, user, item):
         u = self.uidx.get(user)
-        if u is None or item not in self._item_raters:
+        i = self.iidx.get(item)
+        if u is None or i is None:
             return None
-        idx, vals = self._item_raters[item]
+        lo, hi = self._rater_ptr[i], self._rater_ptr[i + 1]
+        idx, vals = self._raters[lo:hi], self._rater_vals[lo:hi]
         sims = self.sim[u, idx]
         mask = sims > 0
         if not mask.any():
@@ -264,3 +312,42 @@ class KnnBasicModel(FittedRecommender):
             order = np.lexsort((idx, -sims))[:k]
             sims, vals = sims[order], vals[order]
         return float((sims * vals).sum() / sims.sum())
+
+    def _estimate_catalog(self, user, item_means):
+        n = len(self.item_ids)
+        u = self.uidx.get(user)
+        if u is None:
+            return np.zeros(n), np.zeros(n, dtype=bool)
+        item = np.repeat(np.arange(n), np.diff(self._rater_ptr))
+        sims = self.sim[u, self._raters]
+        pos = sims > 0
+        item, idx, vals, sims = item[pos], self._raters[pos], self._rater_vals[pos], sims[pos]
+        count = np.bincount(item, minlength=n)
+        # as in _estimate: an item with more than k neighbours keeps the k
+        # most similar, most similar first (ties: lower user index); the
+        # others keep their neighbours in user-index order
+        k = self.params["k"]
+        order = np.lexsort((idx, np.where(count[item] > k, -sims, 0.0), item))
+        item, vals, sims = item[order], vals[order], sims[order]
+        start = np.cumsum(count) - count
+        kept = np.arange(len(item)) - start[item] < k
+        lengths = np.minimum(count, k)
+        num = _segment_sums((sims * vals)[kept], lengths)
+        den = _segment_sums(sims[kept], lengths)
+        defined = lengths > 0
+        return np.divide(num, den, out=np.zeros(n), where=defined), defined
+
+
+def _segment_sums(values, lengths) -> np.ndarray:
+    """Sum of each run of `values`, run j holding `lengths[j]` entries.
+
+    Each sum is bit-identical to `run.sum()`: runs of one length are summed
+    together as the rows of a matrix, which numpy reduces in the same
+    pairwise order as a 1-D array of that length.
+    """
+    out = np.zeros(len(lengths))
+    start = np.cumsum(lengths) - lengths
+    for m in np.unique(lengths[lengths > 0]):
+        rows = np.flatnonzero(lengths == m)
+        out[rows] = values[start[rows, None] + np.arange(m)].sum(axis=1)
+    return out

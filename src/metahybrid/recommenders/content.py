@@ -71,3 +71,16 @@ class ContentBasedModel(FittedRecommender):
             return None
         cos = float(self.profiles[user] @ ivec) / (pnorm * inorm)
         return 1.0 + 4.0 * cos
+
+    def _estimate_catalog(self, user, item_means):
+        # one gemv and one row-norm pass: they may differ from _estimate's
+        # per-item dot and norm in the last bit
+        n = len(self.item_ids)
+        pnorm = self._profile_norms.get(user, 0.0)
+        if pnorm == 0.0:
+            return np.zeros(n), np.zeros(n, dtype=bool)
+        inorms = np.linalg.norm(self.features, axis=1)
+        defined = inorms != 0.0
+        cos = np.divide(self.features @ self.profiles[user], pnorm * inorms,
+                        out=np.zeros(n), where=defined)
+        return 1.0 + 4.0 * cos, defined

@@ -57,6 +57,18 @@ class WarpHybridModel(FittedRecommender):
     def _rep(self, i: int) -> np.ndarray:
         return self.F[self._item_feats[i]].sum(axis=0)
 
+    def _reps(self) -> np.ndarray:
+        """`_rep` of every item, one row each, adding the feature embeddings
+        in the same order."""
+        lengths = np.array([len(f) for f in self._item_feats])
+        flat = np.concatenate(self._item_feats)
+        start = np.cumsum(lengths) - lengths
+        reps = np.zeros((len(lengths), self.F.shape[1]))
+        for j in range(lengths.max()):
+            rows = np.flatnonzero(lengths > j)
+            reps[rows] += self.F[flat[start[rows] + j]]
+        return reps
+
     def _train(self, positives, ni, d, lr, margin, max_trials, rng):
         if not positives or ni < 2:
             return
@@ -84,17 +96,13 @@ class WarpHybridModel(FittedRecommender):
                         break
 
     def _scores(self, u: int) -> np.ndarray:
-        reps = np.array([self._rep(i) for i in range(len(self.item_ids))])
-        return reps @ self.U[u] + self.b
+        return self._reps() @ self.U[u] + self.b
 
-    def _rank_score(self, user, item) -> float:
-        i = self.iidx.get(item)
-        if i is None:
-            return float("-inf")
+    def _rank_catalog(self, user, keep) -> np.ndarray:
         u = self.uidx.get(user)
         if u is None:
-            return float(self.b[i])  # popularity ordering for unseen users
-        return float(self.U[u] @ self._rep(i)) + float(self.b[i])
+            return self.b[keep]  # popularity ordering for unseen users
+        return self._scores(u)[keep]
 
     def _estimate(self, user, item):
         i = self.iidx.get(item)

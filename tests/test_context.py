@@ -1,4 +1,8 @@
+import csv
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from metahybrid.context import (
     ContextSchema,
     assemble_matrix,
     build_schema,
+    export_matrix,
     extract_raw,
     fit_histogram_pcas,
     fit_pca,
@@ -89,6 +94,26 @@ class TestExtractRaw:
     def test_foreign_rating_rejected(self):
         with pytest.raises(ValueError, match="foreign user"):
             extract_raw(7, [RatingEvent(8, 1, 3, MONDAY_20)], CATALOG)
+
+    def test_entropy_independent_of_hash_seed(self):
+        # the shipped fixture's users, each in a fresh interpreter per seed
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        script = (
+            "import os\n"
+            "from metahybrid.context import extract_raw\n"
+            "from metahybrid.data import load_movielens\n"
+            "ds = load_movielens(*(os.path.join('fixtures', f) for f in "
+            "('ratings.dat', 'users.dat', 'movies.dat')))\n"
+            "for uid, evs in sorted(ds.ratings_by_user().items()):\n"
+            "    print(uid, extract_raw(uid, evs, ds.items).genre_entropy.hex())\n")
+        outputs = []
+        for seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join([os.path.join(root, "src")] + sys.path))
+            outputs.append(subprocess.run([sys.executable, "-c", script], cwd=root, env=env,
+                                          check=True, capture_output=True, text=True).stdout)
+        assert outputs[0].count("\n") == 200
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_duplicate_slice_scales_counts_only(self):
         # doubling the multiset doubles n_ratings but leaves fractions alone
@@ -263,6 +288,19 @@ class TestSchemaAndAssembly:
             h = histogram_row(raw.genre_histogram, schema.genres)
             expected = transform_pca(pca_g, h)
             assert np.allclose(matrix[row_idx, g0:g0 + 2], expected, atol=1e-12)
+
+    def test_export_round_trips(self, tmp_path):
+        rng = np.random.default_rng(3)
+        matrix = np.vstack([rng.normal(size=6), [0.0, 1.0, 1 / 3, 1e-300, -2.5e17, 0.1]])
+        names = [f"c{j}" for j in range(6)]
+        path = tmp_path / "contexts.csv"
+        export_matrix(path, matrix, names, ["u1", "u2"])
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["user_id"] + names
+        assert [r[0] for r in rows[1:]] == ["u1", "u2"]
+        back = np.array([[float(c) for c in r[1:]] for r in rows[1:]])
+        assert np.array_equal(back, matrix)
 
     def test_column_order_stable(self):
         schema = self._schema()

@@ -3,6 +3,7 @@ import pytest
 
 from metahybrid.forest import (
     ForestParams,
+    _TreeBuilder,
     feature_importances,
     gini,
     oob_error,
@@ -150,6 +151,75 @@ class TestTraining:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             train_forest(np.zeros((0, 2)), [], ForestParams(n_estimators=2))
+
+
+def brute_force_split(X, y, w, idx, feats, min_leaf, n_classes):
+    """Per-threshold scan: every boundary of every feature, one gini call
+    each; a later candidate wins only on a gain larger by more than 1e-15,
+    or on an equal gain with a smaller (feature, threshold)."""
+    counts = np.zeros(n_classes)
+    np.add.at(counts, y[idx], w[idx])
+    node_gini, total_w = gini(counts), counts.sum()
+    best = None
+    for feat in feats:
+        order = np.argsort(X[idx, feat], kind="mergesort")
+        xs, ys, ws = X[idx, feat][order], y[idx][order], w[idx][order]
+        for b in range(len(idx) - 1):
+            nl, nr = b + 1, len(idx) - b - 1
+            if xs[b] == xs[b + 1] or nl < min_leaf or nr < min_leaf:
+                continue
+            left = np.zeros(n_classes)
+            np.add.at(left, ys[:nl], ws[:nl])
+            wl = left.sum()
+            gain = node_gini - (wl * gini(left) + (total_w - wl) * gini(counts - left)) / total_w
+            thr = (xs[b] + xs[b + 1]) / 2.0
+            if best is None or gain > best[0] + 1e-15 or (
+                    abs(gain - best[0]) <= 1e-15 and (feat, thr) < (best[1], best[2])):
+                best = (gain, feat, thr)
+    return None if best is None or best[0] <= 0.0 else best
+
+
+class TestSplitSearch:
+    def test_matches_brute_force_scan(self):
+        rng = np.random.default_rng(21)
+        nodes = splits = 0
+        for trial in range(240):
+            n = int(rng.integers(2, 60))
+            d = int(rng.integers(1, 9))
+            n_classes = int(rng.integers(2, 5))
+            X = rng.normal(size=(n, d))
+            if trial % 2:  # few distinct values: duplicates everywhere
+                X = rng.integers(0, 3, size=(n, d)).astype(float)
+            X[:, rng.integers(d)] = 0.5  # one constant column
+            y = rng.integers(0, n_classes, size=n)
+            params = ForestParams(min_samples_leaf=int(rng.integers(1, 4)),
+                                  max_features=int(rng.integers(1, d + 1)),
+                                  class_weight="balanced" if trial % 3 == 0 else None)
+            w = np.ones(n)
+            if params.class_weight == "balanced":
+                freq = np.bincount(y, minlength=n_classes)
+                w = n / (n_classes * np.maximum(freq[y], 1))
+            idx = rng.integers(0, n, size=n)  # a bootstrap sample, repeats included
+            seed = int(rng.integers(1 << 30))
+            builder = _TreeBuilder(params, n_classes, np.random.default_rng(seed), w)
+            builder.X, builder.y = X, y
+            counts = builder._class_counts(idx)
+            split = builder._best_split(idx, counts, gini(counts))
+            feats = np.sort(np.random.default_rng(seed).choice(
+                d, size=params.n_features_per_split(d), replace=False))
+            expected = brute_force_split(X, y, w, idx, feats,
+                                         params.min_samples_leaf, n_classes)
+            nodes += 1
+            if expected is None:
+                assert split is None
+                continue
+            splits += 1
+            feat, thr, gain, left, right = split
+            assert (gain, feat, thr) == expected
+            mask = X[idx, feat] <= thr
+            assert np.array_equal(left, idx[mask])
+            assert np.array_equal(right, idx[~mask])
+        assert nodes >= 200 and splits >= 100
 
 
 class TestImportances:

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,19 @@ class TestLabeling:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "user_id,label,ndcg_SlopeOne,ndcg_KnnBasic"
         assert len(lines) == 4
+
+    def test_export_csv_round_trips(self, tmp_path):
+        from metahybrid.hybrid import LabeledTrainingSet
+        scores = np.array([[0.0, 1 / 3], [0.1, 1.0], [2.0 ** -40, 0.7071067811865476]])
+        labeled = LabeledTrainingSet(user_ids=[1, 2, 3], contexts=np.zeros((3, 1)),
+                                     labels=["a", "b", "a"], scores=scores,
+                                     candidate_names=["a", "b"])
+        out = tmp_path / "labels.csv"
+        labeled.export_csv(out)
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [r[:2] for r in rows] == [["1", "a"], ["2", "b"], ["3", "a"]]
+        assert np.array_equal(np.array([[float(c) for c in r[2:]] for r in rows]), scores)
 
 
 class TestOracle:

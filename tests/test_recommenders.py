@@ -1,11 +1,16 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 from metahybrid import recommenders as rec
-from metahybrid.data import RatingEvent
+from metahybrid.data import RatingEvent, enrich_items, load_movielens
 from metahybrid.recommenders import RecommenderSpec, fit
+from metahybrid.splits import SplitPlan, nested_split
+
+FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "fixtures")
 
 
 def ev(u, i, r, ts=None):
@@ -175,8 +180,11 @@ class TestWarpHybrid:
                     items=small_dataset.items, seed=1)
         uid = train[0].user_id
         ranked = model.recommend_top_n(uid, 10)
-        scores = [model._rank_score(uid, i) for i in ranked]
-        assert scores == sorted(scores, reverse=True)
+        scores = dict(zip(model.item_ids,
+                          model._rank_catalog(uid, np.ones(len(model.item_ids), bool))))
+        assert ranked == sorted(model.item_ids, key=lambda i: (-scores[i], i))[:10]
+        assert [scores[i] for i in ranked] == sorted(
+            (scores[i] for i in ranked), reverse=True)
 
 
 class TestTopN:
@@ -187,8 +195,9 @@ class TestTopN:
                 super().__init__(RecommenderSpec("SlopeOne"), train, {}, 0)
                 self._preds = preds
 
-            def _estimate(self, user, item):
-                return self._preds[item]
+            def _estimate_catalog(self, user, item_means):
+                est = np.array([self._preds[i] for i in self.item_ids])
+                return est, np.ones(len(est), dtype=bool)
 
         return Stub(preds)
 
@@ -204,9 +213,91 @@ class TestTopN:
         model = self._model({"i7": 4.0, "i2": 4.0, "i9": 1.0})
         assert model.recommend_top_n(1, 2) == ["i2", "i7"]
 
+    def test_scores_clamped_like_predict_rating(self):
+        # min(5, max(1, nan)) is 1.0, so a NaN estimate ties with the floor
+        model = self._model({"i1": float("nan"), "i2": 0.5, "i3": 2.0, "i4": 7.0})
+        assert model.recommend_top_n(1, 4) == ["i4", "i3", "i1", "i2"]
+
     def test_truncates_to_catalog(self):
         model = self._model({"i1": 2.0})
         assert model.recommend_top_n(1, 10) == ["i1"]
+
+
+@pytest.fixture(scope="module")
+def shipped_fixture():
+    """The shipped fixture's nested split, and every algorithm (plus
+    KnnBasic with k=3, so the top-k cut applies) fitted on its training
+    users' inner-train slices; the test users are cold for these models."""
+    dataset = enrich_items(
+        load_movielens(*(os.path.join(FIXTURES, f)
+                         for f in ("ratings.dat", "users.dat", "movies.dat"))),
+        os.path.join(FIXTURES, "metadata.csv"))
+    split = nested_split(dataset, SplitPlan(seed=5))
+    train = [r for uid in split.train_users for r in split.train_inner_train[uid]]
+    specs = [RecommenderSpec(a) for a in rec.ALGORITHMS]
+    specs.append(RecommenderSpec("KnnBasic", {"k": 3}))
+    models = [fit(spec, train, items=dataset.items, seed=5) for spec in specs]
+    slices = {**split.test_inner_train, **split.train_inner_train}
+    excludes = {uid: {r.item_id for r in slices.get(uid, [])}
+                for uid in list(split.train_users) + list(split.test_users)}
+    return models, excludes
+
+
+class TestCatalogTopN:
+    """Top-N from the whole-catalog hook against a full per-item sort."""
+
+    @pytest.mark.parametrize("which", range(len(rec.ALGORITHMS) + 1),
+                             ids=list(rec.ALGORITHMS) + ["KnnBasic-k3"])
+    def test_matches_full_sort(self, which, shipped_fixture):
+        models, excludes = shipped_fixture
+        model = models[which]
+        warp = model.spec.algorithm == "WarpHybrid"
+        for uid, exclude in excludes.items():
+            before = model.fallback_count
+            ranked = model.recommend_top_n(uid, 10, exclude=exclude)
+            served = model.fallback_count - before
+            kept = [i for i in model.item_ids if i not in exclude]
+            if warp:  # ranks by its raw score, no fallback chain
+                u = model.uidx.get(uid)
+                scores = [float(model.b[model.iidx[i]]) if u is None else
+                          float(model.U[u] @ model._rep(model.iidx[i]))
+                          + float(model.b[model.iidx[i]]) for i in kept]
+                assert served == 0
+            else:
+                before = model.fallback_count
+                scores = [model.predict_rating(uid, i) for i in kept]
+                # one fallback per kept item the chain serves, as per item
+                assert served == model.fallback_count - before
+            expected = [i for _, i in sorted(zip((-s for s in scores), kept))[:10]]
+            assert ranked == expected, uid
+            assert not set(ranked) & exclude
+
+    @pytest.mark.parametrize("alg", ["BaselineOnly", "CoClustering", "SlopeOne", "KnnBasic"])
+    def test_exact_algorithms_match_per_item_estimates(self, alg, shipped_fixture):
+        # SvdMf, ContentBased and WarpHybrid take one matrix-vector product,
+        # which may round differently from a per-item dot product
+        models, excludes = shipped_fixture
+        for model in (m for m in models if m.spec.algorithm == alg):
+            item_means = np.array([model.item_means.get(i, np.nan) for i in model.item_ids])
+            for uid in list(excludes)[::4] + ["cold-user"]:
+                est, defined = model._estimate_catalog(uid, item_means)
+                per_item = [model._estimate(uid, i) for i in model.item_ids]
+                assert [e is not None for e in per_item] == defined.tolist()
+                assert [e for e in per_item if e is not None] == est[defined].tolist()
+
+    def test_cold_user_counts_every_fallback(self, shipped_fixture):
+        models, excludes = shipped_fixture
+        exclude = set(models[0].item_ids[::3])
+        chains = []
+        for model in models:
+            kept = [i for i in model.item_ids if i not in exclude]
+            chain = (0 if model.spec.algorithm == "WarpHybrid" else
+                     sum(model._estimate("cold-user", i) is None for i in kept))
+            before = model.fallback_count
+            model.recommend_top_n("cold-user", 10, exclude=exclude)
+            assert model.fallback_count - before == chain
+            chains.append(chain)
+        assert max(chains) == len(models[0].item_ids) - len(exclude)
 
 
 class TestContracts:

@@ -23,7 +23,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config (JSON)")
         p.add_argument("--out", help="output directory override")
         p.add_argument("--seed", type=int, help="master seed override")
-        p.add_argument("--threads", type=int, help="intra-stage worker threads")
         p.add_argument("--preset", choices=("cf", "mixed"),
                        help="candidate preset override")
         p.add_argument("--inner-ratio", type=float, dest="inner_ratio",
@@ -38,10 +37,8 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     overrides = {}
-    for flag, key in (("out", "output_dir"), ("seed", "seed"),
-                      ("threads", "threads"), ("preset", "preset"),
-                      ("inner_ratio", "inner_ratio"),
-                      ("ndcg_cutoff", "ndcg_cutoff")):
+    for flag, key in (("out", "output_dir"), ("seed", "seed"), ("preset", "preset"),
+                      ("inner_ratio", "inner_ratio"), ("ndcg_cutoff", "ndcg_cutoff")):
         value = getattr(args, flag, None)
         if value is not None:
             overrides[key] = value

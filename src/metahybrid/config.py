@@ -44,7 +44,6 @@ class ExperimentConfig:
     label_cutoff: int = 10
     output_dir: str = "out"
     seed: int = 0
-    threads: int | None = None
 
     def candidate_set(self) -> CandidateSet:
         if self.explicit_candidates is not None:
@@ -62,9 +61,9 @@ def _check_keys(section: dict, allowed, where: str):
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     """Parse and validate a config file; `overrides` win over file values.
 
-    Environment variables with the METAHYBRID_ prefix (SEED, OUT, THREADS,
-    PRESET, INNER_RATIO, NDCG_CUTOFF) sit between the file and explicit
-    flag overrides.
+    Environment variables with the METAHYBRID_ prefix (SEED, OUT, PRESET,
+    INNER_RATIO, NDCG_CUTOFF) sit between the file and explicit flag
+    overrides.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -76,7 +75,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
 
     top_keys = ("schema_version", "dataset", "cold_start", "min_ratings",
                 "preset", "candidates", "split", "forest", "relevance",
-                "context", "label_cutoff", "output_dir", "seed", "threads")
+                "context", "label_cutoff", "output_dir", "seed")
     _check_keys(raw, top_keys, path)
     if raw.get("schema_version") != 1:
         raise ConfigError(f"{path}: schema_version must be 1")
@@ -110,8 +109,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
 
     merged = dict(overrides or {})
     env_map = {"SEED": ("seed", int), "OUT": ("output_dir", str),
-               "THREADS": ("threads", int), "PRESET": ("preset", str),
-               "INNER_RATIO": ("inner_ratio", float),
+               "PRESET": ("preset", str), "INNER_RATIO": ("inner_ratio", float),
                "NDCG_CUTOFF": ("ndcg_cutoff", int)}
     for env_key, (name, cast) in env_map.items():
         value = os.environ.get(ENV_PREFIX + env_key)
@@ -147,7 +145,6 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
             label_cutoff=int(raw.get("label_cutoff", 10)),
             output_dir=merged.pop("output_dir", raw.get("output_dir", "out")),
             seed=merged.pop("seed", int(raw.get("seed", 0))),
-            threads=merged.pop("threads", raw.get("threads")),
         )
     except ValueError as e:
         raise ConfigError(str(e)) from e

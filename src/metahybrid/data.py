@@ -9,7 +9,6 @@ the experiment pipeline.
 from __future__ import annotations
 
 import csv
-import hashlib
 import logging
 import re
 from dataclasses import dataclass, field, replace
@@ -17,8 +16,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 log = logging.getLogger(__name__)
-
-MISSING = None  # missing metadata fields stay None until the context module encodes them
 
 
 def format_float(value) -> str:
@@ -119,9 +116,6 @@ class Dataset:
         for r in self.ratings:
             lines.append(f"R\t{r.user_id}\t{r.item_id}\t{r.rating}\t{r.timestamp}")
         return "\n".join(lines) + "\n"
-
-    def fingerprint(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()
 
 
 def _fmt(v) -> str:

@@ -1,12 +1,13 @@
-"""Experiment runner: executes the nested-split methodology end to end and
-aggregates per-algorithm, meta-hybrid, and oracle rows into a report."""
+"""The nested-split methodology, one function per step (`split_step`,
+`fit_step`, `label_step`, `train_meta_step`, `evaluate_step`), shared by the
+CLI stages and `run_experiment`, which chains them in memory; the report
+aggregates per-algorithm, meta-hybrid, and oracle rows."""
 
 from __future__ import annotations
 
 import json
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +19,7 @@ from . import recommenders as rec
 from .data import Dataset, format_float
 from .metrics import RelevanceConfig, ndcg_at, precision_recall_at
 from .seeding import derive_seed
-from .splits import SplitPlan, nested_split, slice_events
+from .splits import NestedSplit, SplitPlan, nested_split, slice_events
 
 log = logging.getLogger(__name__)
 
@@ -110,17 +111,31 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
 
-def fit_candidates(candidates: hy.CandidateSet, train_events, items,
-                   master_seed: int, stage: str, threads: int | None = None) -> dict:
-    """Fit every candidate on one ratings slice; per-candidate derived seeds."""
-    def _fit(name_spec):
-        name, spec = name_spec
-        seed = derive_seed(master_seed, stage, name)
-        return name, rec.fit(spec, train_events, items=items, seed=seed)
+def split_step(dataset: Dataset, plan: SplitPlan, master_seed: int) -> NestedSplit:
+    """Steps 1-2: the outer user split and the inner rating split, seeded
+    from the master seed (any seed in `plan` is ignored)."""
+    plan = SplitPlan(outer_ratio=plan.outer_ratio, inner_ratio=plan.inner_ratio,
+                     seed=derive_seed(master_seed, "split"), mode=plan.mode)
+    return nested_split(dataset, plan)
 
-    pairs = list(zip(candidates.names, candidates.specs))
-    with ThreadPoolExecutor(max_workers=threads or 1) as pool:
-        return dict(pool.map(_fit, pairs))
+
+def fit_candidates(candidates: hy.CandidateSet, train_events, items,
+                   master_seed: int, stage: str) -> dict:
+    """Fit every candidate on one ratings slice; per-candidate derived seeds."""
+    return {name: rec.fit(spec, train_events, items=items,
+                          seed=derive_seed(master_seed, stage, name))
+            for name, spec in zip(candidates.names, candidates.specs)}
+
+
+def fit_step(dataset: Dataset, split: NestedSplit, candidates: hy.CandidateSet,
+             master_seed: int) -> tuple:
+    """Steps 3 and 7: (models fitted on TRh inner-train for labelling,
+    serving models fitted on TEh inner-train)."""
+    fitted_train = fit_candidates(candidates, slice_events(split.train_inner_train),
+                                  dataset.items, master_seed, "fit-train")
+    fitted_eval = fit_candidates(candidates, slice_events(split.test_inner_train),
+                                 dataset.items, master_seed, "fit-eval")
+    return fitted_train, fitted_eval
 
 
 def build_contexts(user_ids, inner_train: dict, dataset: Dataset,
@@ -135,6 +150,47 @@ def build_contexts(user_ids, inner_train: dict, dataset: Dataset,
         pca_genres, pca_keywords = ctx.fit_histogram_pcas(raws, schema)
     matrix, names = ctx.assemble_matrix(raws, pca_genres, pca_keywords, schema)
     return matrix, names, pca_genres, pca_keywords
+
+
+def _items_by_user(inner: dict) -> dict:
+    return {uid: {r.item_id for r in evs} for uid, evs in inner.items()}
+
+
+def label_step(dataset: Dataset, split: NestedSplit, candidates: hy.CandidateSet,
+               fitted_train: dict, context_config: ContextConfig,
+               relevance: RelevanceConfig, label_cutoff: int) -> tuple:
+    """Step 4: TRh contexts (fitting the PCA models), then each TRh user
+    labelled with the candidate of best nDCG on their inner holdout.
+
+    Returns (bundle, train_matrix). The bundle holds the labeled set, the
+    context schema, the PCA models and the feature names; the matrix has one
+    context row per TRh user.
+    """
+    schema = ctx.build_schema(
+        dataset.items, dataset.users, include_age=context_config.include_age,
+        max_keywords=context_config.max_keywords,
+        genre_components=context_config.genre_components,
+        keyword_components=context_config.keyword_components)
+    matrix, names, pca_g, pca_k = build_contexts(
+        split.train_users, split.train_inner_train, dataset, schema, fit_pcas=True)
+    labeled = hy.generate_labels(candidates, fitted_train, split.train_users, matrix,
+                                 _items_by_user(split.train_inner_train),
+                                 split.train_inner_test, n=label_cutoff,
+                                 relevance=relevance)
+    bundle = {"labeled": labeled, "schema": schema, "pca_genres": pca_g,
+              "pca_keywords": pca_k, "feature_names": names}
+    return bundle, matrix
+
+
+def train_meta_step(bundle: dict, candidates: hy.CandidateSet, fitted_eval: dict,
+                    forest_params: rf.ForestParams, master_seed: int) -> hy.MetaHybridModel:
+    """Step 5: the selection forest on (context -> label), seeded from the
+    master seed, bundled with the serving models for dispatch."""
+    params = rf.ForestParams(**{**forest_params.to_dict(),
+                                "seed": derive_seed(master_seed, "forest")})
+    return hy.train_meta(bundle["labeled"], params, candidates, fitted_eval,
+                         schema=bundle["schema"], pca_genres=bundle["pca_genres"],
+                         pca_keywords=bundle["pca_keywords"])
 
 
 def _per_user_eval(uid, fitted: dict, candidate_names, train_items, holdout_events,
@@ -161,91 +217,68 @@ def _per_user_eval(uid, fitted: dict, candidate_names, train_items, holdout_even
     return out
 
 
+def evaluate_step(dataset: Dataset, split: NestedSplit, meta: hy.MetaHybridModel,
+                  bundle: dict, relevance: RelevanceConfig, master_seed: int,
+                  inner_ratio: float) -> tuple:
+    """Steps 6 and 8: TEh contexts with the TRh-fitted PCA models, dispatch,
+    then every candidate, the hybrid and the oracle scored against the TEh
+    inner-test slice.
+
+    Returns (report, dispatched, test_matrix); `dispatched` maps each TEh
+    user to the candidate the forest picked.
+    """
+    test_matrix, _, _, _ = build_contexts(split.test_users, split.test_inner_train,
+                                          dataset, meta.schema, meta.pca_genres,
+                                          meta.pca_keywords)
+    dispatched = {uid: hy.predict_recommender(meta, test_matrix[row])
+                  for row, uid in enumerate(split.test_users)}
+    test_items = _items_by_user(split.test_inner_train)
+    names = meta.candidates.names
+    per_user = []
+    skipped = 0
+    for uid in split.test_users:
+        row = _per_user_eval(uid, meta.fitted, names, test_items.get(uid, set()),
+                             split.test_inner_test.get(uid, []), relevance)
+        if row is None:
+            skipped += 1
+            continue
+        row["dispatched"] = dispatched[uid]
+        row["oracle"] = names[int(np.argmax([row[f"{n}:nDCG"] for n in names]))]
+        per_user.append(row)
+    report = _build_report(per_user, names, bundle, meta.forest, skipped,
+                           master_seed, inner_ratio)
+    return report, dispatched, test_matrix
+
+
 def run_experiment(dataset: Dataset, candidates: hy.CandidateSet,
                    plan: SplitPlan, forest_params: rf.ForestParams,
                    relevance: RelevanceConfig = RelevanceConfig(),
                    context_config: ContextConfig = ContextConfig(),
-                   master_seed: int = 0, threads: int | None = None,
-                   label_cutoff: int = 10):
-    """Execute the full eight-step methodology and build the report.
+                   master_seed: int = 0, label_cutoff: int = 10):
+    """Execute the full eight-step methodology in memory and build the report.
 
+    Runs the same steps as the CLI stages, without the artifact files.
     Returns (report, artifacts) where artifacts carries the split, fitted
     models, labeled set, and meta model for reuse or serialization.
     """
-    plan = SplitPlan(outer_ratio=plan.outer_ratio, inner_ratio=plan.inner_ratio,
-                     seed=derive_seed(master_seed, "split"), mode=plan.mode)
-    split = nested_split(dataset, plan)
-
-    schema = ctx.build_schema(
-        dataset.items, dataset.users, include_age=context_config.include_age,
-        max_keywords=context_config.max_keywords,
-        genre_components=context_config.genre_components,
-        keyword_components=context_config.keyword_components)
-
-    # step 3: fit candidates on TRh inner-train
-    fitted_train = fit_candidates(candidates, slice_events(split.train_inner_train),
-                                  dataset.items, master_seed, "fit-train", threads)
-
-    # step 4: label TRh users by best nDCG on their inner holdout
-    train_matrix, feature_names, pca_g, pca_k = build_contexts(
-        split.train_users, split.train_inner_train, dataset, schema, fit_pcas=True)
-    train_items_tr = {uid: {r.item_id for r in evs}
-                      for uid, evs in split.train_inner_train.items()}
-    labeled = hy.generate_labels(candidates, fitted_train, split.train_users,
-                                 train_matrix, train_items_tr,
-                                 split.train_inner_test, n=label_cutoff,
-                                 relevance=relevance)
-
-    # step 5: train the selection forest
-    params = rf.ForestParams(**{**forest_params.to_dict(),
-                                "seed": derive_seed(master_seed, "forest")})
-    # step 7: serving models, fitted on the TEh inner-train slice
-    fitted_eval = fit_candidates(candidates, slice_events(split.test_inner_train),
-                                 dataset.items, master_seed, "fit-eval", threads)
-    meta = hy.train_meta(labeled, params, candidates, fitted_eval, schema=schema,
-                         pca_genres=pca_g, pca_keywords=pca_k,
-                         provenance=f"seed={master_seed}")
-
-    # step 6: TEh contexts with the TRh-fitted PCA models, then dispatch
-    test_matrix, _, _, _ = build_contexts(split.test_users, split.test_inner_train,
-                                          dataset, schema, pca_g, pca_k)
-    dispatched = {uid: hy.predict_recommender(meta, test_matrix[row])
-                  for row, uid in enumerate(split.test_users)}
-
-    # step 8: score candidates, hybrid, and oracle against TEh inner-test
-    test_items_tr = {uid: {r.item_id for r in evs}
-                     for uid, evs in split.test_inner_train.items()}
-
-    def _eval_user(uid):
-        return _per_user_eval(uid, fitted_eval, candidates.names,
-                              test_items_tr.get(uid, set()),
-                              split.test_inner_test.get(uid, []), relevance)
-
-    with ThreadPoolExecutor(max_workers=threads or 1) as pool:
-        evaluated = list(pool.map(_eval_user, split.test_users))
-    per_user = []
-    skipped_eval = 0
-    for uid, row in zip(split.test_users, evaluated):
-        if row is None:
-            skipped_eval += 1
-            continue
-        row["dispatched"] = dispatched[uid]
-        names = candidates.names
-        row["oracle"] = names[int(np.argmax([row[f"{n}:nDCG"] for n in names]))]
-        per_user.append(row)
-
-    report = _build_report(per_user, candidates, labeled, meta, feature_names,
-                           schema, relevance, skipped_eval, master_seed, plan)
-    artifacts = {"split": split, "schema": schema, "fitted_train": fitted_train,
-                 "fitted_eval": fitted_eval, "labeled": labeled, "meta": meta,
-                 "feature_names": feature_names, "dispatched": dispatched,
+    split = split_step(dataset, plan, master_seed)
+    fitted_train, fitted_eval = fit_step(dataset, split, candidates, master_seed)
+    bundle, _ = label_step(dataset, split, candidates, fitted_train, context_config,
+                           relevance, label_cutoff)
+    meta = train_meta_step(bundle, candidates, fitted_eval, forest_params, master_seed)
+    report, dispatched, test_matrix = evaluate_step(
+        dataset, split, meta, bundle, relevance, master_seed, plan.inner_ratio)
+    artifacts = {"split": split, "schema": bundle["schema"],
+                 "fitted_train": fitted_train, "fitted_eval": fitted_eval,
+                 "labeled": bundle["labeled"], "meta": meta,
+                 "feature_names": bundle["feature_names"], "dispatched": dispatched,
                  "test_matrix": test_matrix}
     return report, artifacts
 
 
-def _build_report(per_user, candidates, labeled, meta, feature_names, schema,
-                  relevance, skipped_eval, master_seed, plan) -> ExperimentReport:
-    names = candidates.names
+def _build_report(per_user, names, bundle, forest, skipped_eval, master_seed,
+                  inner_ratio) -> ExperimentReport:
+    labeled = bundle["labeled"]
 
     def row_for(picker) -> dict:
         row = {}
@@ -268,8 +301,8 @@ def _build_report(per_user, candidates, labeled, meta, feature_names, schema,
         confusion[u["oracle"]][u["dispatched"]] = \
             confusion[u["oracle"]].get(u["dispatched"], 0) + 1
 
-    importances = rf.feature_importances(meta.forest, feature_names,
-                                         schema.feature_groups())
+    importances = rf.feature_importances(forest, bundle["feature_names"],
+                                         bundle["schema"].feature_groups())
 
     rmse_activity = {}
     for name in names:
@@ -293,4 +326,4 @@ def _build_report(per_user, candidates, labeled, meta, feature_names, schema,
         importances=importances, rmse_activity=rmse_activity, per_user=per_user,
         skipped_label_users=len(labeled.skipped_users),
         skipped_eval_users=skipped_eval, seed=master_seed,
-        inner_ratio=plan.inner_ratio, candidate_names=list(names))
+        inner_ratio=inner_ratio, candidate_names=list(names))

@@ -115,7 +115,6 @@ class MetaHybridModel:
     schema: object                 # ContextSchema
     pca_genres: object
     pca_keywords: object
-    provenance: str = ""
 
     def __post_init__(self):
         if set(self.forest.labels) - set(self.candidates.names):
@@ -124,8 +123,7 @@ class MetaHybridModel:
 
 def train_meta(labeled: LabeledTrainingSet, params: rf.ForestParams,
                candidates: CandidateSet, fitted: dict, schema=None,
-               pca_genres=None, pca_keywords=None,
-               provenance: str = "") -> MetaHybridModel:
+               pca_genres=None, pca_keywords=None) -> MetaHybridModel:
     """Train the selection forest on (context vector -> winning label)."""
     if len(labeled.labels) == 0:
         raise ValueError("empty labeled training set")
@@ -134,7 +132,7 @@ def train_meta(labeled: LabeledTrainingSet, params: rf.ForestParams,
     model = rf.train_forest(labeled.contexts, labeled.labels, params)
     return MetaHybridModel(candidates=candidates, fitted=fitted, forest=model,
                            schema=schema, pca_genres=pca_genres,
-                           pca_keywords=pca_keywords, provenance=provenance)
+                           pca_keywords=pca_keywords)
 
 
 def predict_recommender(model: MetaHybridModel, context_vector) -> str:

@@ -1,10 +1,10 @@
 """Stage-wise pipeline behind the CLI.
 
-Each stage reads the artifacts of earlier stages from the output
-directory, writes its own, and registers every file in a content-hash
-manifest. Stages mirror the eight-step offline methodology and reuse the
-same helpers (and seed derivations) as `evaluation.run_experiment`, so a
-staged run and an in-memory run produce identical reports.
+Each stage loads the artifacts of earlier stages from the output
+directory, calls one methodology step of `evaluation`, and saves that
+step's outputs (pickles and CSV exports), registering every file in a
+content-hash manifest. `evaluation.run_experiment` chains the same steps
+in memory, so a staged run and an in-memory run produce identical reports.
 """
 
 from __future__ import annotations
@@ -15,21 +15,13 @@ import logging
 import os
 import pickle
 
-import numpy as np
-
 from . import context as ctx
 from . import data as dat
+from . import evaluation as ev
 from . import forest as rf
 from . import hybrid as hy
 from .config import ExperimentConfig
-from .evaluation import (
-    _build_report,
-    _per_user_eval,
-    build_contexts,
-    fit_candidates,
-)
 from .seeding import derive_seed
-from .splits import SplitPlan, nested_split, slice_events
 
 log = logging.getLogger(__name__)
 
@@ -110,10 +102,7 @@ def stage_ingest(cfg: ExperimentConfig) -> dict:
 
 def stage_split(cfg: ExperimentConfig) -> dict:
     dataset = _read_pickle(cfg.output_dir, "dataset.pkl", "split")
-    plan = SplitPlan(outer_ratio=cfg.split.outer_ratio,
-                     inner_ratio=cfg.split.inner_ratio,
-                     seed=derive_seed(cfg.seed, "split"), mode=cfg.split.mode)
-    split = nested_split(dataset, plan)
+    split = ev.split_step(dataset, cfg.split, cfg.seed)
     _write_pickle(cfg.output_dir, "split.pkl", split)
     summary = (f"outer split {len(split.train_users)}:{len(split.test_users)} users, "
                f"inner ratio {cfg.split.inner_ratio:.2f} ({cfg.split.mode})")
@@ -125,10 +114,7 @@ def stage_fit_candidates(cfg: ExperimentConfig) -> dict:
     dataset = _read_pickle(cfg.output_dir, "dataset.pkl", "fit-candidates")
     split = _read_pickle(cfg.output_dir, "split.pkl", "fit-candidates")
     candidates = cfg.candidate_set()
-    fitted_train = fit_candidates(candidates, slice_events(split.train_inner_train),
-                                  dataset.items, cfg.seed, "fit-train", cfg.threads)
-    fitted_eval = fit_candidates(candidates, slice_events(split.test_inner_train),
-                                 dataset.items, cfg.seed, "fit-eval", cfg.threads)
+    fitted_train, fitted_eval = ev.fit_step(dataset, split, candidates, cfg.seed)
     _write_pickle(cfg.output_dir, "candidates_train.pkl", fitted_train)
     _write_pickle(cfg.output_dir, "candidates_eval.pkl", fitted_eval)
     summary = f"fitted {len(candidates.names)} candidates on both inner-train slices"
@@ -140,26 +126,14 @@ def stage_label(cfg: ExperimentConfig) -> dict:
     dataset = _read_pickle(cfg.output_dir, "dataset.pkl", "label")
     split = _read_pickle(cfg.output_dir, "split.pkl", "label")
     fitted_train = _read_pickle(cfg.output_dir, "candidates_train.pkl", "label")
-    candidates = cfg.candidate_set()
-    schema = ctx.build_schema(dataset.items, dataset.users,
-                              include_age=cfg.context.include_age,
-                              max_keywords=cfg.context.max_keywords,
-                              genre_components=cfg.context.genre_components,
-                              keyword_components=cfg.context.keyword_components)
-    matrix, names, pca_g, pca_k = build_contexts(
-        split.train_users, split.train_inner_train, dataset, schema, fit_pcas=True)
-    train_items = {uid: {r.item_id for r in evs}
-                   for uid, evs in split.train_inner_train.items()}
-    labeled = hy.generate_labels(candidates, fitted_train, split.train_users,
-                                 matrix, train_items, split.train_inner_test,
-                                 n=cfg.label_cutoff, relevance=cfg.relevance)
-    bundle = {"labeled": labeled, "schema": schema, "pca_genres": pca_g,
-              "pca_keywords": pca_k, "feature_names": names}
+    bundle, matrix = ev.label_step(dataset, split, cfg.candidate_set(), fitted_train,
+                                   cfg.context, cfg.relevance, cfg.label_cutoff)
+    labeled = bundle["labeled"]
     _write_pickle(cfg.output_dir, "labeled.pkl", bundle)
     labeled.export_csv(os.path.join(cfg.output_dir, "labels.csv"))
     _register(cfg.output_dir, "labels.csv")
     ctx.export_matrix(os.path.join(cfg.output_dir, "contexts_train.csv"),
-                      matrix, names, split.train_users)
+                      matrix, bundle["feature_names"], split.train_users)
     _register(cfg.output_dir, "contexts_train.csv")
     summary = (f"labeled {len(labeled.labels)} users "
                f"({len(labeled.skipped_users)} skipped, {len(labeled.tied_users)} ties)")
@@ -170,19 +144,15 @@ def stage_label(cfg: ExperimentConfig) -> dict:
 def stage_train_meta(cfg: ExperimentConfig) -> dict:
     bundle = _read_pickle(cfg.output_dir, "labeled.pkl", "train-meta")
     fitted_eval = _read_pickle(cfg.output_dir, "candidates_eval.pkl", "train-meta")
-    candidates = cfg.candidate_set()
-    params = rf.ForestParams(**{**cfg.forest.to_dict(),
-                                "seed": derive_seed(cfg.seed, "forest")})
-    meta = hy.train_meta(bundle["labeled"], params, candidates, fitted_eval,
-                         schema=bundle["schema"], pca_genres=bundle["pca_genres"],
-                         pca_keywords=bundle["pca_keywords"],
-                         provenance=f"seed={cfg.seed}")
-    _write_pickle(cfg.output_dir, "meta.pkl", meta)
+    meta = ev.train_meta_step(bundle, cfg.candidate_set(), fitted_eval, cfg.forest,
+                              cfg.seed)
+    # the serving models are in candidates_eval.pkl already
+    _write_pickle(cfg.output_dir, "meta.pkl", meta.forest)
     importances = rf.feature_importances(meta.forest, bundle["feature_names"],
                                          bundle["schema"].feature_groups())
     rf.export_importances(os.path.join(cfg.output_dir, "importances.csv"), importances)
     _register(cfg.output_dir, "importances.csv")
-    summary = f"trained forest with {params.n_estimators} trees on {len(bundle['labeled'].labels)} labels"
+    summary = f"trained forest with {cfg.forest.n_estimators} trees on {len(bundle['labeled'].labels)} labels"
     log.info(summary)
     return {"summary": summary}
 
@@ -190,42 +160,21 @@ def stage_train_meta(cfg: ExperimentConfig) -> dict:
 def stage_evaluate(cfg: ExperimentConfig) -> dict:
     dataset = _read_pickle(cfg.output_dir, "dataset.pkl", "evaluate")
     split = _read_pickle(cfg.output_dir, "split.pkl", "evaluate")
-    fitted_eval = _read_pickle(cfg.output_dir, "candidates_eval.pkl", "evaluate")
-    meta = _read_pickle(cfg.output_dir, "meta.pkl", "evaluate")
     bundle = _read_pickle(cfg.output_dir, "labeled.pkl", "evaluate")
-    candidates = cfg.candidate_set()
-
-    test_matrix, _, _, _ = build_contexts(
-        split.test_users, split.test_inner_train, dataset, meta.schema,
-        meta.pca_genres, meta.pca_keywords)
-    dispatched = {uid: hy.predict_recommender(meta, test_matrix[row])
-                  for row, uid in enumerate(split.test_users)}
-    test_items = {uid: {r.item_id for r in evs}
-                  for uid, evs in split.test_inner_train.items()}
-
-    per_user = []
-    skipped = 0
-    for uid in split.test_users:
-        row = _per_user_eval(uid, fitted_eval, candidates.names,
-                             test_items.get(uid, set()),
-                             split.test_inner_test.get(uid, []), cfg.relevance)
-        if row is None:
-            skipped += 1
-            continue
-        row["dispatched"] = dispatched[uid]
-        row["oracle"] = candidates.names[int(np.argmax(
-            [row[f"{n}:nDCG"] for n in candidates.names]))]
-        per_user.append(row)
-
-    plan = SplitPlan(outer_ratio=cfg.split.outer_ratio,
-                     inner_ratio=cfg.split.inner_ratio,
-                     seed=derive_seed(cfg.seed, "split"), mode=cfg.split.mode)
-    report = _build_report(per_user, candidates, bundle["labeled"], meta,
-                           bundle["feature_names"], bundle["schema"],
-                           cfg.relevance, skipped, cfg.seed, plan)
+    forest = _read_pickle(cfg.output_dir, "meta.pkl", "evaluate")
+    if not isinstance(forest, rf.ForestModel):
+        # an output directory from an older version pickled the whole serving model
+        raise StageError("meta.pkl holds no selection forest; rerun train-meta")
+    meta = hy.MetaHybridModel(
+        candidates=cfg.candidate_set(),
+        fitted=_read_pickle(cfg.output_dir, "candidates_eval.pkl", "evaluate"),
+        forest=forest, schema=bundle["schema"], pca_genres=bundle["pca_genres"],
+        pca_keywords=bundle["pca_keywords"])
+    report, _, _ = ev.evaluate_step(dataset, split, meta, bundle, cfg.relevance,
+                                    cfg.seed, cfg.split.inner_ratio)
     _write_pickle(cfg.output_dir, "evaluation.pkl", report)
     _write_text(cfg.output_dir, "per_user_metrics.csv", report.per_user_csv())
-    summary = f"evaluated {len(per_user)} users ({skipped} skipped)"
+    summary = f"evaluated {len(report.per_user)} users ({report.skipped_eval_users} skipped)"
     log.info(summary)
     return {"summary": summary, "report": report}
 

@@ -7,7 +7,6 @@ cold-case fallback chain, and ranks the catalog for Top-N recommendation.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,14 +58,6 @@ class RecommenderSpec:
         return cls(algorithm=d["algorithm"], params=dict(d.get("params", {})))
 
 
-def train_fingerprint(spec: RecommenderSpec, train, seed: int) -> str:
-    h = hashlib.sha256()
-    h.update(repr((spec.algorithm, sorted(spec.resolved_params().items()), seed)).encode())
-    for r in sorted(train, key=lambda r: (r.user_id, r.item_id)):
-        h.update(f"{r.user_id}|{r.item_id}|{r.rating}|{r.timestamp}\n".encode())
-    return h.hexdigest()
-
-
 class FittedRecommender:
     """Base class holding the training-slice statistics and the fallback chain."""
 
@@ -76,7 +67,6 @@ class FittedRecommender:
         self.spec = spec
         self.params = spec.resolved_params()
         self.seed = seed
-        self.fingerprint = train_fingerprint(spec, train, seed)
         self.fallback_count = 0
 
         self.item_ids = sorted(items) if items else sorted({r.item_id for r in train})

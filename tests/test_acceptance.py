@@ -343,11 +343,10 @@ def test_criterion_8_methodology_laws():
                   forest_params=ForestParams(n_estimators=30), master_seed=3)
     r1, _ = run_experiment(dataset, **kwargs)
     r2, _ = run_experiment(dataset, **kwargs)
-    r3, _ = run_experiment(dataset, threads=3, **kwargs)
-    identical = r1.to_json() == r2.to_json() == r3.to_json()
+    identical = r1.to_json() == r2.to_json()
     _verdict(8, laws and identical,
-             "split laws on 100 random datasets; rerun and threads=3 reports "
-             "bit-identical" if identical else "reports differ")
+             "split laws on 100 random datasets; rerun reports bit-identical"
+             if identical else "reports differ")
 
 
 # --------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 import hashlib
 import json
 import os
+import pickle
+import shutil
 
 import pytest
 
 from metahybrid.cli import main
+from metahybrid.config import load_config
+from metahybrid.data import enrich_items, load_movielens
+from metahybrid.evaluation import run_experiment
 from metahybrid.fixtures import make_fixture, write_movielens_files
 
 
@@ -94,6 +99,15 @@ class TestStageOrdering:
         out = capsys.readouterr().out
         assert "[report]" in out
 
+    def test_evaluate_rejects_meta_without_forest(self, workdir, completed_run, capsys):
+        out = workdir / "stale_meta_out"
+        shutil.copytree(completed_run, out)
+        with open(out / "meta.pkl", "wb") as fh:
+            pickle.dump({"format_version": 1, "payload": {"forest": None}}, fh)
+        path = write_config(workdir, name="stale.json", output_dir=str(out))
+        assert main(["evaluate", "--config", str(path)]) == 1
+        assert "rerun train-meta" in capsys.readouterr().err
+
 
 class TestRunAll:
     def test_artifacts_written(self, completed_run):
@@ -130,6 +144,26 @@ class TestRunAll:
         assert oracle >= max(singles) - 1e-12
 
 
+class TestParity:
+    """The staged CLI and the in-memory runner share one implementation."""
+
+    @pytest.mark.parametrize("preset", ["cf", "mixed"])
+    def test_run_all_matches_run_experiment(self, workdir, preset):
+        out = workdir / f"parity_{preset}"
+        path = write_config(workdir, name=f"parity_{preset}.json",
+                            output_dir=str(out), preset=preset)
+        assert main(["run-all", "--config", str(path)]) == 0
+        cfg = load_config(path)
+        dataset = enrich_items(
+            load_movielens(cfg.ratings_path, cfg.users_path, cfg.items_path),
+            cfg.metadata_path)
+        report, _ = run_experiment(dataset, cfg.candidate_set(), cfg.split, cfg.forest,
+                                   cfg.relevance, cfg.context, master_seed=cfg.seed,
+                                   label_cutoff=cfg.label_cutoff)
+        assert (out / "report.json").read_text() == report.to_json() + "\n"
+        assert (out / "per_user_metrics.csv").read_text() == report.per_user_csv()
+
+
 class TestOverrides:
     def test_env_seed_override(self, workdir, monkeypatch):
         path = write_config(workdir, name="env.json",
@@ -146,16 +180,6 @@ class TestOverrides:
                      "--out", str(workdir / "flag_out")]) == 0
         assert (workdir / "flag_out" / "dataset.pkl").exists()
         assert not (workdir / "env_out3").exists()
-
-    def test_threads_do_not_change_results(self, workdir):
-        outs = []
-        for threads in (1, 3):
-            out = workdir / f"threads_{threads}"
-            path = write_config(workdir, name=f"threads_{threads}.json",
-                                output_dir=str(out), threads=threads)
-            assert main(["run-all", "--config", str(path)]) == 0
-            outs.append((out / "report.json").read_text())
-        assert outs[0] == outs[1]
 
     def test_rerun_is_reproducible(self, workdir, completed_run):
         out = workdir / "repeat_out"

@@ -8,6 +8,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,10 +122,16 @@ def split_step(dataset: Dataset, plan: SplitPlan, master_seed: int) -> NestedSpl
 
 def fit_candidates(candidates: hy.CandidateSet, train_events, items,
                    master_seed: int, stage: str) -> dict:
-    """Fit every candidate on one ratings slice; per-candidate derived seeds."""
-    return {name: rec.fit(spec, train_events, items=items,
-                          seed=derive_seed(master_seed, stage, name))
-            for name, spec in zip(candidates.names, candidates.specs)}
+    """Fit every candidate on one ratings slice; per-candidate derived seeds.
+    Logs one line per fit with its slice, rating count and wall time."""
+    fitted = {}
+    for name, spec in zip(candidates.names, candidates.specs):
+        t0 = time.perf_counter()
+        fitted[name] = rec.fit(spec, train_events, items=items,
+                               seed=derive_seed(master_seed, stage, name))
+        log.info("fitted %s on %s (%d ratings) in %.2f s", name, stage,
+                 len(train_events), time.perf_counter() - t0)
+    return fitted
 
 
 def fit_step(dataset: Dataset, split: NestedSplit, candidates: hy.CandidateSet,
@@ -182,15 +189,22 @@ def label_step(dataset: Dataset, split: NestedSplit, candidates: hy.CandidateSet
     return bundle, matrix
 
 
-def train_meta_step(bundle: dict, candidates: hy.CandidateSet, fitted_eval: dict,
-                    forest_params: rf.ForestParams, master_seed: int) -> hy.MetaHybridModel:
+def train_meta_step(bundle: dict, forest_params: rf.ForestParams,
+                    master_seed: int) -> rf.ForestModel:
     """Step 5: the selection forest on (context -> label), seeded from the
-    master seed, bundled with the serving models for dispatch."""
+    master seed."""
     params = rf.ForestParams(**{**forest_params.to_dict(),
                                 "seed": derive_seed(master_seed, "forest")})
-    return hy.train_meta(bundle["labeled"], params, candidates, fitted_eval,
-                         schema=bundle["schema"], pca_genres=bundle["pca_genres"],
-                         pca_keywords=bundle["pca_keywords"])
+    return hy.train_meta(bundle["labeled"], params)
+
+
+def meta_model(bundle: dict, candidates: hy.CandidateSet, forest: rf.ForestModel,
+               fitted_eval: dict) -> hy.MetaHybridModel:
+    """The serving meta-hybrid: the selection forest dispatching to the models
+    fitted on TEh inner-train, with the TRh context schema and PCA models."""
+    return hy.MetaHybridModel(candidates=candidates, fitted=fitted_eval, forest=forest,
+                              schema=bundle["schema"], pca_genres=bundle["pca_genres"],
+                              pca_keywords=bundle["pca_keywords"])
 
 
 def _per_user_eval(uid, fitted: dict, candidate_names, train_items, holdout_events,
@@ -265,7 +279,8 @@ def run_experiment(dataset: Dataset, candidates: hy.CandidateSet,
     fitted_train, fitted_eval = fit_step(dataset, split, candidates, master_seed)
     bundle, _ = label_step(dataset, split, candidates, fitted_train, context_config,
                            relevance, label_cutoff)
-    meta = train_meta_step(bundle, candidates, fitted_eval, forest_params, master_seed)
+    forest = train_meta_step(bundle, forest_params, master_seed)
+    meta = meta_model(bundle, candidates, forest, fitted_eval)
     report, dispatched, test_matrix = evaluate_step(
         dataset, split, meta, bundle, relevance, master_seed, plan.inner_ratio)
     artifacts = {"split": split, "schema": bundle["schema"],

@@ -121,18 +121,14 @@ class MetaHybridModel:
             raise ValueError("forest labels must be a subset of candidate names")
 
 
-def train_meta(labeled: LabeledTrainingSet, params: rf.ForestParams,
-               candidates: CandidateSet, fitted: dict, schema=None,
-               pca_genres=None, pca_keywords=None) -> MetaHybridModel:
-    """Train the selection forest on (context vector -> winning label)."""
+def train_meta(labeled: LabeledTrainingSet, params: rf.ForestParams) -> rf.ForestModel:
+    """Train the selection forest on (context vector -> winning label); a
+    `MetaHybridModel` pairs it with the serving models."""
     if len(labeled.labels) == 0:
         raise ValueError("empty labeled training set")
     if len(set(labeled.labels)) < 2:
         log.warning("only one label present; meta model is degenerate")
-    model = rf.train_forest(labeled.contexts, labeled.labels, params)
-    return MetaHybridModel(candidates=candidates, fitted=fitted, forest=model,
-                           schema=schema, pca_genres=pca_genres,
-                           pca_keywords=pca_keywords)
+    return rf.train_forest(labeled.contexts, labeled.labels, params)
 
 
 def predict_recommender(model: MetaHybridModel, context_vector) -> str:

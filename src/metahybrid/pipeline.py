@@ -19,7 +19,6 @@ from . import context as ctx
 from . import data as dat
 from . import evaluation as ev
 from . import forest as rf
-from . import hybrid as hy
 from .config import ExperimentConfig
 from .seeding import derive_seed
 
@@ -143,12 +142,10 @@ def stage_label(cfg: ExperimentConfig) -> dict:
 
 def stage_train_meta(cfg: ExperimentConfig) -> dict:
     bundle = _read_pickle(cfg.output_dir, "labeled.pkl", "train-meta")
-    fitted_eval = _read_pickle(cfg.output_dir, "candidates_eval.pkl", "train-meta")
-    meta = ev.train_meta_step(bundle, cfg.candidate_set(), fitted_eval, cfg.forest,
-                              cfg.seed)
-    # the serving models are in candidates_eval.pkl already
-    _write_pickle(cfg.output_dir, "meta.pkl", meta.forest)
-    importances = rf.feature_importances(meta.forest, bundle["feature_names"],
+    forest = ev.train_meta_step(bundle, cfg.forest, cfg.seed)
+    # the evaluate stage pairs it with the serving models of candidates_eval.pkl
+    _write_pickle(cfg.output_dir, "meta.pkl", forest)
+    importances = rf.feature_importances(forest, bundle["feature_names"],
                                          bundle["schema"].feature_groups())
     rf.export_importances(os.path.join(cfg.output_dir, "importances.csv"), importances)
     _register(cfg.output_dir, "importances.csv")
@@ -165,11 +162,8 @@ def stage_evaluate(cfg: ExperimentConfig) -> dict:
     if not isinstance(forest, rf.ForestModel):
         # an output directory from an older version pickled the whole serving model
         raise StageError("meta.pkl holds no selection forest; rerun train-meta")
-    meta = hy.MetaHybridModel(
-        candidates=cfg.candidate_set(),
-        fitted=_read_pickle(cfg.output_dir, "candidates_eval.pkl", "evaluate"),
-        forest=forest, schema=bundle["schema"], pca_genres=bundle["pca_genres"],
-        pca_keywords=bundle["pca_keywords"])
+    meta = ev.meta_model(bundle, cfg.candidate_set(), forest,
+                         _read_pickle(cfg.output_dir, "candidates_eval.pkl", "evaluate"))
     report, _, _ = ev.evaluate_step(dataset, split, meta, bundle, cfg.relevance,
                                     cfg.seed, cfg.split.inner_ratio)
     _write_pickle(cfg.output_dir, "evaluation.pkl", report)

@@ -16,8 +16,9 @@ class BaselineOnlyModel(FittedRecommender):
         lr = self.params["learn_rate"]
         reg = self.params["reg"]
         mu = self.global_mean
-        bu = np.zeros(len(self.user_ids))
-        bi = np.zeros(len(self.item_ids))
+        # Python floats round as float64 does, without a numpy scalar per step
+        bu = [0.0] * len(self.user_ids)
+        bi = [0.0] * len(self.item_ids)
         triples = [(self.uidx[r.user_id], self.iidx[r.item_id], r.rating)
                    for r in sorted(train, key=lambda r: (r.user_id, r.item_id))]
         for _ in range(self.params["epochs"]):
@@ -25,7 +26,7 @@ class BaselineOnlyModel(FittedRecommender):
                 err = rating - (mu + bu[u] + bi[i])
                 bu[u] += lr * (err - reg * bu[u])
                 bi[i] += lr * (err - reg * bi[i])
-        self.bu, self.bi, self.mu = bu, bi, mu
+        self.bu, self.bi, self.mu = np.array(bu), np.array(bi), mu
 
     def _estimate(self, user, item):
         u = self.uidx.get(user)
@@ -124,30 +125,25 @@ class CoClusteringModel(FittedRecommender):
         ug = rng.integers(0, ku, size=nu)
         ig = rng.integers(0, ki, size=ni)
 
-        by_user = [np.flatnonzero(u_arr == u) for u in range(nu)]
-        by_item = [np.flatnonzero(i_arr == i) for i in range(ni)]
+        # ratings are sorted by user; `by_item` orders them by item, keeping
+        # that order among each item's raters
+        u_count = np.bincount(u_arr, minlength=nu)
+        by_item = np.argsort(i_arr, kind="stable")
+        iu_arr, ii_arr, ir_arr = u_arr[by_item], i_arr[by_item], r_arr[by_item]
+        i_count = np.bincount(i_arr, minlength=ni)
 
         for _ in range(self.params["epochs"]):
             A, Ag, Ah = self._averages(ku, ki, ug, ig, u_arr, i_arr, r_arr)
-            new_ug = ug.copy()
-            for u in range(nu):
-                rows = by_user[u]
-                if rows.size == 0:
-                    continue
-                h = ig[i_arr[rows]]
-                resid = r_arr[rows] - (umean[u] + imean[i_arr[rows]] - Ah[h])
-                # error of assigning u to each cluster g: pred = A[g,h] - Ag[g] + const
-                err = ((resid[None, :] - (A[:, h] - Ag[:, None])) ** 2).sum(axis=1)
-                new_ug[u] = int(np.argmin(err))
-            new_ig = ig.copy()
-            for i in range(ni):
-                rows = by_item[i]
-                if rows.size == 0:
-                    continue
-                g = new_ug[u_arr[rows]]
-                resid = r_arr[rows] - (imean[i] + umean[u_arr[rows]] - Ag[g])
-                err = ((resid[None, :] - (A[g, :].T - Ah[:, None])) ** 2).sum(axis=1)
-                new_ig[i] = int(np.argmin(err))
+            # err[u, g]: squared error of putting user u in cluster g, over
+            # u's ratings; pred = A[g,h] - Ag[g] + const
+            h = ig[i_arr]
+            resid = r_arr - (umean[u_arr] + imean[i_arr] - Ah[h])
+            err = _segment_sums((resid[:, None] - (A[:, h].T - Ag)) ** 2, u_count)
+            new_ug = np.where(u_count > 0, err.argmin(axis=1), ug)
+            g = new_ug[iu_arr]
+            resid = ir_arr - (imean[ii_arr] + umean[iu_arr] - Ag[g])
+            err = _segment_sums((resid[:, None] - (A[g, :] - Ah)) ** 2, i_count)
+            new_ig = np.where(i_count > 0, err.argmin(axis=1), ig)
             if np.array_equal(new_ug, ug) and np.array_equal(new_ig, ig):
                 ug, ig = new_ug, new_ig
                 break
@@ -212,20 +208,22 @@ class SvdMfModel(FittedRecommender):
         nu, ni = len(self.user_ids), len(self.item_ids)
         p = rng.normal(0.0, self.params["init_std"], size=(nu, f))
         q = rng.normal(0.0, self.params["init_std"], size=(ni, f))
-        bu = np.zeros(nu)
-        bi = np.zeros(ni)
+        bu = [0.0] * nu  # Python floats, as in BaselineOnly
+        bi = [0.0] * ni
         mu = self.global_mean
         triples = [(self.uidx[r.user_id], self.iidx[r.item_id], r.rating)
                    for r in sorted(train, key=lambda r: (r.user_id, r.item_id))]
+        # one rating at a time: each update reads the factors the last wrote
         for _ in range(self.params["epochs"]):
             for u, i, rating in triples:
-                err = rating - (mu + bu[u] + bi[i] + p[u] @ q[i])
+                pu, qi = p[u], q[i]  # row views, updated in place
+                err = rating - (mu + bu[u] + bi[i] + float(pu @ qi))
                 bu[u] += lr * (err - reg * bu[u])
                 bi[i] += lr * (err - reg * bi[i])
-                pu = p[u].copy()
-                p[u] += lr * (err * q[i] - reg * pu)
-                q[i] += lr * (err * pu - reg * q[i])
-        self.p, self.q, self.bu, self.bi, self.mu = p, q, bu, bi, mu
+                step_p = lr * (err * qi - reg * pu)
+                qi += lr * (err * pu - reg * qi)
+                pu += step_p
+        self.p, self.q, self.bu, self.bi, self.mu = p, q, np.array(bu), np.array(bi), mu
 
     def _estimate(self, user, item):
         u = self.uidx.get(user)
@@ -339,15 +337,20 @@ class KnnBasicModel(FittedRecommender):
 
 
 def _segment_sums(values, lengths) -> np.ndarray:
-    """Sum of each run of `values`, run j holding `lengths[j]` entries.
+    """Sum of each run of rows of `values`, run j holding `lengths[j]` rows.
 
-    Each sum is bit-identical to `run.sum()`: runs of one length are summed
-    together as the rows of a matrix, which numpy reduces in the same
-    pairwise order as a 1-D array of that length.
+    Each sum is bit-identical to `run.sum()` of a 1-D run, and each column
+    of a 2-D run's sum to that column summed as a contiguous 1-D array:
+    runs of one length are summed together along a contiguous last axis,
+    which numpy reduces in the same pairwise order as a 1-D array of that
+    length.
     """
-    out = np.zeros(len(lengths))
+    columns = np.ascontiguousarray(values.T)  # one row per column of `values`
+    out = np.zeros(columns.shape[:-1] + (len(lengths),))
     start = np.cumsum(lengths) - lengths
     for m in np.unique(lengths[lengths > 0]):
         rows = np.flatnonzero(lengths == m)
-        out[rows] = values[start[rows, None] + np.arange(m)].sum(axis=1)
-    return out
+        # take, unlike columns[..., index], returns a C-contiguous array
+        runs = columns.take(start[rows, None] + np.arange(m), axis=-1)
+        out[..., rows] = runs.sum(axis=-1)
+    return out.T

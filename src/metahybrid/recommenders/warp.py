@@ -11,6 +11,8 @@ import numpy as np
 from .base import FittedRecommender
 from .content import item_feature_matrix
 
+_BLOCK = 8  # negatives scored per numpy call in WARP training
+
 
 class WarpHybridModel(FittedRecommender):
     """Latent-factor ranker: score(u, i) = u_vec . item_rep(i) + b_i.
@@ -70,30 +72,72 @@ class WarpHybridModel(FittedRecommender):
         return reps
 
     def _train(self, positives, ni, d, lr, margin, max_trials, rng):
+        """WARP SGD, one positive at a time in a shuffled order per epoch.
+
+        Each positive draws negatives until one violates the margin, then
+        takes one step weighted by the rank estimated from the trial count.
+        The draws come from one stream per epoch and are scored in blocks
+        of `_BLOCK`, so the result is bit-identical to scoring one draw per
+        trial: `Generator.integers(0, ni, size=k)` yields the values of k
+        scalar draws, the padded gather-sum adds each item's feature rows
+        in `_rep`'s order, and `np.matmul` of (k,1,d) by (d,1) takes one
+        dot product per row, as `uvec @ rep` does.
+        """
         if not positives or ni < 2:
             return
+        feats = self._item_feats
+        nf = len(self.F)
+        # F gets a zero row nf; column i of `pad` lists item i's feature
+        # rows, padded with row nf to a common length
+        pad = np.full((max(len(f) for f in feats), ni), nf)
+        for i, f in enumerate(feats):
+            pad[:len(f), i] = f
+        F = np.zeros((nf + 1, d))
+        F[:nf] = self.F
+        U, b = self.U, self.b
+        add = np.add.reduce  # sums axis 0 row by row, as `_rep` does
         for _ in range(self.params["epochs"]):
             order = rng.permutation(len(positives))
+            start_state = rng.bit_generator.state
+            draws = np.zeros(0, dtype=np.int64)
+            pos = drawn = 0  # next unread entry of `draws`; draws taken this epoch
             for k in order:
                 u, i = positives[k]
-                uvec = self.U[u]
-                s_pos = float(uvec @ self._rep(i)) + self.b[i]
-                for trial in range(1, max_trials + 1):
-                    j = int(rng.integers(0, ni))
-                    if j == i:
-                        continue
-                    s_neg = float(uvec @ self._rep(j)) + self.b[j]
-                    if s_neg > s_pos - margin:
-                        weight = math.log(max(1, (ni - 1) // trial) + 1)
-                        step = lr * weight
-                        rep_i, rep_j = self._rep(i), self._rep(j)
-                        u_old = uvec.copy()
-                        self.U[u] += step * (rep_i - rep_j)
-                        self.F[self._item_feats[i]] += step * u_old
-                        self.F[self._item_feats[j]] -= step * u_old
-                        self.b[i] += step
-                        self.b[j] -= step
+                uvec = U[u]
+                rep_i = add(F.take(feats[i], 0), 0)
+                threshold = float(uvec @ rep_i) + b[i] - margin
+                trial = 0
+                while trial < max_trials:
+                    n = min(_BLOCK, max_trials - trial)
+                    if pos + n > len(draws):
+                        # one draw per positive: each reads at least one, so
+                        # fewer than twice the draws read are ever taken
+                        draws = np.concatenate([draws[pos:],
+                                                rng.integers(0, ni, size=len(order))])
+                        pos, drawn = 0, drawn + len(order)
+                    js = draws[pos:pos + n]
+                    reps = add(F.take(pad.take(js, 1), 0), 0)
+                    s_neg = np.matmul(reps[:, None, :], uvec[:, None]).ravel() + b[js]
+                    over = (s_neg > threshold).nonzero()[0]
+                    hit = next((int(t) for t in over if js[t] != i), None)
+                    read = n if hit is None else hit + 1
+                    pos += read
+                    trial += read
+                    if hit is not None:
+                        j = int(js[hit])
+                        step = lr * math.log(max(1, (ni - 1) // trial) + 1)
+                        u_step = step * uvec
+                        U[u] += step * (rep_i - reps[hit])
+                        F[feats[i]] += u_step
+                        F[feats[j]] -= u_step
+                        b[i] += step
+                        b[j] -= step
                         break
+            # leave the generator where the draws read would have as scalars,
+            # so the next epoch's permutation is unchanged
+            rng.bit_generator.state = start_state
+            rng.integers(0, ni, size=drawn - (len(draws) - pos))
+        self.F = F[:nf].copy()
 
     def _scores(self, u: int) -> np.ndarray:
         return self._reps() @ self.U[u] + self.b

@@ -134,10 +134,9 @@ def test_criterion_3_planted_rule():
     labeled = generate_labels(candidates, fitted, train_users,
                               contexts[:200], {}, holdouts)
     assert labeled.labels == planted[:200]
-    meta = train_meta(labeled, ForestParams(n_estimators=100, seed=1),
-                      candidates, fitted)
+    forest = train_meta(labeled, ForestParams(n_estimators=100, seed=1))
 
-    dispatched = [predict_label(meta.forest, contexts[u])[0] for u in test_users]
+    dispatched = [predict_label(forest, contexts[u])[0] for u in test_users]
     accuracy = float(np.mean([dispatched[j] == planted[u]
                               for j, u in enumerate(test_users)]))
 

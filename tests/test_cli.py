@@ -108,6 +108,15 @@ class TestStageOrdering:
         assert main(["evaluate", "--config", str(path)]) == 1
         assert "rerun train-meta" in capsys.readouterr().err
 
+    def test_train_meta_does_not_read_serving_models(self, workdir, completed_run):
+        # train-meta trains the forest only; the serving models are read by evaluate
+        out = workdir / "no_eval_models_out"
+        shutil.copytree(completed_run, out)
+        os.remove(out / "candidates_eval.pkl")
+        path = write_config(workdir, name="no_eval_models.json", output_dir=str(out))
+        assert main(["train-meta", "--config", str(path)]) == 0
+        assert (out / "meta.pkl").read_bytes() == (completed_run / "meta.pkl").read_bytes()
+
 
 class TestRunAll:
     def test_artifacts_written(self, completed_run):

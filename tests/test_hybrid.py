@@ -173,8 +173,10 @@ class TestMetaModel:
             scores=scores, candidate_names=candidates.names)
         fitted = {"SlopeOne": FakeRecommender({0: ["s1", "s2"]}),
                   "KnnBasic": FakeRecommender({0: ["k1", "k2"]})}
-        model = train_meta(labeled, ForestParams(n_estimators=40, seed=2),
-                           candidates, fitted)
+        model = MetaHybridModel(
+            candidates=candidates, fitted=fitted,
+            forest=train_meta(labeled, ForestParams(n_estimators=40, seed=2)),
+            schema=None, pca_genres=None, pca_keywords=None)
         return model, contexts, labels, scores
 
     def test_learns_planted_rule(self):
@@ -220,7 +222,7 @@ class TestMetaModel:
                                      labels=[], scores=np.zeros((0, 2)),
                                      candidate_names=candidates.names)
         with pytest.raises(ValueError, match="empty"):
-            train_meta(labeled, ForestParams(n_estimators=2), candidates, {})
+            train_meta(labeled, ForestParams(n_estimators=2))
 
     def test_forest_labels_must_be_candidates(self):
         model, _, _, _ = self._planted_model()

@@ -224,16 +224,24 @@ class TestTopN:
 
 
 @pytest.fixture(scope="module")
-def shipped_fixture():
-    """The shipped fixture's nested split, and every algorithm (plus
-    KnnBasic with k=3, so the top-k cut applies) fitted on its training
-    users' inner-train slices; the test users are cold for these models."""
+def trh_slice():
+    """The shipped fixture, its nested split, and the ratings of its
+    training users' inner-train slices."""
     dataset = enrich_items(
         load_movielens(*(os.path.join(FIXTURES, f)
                          for f in ("ratings.dat", "users.dat", "movies.dat"))),
         os.path.join(FIXTURES, "metadata.csv"))
     split = nested_split(dataset, SplitPlan(seed=5))
     train = [r for uid in split.train_users for r in split.train_inner_train[uid]]
+    return dataset, split, train
+
+
+@pytest.fixture(scope="module")
+def shipped_fixture(trh_slice):
+    """Every algorithm (plus KnnBasic with k=3, so the top-k cut applies)
+    fitted on the shipped fixture's training users' inner-train slices; the
+    test users are cold for these models."""
+    dataset, split, train = trh_slice
     specs = [RecommenderSpec(a) for a in rec.ALGORITHMS]
     specs.append(RecommenderSpec("KnnBasic", {"k": 3}))
     models = [fit(spec, train, items=dataset.items, seed=5) for spec in specs]
@@ -298,6 +306,188 @@ class TestCatalogTopN:
             assert model.fallback_count - before == chain
             chains.append(chain)
         assert max(chains) == len(models[0].item_ids) - len(exclude)
+
+
+class ReferenceWarp(rec.WarpHybridModel):
+    """WarpHybrid with one numpy call per WARP trial, as before block scoring."""
+
+    def _train(self, positives, ni, d, lr, margin, max_trials, rng):
+        if not positives or ni < 2:
+            return
+        for _ in range(self.params["epochs"]):
+            order = rng.permutation(len(positives))
+            for k in order:
+                u, i = positives[k]
+                uvec = self.U[u]
+                s_pos = float(uvec @ self._rep(i)) + self.b[i]
+                for trial in range(1, max_trials + 1):
+                    j = int(rng.integers(0, ni))
+                    if j == i:
+                        continue
+                    s_neg = float(uvec @ self._rep(j)) + self.b[j]
+                    if s_neg > s_pos - margin:
+                        weight = math.log(max(1, (ni - 1) // trial) + 1)
+                        step = lr * weight
+                        rep_i, rep_j = self._rep(i), self._rep(j)
+                        u_old = uvec.copy()
+                        self.U[u] += step * (rep_i - rep_j)
+                        self.F[self._item_feats[i]] += step * u_old
+                        self.F[self._item_feats[j]] -= step * u_old
+                        self.b[i] += step
+                        self.b[j] -= step
+                        break
+
+
+def reference_baseline(model, train):
+    """BaselineOnly's per-rating SGD on numpy arrays: (bu, bi)."""
+    lr, reg, mu = model.params["learn_rate"], model.params["reg"], model.global_mean
+    bu, bi = np.zeros(len(model.user_ids)), np.zeros(len(model.item_ids))
+    for _ in range(model.params["epochs"]):
+        for r in sorted(train, key=lambda r: (r.user_id, r.item_id)):
+            u, i = model.uidx[r.user_id], model.iidx[r.item_id]
+            err = r.rating - (mu + bu[u] + bi[i])
+            bu[u] += lr * (err - reg * bu[u])
+            bi[i] += lr * (err - reg * bi[i])
+    return bu, bi
+
+
+def reference_svdmf(model, train):
+    """SvdMf's per-rating SGD on numpy arrays: (bu, bi, p, q)."""
+    prm = model.params
+    lr, reg, mu = prm["learn_rate"], prm["reg"], model.global_mean
+    rng = np.random.default_rng(model.seed)
+    p = rng.normal(0.0, prm["init_std"], size=(len(model.user_ids), prm["factors"]))
+    q = rng.normal(0.0, prm["init_std"], size=(len(model.item_ids), prm["factors"]))
+    bu, bi = np.zeros(len(model.user_ids)), np.zeros(len(model.item_ids))
+    for _ in range(prm["epochs"]):
+        for r in sorted(train, key=lambda r: (r.user_id, r.item_id)):
+            u, i = model.uidx[r.user_id], model.iidx[r.item_id]
+            err = r.rating - (mu + bu[u] + bi[i] + p[u] @ q[i])
+            bu[u] += lr * (err - reg * bu[u])
+            bi[i] += lr * (err - reg * bi[i])
+            pu = p[u].copy()
+            p[u] += lr * (err * q[i] - reg * pu)
+            q[i] += lr * (err * pu - reg * q[i])
+    return bu, bi, p, q
+
+
+def reference_coclustering(model, train):
+    """CoClustering with one reassignment per user and per item:
+    (A, Ag, Ah, ug, ig)."""
+    ku, ki = model.params["user_clusters"], model.params["item_clusters"]
+    nu, ni = len(model.user_ids), len(model.item_ids)
+    rng = np.random.default_rng(model.seed)
+    u_arr = np.array([model.uidx[r.user_id] for r in train])
+    i_arr = np.array([model.iidx[r.item_id] for r in train])
+    r_arr = np.array([float(r.rating) for r in train])
+    order = np.lexsort((i_arr, u_arr))
+    u_arr, i_arr, r_arr = u_arr[order], i_arr[order], r_arr[order]
+    umean, imean = model.umean, model.imean
+    ug = rng.integers(0, ku, size=nu)
+    ig = rng.integers(0, ki, size=ni)
+    by_user = [np.flatnonzero(u_arr == u) for u in range(nu)]
+    by_item = [np.flatnonzero(i_arr == i) for i in range(ni)]
+    for _ in range(model.params["epochs"]):
+        A, Ag, Ah = model._averages(ku, ki, ug, ig, u_arr, i_arr, r_arr)
+        new_ug = ug.copy()
+        for u in range(nu):
+            rows = by_user[u]
+            if rows.size == 0:
+                continue
+            h = ig[i_arr[rows]]
+            resid = r_arr[rows] - (umean[u] + imean[i_arr[rows]] - Ah[h])
+            err = ((resid[None, :] - (A[:, h] - Ag[:, None])) ** 2).sum(axis=1)
+            new_ug[u] = int(np.argmin(err))
+        new_ig = ig.copy()
+        for i in range(ni):
+            rows = by_item[i]
+            if rows.size == 0:
+                continue
+            g = new_ug[u_arr[rows]]
+            resid = r_arr[rows] - (imean[i] + umean[u_arr[rows]] - Ag[g])
+            err = ((resid[None, :] - (A[g, :].T - Ah[:, None])) ** 2).sum(axis=1)
+            new_ig[i] = int(np.argmin(err))
+        converged = np.array_equal(new_ug, ug) and np.array_equal(new_ig, ig)
+        ug, ig = new_ug, new_ig
+        if converged:
+            break
+    return (*model._averages(ku, ki, ug, ig, u_arr, i_arr, r_arr), ug, ig)
+
+
+class TestBatchedFits:
+    """The batched fits against the per-trial and per-rating loops they
+    replaced, array for array and bit for bit, on the shipped fixture."""
+
+    @pytest.mark.parametrize("seed", [5, 8])
+    def test_warp_matches_per_trial_loop(self, seed, trh_slice):
+        dataset, _, train = trh_slice
+        # three epochs, so the generator must be rewound at each epoch end
+        spec = RecommenderSpec("WarpHybrid", {"epochs": 3})
+        model = fit(spec, train, items=dataset.items, seed=seed)
+        ref = ReferenceWarp(spec, train, dataset.items, seed)
+        for name in ("F", "U", "b"):
+            assert np.array_equal(getattr(model, name), getattr(ref, name)), name
+
+    @pytest.mark.parametrize("seed", [5, 8])
+    def test_coclustering_matches_per_user_reassignment(self, seed, trh_slice):
+        _, _, train = trh_slice
+        model = fit(RecommenderSpec("CoClustering"), train, seed=seed)
+        want = reference_coclustering(model, train)
+        for name, ref in zip(("A", "Ag", "Ah", "ug", "ig"), want):
+            assert np.array_equal(getattr(model, name), ref), name
+
+    @pytest.mark.parametrize("seed", [5, 8])
+    def test_sgd_fits_match_numpy_scalar_loops(self, seed, trh_slice):
+        _, _, train = trh_slice
+        base = fit(RecommenderSpec("BaselineOnly"), train, seed=seed)
+        for name, ref in zip(("bu", "bi"), reference_baseline(base, train)):
+            assert np.array_equal(getattr(base, name), ref), name
+        svd = fit(RecommenderSpec("SvdMf", {"epochs": 4}), train, seed=seed)
+        for name, ref in zip(("bu", "bi", "p", "q"), reference_svdmf(svd, train)):
+            assert np.array_equal(getattr(svd, name), ref), name
+
+
+class TestNumpyBehaviour:
+    """The numpy behaviours the batched fits rely on for bit-identical results."""
+
+    @pytest.mark.parametrize("n", [2, 7, 500, 3952])
+    def test_integer_stream_equals_scalar_draws(self, n):
+        batch, scalar = np.random.default_rng(3), np.random.default_rng(3)
+        batch.permutation(11)
+        scalar.permutation(11)
+        drawn = np.concatenate([batch.integers(0, n, size=k) for k in (1, 8, 300)])
+        assert drawn.tolist() == [int(scalar.integers(0, n)) for _ in range(309)]
+        assert batch.bit_generator.state == scalar.bit_generator.state
+
+    @pytest.mark.parametrize("scale", [1.0, 1e79])
+    def test_stacked_matmul_equals_per_row_dot(self, scale):
+        rng = np.random.default_rng(0)
+        reps = rng.normal(size=(8, 30)) * scale
+        uvec = rng.normal(size=30) * scale ** 0.5
+        got = np.matmul(reps[:, None, :], uvec[:, None]).ravel()
+        assert got.tolist() == [float(uvec @ r) for r in reps]
+
+    def test_axis0_reduce_adds_rows_in_order(self):
+        rng = np.random.default_rng(1)
+        rows = rng.normal(size=(10, 8, 30)) * 10.0 ** rng.integers(-5, 80, size=(10, 8, 1))
+        expected = np.zeros((8, 30))
+        for row in rows:
+            expected += row
+        assert np.array_equal(np.add.reduce(rows, 0), expected)
+
+    def test_segment_sums_match_per_run_sums(self):
+        from metahybrid.recommenders.collaborative import _segment_sums
+        rng = np.random.default_rng(2)
+        lengths = np.array([0, 1, 3, 8, 9, 17, 130, 3, 0, 300, 17])
+        values = rng.normal(size=(lengths.sum(), 5)) * 10.0 ** rng.integers(0, 12, size=(1, 5))
+        start = np.cumsum(lengths) - lengths
+        sums = _segment_sums(values, lengths)
+        flat = _segment_sums(values[:, 2], lengths)
+        for j, (s, m) in enumerate(zip(start, lengths)):
+            run = values[s:s + m]
+            assert sums[j].tolist() == [np.ascontiguousarray(run[:, c]).sum()
+                                        for c in range(5)]
+            assert flat[j] == run[:, 2].sum()
 
 
 class TestContracts:

@@ -57,6 +57,16 @@ class ItemRecord:
     avg_rating: float | None = None
     plot: str | None = None
 
+    # a frozenset of strings pickles in string-hash order; sorted tuples
+    # keep dataset.pkl the same bytes under every PYTHONHASHSEED
+    def __getstate__(self):
+        return {**self.__dict__, "genres": tuple(sorted(self.genres)),
+                "keywords": tuple(sorted(self.keywords))}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, genres=frozenset(state["genres"]),
+                             keywords=frozenset(state["keywords"]))
+
 
 @dataclass
 class UserRecord:

@@ -16,17 +16,16 @@ class BaselineOnlyModel(FittedRecommender):
         lr = self.params["learn_rate"]
         reg = self.params["reg"]
         mu = self.global_mean
-        # Python floats round as float64 does, without a numpy scalar per step
-        bu = [0.0] * len(self.user_ids)
-        bi = [0.0] * len(self.item_ids)
-        triples = [(self.uidx[r.user_id], self.iidx[r.item_id], r.rating)
-                   for r in sorted(train, key=lambda r: (r.user_id, r.item_id))]
+        bu = np.zeros(len(self.user_ids))
+        bi = np.zeros(len(self.item_ids))
+        waves = _sgd_waves(self, train)
         for _ in range(self.params["epochs"]):
-            for u, i, rating in triples:
-                err = rating - (mu + bu[u] + bi[i])
-                bu[u] += lr * (err - reg * bu[u])
-                bi[i] += lr * (err - reg * bi[i])
-        self.bu, self.bi, self.mu = np.array(bu), np.array(bi), mu
+            for u, i, rating in waves:
+                bu_u, bi_i = bu[u], bi[i]
+                err = rating - (mu + bu_u + bi_i)
+                bu[u] = bu_u + lr * (err - reg * bu_u)
+                bi[i] = bi_i + lr * (err - reg * bi_i)
+        self.bu, self.bi, self.mu = bu, bi, mu
 
     def _estimate(self, user, item):
         u = self.uidx.get(user)
@@ -208,22 +207,22 @@ class SvdMfModel(FittedRecommender):
         nu, ni = len(self.user_ids), len(self.item_ids)
         p = rng.normal(0.0, self.params["init_std"], size=(nu, f))
         q = rng.normal(0.0, self.params["init_std"], size=(ni, f))
-        bu = [0.0] * nu  # Python floats, as in BaselineOnly
-        bi = [0.0] * ni
+        bu, bi = np.zeros(nu), np.zeros(ni)
         mu = self.global_mean
-        triples = [(self.uidx[r.user_id], self.iidx[r.item_id], r.rating)
-                   for r in sorted(train, key=lambda r: (r.user_id, r.item_id))]
-        # one rating at a time: each update reads the factors the last wrote
+        waves = _sgd_waves(self, train)
         for _ in range(self.params["epochs"]):
-            for u, i, rating in triples:
-                pu, qi = p[u], q[i]  # row views, updated in place
-                err = rating - (mu + bu[u] + bi[i] + float(pu @ qi))
-                bu[u] += lr * (err - reg * bu[u])
-                bi[i] += lr * (err - reg * bi[i])
-                step_p = lr * (err * qi - reg * pu)
-                qi += lr * (err * pu - reg * qi)
-                pu += step_p
-        self.p, self.q, self.bu, self.bi, self.mu = p, q, np.array(bu), np.array(bi), mu
+            for u, i, rating in waves:
+                # copies of the wave's rows, as they stand before it
+                pu, qi, bu_u, bi_i = p[u], q[i], bu[u], bi[i]
+                # one dot product per row, as p[u] @ q[i] takes
+                dot = np.matmul(pu[:, None, :], qi[:, :, None]).ravel()
+                err = rating - (mu + bu_u + bi_i + dot)
+                bu[u] = bu_u + lr * (err - reg * bu_u)
+                bi[i] = bi_i + lr * (err - reg * bi_i)
+                err = err[:, None]
+                p[u] = pu + lr * (err * qi - reg * pu)
+                q[i] = qi + lr * (err * pu - reg * qi)
+        self.p, self.q, self.bu, self.bi, self.mu = p, q, bu, bi, mu
 
     def _estimate(self, user, item):
         u = self.uidx.get(user)
@@ -334,6 +333,33 @@ class KnnBasicModel(FittedRecommender):
         den = _segment_sums(sims[kept], lengths)
         defined = lengths > 0
         return np.divide(num, den, out=np.zeros(n), where=defined), defined
+
+
+def _sgd_waves(model, train) -> list:
+    """The SGD updates of `train`, in (user, item) order, grouped into
+    waves of (users, items, ratings) arrays to be applied one after another.
+
+    Each update goes one wave after the last earlier update of its user or
+    of its item, so no wave holds a user or an item twice. An update then
+    reads the same user and item state as in the one-rating-at-a-time
+    loop, whatever the order within its wave, and a wave can run as one
+    batch with the loop's results (Gemulla et al., KDD 2011).
+    """
+    events = sorted(train, key=lambda r: (r.user_id, r.item_id))
+    users = [model.uidx[r.user_id] for r in events]
+    items = [model.iidx[r.item_id] for r in events]
+    next_u = [0] * len(model.user_ids)  # the first wave free for each user
+    next_i = [0] * len(model.item_ids)
+    wave = []
+    for u, i in zip(users, items):
+        w = max(next_u[u], next_i[i])
+        next_u[u] = next_i[i] = w + 1
+        wave.append(w)
+    order = np.argsort(wave, kind="stable")
+    cuts = np.cumsum(np.bincount(wave))[:-1]
+    users, items = np.array(users), np.array(items)
+    ratings = np.array([float(r.rating) for r in events])
+    return [(users[k], items[k], ratings[k]) for k in np.split(order, cuts)]
 
 
 def _segment_sums(values, lengths) -> np.ndarray:

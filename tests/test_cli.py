@@ -3,6 +3,8 @@ import json
 import os
 import pickle
 import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -189,6 +191,22 @@ class TestOverrides:
                      "--out", str(workdir / "flag_out")]) == 0
         assert (workdir / "flag_out" / "dataset.pkl").exists()
         assert not (workdir / "env_out3").exists()
+
+    def test_ingest_independent_of_hash_seed(self, workdir):
+        # each hash seed in a fresh interpreter; the item catalog's genre and
+        # keyword sets must not pickle in string-hash order
+        path = write_config(workdir, name="hashseed.json")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        pythonpath = os.pathsep.join([os.path.join(root, "src")] + sys.path)
+        outputs = []
+        for seed in ("1", "2"):
+            out = workdir / f"hashseed_{seed}"
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
+            subprocess.run([sys.executable, "-m", "metahybrid.cli", "ingest",
+                            "--config", str(path), "--out", str(out)],
+                           env=env, check=True, capture_output=True)
+            outputs.append([(out / n).read_bytes() for n in ("dataset.pkl", "manifest.json")])
+        assert outputs[0] == outputs[1]
 
     def test_rerun_is_reproducible(self, workdir, completed_run):
         out = workdir / "repeat_out"

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from metahybrid import data
@@ -203,3 +205,13 @@ def test_genre_coverage_warning(tiny_movielens, caplog):
         load_movielens(tiny_movielens / "ratings.dat", tiny_movielens / "users.dat",
                        tiny_movielens / "movies2.dat")
     assert any("genres" in m for m in caplog.messages)
+
+
+def test_item_record_pickle_roundtrip():
+    item = ItemRecord(3, title="t", genres=frozenset({"Drama", "Comedy"}),
+                      keywords=frozenset({"k2", "k1"}), cast=("a",))
+    state = item.__getstate__()
+    assert state["genres"] == ("Comedy", "Drama") and state["keywords"] == ("k1", "k2")
+    back = pickle.loads(pickle.dumps(item))
+    assert back == item
+    assert type(back.genres) is frozenset and type(back.keywords) is frozenset

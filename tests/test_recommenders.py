@@ -446,6 +446,46 @@ class TestBatchedFits:
         for name, ref in zip(("bu", "bi", "p", "q"), reference_svdmf(svd, train)):
             assert np.array_equal(getattr(svd, name), ref), name
 
+    def test_svdmf_matches_per_rating_loop_at_default_epochs(self, trh_slice):
+        _, _, train = trh_slice
+        svd = fit(RecommenderSpec("SvdMf"), train, seed=5)
+        assert svd.params["epochs"] == 30
+        for name, ref in zip(("bu", "bi", "p", "q"), reference_svdmf(svd, train)):
+            assert np.array_equal(getattr(svd, name), ref), name
+
+    def test_sgd_waves_keep_each_user_and_item_in_order(self, trh_slice):
+        from metahybrid.recommenders.collaborative import _sgd_waves
+        _, _, train = trh_slice
+        model = fit(RecommenderSpec("BaselineOnly", {"epochs": 0}), train, seed=5)
+        waves = _sgd_waves(model, train)
+        assert len(waves) < len(train)
+        triples = [(model.uidx[r.user_id], model.iidx[r.item_id], float(r.rating))
+                   for r in sorted(train, key=lambda r: (r.user_id, r.item_id))]
+        scheduled = [t for wave in waves for t in zip(*(a.tolist() for a in wave))]
+        assert sorted(scheduled) == sorted(triples)
+        for users, items, _ in waves:
+            assert len(set(users.tolist())) == len(users)
+            assert len(set(items.tolist())) == len(items)
+        for axis in (0, 1):  # users, then items
+            want, got = {}, {}
+            for t in triples:
+                want.setdefault(t[axis], []).append(t)
+            for t in scheduled:
+                got.setdefault(t[axis], []).append(t)
+            # one update per wave at most, so each user's (item's) updates
+            # come in strictly increasing waves, in the loop's order
+            assert got == want
+
+    def test_sgd_waves_hand_case(self):
+        from metahybrid.recommenders.collaborative import _sgd_waves
+        train = [ev(1, 1, 5), ev(1, 2, 4), ev(2, 1, 3), ev(2, 2, 2), ev(3, 3, 1)]
+        model = fit(RecommenderSpec("BaselineOnly", {"epochs": 0}), train, seed=0)
+        waves = [list(zip(*(a.tolist() for a in wave))) for wave in _sgd_waves(model, train)]
+        # (2, 1) waits for (1, 1) only; (3, 3) shares nothing, so goes first
+        assert waves == [[(0, 0, 5.0), (2, 2, 1.0)],
+                         [(0, 1, 4.0), (1, 0, 3.0)],
+                         [(1, 1, 2.0)]]
+
 
 class TestNumpyBehaviour:
     """The numpy behaviours the batched fits rely on for bit-identical results."""
@@ -466,6 +506,15 @@ class TestNumpyBehaviour:
         uvec = rng.normal(size=30) * scale ** 0.5
         got = np.matmul(reps[:, None, :], uvec[:, None]).ravel()
         assert got.tolist() == [float(uvec @ r) for r in reps]
+
+    @pytest.mark.parametrize("scale", [1.0, 1e79])
+    @pytest.mark.parametrize("d", [1, 7, 20, 64])
+    def test_row_by_column_matmul_equals_per_row_dot(self, d, scale):
+        rng = np.random.default_rng(d)
+        p = rng.normal(size=(50, d)) * scale
+        q = rng.normal(size=(50, d)) * scale
+        got = np.matmul(p[:, None, :], q[:, :, None]).ravel()
+        assert got.tolist() == [float(pu @ qi) for pu, qi in zip(p, q)]
 
     def test_axis0_reduce_adds_rows_in_order(self):
         rng = np.random.default_rng(1)

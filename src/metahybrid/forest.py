@@ -1,12 +1,21 @@
 """Random-forest classifier built from scratch: CART trees with Gini
 splits, bootstrap resampling, per-node feature subsampling, soft-vote
-probabilities, and mean-impurity-decrease feature importances."""
+probabilities, and mean-impurity-decrease feature importances.
+
+The trees grow in lockstep (`_grow_trees`): each step takes the next node of
+every tree and scores all of them in one padded split search, in chunks of
+at most `_CHUNK` elements. Each tree keeps its own generator and depth-first
+order, so the forest is the one a recursive one-tree-at-a-time build grows,
+node for node. A pickled `ForestModel` holds flat node arrays, and loading
+rebuilds the `TreeNode`s.
+"""
 
 from __future__ import annotations
 
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,91 +90,242 @@ class TreeNode:
     n_samples: int = 0
 
 
-class _TreeBuilder:
-    def __init__(self, params: ForestParams, n_classes: int, rng, sample_weight):
-        self.params = params
-        self.n_classes = n_classes
-        self.rng = rng
-        self.w = sample_weight
-        self.importances = None  # set by build()
+_CHUNK = 1 << 14  # padded (nodes x features x samples) elements per split-search call
 
-    def build(self, X, y, idx):
-        self.X, self.y = X, y
-        self.n_root = len(idx)
-        self.importances = np.zeros(X.shape[1])
-        return self._grow(idx, depth=0)
 
-    def _class_counts(self, idx):
-        counts = np.zeros(self.n_classes)
-        np.add.at(counts, self.y[idx], self.w[idx])
-        return counts
+def _class_counts(samples, idxs):
+    """Weighted class counts of each index set, each summed in index order,
+    and their Gini impurities."""
+    n_classes = len(samples.class_w)
+    cat = np.concatenate(idxs)
+    key = np.repeat(np.arange(len(idxs)) * n_classes, [len(idx) for idx in idxs])
+    key += samples.y[cat]
+    counts = np.bincount(key, weights=samples.class_w[samples.y[cat]],
+                         minlength=len(idxs) * n_classes).reshape(len(idxs), n_classes)
+    return counts, gini(counts)
 
-    def _grow(self, idx, depth):
-        counts = self._class_counts(idx)
-        node_gini = gini(counts)
-        node = TreeNode(class_counts=counts, n_samples=len(idx))
-        p = self.params
-        if (len(idx) < p.min_samples_split or node_gini == 0.0
-                or (p.max_depth is not None and depth >= p.max_depth)):
-            return node
-        split = self._best_split(idx, counts, node_gini)
-        if split is None:
-            return node
-        feat, thr, gain, left_idx, right_idx = split
-        self.importances[feat] += (len(idx) / self.n_root) * gain
-        node.feature = feat
-        node.threshold = thr
-        node.left = self._grow(left_idx, depth + 1)
-        node.right = self._grow(right_idx, depth + 1)
-        return node
 
-    def _best_split(self, idx, counts, node_gini):
-        """Best Gini split over `mtry` sampled features, or None.
+def _value_ranks(X):
+    """Dense rank of every value within its column, as a (feature, sample)
+    array. Equal values share a rank (0.0 and -0.0, and all NaNs, which rank
+    last), so ordering a node's samples by (rank, position) is the stable
+    sort of their values."""
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    new = (xs[1:] != xs[:-1]) & ~(np.isnan(xs[1:]) & np.isnan(xs[:-1]))
+    dense = np.zeros(X.shape, dtype=np.int64)
+    np.cumsum(new, axis=0, out=dense[1:])
+    ranks = np.empty_like(dense)
+    np.put_along_axis(ranks, order, dense, axis=0)
+    return np.ascontiguousarray(ranks.T)
 
-        Every threshold of every sampled feature is scored at once from the
-        cumulative class counts of the feature-sorted samples. Candidates
-        come feature by feature, thresholds ascending; a later one replaces
-        the best only when its gain is larger by more than 1e-15 (so among
-        near-equal gains the smallest (feature, threshold) wins).
-        """
-        d = self.X.shape[1]
-        mtry = self.params.n_features_per_split(d)
-        feats = np.sort(self.rng.choice(d, size=mtry, replace=False))
-        n = len(idx)
-        min_leaf = self.params.min_samples_leaf
-        # a split after sorted position b leaves b + 1 samples on the left
-        after = np.arange(min_leaf - 1, n - min_leaf)
-        if after.size == 0:
-            return None
-        x = self.X[np.ix_(idx, feats)]
-        order = np.argsort(x, axis=0, kind="mergesort")
-        xs = np.take_along_axis(x, order, axis=0)
-        # cumulative weighted class counts from the left, per feature
-        onehot = np.zeros((n, mtry, self.n_classes))
-        onehot[np.arange(n)[:, None], np.arange(mtry), self.y[idx][order]] = self.w[idx][order]
-        cum = np.cumsum(onehot, axis=0)
-        f, b = np.nonzero((xs[after] != xs[after + 1]).T)
-        if f.size == 0:
-            return None
-        b = after[b]
-        left = cum[b, f]
-        total_w = counts.sum()
-        wl = left.sum(axis=1)
-        wr = total_w - wl
-        gains = node_gini - (wl * gini(left) + wr * gini(counts - left)) / total_w
-        best = 0
-        while True:
-            later = np.flatnonzero(gains[best + 1:] > gains[best] + 1e-15)
-            if later.size == 0:
+
+class _Samples(NamedTuple):
+    """The training rows as the split search reads them."""
+    columns: np.ndarray  # X transposed: one row per feature
+    ranks: np.ndarray    # _value_ranks(X)
+    y: np.ndarray        # class codes
+    class_w: np.ndarray  # the weight of each class's samples
+
+
+def _samples_of(X, y, class_w) -> _Samples:
+    return _Samples(np.ascontiguousarray(X.T), _value_ranks(X), y, class_w)
+
+
+def _best_splits(samples, min_leaf, idxs, feats, counts, node_gini, chunk=_CHUNK):
+    """Best Gini split of each node over its sampled features.
+
+    Node k holds the samples `idxs[k]`, its sampled features `feats[k]` and
+    its class counts `counts[k]`. Returns (feature, threshold, gain) arrays,
+    with feature -1 where a node has no split of positive gain. Nodes are
+    scored in chunks of similar sample counts, each padded to its largest
+    node and holding at most `chunk` (node, feature, sample) elements.
+    """
+    m, mtry = feats.shape
+    feature = np.full(m, -1, dtype=np.int64)
+    threshold, gain = np.zeros(m), np.zeros(m)
+    sizes = np.array([len(idx) for idx in idxs])
+    # all of a class's samples weigh the same, so its weight summed over k
+    # of them, in any order, is the k-th partial sum of that weight
+    partial = np.zeros((len(samples.class_w), sizes.max() + 1))
+    np.cumsum(np.repeat(samples.class_w[:, None], sizes.max(), axis=1), axis=1,
+              out=partial[:, 1:])
+    order = np.argsort(sizes, kind="stable")
+    start = 0
+    while start < m:
+        stop = start + 1
+        while stop < m and (stop + 1 - start) * mtry * sizes[order[stop]] <= chunk:
+            stop += 1
+        part = order[start:stop]
+        feature[part], threshold[part], gain[part] = _score_chunk(
+            samples, partial, min_leaf, [idxs[k] for k in part], feats[part],
+            counts[part], node_gini[part])
+        start = stop
+    return feature, threshold, gain
+
+
+def _score_chunk(samples, partial, min_leaf, idxs, feats, counts, node_gini):
+    """`_best_splits` for one padded chunk.
+
+    Every threshold of every sampled feature is scored at once from the
+    cumulative class counts of the feature-sorted samples. Candidates come
+    feature by feature, thresholds ascending; a later one replaces the best
+    only when its gain is larger by more than 1e-15 (so among near-equal
+    gains the smallest (feature, threshold) wins).
+    """
+    columns, ranks, y, _ = samples
+    n = columns.shape[1]
+    m, mtry = feats.shape
+    n_classes = len(partial)
+    sizes = np.array([len(idx) for idx in idxs])
+    width = int(sizes.max())
+    real = np.arange(width) < sizes[:, None]
+    members = np.zeros((m, width), dtype=np.intp)
+    members[real] = np.concatenate(idxs)
+    # (feature, sample) cells of each node, as flat indexes into `columns`
+    cells = feats[:, :, None] * n + members[:, None, :]  # (node, feature, position)
+    # sort each (node, feature) row by (value rank, position), padding last;
+    # the keys are distinct, so any sort gives the stable order
+    bits = width.bit_length()                              # 1 << bits > width
+    key = np.take(ranks, cells)
+    np.copyto(key, n, where=~real[:, None, :])
+    key <<= bits
+    key += np.arange(width)
+    key.sort(axis=2)
+    key &= (1 << bits) - 1
+    key += width * np.arange(m * mtry).reshape(m, mtry, 1)
+    cells = np.take(cells, key)
+    xs = np.take(columns, cells)
+    # cumulative class counts from the left, each class in a `bits`-wide
+    # field, `per_word` fields to an int64 word
+    per_word = min(n_classes, 62 // bits)
+    word, shift = np.divmod(np.arange(n_classes), per_word)
+    shift *= bits
+    code = np.zeros((n, word[-1] + 1), dtype=np.int64)
+    code[np.arange(n), word[y]] = 1 << shift[y]
+    cum = np.cumsum(np.take(code, cells - feats[:, :, None] * n, axis=0), axis=2)
+    # a split after sorted position b leaves b + 1 samples on the left;
+    # q indexes the (node, feature, b) grid of candidate splits
+    after = np.arange(width - 1)
+    allowed = (after >= min_leaf - 1) & (after < sizes[:, None] - min_leaf)
+    q = np.flatnonzero((xs[:, :, :-1] != xs[:, :, 1:]) & allowed[:, None, :])
+    feature = np.full(m, -1, dtype=np.int64)
+    threshold, gain = np.zeros(m), np.zeros(m)
+    if q.size == 0:
+        return feature, threshold, gain
+    row = q // (width - 1)                                 # node * mtry + feature
+    node = row // mtry
+    packed = np.take(cum.reshape(-1, cum.shape[-1]), q + row, axis=0)
+    # C-ordered like the old `cum[b, f]`: numpy sums a contiguous row of 8
+    # or more pairwise, and a strided one in sequence
+    fields = np.take(packed, word, axis=1) >> shift & (1 << bits) - 1
+    left = partial[np.arange(n_classes), fields]
+    total_w = counts.sum(axis=1)[node]
+    wl = left.sum(axis=1)
+    wr = total_w - wl
+    gains = np.full(m * mtry * (width - 1), -np.inf)
+    gains[q] = node_gini[node] - (wl * gini(left) + wr * gini(counts[node] - left)) / total_w
+    gains = gains.reshape(m, -1)                           # each node's scan order
+    # The sequential scan passes through every candidate that beats all
+    # earlier ones by more than 1e-15, so take it up at the last of those;
+    # from there, jump to the first later candidate that beats the best by
+    # more than 1e-15 until none does.
+    earlier = np.full_like(gains, -np.inf)
+    np.maximum.accumulate(gains[:, :-1], axis=1, out=earlier[:, 1:])
+    position = np.arange(gains.shape[1])
+    best = np.where(gains > earlier + 1e-15, position, 0).max(axis=1)
+    every = np.arange(m)
+    while True:
+        later = (position > best[:, None]) & (gains > gains[every, best][:, None] + 1e-15)
+        jump = later.any(axis=1)
+        if not jump.any():
+            break
+        best[jump] = later[jump].argmax(axis=1)
+    best_gain = gains[every, best]
+    split = np.flatnonzero(best_gain > 0.0)
+    col, b = np.divmod(best[split], width - 1)
+    feature[split] = feats[split, col]
+    threshold[split] = (xs[split, col, b] + xs[split, col, b + 1]) / 2.0
+    gain[split] = best_gain[split]
+    return feature, threshold, gain
+
+
+def _partition(samples, idxs, feature, threshold):
+    """Left (feature value <= threshold) and right sample indices of each
+    split node, each in index order: [left_0, right_0, left_1, ...]."""
+    sizes = [len(idx) for idx in idxs]
+    cat = np.concatenate(idxs)
+    node = np.repeat(np.arange(len(idxs)), sizes)
+    value = np.take(samples.columns, feature[node] * samples.columns.shape[1] + cat)
+    child = 2 * node + ~(value <= threshold[node])
+    order = np.argsort(child, kind="stable")
+    bounds = np.cumsum(np.bincount(child, minlength=2 * len(idxs)))[:-1]
+    # copies, so that a child waiting on a stack does not keep the step's array
+    return [part.copy() for part in np.split(cat[order], bounds)]
+
+
+def _grow_trees(samples, params, rngs, boots):
+    """Grow one CART tree per bootstrap sample, all trees in lockstep.
+
+    Each tree is grown depth first from its own stack and draws each node's
+    features from its own generator, so its draws come in the order of a
+    recursive build. A step pops, from every tree, the next node that the
+    stopping rule lets split, and scores all of them in one `_best_splits`;
+    the partitions and the children's class counts are batched too.
+    Returns the roots and the per-tree importance rows.
+    """
+    d = len(samples.columns)
+    mtry = params.n_features_per_split(d)
+    importances = np.zeros((len(boots), d))
+    n_root = len(boots[0])
+    counts, ginis = _class_counts(samples, boots)
+    roots = [TreeNode(class_counts=c, n_samples=len(idx)) for c, idx in zip(counts, boots)]
+    stacks = [[(root, idx, g, 0)] for root, idx, g in zip(roots, boots, ginis)]
+    live = list(range(len(boots)))
+    while live:
+        step = []
+        for t in live:
+            stack = stacks[t]
+            while stack:
+                node, idx, node_gini, depth = stack.pop()
+                if (len(idx) < params.min_samples_split or node_gini == 0.0
+                        or (params.max_depth is not None and depth >= params.max_depth)):
+                    continue
+                step.append((t, node, idx, node_gini, depth,
+                             rngs[t].choice(d, size=mtry, replace=False)))
                 break
-            best += 1 + int(later[0])
-        gain = gains[best]
-        if gain <= 0.0:
-            return None
-        feat, col = feats[f[best]], f[best]
-        thr = (xs[b[best], col] + xs[b[best] + 1, col]) / 2.0
-        mask = self.X[idx, feat] <= thr
-        return feat, thr, gain, idx[mask], idx[~mask]
+        if not step:
+            break
+        tree, nodes, idxs, node_gini, depths, feats = zip(*step)
+        feature, threshold, gain = _best_splits(
+            samples, params.min_samples_leaf, idxs,
+            np.sort(np.array(feats), axis=1), np.array([n.class_counts for n in nodes]),
+            np.array(node_gini))
+        split = np.flatnonzero(feature >= 0)
+        sizes = np.array([len(idx) for idx in idxs])
+        importances[np.array(tree)[split], feature[split]] += (
+            sizes[split] / n_root) * gain[split]
+        if split.size:
+            children = _partition(samples, [idxs[k] for k in split], feature[split],
+                                  threshold[split])
+            child_counts, child_gini = _class_counts(samples, children)
+        for j, k in enumerate(split):
+            node = nodes[k]
+            node.feature, node.threshold = feature[k], threshold[k]
+            node.left = TreeNode(class_counts=child_counts[2 * j],
+                                 n_samples=len(children[2 * j]))
+            node.right = TreeNode(class_counts=child_counts[2 * j + 1],
+                                  n_samples=len(children[2 * j + 1]))
+            stacks[tree[k]] += [(node.right, children[2 * j + 1], child_gini[2 * j + 1],
+                                 depths[k] + 1),
+                                (node.left, children[2 * j], child_gini[2 * j],
+                                 depths[k] + 1)]
+        live = [t for t in live if stacks[t]]
+    return roots, importances
+
+
+_STATE_KEYS = {"labels", "d", "params", "roots", "feature", "threshold", "left", "right",
+               "class_counts", "n_samples", "bootstrap", "importances"}
 
 
 @dataclass
@@ -180,6 +340,63 @@ class ForestModel:
     def __post_init__(self):
         if len(self.trees) != self.params.n_estimators:
             raise ValueError("tree count does not match n_estimators")
+
+    def __getstate__(self):
+        """Flat node arrays, each tree's nodes in depth-first order (so a
+        left child follows its parent), trees one after another."""
+        feature, threshold, left, right, counts, n_samples, roots = [], [], [], [], [], [], []
+        for tree in self.trees:
+            roots.append(len(feature))
+            stack = [(tree, -1)]  # (node, index of the parent whose right child it is)
+            while stack:
+                node, parent = stack.pop()
+                k = len(feature)
+                if parent >= 0:
+                    right[parent] = k
+                threshold.append(node.threshold)
+                counts.append(node.class_counts)
+                n_samples.append(node.n_samples)
+                right.append(-1)
+                if node.feature is None:
+                    feature.append(-1)
+                    left.append(-1)
+                else:
+                    feature.append(node.feature)
+                    left.append(k + 1)
+                    stack += [(node.right, k), (node.left, -1)]
+        return {
+            "labels": self.labels, "d": self.d, "params": self.params,
+            "roots": np.array(roots, dtype=np.int64),
+            "feature": np.array(feature, dtype=np.int64),
+            "threshold": np.array(threshold, dtype=np.float64),
+            "left": np.array(left, dtype=np.int64),
+            "right": np.array(right, dtype=np.int64),
+            "class_counts": np.concatenate(counts).reshape(len(counts), -1),
+            "n_samples": np.array(n_samples, dtype=np.int64),
+            "bootstrap": np.array(self.bootstrap_indices, dtype=np.int64),
+            "importances": self.importances_,
+        }
+
+    def __setstate__(self, state):
+        if set(state) != _STATE_KEYS:
+            raise ValueError("meta.pkl holds a forest pickled by an older version; "
+                             "rerun train-meta")
+        # an unpickled array carries its own copy of its dtype; a view takes the
+        # builtin one, so the rebuilt nodes pickle to the bytes of built ones
+        counts = state["class_counts"].view(np.float64)
+        feature, threshold = state["feature"], state["threshold"]
+        left, right = state["left"].tolist(), state["right"].tolist()
+        nodes = [TreeNode(class_counts=c, n_samples=s)
+                 for c, s in zip(counts, state["n_samples"].tolist())]
+        for k in np.flatnonzero(feature >= 0).tolist():
+            node = nodes[k]
+            node.feature, node.threshold = feature[k], threshold[k]
+            node.left, node.right = nodes[left[k]], nodes[right[k]]
+        self.trees = [nodes[k] for k in state["roots"].tolist()]
+        self.labels, self.d, self.params = state["labels"], state["d"], state["params"]
+        self.bootstrap_indices = list(state["bootstrap"].view(np.int64))
+        imp = state["importances"]
+        self.importances_ = None if imp is None else imp.view(np.float64)
 
 
 def train_forest(X, y, params: ForestParams) -> ForestModel:
@@ -198,26 +415,21 @@ def train_forest(X, y, params: ForestParams) -> ForestModel:
     if len(labels) > 1 and all(np.unique(X[:, j]).size == 1 for j in range(d)):
         log.warning("all features constant with multiple labels; trees reduce to priors")
 
-    weights = np.ones(n)
+    class_w = np.ones(len(labels))
     if params.class_weight == "balanced":
-        freq = np.bincount(y_codes, minlength=len(labels))
-        weights = n / (len(labels) * freq[y_codes])
+        class_w = n / (len(labels) * np.bincount(y_codes, minlength=len(labels)))
 
-    ss = np.random.SeedSequence(params.seed)
-    child_seeds = ss.spawn(params.n_estimators)
-    trees, boots, imp = [], [], np.zeros(d)
-    for t in range(params.n_estimators):
-        rng = np.random.default_rng(child_seeds[t])
-        if params.bootstrap:
-            idx = rng.integers(0, n, size=n)
-        else:
-            idx = np.arange(n)
-        builder = _TreeBuilder(params, len(labels), rng, weights)
-        trees.append(builder.build(X, y_codes, np.asarray(idx)))
-        boots.append(np.asarray(idx))
-        total = builder.importances.sum()
+    rngs = [np.random.default_rng(s)
+            for s in np.random.SeedSequence(params.seed).spawn(params.n_estimators)]
+    boots = [rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
+             for rng in rngs]
+    samples = _samples_of(X, y_codes, class_w)
+    trees, tree_imp = _grow_trees(samples, params, rngs, boots)
+    imp = np.zeros(d)
+    for row in tree_imp:
+        total = row.sum()
         if total > 0:
-            imp += builder.importances / total
+            imp += row / total
     imp_total = imp.sum()
     importances = imp / imp_total if imp_total > 0 else imp
     return ForestModel(trees=trees, labels=labels, d=d, params=params,

@@ -52,24 +52,40 @@ class SlopeOneModel(FittedRecommender):
 
     def __init__(self, spec, train, items, seed):
         super().__init__(spec, train, items, seed)
-        n = len(self.item_ids)
-        dev_sum = np.zeros((n, n))
-        counts = np.zeros((n, n), dtype=np.int64)
         self._user_items: dict = {}
         by_user: dict = {}
         for r in train:
             by_user.setdefault(r.user_id, []).append(r)
         for uid in sorted(by_user):
             events = sorted(by_user[uid], key=lambda r: r.item_id)
-            idx = np.array([self.iidx[r.item_id] for r in events])
-            vals = np.array([float(r.rating) for r in events])
+            self._user_items[uid] = (np.array([self.iidx[r.item_id] for r in events]),
+                                     np.array([float(r.rating) for r in events]))
+        self._build_deviations()
+
+    def _build_deviations(self):
+        """The item x item mean deviations `dev` and co-rating `counts`,
+        accumulated user by user in `_user_items` order."""
+        n = len(self.item_ids)
+        dev_sum = np.zeros((n, n))
+        counts = np.zeros((n, n), dtype=np.int64)
+        for idx, vals in self._user_items.values():
             dev_sum[np.ix_(idx, idx)] += vals[:, None] - vals[None, :]
             counts[np.ix_(idx, idx)] += 1
-            self._user_items[uid] = (idx, vals)
         np.fill_diagonal(counts, 0)
         with np.errstate(invalid="ignore"):
             self.dev = np.where(counts > 0, dev_sum / np.maximum(counts, 1), 0.0)
         self.counts = counts
+
+    def __getstate__(self):
+        # the dense matrices take 16 bytes per item pair; rebuild them on load
+        return {k: v for k, v in self.__dict__.items() if k not in ("dev", "counts")}
+
+    def __setstate__(self, state):
+        if "dev" in state:
+            raise ValueError("SlopeOne model pickled by an older version; "
+                             "rerun fit-candidates")
+        self.__dict__.update(state)
+        self._build_deviations()
 
     def _estimate(self, user, item):
         i = self.iidx.get(item)

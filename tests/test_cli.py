@@ -1,3 +1,4 @@
+import copyreg
 import hashlib
 import json
 import os
@@ -12,7 +13,9 @@ from metahybrid.cli import main
 from metahybrid.config import load_config
 from metahybrid.data import enrich_items, load_movielens
 from metahybrid.evaluation import run_experiment
+from metahybrid.forest import ForestModel
 from metahybrid.fixtures import make_fixture, write_movielens_files
+from metahybrid.recommenders.collaborative import SlopeOneModel
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +45,21 @@ def write_config(workdir, name="exp.json", **updates):
     path = workdir / name
     path.write_text(json.dumps(cfg))
     return path
+
+
+def rewrite_in_old_layout(path, cls):
+    """Re-pickle an artifact with every `cls` object stored as its whole
+    `__dict__`, as versions before the compact pickles stored them."""
+    class OldPickler(pickle.Pickler):
+        def reducer_override(self, obj):
+            if type(obj) is cls:
+                return copyreg.__newobj__, (cls,), dict(obj.__dict__)
+            return NotImplemented
+
+    with open(path, "rb") as fh:
+        blob = pickle.load(fh)
+    with open(path, "wb") as fh:
+        OldPickler(fh, protocol=4).dump(blob)
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +127,25 @@ class TestStageOrdering:
         path = write_config(workdir, name="stale.json", output_dir=str(out))
         assert main(["evaluate", "--config", str(path)]) == 1
         assert "rerun train-meta" in capsys.readouterr().err
+
+    def test_evaluate_rejects_forest_of_older_version(self, workdir, completed_run, capsys):
+        out = workdir / "old_forest_out"
+        shutil.copytree(completed_run, out)
+        rewrite_in_old_layout(out / "meta.pkl", ForestModel)
+        path = write_config(workdir, name="old_forest.json", output_dir=str(out))
+        assert main(["evaluate", "--config", str(path)]) == 1
+        assert "rerun train-meta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage,name", [("label", "candidates_train.pkl"),
+                                            ("evaluate", "candidates_eval.pkl")])
+    def test_stage_rejects_candidates_of_older_version(self, workdir, completed_run, capsys,
+                                                       stage, name):
+        out = workdir / f"old_{stage}_out"
+        shutil.copytree(completed_run, out)
+        rewrite_in_old_layout(out / name, SlopeOneModel)
+        path = write_config(workdir, name=f"old_{stage}.json", output_dir=str(out))
+        assert main([stage, "--config", str(path)]) == 1
+        assert "rerun fit-candidates" in capsys.readouterr().err
 
     def test_train_meta_does_not_read_serving_models(self, workdir, completed_run):
         # train-meta trains the forest only; the serving models are read by evaluate

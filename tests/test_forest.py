@@ -1,9 +1,23 @@
+import functools
+import os
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from metahybrid import evaluation
+from metahybrid.config import load_config
+from metahybrid.data import enrich_items, load_movielens
 from metahybrid.forest import (
+    _CHUNK,
+    ForestModel,
     ForestParams,
-    _TreeBuilder,
+    TreeNode,
+    _best_splits,
+    _class_counts,
+    _partition,
+    _samples_of,
     feature_importances,
     gini,
     oob_error,
@@ -12,6 +26,116 @@ from metahybrid.forest import (
     predict_proba,
     train_forest,
 )
+from metahybrid.splits import slice_events
+
+FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "fixtures")
+
+
+class ReferenceTreeBuilder:
+    """The recursive one-node-at-a-time builder that the lockstep builder
+    replaced, kept as the definition of the trees it must grow."""
+
+    def __init__(self, params, n_classes, rng, sample_weight):
+        self.params = params
+        self.n_classes = n_classes
+        self.rng = rng
+        self.w = sample_weight
+
+    def build(self, X, y, idx):
+        self.X, self.y = X, y
+        self.n_root = len(idx)
+        self.importances = np.zeros(X.shape[1])
+        return self._grow(idx, depth=0)
+
+    def _class_counts(self, idx):
+        counts = np.zeros(self.n_classes)
+        np.add.at(counts, self.y[idx], self.w[idx])
+        return counts
+
+    def _grow(self, idx, depth):
+        counts = self._class_counts(idx)
+        node_gini = gini(counts)
+        node = TreeNode(class_counts=counts, n_samples=len(idx))
+        p = self.params
+        if (len(idx) < p.min_samples_split or node_gini == 0.0
+                or (p.max_depth is not None and depth >= p.max_depth)):
+            return node
+        split = self._best_split(idx, counts, node_gini)
+        if split is None:
+            return node
+        feat, thr, gain, left_idx, right_idx = split
+        self.importances[feat] += (len(idx) / self.n_root) * gain
+        node.feature = feat
+        node.threshold = thr
+        node.left = self._grow(left_idx, depth + 1)
+        node.right = self._grow(right_idx, depth + 1)
+        return node
+
+    def _best_split(self, idx, counts, node_gini):
+        d = self.X.shape[1]
+        mtry = self.params.n_features_per_split(d)
+        feats = np.sort(self.rng.choice(d, size=mtry, replace=False))
+        n = len(idx)
+        min_leaf = self.params.min_samples_leaf
+        after = np.arange(min_leaf - 1, n - min_leaf)
+        if after.size == 0:
+            return None
+        x = self.X[np.ix_(idx, feats)]
+        order = np.argsort(x, axis=0, kind="mergesort")
+        xs = np.take_along_axis(x, order, axis=0)
+        onehot = np.zeros((n, mtry, self.n_classes))
+        onehot[np.arange(n)[:, None], np.arange(mtry), self.y[idx][order]] = self.w[idx][order]
+        cum = np.cumsum(onehot, axis=0)
+        f, b = np.nonzero((xs[after] != xs[after + 1]).T)
+        if f.size == 0:
+            return None
+        b = after[b]
+        left = cum[b, f]
+        total_w = counts.sum()
+        wl = left.sum(axis=1)
+        wr = total_w - wl
+        gains = node_gini - (wl * gini(left) + wr * gini(counts - left)) / total_w
+        best = 0
+        while True:
+            later = np.flatnonzero(gains[best + 1:] > gains[best] + 1e-15)
+            if later.size == 0:
+                break
+            best += 1 + int(later[0])
+        gain = gains[best]
+        if gain <= 0.0:
+            return None
+        feat, col = feats[f[best]], f[best]
+        thr = (xs[b[best], col] + xs[b[best] + 1, col]) / 2.0
+        mask = self.X[idx, feat] <= thr
+        return feat, thr, gain, idx[mask], idx[~mask]
+
+
+def reference_forest(X, y, params):
+    """`train_forest` grown one tree at a time by `ReferenceTreeBuilder`."""
+    X = np.asarray(X, dtype=float)
+    labels = sorted(set(y))
+    y_codes = np.array([labels.index(lab) for lab in y], dtype=np.int64)
+    n, d = X.shape
+    weights = np.ones(n)
+    if params.class_weight == "balanced":
+        freq = np.bincount(y_codes, minlength=len(labels))
+        weights = n / (len(labels) * freq[y_codes])
+    child_seeds = np.random.SeedSequence(params.seed).spawn(params.n_estimators)
+    trees, boots, imp = [], [], np.zeros(d)
+    for t in range(params.n_estimators):
+        rng = np.random.default_rng(child_seeds[t])
+        idx = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
+        builder = ReferenceTreeBuilder(params, len(labels), rng, weights)
+        trees.append(builder.build(X, y_codes, idx))
+        boots.append(idx)
+        total = builder.importances.sum()
+        if total > 0:
+            imp += builder.importances / total
+    imp_total = imp.sum()
+    return ForestModel(trees=trees, labels=labels, d=d, params=params,
+                       bootstrap_indices=boots,
+                       importances_=imp / imp_total if imp_total > 0 else imp)
 
 
 def planted_data(n=120, seed=0, noise_cols=4):
@@ -179,47 +303,91 @@ def brute_force_split(X, y, w, idx, feats, min_leaf, n_classes):
     return None if best is None or best[0] <= 0.0 else best
 
 
+def random_node(rng):
+    """A random split-search case: data with duplicate and constant columns,
+    per-class weights (balanced on every third case), a bootstrap sample."""
+    n = int(rng.integers(2, 60))
+    d = int(rng.integers(1, 9))
+    n_classes = int(rng.integers(2, 5))
+    X = rng.normal(size=(n, d))
+    if rng.integers(2):  # few distinct values: duplicates everywhere
+        X = rng.integers(0, 3, size=(n, d)).astype(float)
+    X[:, rng.integers(d)] = 0.5  # one constant column
+    y = rng.integers(0, n_classes, size=n)
+    class_w = np.ones(n_classes)
+    if rng.integers(3) == 0:
+        class_w = n / (n_classes * np.maximum(np.bincount(y, minlength=n_classes), 1))
+    idx = rng.integers(0, n, size=n)  # a bootstrap sample, repeats included
+    return X, y, class_w, idx
+
+
+def search_one(samples, min_leaf, idx, feats, chunk=_CHUNK):
+    counts, node_gini = _class_counts(samples, [idx])
+    feature, threshold, gain = _best_splits(samples, min_leaf, [idx], feats[None],
+                                            counts, node_gini, chunk)
+    return (None if feature[0] < 0 else
+            (gain[0], feature[0], threshold[0]))
+
+
 class TestSplitSearch:
     def test_matches_brute_force_scan(self):
         rng = np.random.default_rng(21)
         nodes = splits = 0
         for trial in range(240):
-            n = int(rng.integers(2, 60))
-            d = int(rng.integers(1, 9))
-            n_classes = int(rng.integers(2, 5))
-            X = rng.normal(size=(n, d))
-            if trial % 2:  # few distinct values: duplicates everywhere
-                X = rng.integers(0, 3, size=(n, d)).astype(float)
-            X[:, rng.integers(d)] = 0.5  # one constant column
-            y = rng.integers(0, n_classes, size=n)
-            params = ForestParams(min_samples_leaf=int(rng.integers(1, 4)),
-                                  max_features=int(rng.integers(1, d + 1)),
-                                  class_weight="balanced" if trial % 3 == 0 else None)
-            w = np.ones(n)
-            if params.class_weight == "balanced":
-                freq = np.bincount(y, minlength=n_classes)
-                w = n / (n_classes * np.maximum(freq[y], 1))
-            idx = rng.integers(0, n, size=n)  # a bootstrap sample, repeats included
-            seed = int(rng.integers(1 << 30))
-            builder = _TreeBuilder(params, n_classes, np.random.default_rng(seed), w)
-            builder.X, builder.y = X, y
-            counts = builder._class_counts(idx)
-            split = builder._best_split(idx, counts, gini(counts))
-            feats = np.sort(np.random.default_rng(seed).choice(
-                d, size=params.n_features_per_split(d), replace=False))
-            expected = brute_force_split(X, y, w, idx, feats,
-                                         params.min_samples_leaf, n_classes)
+            X, y, class_w, idx = random_node(rng)
+            n, d = X.shape
+            min_leaf = int(rng.integers(1, 4))
+            feats = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
+            samples = _samples_of(X, y, class_w)
+            split = search_one(samples, min_leaf, idx, feats)
+            expected = brute_force_split(X, y, class_w[y], idx, feats, min_leaf,
+                                         len(class_w))
             nodes += 1
             if expected is None:
                 assert split is None
                 continue
             splits += 1
-            feat, thr, gain, left, right = split
-            assert (gain, feat, thr) == expected
+            assert split == expected
+            gain, feat, thr = split
+            left, right = _partition(samples, [idx], np.array([feat]), np.array([thr]))
             mask = X[idx, feat] <= thr
             assert np.array_equal(left, idx[mask])
             assert np.array_equal(right, idx[~mask])
         assert nodes >= 200 and splits >= 100
+
+    @pytest.mark.parametrize("class_weight", [None, "balanced"])
+    def test_mixed_size_batch_matches_one_node_calls(self, class_weight):
+        # 240 nodes of 2 to 90 samples in one call, in chunks of at most 250
+        # elements (a node above that is a chunk of its own): padding and chunk
+        # edges must not leak between nodes
+        rng = np.random.default_rng(22)
+        n, d, n_classes, mtry, min_leaf = 90, 7, 3, 3, 2
+        X = rng.normal(size=(n, d))
+        X[:, 1] = rng.integers(0, 3, size=n)  # duplicates
+        X[:, 2] = X[:, 1]                     # a duplicate column
+        X[:, 4] = -1.25                       # a constant column
+        y = rng.integers(0, n_classes, size=n)
+        class_w = np.ones(n_classes)
+        if class_weight == "balanced":
+            class_w = n / (n_classes * np.bincount(y, minlength=n_classes))
+        samples = _samples_of(X, y, class_w)
+        idxs = [rng.integers(0, n, size=int(rng.integers(2, n + 1))) for _ in range(240)]
+        feats = np.sort(np.array([rng.choice(d, size=mtry, replace=False) for _ in idxs]),
+                        axis=1)
+        counts, node_gini = _class_counts(samples, idxs)
+        feature, threshold, gain = _best_splits(samples, min_leaf, idxs, feats,
+                                                counts, node_gini, chunk=250)
+        splits = 0
+        for k, idx in enumerate(idxs):
+            expected = brute_force_split(X, y, class_w[y], idx, feats[k], min_leaf,
+                                         n_classes)
+            assert expected == search_one(samples, min_leaf, idx, feats[k])
+            if expected is None:
+                assert feature[k] == -1
+            else:
+                splits += 1
+                assert (gain[k], feature[k], threshold[k]) == expected
+        assert splits >= 150
 
 
 class TestImportances:
@@ -251,3 +419,121 @@ class TestImportances:
             report["per_attribute"]["noise"] == pytest.approx(1.0, abs=1e-9)
         vals = list(report["per_column"].values())
         assert vals == sorted(vals, reverse=True)
+
+
+@functools.lru_cache(maxsize=None)
+def labeled_contexts(preset):
+    """(preset, labeled contexts, forest params) of `run-all` on the shipped
+    fixture config: the selection forest's training set."""
+    cfg = load_config(os.path.join(FIXTURES, "fixture.cfg"), {"preset": preset})
+    dataset = enrich_items(
+        load_movielens(*(os.path.join(FIXTURES, f)
+                         for f in ("ratings.dat", "users.dat", "movies.dat"))),
+        os.path.join(FIXTURES, "metadata.csv"))
+    split = evaluation.split_step(dataset, cfg.split, cfg.seed)
+    candidates = cfg.candidate_set()
+    fitted = evaluation.fit_candidates(candidates, slice_events(split.train_inner_train),
+                                       dataset.items, cfg.seed, "fit-train")
+    bundle, _ = evaluation.label_step(dataset, split, candidates, fitted, cfg.context,
+                                      cfg.relevance, cfg.label_cutoff)
+    forest = evaluation.train_meta_step(bundle, cfg.forest, cfg.seed)
+    return preset, bundle["labeled"], forest.params
+
+
+@pytest.fixture(params=["cf", "mixed"])
+def fixture_contexts(request):
+    return labeled_contexts(request.param)
+
+
+def count_nodes(tree):
+    n, stack = 0, [tree]
+    while stack:
+        node = stack.pop()
+        n += 1
+        if node.feature is not None:
+            stack += [node.left, node.right]
+    return n
+
+
+def assert_same_forest(a, b):
+    assert pickle.dumps(a.trees) == pickle.dumps(b.trees)
+    assert np.array_equal(a.importances_, b.importances_)
+    assert len(a.bootstrap_indices) == len(b.bootstrap_indices)
+    for i, j in zip(a.bootstrap_indices, b.bootstrap_indices):
+        assert np.array_equal(i, j)
+
+
+class TestLockstepBuilder:
+    """The lockstep builder grows, node for node, the trees of the recursive
+    one-node-at-a-time builder it replaced."""
+
+    def test_fixture_forest_matches_recursive_builder(self, fixture_contexts):
+        preset, labeled, params = fixture_contexts
+        forest = train_forest(labeled.contexts, labeled.labels, params)
+        assert params.n_estimators == 100
+        assert sum(count_nodes(t) for t in forest.trees) == {"cf": 4688, "mixed": 4700}[preset]
+        assert_same_forest(forest, reference_forest(labeled.contexts, labeled.labels, params))
+
+    @pytest.mark.parametrize("params", [
+        ForestParams(n_estimators=12, seed=3, class_weight="balanced"),
+        ForestParams(n_estimators=12, seed=4, max_depth=3),
+        ForestParams(n_estimators=12, seed=5, bootstrap=False),
+        ForestParams(n_estimators=12, seed=6, min_samples_leaf=1, min_samples_split=2),
+        ForestParams(n_estimators=12, seed=7, min_samples_leaf=3, max_features=4,
+                     class_weight="balanced"),
+        ForestParams(n_estimators=12, seed=8, max_features=1, max_depth=5),
+    ], ids=["balanced", "depth3", "no-bootstrap", "leaf1", "leaf3-mtry4", "mtry1"])
+    def test_random_data_matches_recursive_builder(self, params):
+        rng = np.random.default_rng(params.seed)
+        X = rng.normal(size=(150, 9))
+        X[:, 1] = rng.integers(0, 4, size=150)  # duplicates
+        X[:, 2] = X[:, 1]                       # a duplicate column
+        X[:, 5] = 0.0                           # a constant column
+        X[::7, 6] = -0.0                        # signed zeros tie with 0.0
+        X[1::7, 6] = 0.0
+        y = [["a", "b", "c", "d"][k] for k in
+             (X[:, 0] > 0) + 2 * (rng.random(150) < 0.3)]
+        assert_same_forest(train_forest(X, y, params), reference_forest(X, y, params))
+
+    def test_many_classes_match_recursive_builder(self):
+        # 11 classes of up to 300 samples need 9-bit count fields, so the
+        # counts take two int64 words, and Gini row sums are 11 wide
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(300, 6))
+        X[:, 2] = rng.integers(0, 5, size=300)
+        y = [f"c{k}" for k in rng.integers(0, 11, size=300)]
+        for weight in (None, "balanced"):
+            params = ForestParams(n_estimators=6, seed=10, class_weight=weight)
+            assert_same_forest(train_forest(X, y, params), reference_forest(X, y, params))
+
+    def test_memory_bounded(self):
+        # the padded split search holds at most _CHUNK elements per array
+        _, labeled, params = labeled_contexts("cf")
+        train_forest(labeled.contexts, labeled.labels, ForestParams(n_estimators=2))
+        tracemalloc.start()
+        try:
+            train_forest(labeled.contexts, labeled.labels, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
+    def test_pickle_round_trip(self, fixture_contexts):
+        _, labeled, params = fixture_contexts
+        forest = train_forest(labeled.contexts, labeled.labels, params)
+        blob = pickle.dumps(forest)
+        loaded = pickle.loads(blob)
+        for row in labeled.contexts:
+            assert np.array_equal(predict_proba(loaded, row), predict_proba(forest, row))
+        assert pickle.dumps(loaded) == blob
+        assert_same_forest(loaded, forest)
+        assert oob_error(loaded, labeled.contexts, labeled.labels) == \
+            oob_error(forest, labeled.contexts, labeled.labels)
+
+    def test_old_pickle_rejected(self):
+        X, y = planted_data(n=40, seed=1)
+        forest = train_forest(X, y, ForestParams(n_estimators=2, seed=1))
+        old = {k: getattr(forest, k) for k in
+               ("trees", "labels", "d", "params", "bootstrap_indices", "importances_")}
+        with pytest.raises(ValueError, match="rerun train-meta"):
+            ForestModel.__new__(ForestModel).__setstate__(old)

@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -292,6 +293,21 @@ class TestCatalogTopN:
                 per_item = [model._estimate(uid, i) for i in model.item_ids]
                 assert [e is not None for e in per_item] == defined.tolist()
                 assert [e for e in per_item if e is not None] == est[defined].tolist()
+
+    def test_slope_one_pickle_rebuilds_its_matrices(self, shipped_fixture):
+        models, excludes = shipped_fixture
+        model = next(m for m in models if m.spec.algorithm == "SlopeOne")
+        blob = pickle.dumps(model)
+        assert len(blob) < (model.dev.nbytes + model.counts.nbytes) / 10
+        loaded = pickle.loads(blob)
+        assert list(loaded.__dict__) == list(model.__dict__)
+        assert np.array_equal(loaded.dev, model.dev)
+        assert np.array_equal(loaded.counts, model.counts)
+        item_means = np.array([model.item_means.get(i, np.nan) for i in model.item_ids])
+        for uid in list(excludes) + ["cold-user"]:
+            for a, b in zip(loaded._estimate_catalog(uid, item_means),
+                            model._estimate_catalog(uid, item_means)):
+                assert np.array_equal(a, b)
 
     def test_cold_user_counts_every_fallback(self, shipped_fixture):
         models, excludes = shipped_fixture

@@ -225,8 +225,9 @@ def _per_user_eval(uid, fitted: dict, candidate_names, train_items, holdout_even
             out[f"{name}:P@{k}"] = p
             out[f"{name}:R@{k}"] = r
         out[f"{name}:nDCG"] = ndcg_at(ranked, holdout, relevance.ndcg_cutoff, relevance)
-        sq = [(model.predict_rating(uid, iid) - rating) ** 2
-              for iid, rating in sorted(holdout.items())]
+        items = sorted(holdout)
+        sq = [(est - holdout[iid]) ** 2
+              for iid, est in zip(items, model.predict_ratings(uid, items).tolist())]
         out[f"{name}:RMSE"] = math.sqrt(sum(sq) / len(sq))
     return out
 

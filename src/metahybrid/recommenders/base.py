@@ -76,57 +76,70 @@ class FittedRecommender:
 
         self.global_mean = float(np.mean([r.rating for r in train]))
         usum, ucnt, isum, icnt = {}, {}, {}, {}
-        self.rated_by_user: dict = {}
         for r in train:
             usum[r.user_id] = usum.get(r.user_id, 0.0) + r.rating
             ucnt[r.user_id] = ucnt.get(r.user_id, 0) + 1
             isum[r.item_id] = isum.get(r.item_id, 0.0) + r.rating
             icnt[r.item_id] = icnt.get(r.item_id, 0) + 1
-            self.rated_by_user.setdefault(r.user_id, set()).add(r.item_id)
         self.user_means = {u: usum[u] / ucnt[u] for u in usum}
         self.item_means = {i: isum[i] / icnt[i] for i in isum}
 
-    # -- algorithm hooks -------------------------------------------------
-
-    def _estimate(self, user, item):
-        """Algorithm-specific rating estimate, or None when undefined."""
-        raise NotImplementedError
+    # -- algorithm hook --------------------------------------------------
 
     def _estimate_catalog(self, user, item_means) -> tuple:
-        """`_estimate` for every item of `item_ids` at once.
+        """The algorithm's rating estimate for every item of `item_ids`.
 
         `item_means` holds each item's training mean, NaN where nobody
-        rated it. Returns (estimates, defined):
-        where `defined` is False `_estimate` returns None; elsewhere the
-        estimate is the one `_estimate` returns for that item.
+        rated it. Returns (estimates, defined): where `defined` is False
+        the algorithm has no estimate, and the item takes the fallback
+        chain.
         """
         raise NotImplementedError
 
-    def _rank_catalog(self, user, keep) -> np.ndarray:
-        """Top-N ordering score of each catalog item where `keep` is True;
-        defaults to the predicted rating, fallbacks counted per kept item."""
+    def _ratings(self, user, keep) -> np.ndarray:
+        """Predicted rating of each catalog item that `keep` selects (a
+        boolean mask or an index array over `item_ids`).
+
+        An item whose estimate is undefined or not finite takes the
+        fallback chain and adds 1 to `fallback_count`; every rating is
+        clamped to [1, 5].
+        """
         # None (nobody rated the item) becomes NaN
         item_means = np.array(list(map(self.item_means.get, self.item_ids)), dtype=float)
         est, defined = self._estimate_catalog(user, item_means)
-        est, defined, item_means = est[keep], defined[keep], item_means[keep]
+        est, item_means = est[keep], item_means[keep]
+        defined = defined[keep] & np.isfinite(est)
         if not defined.all():
             self.fallback_count += int((~defined).sum())
             # `_fallback`: an item without a training mean falls through to
             # the user mean and beyond
             fallback = np.where(np.isnan(item_means), self._fallback(user, None), item_means)
             est = np.where(defined, est, fallback)
-        # predict_rating's min(5.0, max(1.0, est)), which also maps NaN to 1.0
-        est = np.where(est > 1.0, est, 1.0)
-        return np.where(est < 5.0, est, 5.0)
+        return np.clip(est, 1.0, 5.0)
+
+    def _rank_catalog(self, user, keep) -> np.ndarray:
+        """Top-N ordering score of each catalog item that `keep` selects;
+        defaults to the predicted rating."""
+        return self._ratings(user, keep)
 
     # -- public contract -------------------------------------------------
 
+    def predict_ratings(self, user, items) -> np.ndarray:
+        """Predicted rating of `user` for each of `items`, from one catalog
+        pass. An item outside `item_ids` takes the fallback chain and adds
+        1 to `fallback_count`."""
+        items = list(items)
+        cols = np.array([self.iidx.get(i, -1) for i in items], dtype=np.intp)
+        known = cols >= 0
+        out = np.empty(len(items))
+        out[known] = self._ratings(user, cols[known])
+        off = [self._fallback(user, i) for i, j in zip(items, cols) if j < 0]
+        self.fallback_count += len(off)
+        out[~known] = np.clip(off, 1.0, 5.0)
+        return out
+
     def predict_rating(self, user, item) -> float:
-        est = self._estimate(user, item)
-        if est is None:
-            self.fallback_count += 1
-            est = self._fallback(user, item)
-        return float(min(5.0, max(1.0, est)))
+        return float(self.predict_ratings(user, [item])[0])
 
     def _fallback(self, user, item) -> float:
         if item in self.item_means:

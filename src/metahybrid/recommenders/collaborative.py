@@ -27,19 +27,6 @@ class BaselineOnlyModel(FittedRecommender):
                 bi[i] = bi_i + lr * (err - reg * bi_i)
         self.bu, self.bi, self.mu = bu, bi, mu
 
-    def _estimate(self, user, item):
-        u = self.uidx.get(user)
-        i = self.iidx.get(item)
-        known_item = item in self.item_means
-        if u is None and not known_item:
-            return None
-        est = self.mu
-        if u is not None:
-            est += self.bu[u]
-        if i is not None and known_item:
-            est += self.bi[i]
-        return est
-
     def _estimate_catalog(self, user, item_means):
         known = ~np.isnan(item_means)
         u = self.uidx.get(user)
@@ -86,19 +73,6 @@ class SlopeOneModel(FittedRecommender):
                              "rerun fit-candidates")
         self.__dict__.update(state)
         self._build_deviations()
-
-    def _estimate(self, user, item):
-        i = self.iidx.get(item)
-        if i is None or user not in self._user_items:
-            return None
-        idx, vals = self._user_items[user]
-        c = self.counts[i, idx]
-        mask = c > 0
-        if not mask.any():
-            return None
-        c = c[mask]
-        num = ((self.dev[i, idx][mask] + vals[mask]) * c).sum()
-        return num / c.sum()
 
     def _estimate_catalog(self, user, item_means):
         n = len(self.item_ids)
@@ -184,21 +158,6 @@ class CoClusteringModel(FittedRecommender):
         Ah = np.where(h_cnt > 0, h_sum / np.maximum(h_cnt, 1), self.global_mean)
         return A, Ag, Ah
 
-    def _estimate(self, user, item):
-        u = self.uidx.get(user)
-        i = self.iidx.get(item)
-        known_item = item in self.item_means
-        if u is None and not known_item:
-            return None
-        if u is None:
-            return self.item_means[item]
-        if i is None or not known_item:
-            return self.user_means[user]
-        g, h = self.ug[u], self.ig[i]
-        return (self.A[g, h]
-                + (self.umean[u] - self.Ag[g])
-                + (self.imean[i] - self.Ah[h]))
-
     def _estimate_catalog(self, user, item_means):
         known = ~np.isnan(item_means)
         u = self.uidx.get(user)
@@ -240,24 +199,9 @@ class SvdMfModel(FittedRecommender):
                 q[i] = qi + lr * (err * pu - reg * qi)
         self.p, self.q, self.bu, self.bi, self.mu = p, q, bu, bi, mu
 
-    def _estimate(self, user, item):
-        u = self.uidx.get(user)
-        i = self.iidx.get(item)
-        known_item = item in self.item_means
-        if u is None and not known_item:
-            return None
-        est = self.mu
-        if u is not None:
-            est += self.bu[u]
-        if i is not None and known_item:
-            est += self.bi[i]
-        if u is not None and i is not None and known_item:
-            est += float(self.p[u] @ self.q[i])
-        return est
-
     def _estimate_catalog(self, user, item_means):
-        # one gemv for the dot products: they may differ from _estimate's
-        # per-item dot in the last bit
+        # one gemv for the dot products, which may differ from a per-item
+        # p[u] @ q[i] in the last bit
         known = ~np.isnan(item_means)
         u = self.uidx.get(user)
         if u is None:
@@ -307,25 +251,6 @@ class KnnBasicModel(FittedRecommender):
         np.fill_diagonal(sim, 0.0)
         self.sim = sim
 
-    def _estimate(self, user, item):
-        u = self.uidx.get(user)
-        i = self.iidx.get(item)
-        if u is None or i is None:
-            return None
-        lo, hi = self._rater_ptr[i], self._rater_ptr[i + 1]
-        idx, vals = self._raters[lo:hi], self._rater_vals[lo:hi]
-        sims = self.sim[u, idx]
-        mask = sims > 0
-        if not mask.any():
-            return None
-        sims, vals, idx = sims[mask], vals[mask], idx[mask]
-        k = self.params["k"]
-        if sims.size > k:
-            # top-k by similarity, deterministic on ties via user index
-            order = np.lexsort((idx, -sims))[:k]
-            sims, vals = sims[order], vals[order]
-        return float((sims * vals).sum() / sims.sum())
-
     def _estimate_catalog(self, user, item_means):
         n = len(self.item_ids)
         u = self.uidx.get(user)
@@ -336,9 +261,9 @@ class KnnBasicModel(FittedRecommender):
         pos = sims > 0
         item, idx, vals, sims = item[pos], self._raters[pos], self._rater_vals[pos], sims[pos]
         count = np.bincount(item, minlength=n)
-        # as in _estimate: an item with more than k neighbours keeps the k
-        # most similar, most similar first (ties: lower user index); the
-        # others keep their neighbours in user-index order
+        # an item with more than k neighbours keeps the k most similar,
+        # most similar first (ties: lower user index); the others keep their
+        # neighbours in user-index order
         k = self.params["k"]
         order = np.lexsort((idx, np.where(count[item] > k, -sims, 0.0), item))
         item, vals, sims = item[order], vals[order], sims[order]

@@ -12,17 +12,16 @@ def item_feature_matrix(items: dict, item_ids, use_keywords: bool = True,
                         normalize: bool = True):
     """One-hot genre (+ keyword) vectors per item, L2-normalized rows.
 
-    Returns (matrix, feature_names). Raises if the catalog carries no
-    features at all.
+    Columns are the sorted genres, then the sorted keywords. Raises if the
+    catalog carries no features at all.
     """
     genres = sorted({g for it in items.values() for g in it.genres})
     keywords = sorted({k for it in items.values() for k in it.keywords}) if use_keywords else []
-    names = [f"genre:{g}" for g in genres] + [f"keyword:{k}" for k in keywords]
-    if not names:
+    if not genres and not keywords:
         raise ValueError("item catalog has no genre/keyword features")
     gidx = {g: j for j, g in enumerate(genres)}
     kidx = {k: len(genres) + j for j, k in enumerate(keywords)}
-    mat = np.zeros((len(item_ids), len(names)))
+    mat = np.zeros((len(item_ids), len(genres) + len(keywords)))
     for row, iid in enumerate(item_ids):
         it = items.get(iid)
         if it is None:
@@ -35,7 +34,7 @@ def item_feature_matrix(items: dict, item_ids, use_keywords: bool = True,
     if normalize:
         norms = np.linalg.norm(mat, axis=1, keepdims=True)
         mat = np.where(norms > 0, mat / np.where(norms > 0, norms, 1.0), 0.0)
-    return mat, names
+    return mat
 
 
 class ContentBasedModel(FittedRecommender):
@@ -50,7 +49,7 @@ class ContentBasedModel(FittedRecommender):
         if not items:
             raise ValueError("ContentBased requires an item catalog with features")
         super().__init__(spec, train, items, seed)
-        self.features, self.feature_names = item_feature_matrix(
+        self.features = item_feature_matrix(
             items, self.item_ids, use_keywords=self.params["use_keywords"])
         profiles: dict = {}
         for r in train:
@@ -60,21 +59,9 @@ class ContentBasedModel(FittedRecommender):
         self.profiles = profiles
         self._profile_norms = {u: float(np.linalg.norm(v)) for u, v in profiles.items()}
 
-    def _estimate(self, user, item):
-        i = self.iidx.get(item)
-        if i is None or user not in self.profiles:
-            return None
-        pnorm = self._profile_norms[user]
-        ivec = self.features[i]
-        inorm = np.linalg.norm(ivec)
-        if pnorm == 0.0 or inorm == 0.0:
-            return None
-        cos = float(self.profiles[user] @ ivec) / (pnorm * inorm)
-        return 1.0 + 4.0 * cos
-
     def _estimate_catalog(self, user, item_means):
-        # one gemv and one row-norm pass: they may differ from _estimate's
-        # per-item dot and norm in the last bit
+        # one gemv and one row-norm pass, which may differ from a per-item
+        # dot and norm in the last bit
         n = len(self.item_ids)
         pnorm = self._profile_norms.get(user, 0.0)
         if pnorm == 0.0:

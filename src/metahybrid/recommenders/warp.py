@@ -15,13 +15,14 @@ _BLOCK = 8  # negatives scored per numpy call in WARP training
 
 
 class WarpHybridModel(FittedRecommender):
-    """Latent-factor ranker: score(u, i) = u_vec . item_rep(i) + b_i.
+    """Latent-factor ranker: score(u, i) = u_vec . rep(i) + b_i.
 
     Item representations sum the embeddings of the item's content features
     plus a per-item identity feature. Positives are ratings at or above
-    `positive_threshold`. The predict_rating contract is served by an
-    affine rescale of each user's catalog scores onto [1,5]; rankings come
-    from the raw score.
+    `positive_threshold`. Ratings are an affine rescale of each user's
+    catalog scores onto [1,5] (3.0 everywhere when the scores are all
+    equal); an unseen user has none and takes the fallback chain. Rankings
+    come from the raw score.
     """
 
     def __init__(self, spec, train, items, seed):
@@ -34,8 +35,8 @@ class WarpHybridModel(FittedRecommender):
         max_trials = self.params["max_trials"]
         rng = np.random.default_rng(seed)
 
-        content, _ = item_feature_matrix(items, self.item_ids,
-                                         use_keywords=True, normalize=False)
+        content = item_feature_matrix(items, self.item_ids,
+                                      use_keywords=True, normalize=False)
         ni = len(self.item_ids)
         # feature index lists per item: content features then the identity feature
         n_content = content.shape[1]
@@ -54,14 +55,10 @@ class WarpHybridModel(FittedRecommender):
                      for r in sorted(train, key=lambda r: (r.user_id, r.item_id))
                      if r.rating >= thr]
         self._train(positives, ni, d, lr, margin, max_trials, rng)
-        self._rating_scale_cache: dict = {}
-
-    def _rep(self, i: int) -> np.ndarray:
-        return self.F[self._item_feats[i]].sum(axis=0)
 
     def _reps(self) -> np.ndarray:
-        """`_rep` of every item, one row each, adding the feature embeddings
-        in the same order."""
+        """Each item's representation, one row each: the sum of its feature
+        embeddings, added in `_item_feats` order."""
         lengths = np.array([len(f) for f in self._item_feats])
         flat = np.concatenate(self._item_feats)
         start = np.cumsum(lengths) - lengths
@@ -80,8 +77,9 @@ class WarpHybridModel(FittedRecommender):
         of `_BLOCK`, so the result is bit-identical to scoring one draw per
         trial: `Generator.integers(0, ni, size=k)` yields the values of k
         scalar draws, the padded gather-sum adds each item's feature rows
-        in `_rep`'s order, and `np.matmul` of (k,1,d) by (d,1) takes one
-        dot product per row, as `uvec @ rep` does.
+        in `_item_feats` order, as `F[feats].sum(axis=0)` does, and
+        `np.matmul` of (k,1,d) by (d,1) takes one dot product per row, as
+        `uvec @ rep` does.
         """
         if not positives or ni < 2:
             return
@@ -95,7 +93,7 @@ class WarpHybridModel(FittedRecommender):
         F = np.zeros((nf + 1, d))
         F[:nf] = self.F
         U, b = self.U, self.b
-        add = np.add.reduce  # sums axis 0 row by row, as `_rep` does
+        add = np.add.reduce  # sums axis 0 row by row, as `.sum(axis=0)` does
         for _ in range(self.params["epochs"]):
             order = rng.permutation(len(positives))
             start_state = rng.bit_generator.state
@@ -148,21 +146,13 @@ class WarpHybridModel(FittedRecommender):
             return self.b[keep]  # popularity ordering for unseen users
         return self._scores(u)[keep]
 
-    def _estimate(self, user, item):
-        i = self.iidx.get(item)
+    def _estimate_catalog(self, user, item_means):
+        n = len(self.item_ids)
         u = self.uidx.get(user)
-        if i is None or u is None:
-            return None
-        lo, hi = self._rating_scale(u)
-        score = float(self.U[u] @ self._rep(i)) + float(self.b[i])
+        if u is None:
+            return np.zeros(n), np.zeros(n, dtype=bool)
+        scores = self._scores(u)
+        lo, hi = scores.min(), scores.max()
         if hi <= lo:
-            return 3.0
-        return 1.0 + 4.0 * (score - lo) / (hi - lo)
-
-    def _rating_scale(self, u: int) -> tuple:
-        cached = self._rating_scale_cache.get(u)
-        if cached is None:
-            scores = self._scores(u)
-            cached = (float(scores.min()), float(scores.max()))
-            self._rating_scale_cache[u] = cached
-        return cached
+            return np.full(n, 3.0), np.ones(n, dtype=bool)
+        return 1.0 + 4.0 * (scores - lo) / (hi - lo), np.ones(n, dtype=bool)

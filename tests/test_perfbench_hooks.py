@@ -25,6 +25,11 @@ def test_traced_experiment_counts_every_layer():
         report, artifacts = evaluation.run_experiment(
             make_fixture(n_users=40, n_items=80, seed=2), preset_candidates("cf"),
             SplitPlan(), ForestParams(n_estimators=3), master_seed=7)
+        # the pipeline scores ratings through `predict_ratings`; the public
+        # one-item form is what the tracer counts
+        for fitted in (artifacts["fitted_train"], artifacts["fitted_eval"]):
+            for model in fitted.values():
+                model.predict_rating("ghost-user", "ghost-item")
     finally:
         tracer.uninstall()
     assert FittedRecommender.recommend_top_n is topn
@@ -37,7 +42,8 @@ def test_traced_experiment_counts_every_layer():
     users = len(artifacts["split"].train_users) + len(artifacts["split"].test_users)
     for alg in report.candidate_names:
         assert metrics[f"recommenders.{alg}.topn_calls"] == users
-        assert metrics[f"recommenders.{alg}.predict_calls"] > 0
+        assert metrics[f"recommenders.{alg}.predict_calls"] == 2
+        assert metrics[f"recommenders.{alg}.fallbacks"] == 2
         assert metrics[f"recommenders.{alg}.fit_s"] > 0
     assert metrics["hybrid.labels"] == len(artifacts["labeled"].labels)
     assert metrics["pipeline.label_s"] == 0  # run_experiment runs no staged pipeline

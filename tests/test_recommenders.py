@@ -215,9 +215,22 @@ class TestTopN:
         assert model.recommend_top_n(1, 2) == ["i2", "i7"]
 
     def test_scores_clamped_like_predict_rating(self):
-        # min(5, max(1, nan)) is 1.0, so a NaN estimate ties with the floor
+        # a NaN estimate takes the counted fallback (i1's mean, 3.0), not
+        # the floor; the others are clamped to [1, 5]
         model = self._model({"i1": float("nan"), "i2": 0.5, "i3": 2.0, "i4": 7.0})
-        assert model.recommend_top_n(1, 4) == ["i4", "i3", "i1", "i2"]
+        before = model.fallback_count
+        assert model.recommend_top_n(1, 4) == ["i4", "i1", "i3", "i2"]
+        assert model.fallback_count - before == 1
+
+    def test_non_finite_estimate_takes_counted_fallback(self):
+        model = self._model({"i1": float("nan"), "i2": 0.5, "i3": float("inf"),
+                             "i4": 7.0, "i5": -float("inf")})
+        before = model.fallback_count
+        assert model.predict_rating(1, "i1") == 3.0
+        assert model.fallback_count - before == 1
+        assert model.predict_ratings(1, ["i4", "i3", "i2", "i5", "i1"]).tolist() == [
+            5.0, 3.0, 1.0, 3.0, 3.0]
+        assert model.fallback_count - before == 4
 
     def test_truncates_to_catalog(self):
         model = self._model({"i1": 2.0})
@@ -269,14 +282,12 @@ class TestCatalogTopN:
             if warp:  # ranks by its raw score, no fallback chain
                 u = model.uidx.get(uid)
                 scores = [float(model.b[model.iidx[i]]) if u is None else
-                          float(model.U[u] @ model._rep(model.iidx[i]))
-                          + float(model.b[model.iidx[i]]) for i in kept]
+                          warp_score(model, u, model.iidx[i]) for i in kept]
                 assert served == 0
             else:
-                before = model.fallback_count
-                scores = [model.predict_rating(uid, i) for i in kept]
-                # one fallback per kept item the chain serves, as per item
-                assert served == model.fallback_count - before
+                scores, fell_back = zip(*(reference_rating(model, uid, i) for i in kept))
+                # one fallback per kept item the chain serves
+                assert served == sum(fell_back)
             expected = [i for _, i in sorted(zip((-s for s in scores), kept))[:10]]
             assert ranked == expected, uid
             assert not set(ranked) & exclude
@@ -290,7 +301,7 @@ class TestCatalogTopN:
             item_means = np.array([model.item_means.get(i, np.nan) for i in model.item_ids])
             for uid in list(excludes)[::4] + ["cold-user"]:
                 est, defined = model._estimate_catalog(uid, item_means)
-                per_item = [model._estimate(uid, i) for i in model.item_ids]
+                per_item = [reference_estimate(model, uid, i) for i in model.item_ids]
                 assert [e is not None for e in per_item] == defined.tolist()
                 assert [e for e in per_item if e is not None] == est[defined].tolist()
 
@@ -316,16 +327,137 @@ class TestCatalogTopN:
         for model in models:
             kept = [i for i in model.item_ids if i not in exclude]
             chain = (0 if model.spec.algorithm == "WarpHybrid" else
-                     sum(model._estimate("cold-user", i) is None for i in kept))
+                     sum(reference_estimate(model, "cold-user", i) is None
+                         for i in kept))
             before = model.fallback_count
             model.recommend_top_n("cold-user", 10, exclude=exclude)
             assert model.fallback_count - before == chain
             chains.append(chain)
         assert max(chains) == len(models[0].item_ids) - len(exclude)
 
+    @pytest.mark.parametrize("alg", rec.ALGORITHMS)
+    def test_predict_ratings_match_reference(self, alg, shipped_fixture):
+        # the catalog pass against the per-item estimate, fallback and
+        # clamp; the matrix-vector products may round differently
+        exact = alg in ("BaselineOnly", "CoClustering", "SlopeOne", "KnnBasic")
+        models, excludes = shipped_fixture
+        rng = np.random.default_rng(3)
+        for model in (m for m in models if m.spec.algorithm == alg):
+            items = [model.item_ids[j] for j in rng.permutation(len(model.item_ids))]
+            items.append("ghost-item")
+            items.insert(7, items[3])  # a repeated item counts twice
+            for uid in list(excludes)[::16] + ["cold-user"]:
+                before = model.fallback_count
+                got = model.predict_ratings(uid, items)
+                served = model.fallback_count - before
+                expected, fell_back = zip(*(reference_rating(model, uid, i)
+                                            for i in items))
+                assert served == sum(fell_back) > 0
+                if exact:
+                    assert got.tolist() == list(expected)
+                else:
+                    assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
+                assert model.predict_rating(uid, items[0]) == got[0]
+
+
+def warp_rep(model, i):
+    """WarpHybrid's representation of catalog item i: its feature
+    embeddings summed."""
+    return model.F[model._item_feats[i]].sum(axis=0)
+
+
+def warp_score(model, u, i):
+    """WarpHybrid's raw score of catalog item i for user index u, one dot
+    product per item."""
+    return float(model.U[u] @ warp_rep(model, i)) + float(model.b[i])
+
+
+def reference_estimate(model, user, item):
+    """The rating estimate of `model` for one (user, item), computed item by
+    item; None where the algorithm has none."""
+    alg = model.spec.algorithm
+    u, i = model.uidx.get(user), model.iidx.get(item)
+    known_item = item in model.item_means
+    if alg in ("BaselineOnly", "SvdMf"):
+        if u is None and not known_item:
+            return None
+        est = model.mu
+        if u is not None:
+            est += model.bu[u]
+        if i is not None and known_item:
+            est += model.bi[i]
+        if alg == "SvdMf" and u is not None and i is not None and known_item:
+            est += float(model.p[u] @ model.q[i])
+        return est
+    if alg == "CoClustering":
+        if u is None and not known_item:
+            return None
+        if u is None:
+            return model.item_means[item]
+        if i is None or not known_item:
+            return model.user_means[user]
+        g, h = model.ug[u], model.ig[i]
+        return (model.A[g, h] + (model.umean[u] - model.Ag[g])
+                + (model.imean[i] - model.Ah[h]))
+    if alg == "SlopeOne":
+        if i is None or user not in model._user_items:
+            return None
+        idx, vals = model._user_items[user]
+        c = model.counts[i, idx]
+        mask = c > 0
+        if not mask.any():
+            return None
+        c = c[mask]
+        return ((model.dev[i, idx][mask] + vals[mask]) * c).sum() / c.sum()
+    if alg == "KnnBasic":
+        if u is None or i is None:
+            return None
+        lo, hi = model._rater_ptr[i], model._rater_ptr[i + 1]
+        idx, vals = model._raters[lo:hi], model._rater_vals[lo:hi]
+        sims = model.sim[u, idx]
+        mask = sims > 0
+        if not mask.any():
+            return None
+        sims, vals, idx = sims[mask], vals[mask], idx[mask]
+        if sims.size > model.params["k"]:
+            # top-k by similarity, ties toward the lower user index
+            order = np.lexsort((idx, -sims))[:model.params["k"]]
+            sims, vals = sims[order], vals[order]
+        return float((sims * vals).sum() / sims.sum())
+    if alg == "ContentBased":
+        if i is None or user not in model.profiles:
+            return None
+        pnorm = model._profile_norms[user]
+        ivec = model.features[i]
+        inorm = np.linalg.norm(ivec)
+        if pnorm == 0.0 or inorm == 0.0:
+            return None
+        return 1.0 + 4.0 * float(model.profiles[user] @ ivec) / (pnorm * inorm)
+    assert alg == "WarpHybrid"
+    if i is None or u is None:
+        return None
+    scores = model._scores(u)
+    lo, hi = float(scores.min()), float(scores.max())
+    if hi <= lo:
+        return 3.0
+    return 1.0 + 4.0 * (warp_score(model, u, i) - lo) / (hi - lo)
+
+
+def reference_rating(model, user, item):
+    """(rating, fell back) for one (user, item): the reference estimate, or
+    the fallback chain where it is undefined, not finite or the item is
+    off the catalog, clamped to [1, 5]."""
+    est = reference_estimate(model, user, item) if item in model.iidx else None
+    if est is None or not math.isfinite(est):
+        return min(5.0, max(1.0, model._fallback(user, item))), True
+    return min(5.0, max(1.0, est)), False
+
 
 class ReferenceWarp(rec.WarpHybridModel):
     """WarpHybrid with one numpy call per WARP trial, as before block scoring."""
+
+    def _rep(self, i):
+        return warp_rep(self, i)
 
     def _train(self, positives, ni, d, lr, margin, max_trials, rng):
         if not positives or ni < 2:
@@ -581,6 +713,22 @@ class TestContracts:
             u = users[rng.integers(len(users))]
             i = items[rng.integers(len(items))]
             assert a.predict_rating(u, i) == b.predict_rating(u, i)
+
+    @pytest.mark.parametrize("alg", ["BaselineOnly", "ContentBased", "WarpHybrid"])
+    def test_pickle_with_dropped_state_loads(self, alg, small_dataset):
+        # earlier versions also pickled rated_by_user, ContentBased's
+        # feature_names and WarpHybrid's rating-scale cache
+        train = list(small_dataset.ratings[:200])
+        model = fit(RecommenderSpec(alg, {"epochs": 2} if alg == "WarpHybrid" else {}),
+                    train, items=small_dataset.items, seed=3)
+        assert not {"rated_by_user", "feature_names"} & set(model.__dict__)
+        old = pickle.loads(pickle.dumps(model))
+        old.__dict__.update(rated_by_user={1: {2}}, feature_names=["genre:x"],
+                            _rating_scale_cache={})
+        loaded = pickle.loads(pickle.dumps(old))
+        u, items = train[0].user_id, sorted(small_dataset.items)
+        assert loaded.predict_ratings(u, items).tolist() == \
+            model.predict_ratings(u, items).tolist()
 
     def test_fallback_counted(self):
         model = fit(RecommenderSpec("SlopeOne"), [ev(1, 1, 4), ev(2, 2, 3)], seed=0)

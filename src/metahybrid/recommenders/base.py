@@ -8,6 +8,7 @@ cold-case fallback chain, and ranks the catalog for Top-N recommendation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -61,6 +62,9 @@ class RecommenderSpec:
 class FittedRecommender:
     """Base class holding the training-slice statistics and the fallback chain."""
 
+    # attributes rebuilt from the rest of the model, left out of its pickle
+    _derived = ("_item_mean_vector",)
+
     def __init__(self, spec: RecommenderSpec, train, items, seed: int):
         if not train:
             raise ValueError(f"{spec.algorithm}: empty training set")
@@ -84,6 +88,16 @@ class FittedRecommender:
         self.user_means = {u: usum[u] / ucnt[u] for u in usum}
         self.item_means = {i: isum[i] / icnt[i] for i in isum}
 
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k not in self._derived}
+
+    @cached_property
+    def _item_mean_vector(self) -> np.ndarray:
+        """Each catalog item's training mean, NaN where nobody rated it."""
+        vec = np.array(list(map(self.item_means.get, self.item_ids)), dtype=float)
+        vec.flags.writeable = False
+        return vec
+
     # -- algorithm hook --------------------------------------------------
 
     def _estimate_catalog(self, user, item_means) -> tuple:
@@ -104,8 +118,7 @@ class FittedRecommender:
         fallback chain and adds 1 to `fallback_count`; every rating is
         clamped to [1, 5].
         """
-        # None (nobody rated the item) becomes NaN
-        item_means = np.array(list(map(self.item_means.get, self.item_ids)), dtype=float)
+        item_means = self._item_mean_vector
         est, defined = self._estimate_catalog(user, item_means)
         est, item_means = est[keep], item_means[keep]
         defined = defined[keep] & np.isfinite(est)

@@ -37,6 +37,9 @@ class BaselineOnlyModel(FittedRecommender):
 class SlopeOneModel(FittedRecommender):
     """Weighted Slope One: per item-pair average rating deviations."""
 
+    # the dense matrices take 16 bytes per item pair; rebuild them on load
+    _derived = FittedRecommender._derived + ("dev", "counts")
+
     def __init__(self, spec, train, items, seed):
         super().__init__(spec, train, items, seed)
         self._user_items: dict = {}
@@ -62,10 +65,6 @@ class SlopeOneModel(FittedRecommender):
         with np.errstate(invalid="ignore"):
             self.dev = np.where(counts > 0, dev_sum / np.maximum(counts, 1), 0.0)
         self.counts = counts
-
-    def __getstate__(self):
-        # the dense matrices take 16 bytes per item pair; rebuild them on load
-        return {k: v for k, v in self.__dict__.items() if k not in ("dev", "counts")}
 
     def __setstate__(self, state):
         if "dev" in state:

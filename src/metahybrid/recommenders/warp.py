@@ -5,13 +5,16 @@ the estimated rank)."""
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
 from .base import FittedRecommender
 from .content import item_feature_matrix
 
-_BLOCK = 8  # negatives scored per numpy call in WARP training
+_BATCH = 64  # positives scored against one snapshot of the parameters
+_CHUNK = 10  # negatives scored for every positive before the rest
+_NORM = 1.0  # radius of the ball that each updated row of U and F is kept in
 
 
 class WarpHybridModel(FittedRecommender):
@@ -19,20 +22,20 @@ class WarpHybridModel(FittedRecommender):
 
     Item representations sum the embeddings of the item's content features
     plus a per-item identity feature. Positives are ratings at or above
-    `positive_threshold`. Ratings are an affine rescale of each user's
-    catalog scores onto [1,5] (3.0 everywhere when the scores are all
-    equal); an unseen user has none and takes the fallback chain. Rankings
-    come from the raw score.
+    `positive_threshold`, and training is mini-batch WARP whose user and
+    feature embeddings stay within a norm bound (see `_train`). Ratings
+    are an affine rescale of each user's catalog scores onto [1,5] (3.0
+    everywhere when the scores are all equal); an unseen user has none
+    and takes the fallback chain. Rankings come from the raw score.
     """
+
+    _derived = FittedRecommender._derived + ("_reps",)
 
     def __init__(self, spec, train, items, seed):
         if not items:
             raise ValueError("WarpHybrid requires an item catalog with features")
         super().__init__(spec, train, items, seed)
         d = self.params["components"]
-        lr = self.params["learn_rate"]
-        margin = self.params["margin"]
-        max_trials = self.params["max_trials"]
         rng = np.random.default_rng(seed)
 
         content = item_feature_matrix(items, self.item_ids,
@@ -54,8 +57,9 @@ class WarpHybridModel(FittedRecommender):
         positives = [(self.uidx[r.user_id], self.iidx[r.item_id])
                      for r in sorted(train, key=lambda r: (r.user_id, r.item_id))
                      if r.rating >= thr]
-        self._train(positives, ni, d, lr, margin, max_trials, rng)
+        self._train(positives, content, rng)
 
+    @cached_property
     def _reps(self) -> np.ndarray:
         """Each item's representation, one row each: the sum of its feature
         embeddings, added in `_item_feats` order."""
@@ -68,77 +72,73 @@ class WarpHybridModel(FittedRecommender):
             reps[rows] += self.F[flat[start[rows] + j]]
         return reps
 
-    def _train(self, positives, ni, d, lr, margin, max_trials, rng):
-        """WARP SGD, one positive at a time in a shuffled order per epoch.
+    def _train(self, positives, content, rng):
+        """Mini-batch WARP with a norm bound.
 
-        Each positive draws negatives until one violates the margin, then
-        takes one step weighted by the rank estimated from the trial count.
-        The draws come from one stream per epoch and are scored in blocks
-        of `_BLOCK`, so the result is bit-identical to scoring one draw per
-        trial: `Generator.integers(0, ni, size=k)` yields the values of k
-        scalar draws, the padded gather-sum adds each item's feature rows
-        in `_item_feats` order, as `F[feats].sum(axis=0)` does, and
-        `np.matmul` of (k,1,d) by (d,1) takes one dot product per row, as
-        `uvec @ rep` does.
+        Each epoch shuffles the positives (user, item) and cuts them into
+        batches of `_BATCH`, each scored against one snapshot of U, F and b
+        (the stale-snapshot updates of Kula, LightFM, CBRecSys 2015). A
+        positive draws its `max_trials` negatives at once. The first draw
+        j != i that violates the margin, s(u, j) > s(u, i) - margin, at
+        trial t (every draw counts, j == i too) gives a step of
+        lr * log(max(1, (ni - 1) // t) + 1); a positive with no violator
+        takes none. The first `_CHUNK` draws are scored for every positive,
+        the rest only where they found none. The batch's steps are
+        scatter-added, so repeated users, items and feature rows
+        accumulate, and then every touched row of U and F is projected onto
+        the ball of radius `_NORM` (the norm constraint of Weston, Bengio &
+        Usunier, WSABIE, IJCAI 2011).
+
+        `content` is the one-hot item x content-feature matrix; F holds its
+        columns' embeddings, then one identity row per item.
         """
+        ni, nc = content.shape
         if not positives or ni < 2:
             return
-        feats = self._item_feats
-        nf = len(self.F)
-        # F gets a zero row nf; column i of `pad` lists item i's feature
-        # rows, padded with row nf to a common length
-        pad = np.full((max(len(f) for f in feats), ni), nf)
-        for i, f in enumerate(feats):
-            pad[:len(f), i] = f
-        F = np.zeros((nf + 1, d))
-        F[:nf] = self.F
-        U, b = self.U, self.b
-        add = np.add.reduce  # sums axis 0 row by row, as `.sum(axis=0)` does
+        lr, margin = self.params["learn_rate"], self.params["margin"]
+        max_trials = self.params["max_trials"]
+        F, U, b = self.F, self.U, self.b
+        pos_u, pos_i = np.array(positives).T
         for _ in range(self.params["epochs"]):
             order = rng.permutation(len(positives))
-            start_state = rng.bit_generator.state
-            draws = np.zeros(0, dtype=np.int64)
-            pos = drawn = 0  # next unread entry of `draws`; draws taken this epoch
-            for k in order:
-                u, i = positives[k]
+            for start in range(0, len(order), _BATCH):
+                batch = order[start:start + _BATCH]
+                u, i = pos_u[batch], pos_i[batch]
+                reps = content @ F[:nc] + F[nc:]
                 uvec = U[u]
-                rep_i = add(F.take(feats[i], 0), 0)
-                threshold = float(uvec @ rep_i) + b[i] - margin
-                trial = 0
-                while trial < max_trials:
-                    n = min(_BLOCK, max_trials - trial)
-                    if pos + n > len(draws):
-                        # one draw per positive: each reads at least one, so
-                        # fewer than twice the draws read are ever taken
-                        draws = np.concatenate([draws[pos:],
-                                                rng.integers(0, ni, size=len(order))])
-                        pos, drawn = 0, drawn + len(order)
-                    js = draws[pos:pos + n]
-                    reps = add(F.take(pad.take(js, 1), 0), 0)
-                    s_neg = np.matmul(reps[:, None, :], uvec[:, None]).ravel() + b[js]
-                    over = (s_neg > threshold).nonzero()[0]
-                    hit = next((int(t) for t in over if js[t] != i), None)
-                    read = n if hit is None else hit + 1
-                    pos += read
-                    trial += read
-                    if hit is not None:
-                        j = int(js[hit])
-                        step = lr * math.log(max(1, (ni - 1) // trial) + 1)
-                        u_step = step * uvec
-                        U[u] += step * (rep_i - reps[hit])
-                        F[feats[i]] += u_step
-                        F[feats[j]] -= u_step
-                        b[i] += step
-                        b[j] -= step
-                        break
-            # leave the generator where the draws read would have as scalars,
-            # so the next epoch's permutation is unchanged
-            rng.bit_generator.state = start_state
-            rng.integers(0, ni, size=drawn - (len(draws) - pos))
-        self.F = F[:nf].copy()
+                threshold = np.einsum("bd,bd->b", uvec, reps[i]) + b[i] - margin
+                draws = rng.integers(0, ni, size=(len(batch), max_trials))
+                hit = np.full(len(batch), -1)  # trial index of the first violator
+                rows = np.arange(len(batch))
+                lo = 0
+                for hi in (min(_CHUNK, max_trials), max_trials):
+                    if not rows.size or hi <= lo:
+                        continue
+                    js = draws[rows, lo:hi]
+                    s_neg = np.matmul(reps[js], uvec[rows, :, None])[..., 0] + b[js]
+                    violates = (s_neg > threshold[rows, None]) & (js != i[rows, None])
+                    found = violates.any(axis=1)
+                    hit[rows[found]] = lo + violates[found].argmax(axis=1)
+                    rows, lo = rows[~found], hi
+                took = np.flatnonzero(hit >= 0)
+                if not took.size:
+                    continue
+                u, i, uvec = u[took], i[took], uvec[took]
+                j = draws[took, hit[took]]
+                step = lr * np.log(np.maximum(1, (ni - 1) // (hit[took] + 1)) + 1)
+                delta = step[:, None] * uvec
+                np.add.at(U, u, step[:, None] * (reps[i] - reps[j]))
+                F[:nc] += (content[i] - content[j]).T @ delta
+                np.add.at(F, nc + i, delta)
+                np.add.at(F, nc + j, -delta)
+                np.add.at(b, i, step)
+                np.add.at(b, j, -step)
+                touched = np.flatnonzero((content[i] + content[j]).any(axis=0))
+                _project(U, u)
+                _project(F, np.concatenate([touched, nc + i, nc + j]))
 
     def _scores(self, u: int) -> np.ndarray:
-        return self._reps() @ self.U[u] + self.b
+        return self._reps @ self.U[u] + self.b
 
     def _rank_catalog(self, user, keep) -> np.ndarray:
         u = self.uidx.get(user)
@@ -156,3 +156,11 @@ class WarpHybridModel(FittedRecommender):
         if hi <= lo:
             return np.full(n, 3.0), np.ones(n, dtype=bool)
         return 1.0 + 4.0 * (scores - lo) / (hi - lo), np.ones(n, dtype=bool)
+
+
+def _project(M, rows):
+    """Scale each of `rows` of M (repeats allowed) that is longer than
+    `_NORM` back onto the sphere of that radius."""
+    norms = np.sqrt(np.einsum("rd,rd->r", M[rows], M[rows]))
+    over = norms > _NORM
+    M[rows[over]] *= (_NORM / norms[over])[:, None]

@@ -471,7 +471,7 @@ class TestLockstepBuilder:
         preset, labeled, params = fixture_contexts
         forest = train_forest(labeled.contexts, labeled.labels, params)
         assert params.n_estimators == 100
-        assert sum(count_nodes(t) for t in forest.trees) == {"cf": 4688, "mixed": 4700}[preset]
+        assert sum(count_nodes(t) for t in forest.trees) == {"cf": 4688, "mixed": 5090}[preset]
         assert_same_forest(forest, reference_forest(labeled.contexts, labeled.labels, params))
 
     @pytest.mark.parametrize("params", [

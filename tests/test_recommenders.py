@@ -188,6 +188,96 @@ class TestWarpHybrid:
             (scores[i] for i in ranked), reverse=True)
 
 
+class ScriptedDraws:
+    """Stands in for WarpHybrid's generator: the identity permutation, and
+    the given (positive, trial) negative draws."""
+
+    def __init__(self, draws):
+        self.draws = np.array(draws)
+
+    def permutation(self, n):
+        return np.arange(n)
+
+    def integers(self, low, high, size):
+        assert (low, high, size) == (0, self.draws.max() + 1, self.draws.shape)
+        return self.draws
+
+
+class TestWarpTrainer:
+    def test_first_violator_hand_case(self):
+        from metahybrid.data import ItemRecord
+        items = {1: ItemRecord(item_id=1, genres=frozenset({"g"})),
+                 2: ItemRecord(item_id=2, genres=frozenset({"g"})),
+                 3: ItemRecord(item_id=3, genres=frozenset({"h"}))}
+        spec = RecommenderSpec("WarpHybrid", {"epochs": 0, "components": 2,
+                                              "max_trials": 12, "learn_rate": 0.1})
+        model = fit(spec, [ev(1, 1, 5), ev(2, 2, 5)], items=items, seed=0)
+        model.params["epochs"] = 1
+        content = rec.item_feature_matrix(items, model.item_ids, normalize=False)
+        # F: genre g, genre h, then the identity rows of items 0, 1, 2
+        model.F = np.array([[0.1, 0.0], [0.0, 0.1], [0.05, 0.02],
+                            [-0.03, 0.04], [0.02, -0.01]])
+        model.U = np.array([[0.2, 0.1], [-0.1, 0.3]])
+        model.b = np.array([0.0, 0.0, -5.0])  # item 2 never violates a margin of 1
+        F0, U0 = model.F.copy(), model.U.copy()
+        feats = [[0, 2], [0, 3], [1, 4]]
+        reps = np.array([F0[f].sum(axis=0) for f in feats])
+        positives = [(0, 0), (0, 1), (1, 0), (0, 2)]
+        draws = [[0, 1] + [2] * 10,  # j == i is skipped: item 1 at trial 2
+                 [1] * 12,  # only j == i: no step
+                 [2] * 11 + [1],  # item 2 does not violate: item 1 at trial 12
+                 [0] * 12]  # item 0 at trial 1
+        model._train(positives, content, ScriptedDraws(draws))
+
+        U, F, b = U0.copy(), F0.copy(), np.array([0.0, 0.0, -5.0])
+        # (user, positive, violator, trials): user 0 takes two steps, item 0
+        # three and item 1 two, all computed from the same snapshot
+        for u, i, j, trials in [(0, 0, 1, 2), (1, 0, 1, 12), (0, 2, 0, 1)]:
+            step = 0.1 * math.log(max(1, 2 // trials) + 1)
+            U[u] += step * (reps[i] - reps[j])
+            F[feats[i]] += step * U0[u]
+            F[feats[j]] -= step * U0[u]
+            b[i] += step
+            b[j] -= step
+        assert np.linalg.norm(np.vstack([U, F]), axis=1).max() < 1.0  # no projection
+        assert np.allclose(model.U, U, rtol=0.0, atol=1e-15)
+        assert np.allclose(model.F, F, rtol=0.0, atol=1e-15)
+        assert np.allclose(model.b, b, rtol=0.0, atol=1e-15)
+
+    def test_rows_stay_within_the_norm_bound(self, shipped_fixture):
+        from metahybrid.recommenders.warp import _NORM
+        models, _ = shipped_fixture
+        model = next(m for m in models if m.spec.algorithm == "WarpHybrid")
+        assert model.params["epochs"] == 30
+        for name in ("U", "F"):
+            norms = np.linalg.norm(getattr(model, name), axis=1)
+            assert norms.max() <= _NORM * (1 + 1e-12), name
+        assert np.isfinite(model.b).all()
+
+    def test_same_seed_same_arrays(self, trh_slice):
+        dataset, _, train = trh_slice
+        spec = RecommenderSpec("WarpHybrid", {"epochs": 3})
+        a, b = (fit(spec, train, items=dataset.items, seed=8) for _ in range(2))
+        other = fit(spec, train, items=dataset.items, seed=9)
+        for name in ("F", "U", "b"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+            assert not np.array_equal(getattr(a, name), getattr(other, name)), name
+
+    def test_reps_built_once_and_not_pickled(self, small_dataset):
+        train = list(small_dataset.ratings[:200])
+        model = fit(RecommenderSpec("WarpHybrid", {"epochs": 2}), train,
+                    items=small_dataset.items, seed=3)
+        uid, items = train[0].user_id, sorted(small_dataset.items)
+        first = model.predict_ratings(uid, items)
+        reps = model._reps
+        model.recommend_top_n(uid, 5)
+        assert model._reps is reps
+        assert np.array_equal(reps, [model.F[f].sum(axis=0) for f in model._item_feats])
+        loaded = pickle.loads(pickle.dumps(model))
+        assert not {"_reps", "_item_mean_vector"} & set(loaded.__dict__)
+        assert loaded.predict_ratings(uid, items).tolist() == first.tolist()
+
+
 class TestTopN:
     def _model(self, preds):
         class Stub(rec.FittedRecommender):
@@ -311,7 +401,9 @@ class TestCatalogTopN:
         blob = pickle.dumps(model)
         assert len(blob) < (model.dev.nbytes + model.counts.nbytes) / 10
         loaded = pickle.loads(blob)
-        assert list(loaded.__dict__) == list(model.__dict__)
+        # the item-mean vector is built on first use, after a load too
+        assert list(loaded.__dict__) == [k for k in model.__dict__
+                                         if k != "_item_mean_vector"]
         assert np.array_equal(loaded.dev, model.dev)
         assert np.array_equal(loaded.counts, model.counts)
         item_means = np.array([model.item_means.get(i, np.nan) for i in model.item_ids])
@@ -453,39 +545,6 @@ def reference_rating(model, user, item):
     return min(5.0, max(1.0, est)), False
 
 
-class ReferenceWarp(rec.WarpHybridModel):
-    """WarpHybrid with one numpy call per WARP trial, as before block scoring."""
-
-    def _rep(self, i):
-        return warp_rep(self, i)
-
-    def _train(self, positives, ni, d, lr, margin, max_trials, rng):
-        if not positives or ni < 2:
-            return
-        for _ in range(self.params["epochs"]):
-            order = rng.permutation(len(positives))
-            for k in order:
-                u, i = positives[k]
-                uvec = self.U[u]
-                s_pos = float(uvec @ self._rep(i)) + self.b[i]
-                for trial in range(1, max_trials + 1):
-                    j = int(rng.integers(0, ni))
-                    if j == i:
-                        continue
-                    s_neg = float(uvec @ self._rep(j)) + self.b[j]
-                    if s_neg > s_pos - margin:
-                        weight = math.log(max(1, (ni - 1) // trial) + 1)
-                        step = lr * weight
-                        rep_i, rep_j = self._rep(i), self._rep(j)
-                        u_old = uvec.copy()
-                        self.U[u] += step * (rep_i - rep_j)
-                        self.F[self._item_feats[i]] += step * u_old
-                        self.F[self._item_feats[j]] -= step * u_old
-                        self.b[i] += step
-                        self.b[j] -= step
-                        break
-
-
 def reference_baseline(model, train):
     """BaselineOnly's per-rating SGD on numpy arrays: (bu, bi)."""
     lr, reg, mu = model.params["learn_rate"], model.params["reg"], model.global_mean
@@ -563,18 +622,8 @@ def reference_coclustering(model, train):
 
 
 class TestBatchedFits:
-    """The batched fits against the per-trial and per-rating loops they
+    """The batched fits against the per-rating and per-user loops they
     replaced, array for array and bit for bit, on the shipped fixture."""
-
-    @pytest.mark.parametrize("seed", [5, 8])
-    def test_warp_matches_per_trial_loop(self, seed, trh_slice):
-        dataset, _, train = trh_slice
-        # three epochs, so the generator must be rewound at each epoch end
-        spec = RecommenderSpec("WarpHybrid", {"epochs": 3})
-        model = fit(spec, train, items=dataset.items, seed=seed)
-        ref = ReferenceWarp(spec, train, dataset.items, seed)
-        for name in ("F", "U", "b"):
-            assert np.array_equal(getattr(model, name), getattr(ref, name)), name
 
     @pytest.mark.parametrize("seed", [5, 8])
     def test_coclustering_matches_per_user_reassignment(self, seed, trh_slice):
@@ -636,24 +685,8 @@ class TestBatchedFits:
 
 
 class TestNumpyBehaviour:
-    """The numpy behaviours the batched fits rely on for bit-identical results."""
-
-    @pytest.mark.parametrize("n", [2, 7, 500, 3952])
-    def test_integer_stream_equals_scalar_draws(self, n):
-        batch, scalar = np.random.default_rng(3), np.random.default_rng(3)
-        batch.permutation(11)
-        scalar.permutation(11)
-        drawn = np.concatenate([batch.integers(0, n, size=k) for k in (1, 8, 300)])
-        assert drawn.tolist() == [int(scalar.integers(0, n)) for _ in range(309)]
-        assert batch.bit_generator.state == scalar.bit_generator.state
-
-    @pytest.mark.parametrize("scale", [1.0, 1e79])
-    def test_stacked_matmul_equals_per_row_dot(self, scale):
-        rng = np.random.default_rng(0)
-        reps = rng.normal(size=(8, 30)) * scale
-        uvec = rng.normal(size=30) * scale ** 0.5
-        got = np.matmul(reps[:, None, :], uvec[:, None]).ravel()
-        assert got.tolist() == [float(uvec @ r) for r in reps]
+    """The numpy behaviours that the batched fits, and the per-item
+    references they are checked against, rely on for bit-identical results."""
 
     @pytest.mark.parametrize("scale", [1.0, 1e79])
     @pytest.mark.parametrize("d", [1, 7, 20, 64])

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .evaluation import ContextConfig
 from .forest import ForestParams
@@ -97,6 +97,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     _check_keys(split_raw, ("outer_ratio", "inner_ratio", "mode"), "split")
 
     forest_raw = dict(raw.get("forest", {}))
+    _check_keys(forest_raw, (f.name for f in fields(ForestParams)), "forest")
     relevance_raw = dict(raw.get("relevance", {}))
     _check_keys(relevance_raw, ("threshold", "gain", "cutoffs", "ndcg_cutoff"),
                 "relevance")
@@ -135,7 +136,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
             preset=merged.pop("preset", raw.get("preset")),
             explicit_candidates=raw.get("candidates"),
             split=SplitPlan(**split_raw),
-            forest=ForestParams.from_dict(forest_raw),
+            forest=ForestParams(**forest_raw),
             relevance=RelevanceConfig(
                 threshold=relevance_raw.get("threshold", 4),
                 gain=relevance_raw.get("gain", "graded"),

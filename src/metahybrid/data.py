@@ -143,14 +143,13 @@ def _parse_id(token: str):
 _TITLE_YEAR_RE = re.compile(r"^(?P<title>.*)\s+\((?P<year>\d{4})\)\s*$")
 
 
-def load_movielens(ratings_path, users_path, items_path, max_bad_lines: int = 0) -> Dataset:
+def load_movielens(ratings_path, users_path, items_path) -> Dataset:
     """Load the MovieLens 1M double-colon layout into a Dataset.
 
-    Malformed lines are counted; exceeding `max_bad_lines` aborts with the
-    first offending line number.
+    The first malformed line aborts with its line number.
     """
     users: dict = {}
-    for lineno, fields in _dat_lines(users_path, 5, max_bad_lines):
+    for lineno, fields in _dat_lines(users_path, 5):
         uid = _parse_id(fields[0])
         gender = fields[1] if fields[1] in ("M", "F") else "unknown"
         users[uid] = UserRecord(
@@ -162,7 +161,7 @@ def load_movielens(ratings_path, users_path, items_path, max_bad_lines: int = 0)
         )
 
     items: dict = {}
-    for lineno, fields in _dat_lines(items_path, 3, max_bad_lines):
+    for lineno, fields in _dat_lines(items_path, 3):
         iid = _parse_id(fields[0])
         title, year = fields[1], None
         m = _TITLE_YEAR_RE.match(fields[1])
@@ -172,7 +171,7 @@ def load_movielens(ratings_path, users_path, items_path, max_bad_lines: int = 0)
         items[iid] = ItemRecord(item_id=iid, title=title, year=year, genres=genres)
 
     ratings = []
-    for lineno, fields in _dat_lines(ratings_path, 4, max_bad_lines):
+    for lineno, fields in _dat_lines(ratings_path, 4):
         try:
             ratings.append(
                 RatingEvent(
@@ -191,15 +190,15 @@ def load_movielens(ratings_path, users_path, items_path, max_bad_lines: int = 0)
     return ds
 
 
-def load_generic_ratings(ratings_path, max_bad_lines: int = 0) -> Dataset:
-    """Load a headered `user,item,rating,timestamp` CSV; users/items are synthesized."""
+def load_generic_ratings(ratings_path) -> Dataset:
+    """Load a headered `user,item,rating,timestamp` CSV; users/items are
+    synthesized. The first malformed row aborts with its line number."""
     ratings = []
     with open(ratings_path, encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         expected = ["user", "item", "rating", "timestamp"]
         if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != expected:
             raise IngestError(f"{ratings_path}: header must be {','.join(expected)}")
-        bad = 0
         for lineno, row in enumerate(reader, start=2):
             try:
                 ratings.append(
@@ -211,17 +210,14 @@ def load_generic_ratings(ratings_path, max_bad_lines: int = 0) -> Dataset:
                     )
                 )
             except (ValueError, TypeError) as e:
-                bad += 1
-                if bad > max_bad_lines:
-                    raise IngestError(f"{ratings_path}:{lineno}: {e}") from e
+                raise IngestError(f"{ratings_path}:{lineno}: {e}") from e
     users = {r.user_id: UserRecord(user_id=r.user_id) for r in ratings}
     items = {r.item_id: ItemRecord(item_id=r.item_id) for r in ratings}
     return Dataset(ratings=ratings, items=items, users=users,
                    provenance=f"generic({ratings_path})")
 
 
-def _dat_lines(path, n_fields, max_bad_lines):
-    bad = 0
+def _dat_lines(path, n_fields):
     try:
         fh = open(path, encoding="utf-8", errors="replace")
     except FileNotFoundError as e:
@@ -233,12 +229,7 @@ def _dat_lines(path, n_fields, max_bad_lines):
                 continue
             fields = line.split("::")
             if len(fields) != n_fields:
-                bad += 1
-                if bad > max_bad_lines:
-                    raise IngestError(
-                        f"{path}:{lineno}: expected {n_fields} '::'-separated fields"
-                    )
-                continue
+                raise IngestError(f"{path}:{lineno}: expected {n_fields} '::'-separated fields")
             yield lineno, fields
 
 

@@ -7,9 +7,8 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from . import forest as rf
 from . import hybrid as hy
 from . import recommenders as rec
 from .data import Dataset, format_float
-from .metrics import RelevanceConfig, ndcg_at, precision_recall_at
+from .metrics import RelevanceConfig, ndcg_at, precision_recall_at, rmse
 from .seeding import derive_seed
 from .splits import NestedSplit, SplitPlan, nested_split, slice_events
 
@@ -193,8 +192,7 @@ def train_meta_step(bundle: dict, forest_params: rf.ForestParams,
                     master_seed: int) -> rf.ForestModel:
     """Step 5: the selection forest on (context -> label), seeded from the
     master seed."""
-    params = rf.ForestParams(**{**forest_params.to_dict(),
-                                "seed": derive_seed(master_seed, "forest")})
+    params = replace(forest_params, seed=derive_seed(master_seed, "forest"))
     return hy.train_meta(bundle["labeled"], params)
 
 
@@ -226,9 +224,8 @@ def _per_user_eval(uid, fitted: dict, candidate_names, train_items, holdout_even
             out[f"{name}:R@{k}"] = r
         out[f"{name}:nDCG"] = ndcg_at(ranked, holdout, relevance.ndcg_cutoff, relevance)
         items = sorted(holdout)
-        sq = [(est - holdout[iid]) ** 2
-              for iid, est in zip(items, model.predict_ratings(uid, items).tolist())]
-        out[f"{name}:RMSE"] = math.sqrt(sum(sq) / len(sq))
+        out[f"{name}:RMSE"] = rmse(zip((holdout[iid] for iid in items),
+                                       model.predict_ratings(uid, items).tolist()))
     return out
 
 

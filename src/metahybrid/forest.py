@@ -7,14 +7,15 @@ every tree and scores all of them in one padded split search, in chunks of
 at most `_CHUNK` elements. Each tree keeps its own generator and depth-first
 order, so the forest is the one a recursive one-tree-at-a-time build grows,
 node for node. A pickled `ForestModel` holds flat node arrays, and loading
-rebuilds the `TreeNode`s.
+rebuilds the `TreeNode`s. No bootstrap sample is stored: `_tree_draws`
+redraws each tree's from the seed.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +31,7 @@ class ForestParams:
     max_depth: int | None = None
     min_samples_split: int = 3
     min_samples_leaf: int = 2
-    max_features: str = "sqrt"       # ceil(sqrt(d)); or an explicit int
+    max_features: str | int = "sqrt"  # ceil(sqrt(d)); or an explicit int >= 1
     criterion: str = "gini"
     bootstrap: bool = True
     class_weight: str | None = None  # None or "balanced"
@@ -43,30 +44,18 @@ class ForestParams:
             raise ValueError("min_samples_split must be >= 2")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
+        if self.max_features != "sqrt" and not (
+                type(self.max_features) is int and self.max_features >= 1):
+            raise ValueError("max_features must be 'sqrt' or an int >= 1")
         if self.criterion != "gini":
             raise ValueError("only the gini criterion is supported")
         if self.class_weight not in (None, "balanced"):
             raise ValueError("class_weight must be None or 'balanced'")
 
     def n_features_per_split(self, d: int) -> int:
-        if isinstance(self.max_features, int):
-            return min(self.max_features, d)
-        return min(d, math.ceil(math.sqrt(d)))
-
-    def to_dict(self) -> dict:
-        return {"n_estimators": self.n_estimators, "max_depth": self.max_depth,
-                "min_samples_split": self.min_samples_split,
-                "min_samples_leaf": self.min_samples_leaf,
-                "max_features": self.max_features, "criterion": self.criterion,
-                "bootstrap": self.bootstrap, "class_weight": self.class_weight,
-                "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ForestParams":
-        extra = set(d) - set(cls().to_dict())
-        if extra:
-            raise ValueError(f"unknown forest params {sorted(extra)}")
-        return cls(**d)
+        if self.max_features == "sqrt":
+            return min(d, math.ceil(math.sqrt(d)))
+        return min(self.max_features, d)
 
 
 def gini(counts):
@@ -87,7 +76,6 @@ class TreeNode:
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
     class_counts: np.ndarray | None = None
-    n_samples: int = 0
 
 
 _CHUNK = 1 << 14  # padded (nodes x features x samples) elements per split-search call
@@ -279,7 +267,7 @@ def _grow_trees(samples, params, rngs, boots):
     importances = np.zeros((len(boots), d))
     n_root = len(boots[0])
     counts, ginis = _class_counts(samples, boots)
-    roots = [TreeNode(class_counts=c, n_samples=len(idx)) for c, idx in zip(counts, boots)]
+    roots = [TreeNode(class_counts=c) for c in counts]
     stacks = [[(root, idx, g, 0)] for root, idx, g in zip(roots, boots, ginis)]
     live = list(range(len(boots)))
     while live:
@@ -312,10 +300,8 @@ def _grow_trees(samples, params, rngs, boots):
         for j, k in enumerate(split):
             node = nodes[k]
             node.feature, node.threshold = feature[k], threshold[k]
-            node.left = TreeNode(class_counts=child_counts[2 * j],
-                                 n_samples=len(children[2 * j]))
-            node.right = TreeNode(class_counts=child_counts[2 * j + 1],
-                                  n_samples=len(children[2 * j + 1]))
+            node.left = TreeNode(class_counts=child_counts[2 * j])
+            node.right = TreeNode(class_counts=child_counts[2 * j + 1])
             stacks[tree[k]] += [(node.right, children[2 * j + 1], child_gini[2 * j + 1],
                                  depths[k] + 1),
                                 (node.left, children[2 * j], child_gini[2 * j],
@@ -324,8 +310,8 @@ def _grow_trees(samples, params, rngs, boots):
     return roots, importances
 
 
-_STATE_KEYS = {"labels", "d", "params", "roots", "feature", "threshold", "left", "right",
-               "class_counts", "n_samples", "bootstrap", "importances"}
+_STATE_KEYS = {"labels", "d", "params", "roots", "feature", "threshold", "right",
+               "class_counts", "importances"}
 
 
 @dataclass
@@ -334,7 +320,6 @@ class ForestModel:
     labels: list                       # class vocabulary (recommender names)
     d: int
     params: ForestParams
-    bootstrap_indices: list = field(default_factory=list)
     importances_: np.ndarray | None = None
 
     def __post_init__(self):
@@ -342,38 +327,31 @@ class ForestModel:
             raise ValueError("tree count does not match n_estimators")
 
     def __getstate__(self):
-        """Flat node arrays, each tree's nodes in depth-first order (so a
-        left child follows its parent), trees one after another."""
-        feature, threshold, left, right, counts, n_samples, roots = [], [], [], [], [], [], []
+        """Flat node arrays, each tree's nodes in depth-first order (so the
+        left child of split node k is node k + 1), trees one after another."""
+        feature, threshold, right, counts, roots = [], [], [], [], []
         for tree in self.trees:
             roots.append(len(feature))
             stack = [(tree, -1)]  # (node, index of the parent whose right child it is)
             while stack:
                 node, parent = stack.pop()
-                k = len(feature)
                 if parent >= 0:
-                    right[parent] = k
+                    right[parent] = len(feature)
                 threshold.append(node.threshold)
                 counts.append(node.class_counts)
-                n_samples.append(node.n_samples)
                 right.append(-1)
                 if node.feature is None:
                     feature.append(-1)
-                    left.append(-1)
                 else:
                     feature.append(node.feature)
-                    left.append(k + 1)
-                    stack += [(node.right, k), (node.left, -1)]
+                    stack += [(node.right, len(feature) - 1), (node.left, -1)]
         return {
             "labels": self.labels, "d": self.d, "params": self.params,
             "roots": np.array(roots, dtype=np.int64),
             "feature": np.array(feature, dtype=np.int64),
             "threshold": np.array(threshold, dtype=np.float64),
-            "left": np.array(left, dtype=np.int64),
             "right": np.array(right, dtype=np.int64),
             "class_counts": np.concatenate(counts).reshape(len(counts), -1),
-            "n_samples": np.array(n_samples, dtype=np.int64),
-            "bootstrap": np.array(self.bootstrap_indices, dtype=np.int64),
             "importances": self.importances_,
         }
 
@@ -383,20 +361,27 @@ class ForestModel:
                              "rerun train-meta")
         # an unpickled array carries its own copy of its dtype; a view takes the
         # builtin one, so the rebuilt nodes pickle to the bytes of built ones
-        counts = state["class_counts"].view(np.float64)
-        feature, threshold = state["feature"], state["threshold"]
-        left, right = state["left"].tolist(), state["right"].tolist()
-        nodes = [TreeNode(class_counts=c, n_samples=s)
-                 for c, s in zip(counts, state["n_samples"].tolist())]
+        nodes = [TreeNode(class_counts=c) for c in state["class_counts"].view(np.float64)]
+        feature, threshold, right = state["feature"], state["threshold"], state["right"].tolist()
         for k in np.flatnonzero(feature >= 0).tolist():
             node = nodes[k]
             node.feature, node.threshold = feature[k], threshold[k]
-            node.left, node.right = nodes[left[k]], nodes[right[k]]
+            node.left, node.right = nodes[k + 1], nodes[right[k]]
         self.trees = [nodes[k] for k in state["roots"].tolist()]
         self.labels, self.d, self.params = state["labels"], state["d"], state["params"]
-        self.bootstrap_indices = list(state["bootstrap"].view(np.int64))
         imp = state["importances"]
         self.importances_ = None if imp is None else imp.view(np.float64)
+
+
+def _tree_draws(params: ForestParams, n: int):
+    """Each tree's generator, spawned from `params.seed`, and the bootstrap
+    sample of n rows that is its first draw (all rows in order without
+    bootstrap). Growing a tree continues from its generator."""
+    rngs = [np.random.default_rng(s)
+            for s in np.random.SeedSequence(params.seed).spawn(params.n_estimators)]
+    boots = [rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
+             for rng in rngs]
+    return rngs, boots
 
 
 def train_forest(X, y, params: ForestParams) -> ForestModel:
@@ -419,12 +404,8 @@ def train_forest(X, y, params: ForestParams) -> ForestModel:
     if params.class_weight == "balanced":
         class_w = n / (len(labels) * np.bincount(y_codes, minlength=len(labels)))
 
-    rngs = [np.random.default_rng(s)
-            for s in np.random.SeedSequence(params.seed).spawn(params.n_estimators)]
-    boots = [rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
-             for rng in rngs]
     samples = _samples_of(X, y_codes, class_w)
-    trees, tree_imp = _grow_trees(samples, params, rngs, boots)
+    trees, tree_imp = _grow_trees(samples, params, *_tree_draws(params, n))
     imp = np.zeros(d)
     for row in tree_imp:
         total = row.sum()
@@ -433,13 +414,15 @@ def train_forest(X, y, params: ForestParams) -> ForestModel:
     imp_total = imp.sum()
     importances = imp / imp_total if imp_total > 0 else imp
     return ForestModel(trees=trees, labels=labels, d=d, params=params,
-                       bootstrap_indices=boots, importances_=importances)
+                       importances_=importances)
 
 
-def _leaf(node: TreeNode, x) -> TreeNode:
+def _leaf_frequencies(node: TreeNode, x) -> np.ndarray:
+    """Class frequencies of the leaf that `x` reaches from `node`; every leaf
+    holds at least one sample, of positive weight."""
     while node.feature is not None:
         node = node.left if x[node.feature] <= node.threshold else node.right
-    return node
+    return node.class_counts / node.class_counts.sum()
 
 
 def predict_proba(model: ForestModel, x) -> np.ndarray:
@@ -449,10 +432,7 @@ def predict_proba(model: ForestModel, x) -> np.ndarray:
         raise ValueError(f"expected {model.d} features, got {x.shape[-1]}")
     acc = np.zeros(len(model.labels))
     for tree in model.trees:
-        counts = _leaf(tree, x).class_counts
-        total = counts.sum()
-        if total > 0:
-            acc += counts / total
+        acc += _leaf_frequencies(tree, x)
     return acc / len(model.trees)
 
 
@@ -461,10 +441,6 @@ def predict_label(model: ForestModel, x):
     proba = predict_proba(model, x)
     j = int(np.argmax(proba))  # argmax takes the first maximum
     return model.labels[j], dict(zip(model.labels, proba.tolist()))
-
-
-def predict_many(model: ForestModel, X) -> list:
-    return [predict_label(model, row)[0] for row in np.asarray(X, dtype=float)]
 
 
 def feature_importances(model: ForestModel, feature_names=None,
@@ -488,20 +464,19 @@ def feature_importances(model: ForestModel, feature_names=None,
 
 
 def oob_error(model: ForestModel, X, y) -> float:
-    """Out-of-bag misclassification rate on the training data."""
+    """Out-of-bag misclassification rate on the training data: (X, y) must be
+    the rows the forest was grown on, in order, since each tree's bootstrap
+    sample is redrawn from the seed."""
     X = np.asarray(X, dtype=float)
     label_idx = {lab: j for j, lab in enumerate(model.labels)}
     votes = np.zeros((len(X), len(model.labels)))
     covered = np.zeros(len(X), dtype=bool)
-    for tree, idx in zip(model.trees, model.bootstrap_indices):
-        in_bag = np.zeros(len(X), dtype=bool)
-        in_bag[idx] = True
-        for row in np.flatnonzero(~in_bag):
-            counts = _leaf(tree, X[row]).class_counts
-            total = counts.sum()
-            if total > 0:
-                votes[row] += counts / total
-                covered[row] = True
+    for tree, idx in zip(model.trees, _tree_draws(model.params, len(X))[1]):
+        out_of_bag = np.ones(len(X), dtype=bool)
+        out_of_bag[idx] = False
+        for row in np.flatnonzero(out_of_bag):
+            votes[row] += _leaf_frequencies(tree, X[row])
+        covered |= out_of_bag
     if not covered.any():
         return float("nan")
     pred = votes.argmax(axis=1)

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from metahybrid.cli import main
-from metahybrid.config import load_config
+from metahybrid.config import ConfigError, load_config
 from metahybrid.data import enrich_items, load_movielens
 from metahybrid.evaluation import run_experiment
 from metahybrid.forest import ForestModel
@@ -95,7 +95,14 @@ class TestConfigValidation:
     def test_unknown_forest_param(self, workdir, capsys):
         path = write_config(workdir, name="bad5.json", forest={"trees": 5})
         assert main(["ingest", "--config", str(path)]) == 1
-        assert "unknown forest params" in capsys.readouterr().err
+        assert "forest: unknown keys ['trees']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["log2", -3])
+    def test_bad_max_features(self, workdir, value):
+        path = write_config(workdir, name="bad6.json",
+                            forest={"n_estimators": 5, "max_features": value})
+        with pytest.raises(ConfigError, match="max_features must be 'sqrt' or an int >= 1"):
+            load_config(path)
 
     def test_missing_config_file(self, workdir, capsys):
         assert main(["ingest", "--config", str(workdir / "nope.json")]) == 1
@@ -251,3 +258,23 @@ class TestOverrides:
         assert main(["run-all", "--config", str(path)]) == 0
         assert (out / "report.json").read_text() == \
             (completed_run / "report.json").read_text()
+
+
+class TestFixtureReports:
+    """`run-all` on the shipped fixture config writes these exact reports, so
+    a change that moves any reported figure shows here."""
+
+    @pytest.mark.parametrize("preset, report_sha, per_user_sha", [
+        ("cf", "2f7dc160cbb202c67573e26ccbe56dfafdfe77b80e22b8e79cab1a75081fea6c",
+         "b78a1f638c917aaf285b658bf7e9e832caf6103d049935d9dbca0e89d1ec50b8"),
+        ("mixed", "6849cf4583fa3568af7f351554c8b351de5e72404f41ad278ca353fd61787bfc",
+         "50b82e343f3a38d3a8fd1b4418c84dc8edb7556c7cf799cc54d50f767955c59a"),
+    ])
+    def test_run_all_reports_pinned(self, tmp_path, monkeypatch, preset, report_sha,
+                                    per_user_sha):
+        monkeypatch.chdir(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+        assert main(["run-all", "--config", os.path.join("fixtures", "fixture.cfg"),
+                     "--preset", preset, "--out", str(tmp_path)]) == 0
+        assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == report_sha
+        assert hashlib.sha256(
+            (tmp_path / "per_user_metrics.csv").read_bytes()).hexdigest() == per_user_sha

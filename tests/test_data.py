@@ -76,6 +76,14 @@ def test_generic_csv_loader(tmp_path):
     assert "u1" in ds.users and "i2" in ds.items
 
 
+@pytest.mark.parametrize("row", ["u1,i2,four,200", "u1,i2"], ids=["bad-rating", "short"])
+def test_generic_csv_malformed_row_names_line_number(tmp_path, row):
+    p = tmp_path / "ratings.csv"
+    p.write_text(f"user,item,rating,timestamp\nu1,i1,4,100\n{row}\nu2,i1,5,50\n")
+    with pytest.raises(IngestError, match="ratings.csv:3"):
+        load_generic_ratings(p)
+
+
 def test_generic_csv_header_checked(tmp_path):
     p = tmp_path / "ratings.csv"
     p.write_text("userId,movieId,rating,ts\n1,1,4,100\n")

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import os
 import pickle
@@ -18,11 +19,11 @@ from metahybrid.forest import (
     _class_counts,
     _partition,
     _samples_of,
+    _tree_draws,
     feature_importances,
     gini,
     oob_error,
     predict_label,
-    predict_many,
     predict_proba,
     train_forest,
 )
@@ -56,7 +57,7 @@ class ReferenceTreeBuilder:
     def _grow(self, idx, depth):
         counts = self._class_counts(idx)
         node_gini = gini(counts)
-        node = TreeNode(class_counts=counts, n_samples=len(idx))
+        node = TreeNode(class_counts=counts)
         p = self.params
         if (len(idx) < p.min_samples_split or node_gini == 0.0
                 or (p.max_depth is not None and depth >= p.max_depth)):
@@ -111,6 +112,14 @@ class ReferenceTreeBuilder:
         return feat, thr, gain, idx[mask], idx[~mask]
 
 
+def reference_draws(params, n):
+    """Each tree's generator and bootstrap sample, drawn as the recursive
+    builder drew them."""
+    for child_seed in np.random.SeedSequence(params.seed).spawn(params.n_estimators):
+        rng = np.random.default_rng(child_seed)
+        yield rng, rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
+
+
 def reference_forest(X, y, params):
     """`train_forest` grown one tree at a time by `ReferenceTreeBuilder`."""
     X = np.asarray(X, dtype=float)
@@ -121,20 +130,15 @@ def reference_forest(X, y, params):
     if params.class_weight == "balanced":
         freq = np.bincount(y_codes, minlength=len(labels))
         weights = n / (len(labels) * freq[y_codes])
-    child_seeds = np.random.SeedSequence(params.seed).spawn(params.n_estimators)
-    trees, boots, imp = [], [], np.zeros(d)
-    for t in range(params.n_estimators):
-        rng = np.random.default_rng(child_seeds[t])
-        idx = rng.integers(0, n, size=n) if params.bootstrap else np.arange(n)
+    trees, imp = [], np.zeros(d)
+    for rng, idx in reference_draws(params, n):
         builder = ReferenceTreeBuilder(params, len(labels), rng, weights)
         trees.append(builder.build(X, y_codes, idx))
-        boots.append(idx)
         total = builder.importances.sum()
         if total > 0:
             imp += builder.importances / total
     imp_total = imp.sum()
     return ForestModel(trees=trees, labels=labels, d=d, params=params,
-                       bootstrap_indices=boots,
                        importances_=imp / imp_total if imp_total > 0 else imp)
 
 
@@ -182,11 +186,10 @@ class TestParams:
         assert p.n_features_per_split(2) == 2
         assert ForestParams(max_features=3).n_features_per_split(10) == 3
 
-    def test_roundtrip_and_unknown_keys(self):
-        p = ForestParams(n_estimators=7, max_depth=3)
-        assert ForestParams.from_dict(p.to_dict()) == p
-        with pytest.raises(ValueError, match="unknown forest params"):
-            ForestParams.from_dict({"trees": 5})
+    @pytest.mark.parametrize("value", ["log2", "banana", 0, -3, True, 2.0, None])
+    def test_bad_max_features_rejected(self, value):
+        with pytest.raises(ValueError, match="max_features must be 'sqrt' or an int >= 1"):
+            ForestParams(max_features=value)
 
 
 class TestTraining:
@@ -202,7 +205,7 @@ class TestTraining:
     def test_separable_data_perfect_on_train(self):
         X, y = planted_data(seed=2, noise_cols=0)
         model = train_forest(X, y, ForestParams(n_estimators=30, seed=3))
-        assert predict_many(model, X) == y
+        assert [predict_label(model, row)[0] for row in X] == y
 
     def test_probabilities_sum_to_one(self):
         X, y = planted_data(seed=3)
@@ -217,6 +220,21 @@ class TestTraining:
         X, y = planted_data(n=200, seed=4)
         model = train_forest(X, y, ForestParams(n_estimators=60, seed=5))
         assert oob_error(model, X, y) < 0.10
+
+    def test_oob_error_votes_trees_out_of_bag(self):
+        X, y = planted_data(n=60, seed=14)
+        params = ForestParams(n_estimators=15, seed=15)
+        model = train_forest(X, y, params)
+        one_tree = dataclasses.replace(params, n_estimators=1)
+        votes = np.zeros((len(X), len(model.labels)))
+        for tree, (_, idx) in zip(model.trees, reference_draws(params, len(X))):
+            single = ForestModel([tree], model.labels, model.d, one_tree)
+            for row in sorted(set(range(len(X))) - set(idx.tolist())):
+                votes[row] += predict_proba(single, X[row])
+        covered = votes.sum(axis=1) > 0
+        truth = np.array([model.labels.index(lab) for lab in y])
+        assert covered.sum() > 50
+        assert oob_error(model, X, y) == (votes.argmax(axis=1) != truth)[covered].mean()
 
     def test_deterministic(self):
         X, y = planted_data(seed=5)
@@ -233,8 +251,7 @@ class TestTraining:
         X, y = planted_data(seed=6)
         a = train_forest(X, y, ForestParams(n_estimators=15, seed=1))
         b = train_forest(X, y, ForestParams(n_estimators=15, seed=2))
-        assert not all(np.array_equal(i, j) for i, j in
-                       zip(a.bootstrap_indices, b.bootstrap_indices))
+        assert pickle.dumps(a.trees) != pickle.dumps(b.trees)
 
     def test_monotone_transform_invariance_of_structure(self):
         # squaring a non-negative feature preserves value order, so every
@@ -248,8 +265,7 @@ class TestTraining:
         b = train_forest(X2, y, p)
 
         def shape(node, out):
-            out.append((node.feature, node.n_samples,
-                        tuple(node.class_counts.tolist())))
+            out.append((node.feature, tuple(node.class_counts.tolist())))
             if node.feature is not None:
                 shape(node.left, out)
                 shape(node.right, out)
@@ -458,9 +474,6 @@ def count_nodes(tree):
 def assert_same_forest(a, b):
     assert pickle.dumps(a.trees) == pickle.dumps(b.trees)
     assert np.array_equal(a.importances_, b.importances_)
-    assert len(a.bootstrap_indices) == len(b.bootstrap_indices)
-    for i, j in zip(a.bootstrap_indices, b.bootstrap_indices):
-        assert np.array_equal(i, j)
 
 
 class TestLockstepBuilder:
@@ -533,7 +546,32 @@ class TestLockstepBuilder:
     def test_old_pickle_rejected(self):
         X, y = planted_data(n=40, seed=1)
         forest = train_forest(X, y, ForestParams(n_estimators=2, seed=1))
-        old = {k: getattr(forest, k) for k in
-               ("trees", "labels", "d", "params", "bootstrap_indices", "importances_")}
+        # the whole __dict__, as pickled before the flat node arrays
+        old = dict(vars(forest), bootstrap_indices=[])
         with pytest.raises(ValueError, match="rerun train-meta"):
             ForestModel.__new__(ForestModel).__setstate__(old)
+
+    def test_flat_pickle_with_stored_bootstraps_rejected(self):
+        # the flat layout that also stored left children, sample counts and
+        # bootstrap samples
+        X, y = planted_data(n=40, seed=1)
+        state = train_forest(X, y, ForestParams(n_estimators=2, seed=1)).__getstate__()
+        assert set(state) == {"labels", "d", "params", "roots", "feature", "threshold",
+                              "right", "class_counts", "importances"}
+        n_nodes = len(state["feature"])
+        older = dict(state, left=np.zeros(n_nodes, dtype=np.int64),
+                     n_samples=np.zeros(n_nodes, dtype=np.int64),
+                     bootstrap=np.zeros((2, 40), dtype=np.int64))
+        with pytest.raises(ValueError, match="rerun train-meta"):
+            ForestModel.__new__(ForestModel).__setstate__(older)
+
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    def test_tree_draws_match_reference(self, bootstrap):
+        params = ForestParams(n_estimators=12, seed=3, bootstrap=bootstrap)
+        rngs, boots = _tree_draws(params, 50)
+        expected = list(reference_draws(params, 50))
+        assert len(rngs) == len(boots) == len(expected) == 12
+        for rng, idx, (ref_rng, ref_idx) in zip(rngs, boots, expected):
+            assert np.array_equal(idx, ref_idx)
+            # the generators go on in step, so the trees grow from the same draws
+            assert np.array_equal(rng.random(4), ref_rng.random(4))

@@ -97,6 +97,9 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     _check_keys(split_raw, ("outer_ratio", "inner_ratio", "mode"), "split")
 
     forest_raw = dict(raw.get("forest", {}))
+    if "seed" in forest_raw:
+        raise ConfigError("forest.seed has no effect: the forest's seed derives "
+                          "from the top-level seed")
     _check_keys(forest_raw, (f.name for f in fields(ForestParams)), "forest")
     relevance_raw = dict(raw.get("relevance", {}))
     _check_keys(relevance_raw, ("threshold", "gain", "cutoffs", "ndcg_cutoff"),

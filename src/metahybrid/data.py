@@ -99,38 +99,6 @@ class Dataset:
             by_user.setdefault(r.user_id, []).append(r)
         return by_user
 
-    def canonical_text(self) -> str:
-        """Sorted, delimiter-stable serialization; determinism is byte-testable."""
-        lines = [f"#metahybrid-dataset v1", f"#provenance\t{self.provenance}"]
-        for uid in sorted(self.users):
-            u = self.users[uid]
-            lines.append(
-                f"U\t{uid}\t{u.gender}\t{_fmt(u.age_band)}\t{_fmt(u.occupation)}\t{_fmt(u.location)}"
-            )
-        for iid in sorted(self.items):
-            it = self.items[iid]
-            lines.append(
-                "I\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s"
-                % (
-                    iid,
-                    it.title,
-                    _fmt(it.year),
-                    "|".join(sorted(it.genres)),
-                    "|".join(sorted(it.keywords)),
-                    "|".join(it.cast),
-                    _fmt(it.runtime_minutes),
-                    _fmt(it.budget),
-                    _fmt(it.profit),
-                )
-            )
-        for r in self.ratings:
-            lines.append(f"R\t{r.user_id}\t{r.item_id}\t{r.rating}\t{r.timestamp}")
-        return "\n".join(lines) + "\n"
-
-
-def _fmt(v) -> str:
-    return "" if v is None else str(v)
-
 
 def _parse_id(token: str):
     token = token.strip()

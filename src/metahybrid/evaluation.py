@@ -43,6 +43,7 @@ class ExperimentReport:
     rmse_activity: dict             # candidate -> activity stats where it is RMSE-best
     per_user: list                  # per-user metric dicts, for CSV dumps
     skipped_label_users: int = 0
+    tied_label_users: int = 0       # labels given by the tie rule, not by a best score
     skipped_eval_users: int = 0
     seed: int = 0
     inner_ratio: float = 0.8
@@ -62,6 +63,8 @@ class ExperimentReport:
         lines.append("Training-label distribution:")
         for name, count in self.label_distribution.items():
             lines.append(f"  {name}: {count}")
+        lines.append(f"  ({self.tied_label_users} of these are tie-breaks "
+                     f"to the first tied candidate)")
         lines.append("")
         lines.append("Classifier confusion (rows = actual best, cols = predicted):")
         names = self.candidate_names
@@ -94,6 +97,7 @@ class ExperimentReport:
             "importances": self.importances,
             "rmse_activity": self.rmse_activity,
             "skipped_label_users": self.skipped_label_users,
+            "tied_label_users": self.tied_label_users,
             "skipped_eval_users": self.skipped_eval_users,
             "n_evaluated_users": len(self.per_user),
         }
@@ -120,28 +124,28 @@ def split_step(dataset: Dataset, plan: SplitPlan, master_seed: int) -> NestedSpl
 
 
 def fit_candidates(candidates: hy.CandidateSet, train_events, items,
-                   master_seed: int, stage: str) -> dict:
+                   master_seed: int) -> dict:
     """Fit every candidate on one ratings slice; per-candidate derived seeds.
-    Logs one line per fit with its slice, rating count and wall time."""
+    Logs one line per fit with its rating count and wall time. (perfbench
+    times the fits through this function, by name.)"""
     fitted = {}
     for name, spec in zip(candidates.names, candidates.specs):
         t0 = time.perf_counter()
         fitted[name] = rec.fit(spec, train_events, items=items,
-                               seed=derive_seed(master_seed, stage, name))
-        log.info("fitted %s on %s (%d ratings) in %.2f s", name, stage,
-                 len(train_events), time.perf_counter() - t0)
+                               seed=derive_seed(master_seed, "fit", name))
+        log.info("fitted %s on %d ratings in %.2f s", name, len(train_events),
+                 time.perf_counter() - t0)
     return fitted
 
 
 def fit_step(dataset: Dataset, split: NestedSplit, candidates: hy.CandidateSet,
-             master_seed: int) -> tuple:
-    """Steps 3 and 7: (models fitted on TRh inner-train for labelling,
-    serving models fitted on TEh inner-train)."""
-    fitted_train = fit_candidates(candidates, slice_events(split.train_inner_train),
-                                  dataset.items, master_seed, "fit-train")
-    fitted_eval = fit_candidates(candidates, slice_events(split.test_inner_train),
-                                 dataset.items, master_seed, "fit-eval")
-    return fitted_train, fitted_eval
+             master_seed: int) -> dict:
+    """Steps 3 and 7: each candidate fitted once, on every user's inner-train
+    ratings (TRh and TEh, no holdout rating). The same models label the TRh
+    users and serve the TEh users, so the labels describe the served models."""
+    inner_train = {**split.train_inner_train, **split.test_inner_train}
+    return fit_candidates(candidates, slice_events(inner_train), dataset.items,
+                          master_seed)
 
 
 def build_contexts(user_ids, inner_train: dict, dataset: Dataset,
@@ -163,7 +167,7 @@ def _items_by_user(inner: dict) -> dict:
 
 
 def label_step(dataset: Dataset, split: NestedSplit, candidates: hy.CandidateSet,
-               fitted_train: dict, context_config: ContextConfig,
+               fitted: dict, context_config: ContextConfig,
                relevance: RelevanceConfig, label_cutoff: int) -> tuple:
     """Step 4: TRh contexts (fitting the PCA models), then each TRh user
     labelled with the candidate of best nDCG on their inner holdout.
@@ -179,7 +183,7 @@ def label_step(dataset: Dataset, split: NestedSplit, candidates: hy.CandidateSet
         keyword_components=context_config.keyword_components)
     matrix, names, pca_g, pca_k = build_contexts(
         split.train_users, split.train_inner_train, dataset, schema, fit_pcas=True)
-    labeled = hy.generate_labels(candidates, fitted_train, split.train_users, matrix,
+    labeled = hy.generate_labels(candidates, fitted, split.train_users, matrix,
                                  _items_by_user(split.train_inner_train),
                                  split.train_inner_test, n=label_cutoff,
                                  relevance=relevance)
@@ -197,10 +201,11 @@ def train_meta_step(bundle: dict, forest_params: rf.ForestParams,
 
 
 def meta_model(bundle: dict, candidates: hy.CandidateSet, forest: rf.ForestModel,
-               fitted_eval: dict) -> hy.MetaHybridModel:
-    """The serving meta-hybrid: the selection forest dispatching to the models
-    fitted on TEh inner-train, with the TRh context schema and PCA models."""
-    return hy.MetaHybridModel(candidates=candidates, fitted=fitted_eval, forest=forest,
+               fitted: dict) -> hy.MetaHybridModel:
+    """The serving meta-hybrid: the selection forest dispatching to the fitted
+    candidates that labelled its training users, with the TRh context schema
+    and PCA models."""
+    return hy.MetaHybridModel(candidates=candidates, fitted=fitted, forest=forest,
                               schema=bundle["schema"], pca_genres=bundle["pca_genres"],
                               pca_keywords=bundle["pca_keywords"])
 
@@ -274,16 +279,16 @@ def run_experiment(dataset: Dataset, candidates: hy.CandidateSet,
     models, labeled set, and meta model for reuse or serialization.
     """
     split = split_step(dataset, plan, master_seed)
-    fitted_train, fitted_eval = fit_step(dataset, split, candidates, master_seed)
-    bundle, _ = label_step(dataset, split, candidates, fitted_train, context_config,
+    fitted = fit_step(dataset, split, candidates, master_seed)
+    bundle, _ = label_step(dataset, split, candidates, fitted, context_config,
                            relevance, label_cutoff)
     forest = train_meta_step(bundle, forest_params, master_seed)
-    meta = meta_model(bundle, candidates, forest, fitted_eval)
+    meta = meta_model(bundle, candidates, forest, fitted)
     report, dispatched, test_matrix = evaluate_step(
         dataset, split, meta, bundle, relevance, master_seed, plan.inner_ratio)
     artifacts = {"split": split, "schema": bundle["schema"],
-                 "fitted_train": fitted_train, "fitted_eval": fitted_eval,
-                 "labeled": bundle["labeled"], "meta": meta,
+                 # the key keeps its old name: perfbench/workloads.py reads it
+                 "fitted_eval": fitted, "labeled": bundle["labeled"], "meta": meta,
                  "feature_names": bundle["feature_names"], "dispatched": dispatched,
                  "test_matrix": test_matrix}
     return report, artifacts
@@ -338,5 +343,6 @@ def _build_report(per_user, names, bundle, forest, skipped_eval, master_seed,
         rows=rows, label_distribution=label_dist, confusion=confusion,
         importances=importances, rmse_activity=rmse_activity, per_user=per_user,
         skipped_label_users=len(labeled.skipped_users),
+        tied_label_users=len(labeled.tied_users),
         skipped_eval_users=skipped_eval, seed=master_seed,
         inner_ratio=inner_ratio, candidate_names=list(names))

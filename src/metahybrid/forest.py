@@ -38,12 +38,20 @@ class ForestParams:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_estimators", "min_samples_split", "min_samples_leaf"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int")
         if self.n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
         if self.min_samples_split < 2:
             raise ValueError("min_samples_split must be >= 2")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
+        if self.max_depth is not None and not (
+                type(self.max_depth) is int and self.max_depth >= 1):
+            raise ValueError("max_depth must be None or an int >= 1")
+        if type(self.bootstrap) is not bool:
+            raise ValueError("bootstrap must be true or false")
         if self.max_features != "sqrt" and not (
                 type(self.max_features) is int and self.max_features >= 1):
             raise ValueError("max_features must be 'sqrt' or an int >= 1")

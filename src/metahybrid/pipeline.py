@@ -25,6 +25,8 @@ from .seeding import derive_seed
 log = logging.getLogger(__name__)
 
 MANIFEST = "manifest.json"
+# the one fitted candidate set, under the name perfbench/workloads.py loads
+CANDIDATES = "candidates_eval.pkl"
 
 
 class StageError(Exception):
@@ -113,10 +115,9 @@ def stage_fit_candidates(cfg: ExperimentConfig) -> dict:
     dataset = _read_pickle(cfg.output_dir, "dataset.pkl", "fit-candidates")
     split = _read_pickle(cfg.output_dir, "split.pkl", "fit-candidates")
     candidates = cfg.candidate_set()
-    fitted_train, fitted_eval = ev.fit_step(dataset, split, candidates, cfg.seed)
-    _write_pickle(cfg.output_dir, "candidates_train.pkl", fitted_train)
-    _write_pickle(cfg.output_dir, "candidates_eval.pkl", fitted_eval)
-    summary = f"fitted {len(candidates.names)} candidates on both inner-train slices"
+    _write_pickle(cfg.output_dir, CANDIDATES,
+                  ev.fit_step(dataset, split, candidates, cfg.seed))
+    summary = f"fitted {len(candidates.names)} candidates on every user's inner-train"
     log.info(summary)
     return {"summary": summary}
 
@@ -124,8 +125,8 @@ def stage_fit_candidates(cfg: ExperimentConfig) -> dict:
 def stage_label(cfg: ExperimentConfig) -> dict:
     dataset = _read_pickle(cfg.output_dir, "dataset.pkl", "label")
     split = _read_pickle(cfg.output_dir, "split.pkl", "label")
-    fitted_train = _read_pickle(cfg.output_dir, "candidates_train.pkl", "label")
-    bundle, matrix = ev.label_step(dataset, split, cfg.candidate_set(), fitted_train,
+    fitted = _read_pickle(cfg.output_dir, CANDIDATES, "label")
+    bundle, matrix = ev.label_step(dataset, split, cfg.candidate_set(), fitted,
                                    cfg.context, cfg.relevance, cfg.label_cutoff)
     labeled = bundle["labeled"]
     _write_pickle(cfg.output_dir, "labeled.pkl", bundle)
@@ -143,7 +144,7 @@ def stage_label(cfg: ExperimentConfig) -> dict:
 def stage_train_meta(cfg: ExperimentConfig) -> dict:
     bundle = _read_pickle(cfg.output_dir, "labeled.pkl", "train-meta")
     forest = ev.train_meta_step(bundle, cfg.forest, cfg.seed)
-    # the evaluate stage pairs it with the serving models of candidates_eval.pkl
+    # the evaluate stage pairs it with the fitted candidates
     _write_pickle(cfg.output_dir, "meta.pkl", forest)
     importances = rf.feature_importances(forest, bundle["feature_names"],
                                          bundle["schema"].feature_groups())
@@ -163,7 +164,7 @@ def stage_evaluate(cfg: ExperimentConfig) -> dict:
         # an output directory from an older version pickled the whole serving model
         raise StageError("meta.pkl holds no selection forest; rerun train-meta")
     meta = ev.meta_model(bundle, cfg.candidate_set(), forest,
-                         _read_pickle(cfg.output_dir, "candidates_eval.pkl", "evaluate"))
+                         _read_pickle(cfg.output_dir, CANDIDATES, "evaluate"))
     report, _, _ = ev.evaluate_step(dataset, split, meta, bundle, cfg.relevance,
                                     cfg.seed, cfg.split.inner_ratio)
     _write_pickle(cfg.output_dir, "evaluation.pkl", report)

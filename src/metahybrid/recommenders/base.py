@@ -48,9 +48,6 @@ class RecommenderSpec:
         merged.update(self.params)
         return merged
 
-    def to_dict(self) -> dict:
-        return {"algorithm": self.algorithm, "params": dict(self.params)}
-
     @classmethod
     def from_dict(cls, d: dict) -> "RecommenderSpec":
         extra = set(d) - {"algorithm", "params"}

@@ -16,9 +16,6 @@ from .data import Dataset, RatingEvent
 
 log = logging.getLogger(__name__)
 
-INNER_RATIOS = (0.6, 0.7, 0.8, 0.9)
-
-
 @dataclass(frozen=True)
 class SplitPlan:
     outer_ratio: float = 0.7

@@ -104,6 +104,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="max_features must be 'sqrt' or an int >= 1"):
             load_config(path)
 
+    @pytest.mark.parametrize("forest, message", [
+        ({"n_estimators": "5"}, "n_estimators must be an int"),
+        ({"min_samples_split": "3"}, "min_samples_split must be an int"),
+        ({"min_samples_leaf": 2.5}, "min_samples_leaf must be an int"),
+        ({"n_estimators": True}, "n_estimators must be an int"),
+        ({"max_depth": 0}, "max_depth must be None or an int >= 1"),
+        ({"bootstrap": "no"}, "bootstrap must be true or false"),
+        ({"seed": 3}, "forest.seed has no effect"),
+    ])
+    def test_bad_forest_values(self, workdir, forest, message):
+        path = write_config(workdir, name="bad7.json", forest=forest)
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+
     def test_missing_config_file(self, workdir, capsys):
         assert main(["ingest", "--config", str(workdir / "nope.json")]) == 1
         assert "missing config file" in capsys.readouterr().err
@@ -143,7 +157,7 @@ class TestStageOrdering:
         assert main(["evaluate", "--config", str(path)]) == 1
         assert "rerun train-meta" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("stage,name", [("label", "candidates_train.pkl"),
+    @pytest.mark.parametrize("stage,name", [("label", "candidates_eval.pkl"),
                                             ("evaluate", "candidates_eval.pkl")])
     def test_stage_rejects_candidates_of_older_version(self, workdir, completed_run, capsys,
                                                        stage, name):
@@ -166,12 +180,15 @@ class TestStageOrdering:
 
 class TestRunAll:
     def test_artifacts_written(self, completed_run):
-        for name in ("dataset.pkl", "split.pkl", "candidates_train.pkl",
-                     "candidates_eval.pkl", "labeled.pkl", "labels.csv",
-                     "contexts_train.csv", "meta.pkl", "importances.csv",
-                     "evaluation.pkl", "per_user_metrics.csv",
+        # perfbench/workloads.py loads dataset.pkl, split.pkl, candidates_eval.pkl,
+        # report.json and the exported CSVs by these names: renaming one breaks it
+        for name in ("dataset.pkl", "split.pkl", "candidates_eval.pkl",
+                     "labeled.pkl", "labels.csv", "contexts_train.csv", "meta.pkl",
+                     "importances.csv", "evaluation.pkl", "per_user_metrics.csv",
                      "report.txt", "report.json", "manifest.json"):
             assert (completed_run / name).exists(), name
+        # one fitted candidate set labels the training users and serves the test users
+        assert not (completed_run / "candidates_train.pkl").exists()
 
     def test_manifest_covers_all_outputs(self, completed_run):
         manifest = json.loads((completed_run / "manifest.json").read_text())
@@ -265,10 +282,10 @@ class TestFixtureReports:
     a change that moves any reported figure shows here."""
 
     @pytest.mark.parametrize("preset, report_sha, per_user_sha", [
-        ("cf", "2f7dc160cbb202c67573e26ccbe56dfafdfe77b80e22b8e79cab1a75081fea6c",
-         "b78a1f638c917aaf285b658bf7e9e832caf6103d049935d9dbca0e89d1ec50b8"),
-        ("mixed", "6849cf4583fa3568af7f351554c8b351de5e72404f41ad278ca353fd61787bfc",
-         "50b82e343f3a38d3a8fd1b4418c84dc8edb7556c7cf799cc54d50f767955c59a"),
+        ("cf", "4cc6a3ced8829e367adacf4b7ab519ad1b6bc9e169c2ac64eaae6c62d2e7ecd2",
+         "8a11f69d4bb950b2be795ccaba736a7ce8f1f835145b561c70c911e7f1427217"),
+        ("mixed", "ce7d46a9ebdda07208305ed1a379e5239ab4c2dabd39135613e849e496e14c12",
+         "d24e75812d8466aa43836cd460fec0ecf825988fdd41ec52cf618be1e78ed295"),
     ])
     def test_run_all_reports_pinned(self, tmp_path, monkeypatch, preset, report_sha,
                                     per_user_sha):

@@ -17,6 +17,11 @@ from metahybrid.data import (
 )
 
 
+def same_records(a, b):
+    """The same ratings, items and users, whatever the provenance."""
+    return (a.ratings, a.items, a.users) == (b.ratings, b.items, b.users)
+
+
 def test_rating_line_maps_to_event(tiny_movielens):
     ds = load_movielens(tiny_movielens / "ratings.dat", tiny_movielens / "users.dat",
                         tiny_movielens / "movies.dat")
@@ -147,13 +152,12 @@ class TestColdStart:
         counts = {u: len(evs) for u, evs in small_dataset.ratings_by_user().items()}
         n = max(counts.values())
         out = induce_cold_start(small_dataset, seed=1, min_keep=n, max_keep=n)
-        assert out.canonical_text().split("\n")[2:] == \
-            small_dataset.canonical_text().split("\n")[2:]  # provenance line differs
+        assert same_records(out, small_dataset)  # the provenance differs
 
     def test_deterministic_replay(self, small_dataset):
         a = induce_cold_start(small_dataset, seed=42, min_keep=5)
         b = induce_cold_start(small_dataset, seed=42, min_keep=5)
-        assert a.canonical_text() == b.canonical_text()
+        assert a == b
 
     def test_never_increases_counts_and_preserves_events(self, small_dataset):
         out = induce_cold_start(small_dataset, seed=3, min_keep=5, max_keep=20)
@@ -195,7 +199,7 @@ class TestMinRatingsFilter:
     def test_zero_is_identity(self):
         ds = self._ds({1: 5, 2: 3})
         out = filter_min_ratings(ds, 0)
-        assert out.canonical_text().split("\n")[2:] == ds.canonical_text().split("\n")[2:]
+        assert same_records(out, ds)
 
     def test_items_retained_by_default(self):
         ds = self._ds({1: 25, 2: 2})

@@ -27,7 +27,6 @@ from metahybrid.forest import (
     predict_proba,
     train_forest,
 )
-from metahybrid.splits import slice_events
 
 FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "fixtures")
@@ -178,6 +177,21 @@ class TestParams:
             ForestParams(criterion="entropy")
         with pytest.raises(ValueError):
             ForestParams(class_weight="weird")
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_estimators": "5"}, "n_estimators must be an int"),
+        ({"n_estimators": True}, "n_estimators must be an int"),
+        ({"min_samples_split": "3"}, "min_samples_split must be an int"),
+        ({"min_samples_leaf": 2.5}, "min_samples_leaf must be an int"),
+        ({"max_depth": 0}, "max_depth must be None or an int >= 1"),
+        ({"max_depth": -2}, "max_depth must be None or an int >= 1"),
+        ({"max_depth": 3.0}, "max_depth must be None or an int >= 1"),
+        ({"bootstrap": "no"}, "bootstrap must be true or false"),
+        ({"bootstrap": 1}, "bootstrap must be true or false"),
+    ])
+    def test_bad_types_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ForestParams(**kwargs)
 
     def test_mtry_is_ceil_sqrt(self):
         p = ForestParams()
@@ -448,8 +462,7 @@ def labeled_contexts(preset):
         os.path.join(FIXTURES, "metadata.csv"))
     split = evaluation.split_step(dataset, cfg.split, cfg.seed)
     candidates = cfg.candidate_set()
-    fitted = evaluation.fit_candidates(candidates, slice_events(split.train_inner_train),
-                                       dataset.items, cfg.seed, "fit-train")
+    fitted = evaluation.fit_step(dataset, split, candidates, cfg.seed)
     bundle, _ = evaluation.label_step(dataset, split, candidates, fitted, cfg.context,
                                       cfg.relevance, cfg.label_cutoff)
     forest = evaluation.train_meta_step(bundle, cfg.forest, cfg.seed)
@@ -484,7 +497,7 @@ class TestLockstepBuilder:
         preset, labeled, params = fixture_contexts
         forest = train_forest(labeled.contexts, labeled.labels, params)
         assert params.n_estimators == 100
-        assert sum(count_nodes(t) for t in forest.trees) == {"cf": 4688, "mixed": 5090}[preset]
+        assert sum(count_nodes(t) for t in forest.trees) == {"cf": 5126, "mixed": 4734}[preset]
         assert_same_forest(forest, reference_forest(labeled.contexts, labeled.labels, params))
 
     @pytest.mark.parametrize("params", [

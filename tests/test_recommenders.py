@@ -58,8 +58,8 @@ class TestSpecValidation:
             RecommenderSpec("SvdMf", {"n_trees": 3})
 
     def test_roundtrip(self):
-        spec = RecommenderSpec("SvdMf", {"factors": 10})
-        assert RecommenderSpec.from_dict(spec.to_dict()) == spec
+        assert RecommenderSpec.from_dict({"algorithm": "SvdMf", "params": {"factors": 10}}) \
+            == RecommenderSpec("SvdMf", {"factors": 10})
 
     def test_empty_train_rejected(self):
         with pytest.raises(ValueError, match="empty"):

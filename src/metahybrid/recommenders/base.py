@@ -59,7 +59,8 @@ class RecommenderSpec:
 class FittedRecommender:
     """Base class holding the training-slice statistics and the fallback chain."""
 
-    # attributes rebuilt from the rest of the model, left out of its pickle
+    # attributes rebuilt from the rest of the model, left out of its pickle;
+    # a pickled state that holds one is of an older, larger layout
     _derived = ("_item_mean_vector",)
 
     def __init__(self, spec: RecommenderSpec, train, items, seed: int):
@@ -87,6 +88,17 @@ class FittedRecommender:
 
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k not in self._derived}
+
+    def __setstate__(self, state):
+        if not set(self._derived).isdisjoint(state):
+            raise ValueError(f"{state['spec'].algorithm} model pickled by an older "
+                             "version; rerun fit-candidates")
+        self.__dict__.update(state)
+        self._build_derived()
+
+    def _build_derived(self):
+        """Build the `_derived` attributes that are not built on first use,
+        after a fit and after a load."""
 
     @cached_property
     def _item_mean_vector(self) -> np.ndarray:

@@ -50,28 +50,25 @@ class SlopeOneModel(FittedRecommender):
             events = sorted(by_user[uid], key=lambda r: r.item_id)
             self._user_items[uid] = (np.array([self.iidx[r.item_id] for r in events]),
                                      np.array([float(r.rating) for r in events]))
-        self._build_deviations()
+        self._build_derived()
 
-    def _build_deviations(self):
-        """The item x item mean deviations `dev` and co-rating `counts`,
-        accumulated user by user in `_user_items` order."""
+    def _build_derived(self):
+        """The item x item mean deviations `dev` and co-rating `counts`.
+
+        `bincount` adds each item pair's terms in input order, from zero,
+        so taking the users in `_user_items` order gives the sums of a
+        user-by-user accumulation.
+        """
         n = len(self.item_ids)
-        dev_sum = np.zeros((n, n))
-        counts = np.zeros((n, n), dtype=np.int64)
-        for idx, vals in self._user_items.values():
-            dev_sum[np.ix_(idx, idx)] += vals[:, None] - vals[None, :]
-            counts[np.ix_(idx, idx)] += 1
+        users = self._user_items.values()
+        pairs = np.concatenate([(idx[:, None] * n + idx).ravel() for idx, _ in users])
+        diffs = np.concatenate([(vals[:, None] - vals).ravel() for _, vals in users])
+        dev_sum = np.bincount(pairs, weights=diffs, minlength=n * n).reshape(n, n)
+        counts = np.bincount(pairs, minlength=n * n).reshape(n, n)
         np.fill_diagonal(counts, 0)
         with np.errstate(invalid="ignore"):
             self.dev = np.where(counts > 0, dev_sum / np.maximum(counts, 1), 0.0)
         self.counts = counts
-
-    def __setstate__(self, state):
-        if "dev" in state:
-            raise ValueError("SlopeOne model pickled by an older version; "
-                             "rerun fit-candidates")
-        self.__dict__.update(state)
-        self._build_deviations()
 
     def _estimate_catalog(self, user, item_means):
         n = len(self.item_ids)
@@ -213,6 +210,10 @@ class SvdMfModel(FittedRecommender):
 class KnnBasicModel(FittedRecommender):
     """User-based kNN with cosine similarity over co-rated items."""
 
+    # the user x user similarities are symmetric: the pickle keeps the
+    # upper triangle, and the square matrix is rebuilt on load
+    _derived = FittedRecommender._derived + ("sim", "_rater_items")
+
     def __init__(self, spec, train, items, seed):
         super().__init__(spec, train, items, seed)
         if self.params["similarity"] != "cosine":
@@ -243,36 +244,52 @@ class KnnBasicModel(FittedRecommender):
         self._rater_ptr = np.cumsum([0] + [len(idx) for idx, _ in per_item])
         self._raters = np.concatenate([idx for idx, _ in per_item])
         self._rater_vals = np.concatenate([vals for _, vals in per_item])
+        # dot, sq * sq.T and support get the same terms in the same order at
+        # (u, v) and (v, u), so sim is exactly symmetric
         norm = np.sqrt(sq * sq.T)
         with np.errstate(invalid="ignore", divide="ignore"):
             sim = np.where(norm > 0, dot / np.where(norm > 0, norm, 1.0), 0.0)
         sim[support < self.params["min_support"]] = 0.0
-        np.fill_diagonal(sim, 0.0)
+        self._sim_upper = sim[np.triu_indices(nu, 1)]
+        self._build_derived()
+
+    def _build_derived(self):
+        """The square `sim` (zero diagonal) from its upper triangle, and the
+        catalog index of each `_raters` entry."""
+        upper = np.triu_indices(len(self.user_ids), 1)
+        sim = np.zeros((len(self.user_ids),) * 2)
+        sim[upper] = sim.T[upper] = self._sim_upper
         self.sim = sim
+        self._rater_items = np.repeat(np.arange(len(self.item_ids)),
+                                      np.diff(self._rater_ptr))
 
     def _estimate_catalog(self, user, item_means):
         n = len(self.item_ids)
         u = self.uidx.get(user)
         if u is None:
             return np.zeros(n), np.zeros(n, dtype=bool)
-        item = np.repeat(np.arange(n), np.diff(self._rater_ptr))
         sims = self.sim[u, self._raters]
-        pos = sims > 0
-        item, idx, vals, sims = item[pos], self._raters[pos], self._rater_vals[pos], sims[pos]
+        # the neighbours of each item, in the stored (item, user index) order
+        pick = np.flatnonzero(sims > 0)
+        item = self._rater_items[pick]
         count = np.bincount(item, minlength=n)
-        # an item with more than k neighbours keeps the k most similar,
-        # most similar first (ties: lower user index); the others keep their
-        # neighbours in user-index order
         k = self.params["k"]
-        order = np.lexsort((idx, np.where(count[item] > k, -sims, 0.0), item))
-        item, vals, sims = item[order], vals[order], sims[order]
-        start = np.cumsum(count) - count
-        kept = np.arange(len(item)) - start[item] < k
         lengths = np.minimum(count, k)
-        num = _segment_sums((sims * vals)[kept], lengths)
-        den = _segment_sums(sims[kept], lengths)
+        over = np.flatnonzero(count[item] > k)
+        if over.size:
+            # an item with more than k neighbours keeps the k most similar,
+            # most similar first (ties: lower position, so lower user
+            # index); sorting by item first keeps each item's entries in
+            # their place
+            cand = pick[over]
+            pick[over] = cand[np.lexsort((cand, -sims[cand], item[over]))]
+            start = np.cumsum(count) - count
+            pick = pick[np.arange(len(pick)) - start[item] < k]
+        sims = sims[pick]
+        # num and den in one pass; each column sums as its own 1-D run
+        sums = _segment_sums(np.stack((sims * self._rater_vals[pick], sims)).T, lengths)
         defined = lengths > 0
-        return np.divide(num, den, out=np.zeros(n), where=defined), defined
+        return np.divide(sums[:, 0], sums[:, 1], out=np.zeros(n), where=defined), defined
 
 
 def _sgd_waves(model, train) -> list:
@@ -314,8 +331,10 @@ def _segment_sums(values, lengths) -> np.ndarray:
     columns = np.ascontiguousarray(values.T)  # one row per column of `values`
     out = np.zeros(columns.shape[:-1] + (len(lengths),))
     start = np.cumsum(lengths) - lengths
-    for m in np.unique(lengths[lengths > 0]):
-        rows = np.flatnonzero(lengths == m)
+    nonempty = np.flatnonzero(lengths)
+    by_length = nonempty[np.argsort(lengths[nonempty], kind="stable")]
+    sizes, first = np.unique(lengths[by_length], return_index=True)
+    for m, rows in zip(sizes.tolist(), np.split(by_length, first[1:])):
         # take, unlike columns[..., index], returns a C-contiguous array
         runs = columns.take(start[rows, None] + np.arange(m), axis=-1)
         out[..., rows] = runs.sum(axis=-1)

@@ -8,9 +8,10 @@ import numpy as np
 from .base import FittedRecommender
 
 
-def item_feature_matrix(items: dict, item_ids, use_keywords: bool = True,
-                        normalize: bool = True):
-    """One-hot genre (+ keyword) vectors per item, L2-normalized rows.
+def item_feature_columns(items: dict, item_ids, use_keywords: bool = True):
+    """Each item's one-hot genre (+ keyword) columns, as (ptr, cols, width):
+    the columns of `item_ids[j]` are `cols[ptr[j]:ptr[j + 1]]`, ascending,
+    out of `width`.
 
     Columns are the sorted genres, then the sorted keywords. Raises if the
     catalog carries no features at all.
@@ -21,20 +22,36 @@ def item_feature_matrix(items: dict, item_ids, use_keywords: bool = True,
         raise ValueError("item catalog has no genre/keyword features")
     gidx = {g: j for j, g in enumerate(genres)}
     kidx = {k: len(genres) + j for j, k in enumerate(keywords)}
-    mat = np.zeros((len(item_ids), len(genres) + len(keywords)))
-    for row, iid in enumerate(item_ids):
+    per_item = []
+    for iid in item_ids:
         it = items.get(iid)
-        if it is None:
-            continue
-        for g in it.genres:
-            mat[row, gidx[g]] = 1.0
-        if use_keywords:
-            for k in it.keywords:
-                mat[row, kidx[k]] = 1.0
+        cols = []
+        if it is not None:
+            cols = [gidx[g] for g in it.genres]
+            if use_keywords:
+                cols += [kidx[k] for k in it.keywords]
+        per_item.append(sorted(cols))
+    ptr = np.cumsum([0] + [len(cols) for cols in per_item])
+    cols = np.array([j for cols in per_item for j in cols], dtype=np.int32)
+    return ptr, cols, len(genres) + len(keywords)
+
+
+def feature_matrix(ptr, cols, width, normalize: bool = True):
+    """The dense item x feature matrix of `item_feature_columns` output,
+    with L2-normalized rows if `normalize`."""
+    mat = np.zeros((len(ptr) - 1, width))
+    mat[np.repeat(np.arange(len(ptr) - 1), np.diff(ptr)), cols] = 1.0
     if normalize:
         norms = np.linalg.norm(mat, axis=1, keepdims=True)
         mat = np.where(norms > 0, mat / np.where(norms > 0, norms, 1.0), 0.0)
     return mat
+
+
+def item_feature_matrix(items: dict, item_ids, use_keywords: bool = True,
+                        normalize: bool = True):
+    """One-hot genre (+ keyword) vectors per item, L2-normalized rows; the
+    columns of `item_feature_columns`."""
+    return feature_matrix(*item_feature_columns(items, item_ids, use_keywords), normalize)
 
 
 class ContentBasedModel(FittedRecommender):
@@ -45,12 +62,16 @@ class ContentBasedModel(FittedRecommender):
     map covers the 1-5 scale.
     """
 
+    # the pickle keeps each item's feature columns, not the dense matrix
+    _derived = FittedRecommender._derived + ("features", "_item_norms")
+
     def __init__(self, spec, train, items, seed):
         if not items:
             raise ValueError("ContentBased requires an item catalog with features")
         super().__init__(spec, train, items, seed)
-        self.features = item_feature_matrix(
+        self._feature_ptr, self._feature_cols, self._n_features = item_feature_columns(
             items, self.item_ids, use_keywords=self.params["use_keywords"])
+        self._build_derived()
         profiles: dict = {}
         for r in train:
             vec = self.features[self.iidx[r.item_id]]
@@ -59,15 +80,20 @@ class ContentBasedModel(FittedRecommender):
         self.profiles = profiles
         self._profile_norms = {u: float(np.linalg.norm(v)) for u, v in profiles.items()}
 
+    def _build_derived(self):
+        """The normalized `features` matrix and its row norms (one row-norm
+        pass, which may differ from a per-item norm in the last bit)."""
+        self.features = feature_matrix(self._feature_ptr, self._feature_cols,
+                                       self._n_features)
+        self._item_norms = np.linalg.norm(self.features, axis=1)
+
     def _estimate_catalog(self, user, item_means):
-        # one gemv and one row-norm pass, which may differ from a per-item
-        # dot and norm in the last bit
+        # one gemv, which may differ from a per-item dot in the last bit
         n = len(self.item_ids)
         pnorm = self._profile_norms.get(user, 0.0)
         if pnorm == 0.0:
             return np.zeros(n), np.zeros(n, dtype=bool)
-        inorms = np.linalg.norm(self.features, axis=1)
-        defined = inorms != 0.0
-        cos = np.divide(self.features @ self.profiles[user], pnorm * inorms,
+        defined = self._item_norms != 0.0
+        cos = np.divide(self.features @ self.profiles[user], pnorm * self._item_norms,
                         out=np.zeros(n), where=defined)
         return 1.0 + 4.0 * cos, defined

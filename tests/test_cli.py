@@ -15,7 +15,8 @@ from metahybrid.data import enrich_items, load_movielens
 from metahybrid.evaluation import run_experiment
 from metahybrid.forest import ForestModel
 from metahybrid.fixtures import make_fixture, write_movielens_files
-from metahybrid.recommenders.collaborative import SlopeOneModel
+from metahybrid.recommenders.collaborative import KnnBasicModel, SlopeOneModel
+from metahybrid.recommenders.content import ContentBasedModel
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +68,14 @@ def completed_run(workdir):
     cfg = write_config(workdir)
     assert main(["run-all", "--config", str(cfg)]) == 0
     return workdir / "out"
+
+
+@pytest.fixture(scope="module")
+def completed_mixed_run(workdir):
+    cfg = write_config(workdir, name="mixed.json", preset="mixed",
+                       output_dir=str(workdir / "mixed_out"))
+    assert main(["run-all", "--config", str(cfg)]) == 0
+    return workdir / "mixed_out"
 
 
 class TestConfigValidation:
@@ -165,6 +174,20 @@ class TestStageOrdering:
         shutil.copytree(completed_run, out)
         rewrite_in_old_layout(out / name, SlopeOneModel)
         path = write_config(workdir, name=f"old_{stage}.json", output_dir=str(out))
+        assert main([stage, "--config", str(path)]) == 1
+        assert "rerun fit-candidates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["label", "evaluate"])
+    @pytest.mark.parametrize("cls", [KnnBasicModel, ContentBasedModel],
+                             ids=["KnnBasic", "ContentBased"])
+    def test_stage_rejects_dense_models_of_older_version(self, workdir, completed_mixed_run,
+                                                         capsys, stage, cls):
+        # KnnBasic's square similarity matrix or ContentBased's dense features
+        out = workdir / f"old_{cls.__name__}_{stage}_out"
+        shutil.copytree(completed_mixed_run, out)
+        rewrite_in_old_layout(out / "candidates_eval.pkl", cls)
+        path = write_config(workdir, name=f"old_{cls.__name__}_{stage}.json",
+                            preset="mixed", output_dir=str(out))
         assert main([stage, "--config", str(path)]) == 1
         assert "rerun fit-candidates" in capsys.readouterr().err
 
@@ -281,6 +304,8 @@ class TestFixtureReports:
     """`run-all` on the shipped fixture config writes these exact reports, so
     a change that moves any reported figure shows here."""
 
+    CANDIDATES_MAX_BYTES = {"cf": 350_000, "mixed": 750_000}
+
     @pytest.mark.parametrize("preset, report_sha, per_user_sha", [
         ("cf", "4cc6a3ced8829e367adacf4b7ab519ad1b6bc9e169c2ac64eaae6c62d2e7ecd2",
          "8a11f69d4bb950b2be795ccaba736a7ce8f1f835145b561c70c911e7f1427217"),
@@ -295,3 +320,5 @@ class TestFixtureReports:
         assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == report_sha
         assert hashlib.sha256(
             (tmp_path / "per_user_metrics.csv").read_bytes()).hexdigest() == per_user_sha
+        # no candidate pickles state that it can rebuild on load
+        assert (tmp_path / "candidates_eval.pkl").stat().st_size < self.CANDIDATES_MAX_BYTES[preset]

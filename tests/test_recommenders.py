@@ -130,6 +130,16 @@ class TestKnnBasic:
         assert np.allclose(model.sim, model.sim.T, atol=1e-12)
         assert np.all(model.sim <= 1.0 + 1e-12)
 
+    def test_similarities_exactly_symmetric(self, trh_slice, shipped_fixture):
+        # the pickle keeps the upper triangle; every ordered pair of the
+        # fitted matrix equals its own per-pair cosine
+        rank2, _ = rank2_dataset(seed=3, n_users=15, n_items=12)
+        knn = next(m for m in shipped_fixture[0] if m.spec.algorithm == "KnnBasic")
+        for model, train in ((fit(RecommenderSpec("KnnBasic"), rank2, seed=0), rank2),
+                             (knn, trh_slice[2])):
+            assert np.array_equal(model.sim, model.sim.T)
+            assert np.array_equal(model.sim, reference_similarities(model, train))
+
 
 class TestContentBased:
     def test_prefers_profile_matching_items(self, small_dataset):
@@ -398,19 +408,25 @@ class TestCatalogTopN:
     def test_slope_one_pickle_rebuilds_its_matrices(self, shipped_fixture):
         models, excludes = shipped_fixture
         model = next(m for m in models if m.spec.algorithm == "SlopeOne")
-        blob = pickle.dumps(model)
-        assert len(blob) < (model.dev.nbytes + model.counts.nbytes) / 10
-        loaded = pickle.loads(blob)
-        # the item-mean vector is built on first use, after a load too
-        assert list(loaded.__dict__) == [k for k in model.__dict__
-                                         if k != "_item_mean_vector"]
-        assert np.array_equal(loaded.dev, model.dev)
-        assert np.array_equal(loaded.counts, model.counts)
-        item_means = np.array([model.item_means.get(i, np.nan) for i in model.item_ids])
-        for uid in list(excludes) + ["cold-user"]:
-            for a, b in zip(loaded._estimate_catalog(uid, item_means),
-                            model._estimate_catalog(uid, item_means)):
-                assert np.array_equal(a, b)
+        assert len(pickle.dumps(model)) < (model.dev.nbytes + model.counts.nbytes) / 10
+        assert_load_rebuilds(model, excludes, ("dev", "counts"))
+
+    def test_knn_pickle_keeps_upper_triangle(self, shipped_fixture):
+        models, excludes = shipped_fixture
+        for model in (m for m in models if m.spec.algorithm == "KnnBasic"):
+            state = model.__getstate__()
+            assert not {"sim", "_rater_items"} & set(state)
+            n = len(model.user_ids)
+            assert state["_sim_upper"].shape == (n * (n - 1) // 2,)
+            assert_load_rebuilds(model, excludes, ("sim", "_rater_items"))
+
+    def test_content_pickle_keeps_feature_columns(self, shipped_fixture):
+        models, excludes = shipped_fixture
+        model = next(m for m in models if m.spec.algorithm == "ContentBased")
+        state = model.__getstate__()
+        assert not {"features", "_item_norms"} & set(state)
+        assert state["_feature_cols"].size == np.count_nonzero(model.features)
+        assert_load_rebuilds(model, excludes, ("features", "_item_norms"))
 
     def test_cold_user_counts_every_fallback(self, shipped_fixture):
         models, excludes = shipped_fixture
@@ -450,6 +466,23 @@ class TestCatalogTopN:
                 else:
                     assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
                 assert model.predict_rating(uid, items[0]) == got[0]
+
+
+def assert_load_rebuilds(model, excludes, derived):
+    """A pickled and loaded `model` rebuilds each `derived` attribute equal
+    to the fitted one, and estimates every user's catalog as it does."""
+    loaded = pickle.loads(pickle.dumps(model))
+    # the load rebuilds `derived` after the pickled state; the item-mean
+    # vector is built on first use, after a load too
+    assert list(loaded.__dict__) == [k for k in model.__dict__
+                                     if k not in model._derived] + list(derived)
+    for name in derived:
+        assert np.array_equal(getattr(loaded, name), getattr(model, name)), name
+    item_means = np.array([model.item_means.get(i, np.nan) for i in model.item_ids])
+    for uid in list(excludes) + ["cold-user"]:
+        for a, b in zip(loaded._estimate_catalog(uid, item_means),
+                        model._estimate_catalog(uid, item_means)):
+            assert np.array_equal(a, b)
 
 
 def warp_rep(model, i):
@@ -533,6 +566,25 @@ def reference_estimate(model, user, item):
     if hi <= lo:
         return 3.0
     return 1.0 + 4.0 * (warp_score(model, u, i) - lo) / (hi - lo)
+
+
+def reference_similarities(model, train):
+    """KnnBasic's cosine of every ordered pair of distinct users over their
+    co-rated items, pair by pair (no minimum support)."""
+    ratings: dict = {}
+    for r in train:
+        ratings.setdefault(r.user_id, {})[r.item_id] = float(r.rating)
+    sim = np.zeros((len(model.user_ids),) * 2)
+    for a, u in enumerate(model.user_ids):
+        for b, v in enumerate(model.user_ids):
+            common = sorted(ratings[u].keys() & ratings[v].keys())
+            if a == b or not common:
+                continue
+            dot = sum(ratings[u][i] * ratings[v][i] for i in common)
+            norm = math.sqrt(sum(ratings[u][i] ** 2 for i in common)
+                             * sum(ratings[v][i] ** 2 for i in common))
+            sim[a, b] = dot / norm
+    return sim
 
 
 def reference_rating(model, user, item):

@@ -60,14 +60,21 @@ class SlopeOneModel(FittedRecommender):
         user-by-user accumulation.
         """
         n = len(self.item_ids)
-        users = self._user_items.values()
-        pairs = np.concatenate([(idx[:, None] * n + idx).ravel() for idx, _ in users])
-        diffs = np.concatenate([(vals[:, None] - vals).ravel() for _, vals in users])
+        users = list(self._user_items.values())
+        ends = np.cumsum([len(idx) ** 2 for idx, _ in users])
+        pairs = np.empty(ends[-1], dtype=np.intp)
+        diffs = np.empty(ends[-1])
+        for (idx, vals), end in zip(users, ends):
+            span = slice(end - len(idx) ** 2, end)
+            pairs[span] = (idx[:, None] * n + idx).ravel()
+            diffs[span] = (vals[:, None] - vals).ravel()
         dev_sum = np.bincount(pairs, weights=diffs, minlength=n * n).reshape(n, n)
+        del diffs  # the pair arrays outsize the n x n ones on the fixture
         counts = np.bincount(pairs, minlength=n * n).reshape(n, n)
+        del pairs
         np.fill_diagonal(counts, 0)
-        with np.errstate(invalid="ignore"):
-            self.dev = np.where(counts > 0, dev_sum / np.maximum(counts, 1), 0.0)
+        # dev_sum is 0.0 wherever counts is 0, the diagonal included
+        self.dev = np.divide(dev_sum, counts, out=dev_sum, where=counts > 0)
         self.counts = counts
 
     def _estimate_catalog(self, user, item_means):

@@ -53,28 +53,17 @@ class SlopeOneModel(FittedRecommender):
         self._build_derived()
 
     def _build_derived(self):
-        """The item x item mean deviations `dev` and co-rating `counts`.
-
-        `bincount` adds each item pair's terms in input order, from zero,
-        so taking the users in `_user_items` order gives the sums of a
-        user-by-user accumulation.
-        """
+        """The item x item mean deviations `dev` and co-rating `counts`,
+        accumulated user by user in `_user_items` order."""
         n = len(self.item_ids)
-        users = list(self._user_items.values())
-        ends = np.cumsum([len(idx) ** 2 for idx, _ in users])
-        pairs = np.empty(ends[-1], dtype=np.intp)
-        diffs = np.empty(ends[-1])
-        for (idx, vals), end in zip(users, ends):
-            span = slice(end - len(idx) ** 2, end)
-            pairs[span] = (idx[:, None] * n + idx).ravel()
-            diffs[span] = (vals[:, None] - vals).ravel()
-        dev_sum = np.bincount(pairs, weights=diffs, minlength=n * n).reshape(n, n)
-        del diffs  # the pair arrays outsize the n x n ones on the fixture
-        counts = np.bincount(pairs, minlength=n * n).reshape(n, n)
-        del pairs
+        dev_sum = np.zeros((n, n))
+        counts = np.zeros((n, n), dtype=np.int64)
+        for idx, vals in self._user_items.values():
+            dev_sum[np.ix_(idx, idx)] += vals[:, None] - vals[None, :]
+            counts[np.ix_(idx, idx)] += 1
         np.fill_diagonal(counts, 0)
-        # dev_sum is 0.0 wherever counts is 0, the diagonal included
-        self.dev = np.divide(dev_sum, counts, out=dev_sum, where=counts > 0)
+        with np.errstate(invalid="ignore"):
+            self.dev = np.where(counts > 0, dev_sum / np.maximum(counts, 1), 0.0)
         self.counts = counts
 
     def _estimate_catalog(self, user, item_means):

@@ -327,10 +327,8 @@ def _segment_sums(values, lengths) -> np.ndarray:
     columns = np.ascontiguousarray(values.T)  # one row per column of `values`
     out = np.zeros(columns.shape[:-1] + (len(lengths),))
     start = np.cumsum(lengths) - lengths
-    nonempty = np.flatnonzero(lengths)
-    by_length = nonempty[np.argsort(lengths[nonempty], kind="stable")]
-    sizes, first = np.unique(lengths[by_length], return_index=True)
-    for m, rows in zip(sizes.tolist(), np.split(by_length, first[1:])):
+    for m in np.unique(lengths[lengths > 0]):
+        rows = np.flatnonzero(lengths == m)
         # take, unlike columns[..., index], returns a C-contiguous array
         runs = columns.take(start[rows, None] + np.arange(m), axis=-1)
         out[..., rows] = runs.sum(axis=-1)

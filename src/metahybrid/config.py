@@ -92,6 +92,11 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
 
     cold = raw.get("cold_start", {})
     _check_keys(cold, ("enabled", "min_keep", "max_keep"), "cold_start")
+    min_keep, max_keep = cold.get("min_keep", 5), cold.get("max_keep")
+    if type(min_keep) is not int or min_keep < 1:
+        raise ConfigError("cold_start.min_keep must be an int >= 1")
+    if max_keep is not None and (type(max_keep) is not int or max_keep < min_keep):
+        raise ConfigError("cold_start.max_keep must be null or an int >= min_keep")
 
     split_raw = dict(raw.get("split", {}))
     _check_keys(split_raw, ("outer_ratio", "inner_ratio", "mode"), "split")
@@ -120,6 +125,9 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         if value is not None and name not in merged:
             merged[name] = cast(value)
 
+    if merged.get("preset") and raw.get("candidates"):
+        raise ConfigError("--preset or METAHYBRID_PRESET would be ignored: "
+                          "the config lists candidates")
     if "inner_ratio" in merged:
         split_raw["inner_ratio"] = merged.pop("inner_ratio")
     if "ndcg_cutoff" in merged:
@@ -133,8 +141,8 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
             items_path=ds.get("items"),
             metadata_path=ds.get("metadata"),
             cold_start_enabled=bool(cold.get("enabled", False)),
-            cold_start_min_keep=int(cold.get("min_keep", 5)),
-            cold_start_max_keep=cold.get("max_keep"),
+            cold_start_min_keep=min_keep,
+            cold_start_max_keep=max_keep,
             min_ratings=int(raw.get("min_ratings", 0)),
             preset=merged.pop("preset", raw.get("preset")),
             explicit_candidates=raw.get("candidates"),
@@ -150,9 +158,9 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
             output_dir=merged.pop("output_dir", raw.get("output_dir", "out")),
             seed=merged.pop("seed", int(raw.get("seed", 0))),
         )
+        cfg.candidate_set()  # validates preset / candidate specs
     except ValueError as e:
         raise ConfigError(str(e)) from e
     if merged:
         raise ConfigError(f"unknown overrides {sorted(merged)}")
-    cfg.candidate_set()  # validates preset / candidate specs
     return cfg

@@ -86,11 +86,15 @@ class Dataset:
 
     def __post_init__(self):
         self.ratings = sorted(self.ratings, key=lambda r: (r.user_id, r.timestamp, r.item_id))
+        rated = set()
         for r in self.ratings:
             if r.item_id not in self.items:
                 raise IngestError(f"rating references unknown item {r.item_id!r}")
             if r.user_id not in self.users:
                 raise IngestError(f"rating references unknown user {r.user_id!r}")
+            if (r.user_id, r.item_id) in rated:
+                raise IngestError(f"user {r.user_id!r} rated item {r.item_id!r} twice")
+            rated.add((r.user_id, r.item_id))
 
     def ratings_by_user(self) -> dict:
         """Per-user rating lists, chronological (ratings are pre-sorted)."""

@@ -32,7 +32,6 @@ class ForestParams:
     min_samples_split: int = 3
     min_samples_leaf: int = 2
     max_features: str | int = "sqrt"  # ceil(sqrt(d)); or an explicit int >= 1
-    criterion: str = "gini"
     bootstrap: bool = True
     class_weight: str | None = None  # None or "balanced"
     seed: int = 0
@@ -55,8 +54,6 @@ class ForestParams:
         if self.max_features != "sqrt" and not (
                 type(self.max_features) is int and self.max_features >= 1):
             raise ValueError("max_features must be 'sqrt' or an int >= 1")
-        if self.criterion != "gini":
-            raise ValueError("only the gini criterion is supported")
         if self.class_weight not in (None, "balanced"):
             raise ValueError("class_weight must be None or 'balanced'")
 

@@ -10,7 +10,7 @@ from .collaborative import (
     SlopeOneModel,
     SvdMfModel,
 )
-from .content import ContentBasedModel, item_feature_matrix
+from .content import ContentBasedModel
 from .warp import WarpHybridModel
 
 _MODEL_CLASSES = {
@@ -37,5 +37,4 @@ __all__ = [
     "FittedRecommender",
     "RecommenderSpec",
     "fit",
-    "item_feature_matrix",
 ]

@@ -7,6 +7,7 @@ cold-case fallback chain, and ranks the catalog for Top-N recommendation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -20,8 +21,7 @@ PARAM_DEFAULTS = {
     "CoClustering": {"user_clusters": 7, "item_clusters": 5, "epochs": 30},
     "SvdMf": {"factors": 20, "epochs": 30, "learn_rate": 0.005, "reg": 0.02,
               "init_std": 0.1},
-    "KnnBasic": {"k": 50, "similarity": "cosine", "user_based": True,
-                 "min_support": 1},
+    "KnnBasic": {"k": 50, "min_support": 1},
     "ContentBased": {"use_keywords": True},
     "WarpHybrid": {"components": 30, "epochs": 30, "learn_rate": 0.05,
                    "margin": 1.0, "max_trials": 100, "positive_threshold": 4},
@@ -62,6 +62,7 @@ class FittedRecommender:
     # attributes rebuilt from the rest of the model, left out of its pickle;
     # a pickled state that holds one is of an older, larger layout
     _derived = ("_item_mean_vector",)
+    _retired = ()  # attributes of older layouts that cannot be loaded
 
     def __init__(self, spec: RecommenderSpec, train, items, seed: int):
         if not train:
@@ -71,26 +72,35 @@ class FittedRecommender:
         self.seed = seed
         self.fallback_count = 0
 
-        self.item_ids = sorted(items) if items else sorted({r.item_id for r in train})
+        # the one encoding of the slice: user index, catalog index and
+        # rating of each event, in the slice's order
+        raw_users, raw_items, ratings = zip(*((r.user_id, r.item_id, r.rating)
+                                              for r in train))
+        self.item_ids = sorted(items) if items else sorted(set(raw_items))
         self.iidx = {iid: j for j, iid in enumerate(self.item_ids)}
-        self.user_ids = sorted({r.user_id for r in train})
+        self.user_ids = sorted(set(raw_users))
         self.uidx = {uid: j for j, uid in enumerate(self.user_ids)}
+        users = np.array([self.uidx[u] for u in raw_users])
+        cols = np.array([self.iidx[i] for i in raw_items])
+        ratings = np.array(ratings, dtype=float)
 
-        self.global_mean = float(np.mean([r.rating for r in train]))
-        usum, ucnt, isum, icnt = {}, {}, {}, {}
-        for r in train:
-            usum[r.user_id] = usum.get(r.user_id, 0.0) + r.rating
-            ucnt[r.user_id] = ucnt.get(r.user_id, 0) + 1
-            isum[r.item_id] = isum.get(r.item_id, 0.0) + r.rating
-            icnt[r.item_id] = icnt.get(r.item_id, 0) + 1
-        self.user_means = {u: usum[u] / ucnt[u] for u in usum}
-        self.item_means = {i: isum[i] / icnt[i] for i in isum}
+        self.global_mean = float(ratings.mean())
+        means = group_means(users, ratings, len(self.user_ids)).tolist()
+        self.user_means = dict(zip(self.user_ids, means))
+        means = group_means(cols, ratings, len(self.item_ids)).tolist()
+        self.item_means = {iid: m for iid, m in zip(self.item_ids, means)
+                           if not math.isnan(m)}  # NaN: nobody rated the item
+        self._fit(users, cols, ratings, items)
+
+    def _fit(self, users, cols, ratings, items):
+        """Fit the algorithm on the encoded slice (indexes into `user_ids`
+        and `item_ids`); `items` is the item catalog, or empty."""
 
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k not in self._derived}
 
     def __setstate__(self, state):
-        if not set(self._derived).isdisjoint(state):
+        if not set(self._derived + self._retired).isdisjoint(state):
             raise ValueError(f"{state['spec'].algorithm} model pickled by an older "
                              "version; rerun fit-candidates")
         self.__dict__.update(state)
@@ -107,7 +117,7 @@ class FittedRecommender:
         vec.flags.writeable = False
         return vec
 
-    # -- algorithm hook --------------------------------------------------
+    # -- algorithm hooks -------------------------------------------------
 
     def _estimate_catalog(self, user, item_means) -> tuple:
         """The algorithm's rating estimate for every item of `item_ids`.
@@ -182,3 +192,16 @@ class FittedRecommender:
         positions = np.flatnonzero(keep)  # ascending, so ascending item id
         order = np.lexsort((positions, -scores))[:n]
         return [self.item_ids[j] for j in positions[order]]
+
+
+def group_means(index, ratings, n, empty=math.nan) -> np.ndarray:
+    """The mean rating of each of `n` groups, `empty` for a group with none;
+    exact sums, since the ratings are integers."""
+    count = np.bincount(index, minlength=n)
+    return np.where(count > 0, np.bincount(index, ratings, n) / np.maximum(count, 1), empty)
+
+
+def by_user_item(users, cols, ratings) -> tuple:
+    """The encoded slice in (user, item) order, the order of the raw ids."""
+    order = np.lexsort((cols, users))
+    return users[order], cols[order], ratings[order]

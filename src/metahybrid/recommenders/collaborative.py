@@ -5,20 +5,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import FittedRecommender
+from .base import FittedRecommender, by_user_item, group_means
 
 
 class BaselineOnlyModel(FittedRecommender):
     """r_hat = mu + b_u + b_i with biases learned by regularized SGD."""
 
-    def __init__(self, spec, train, items, seed):
-        super().__init__(spec, train, items, seed)
+    def _fit(self, users, cols, ratings, items):
         lr = self.params["learn_rate"]
         reg = self.params["reg"]
         mu = self.global_mean
         bu = np.zeros(len(self.user_ids))
         bi = np.zeros(len(self.item_ids))
-        waves = _sgd_waves(self, train)
+        waves = _sgd_waves(users, cols, ratings)
         for _ in range(self.params["epochs"]):
             for u, i, rating in waves:
                 bu_u, bi_i = bu[u], bi[i]
@@ -40,16 +39,12 @@ class SlopeOneModel(FittedRecommender):
     # the dense matrices take 16 bytes per item pair; rebuild them on load
     _derived = FittedRecommender._derived + ("dev", "counts")
 
-    def __init__(self, spec, train, items, seed):
-        super().__init__(spec, train, items, seed)
-        self._user_items: dict = {}
-        by_user: dict = {}
-        for r in train:
-            by_user.setdefault(r.user_id, []).append(r)
-        for uid in sorted(by_user):
-            events = sorted(by_user[uid], key=lambda r: r.item_id)
-            self._user_items[uid] = (np.array([self.iidx[r.item_id] for r in events]),
-                                     np.array([float(r.rating) for r in events]))
+    def _fit(self, users, cols, ratings, items):
+        # each user's (catalog indexes, ratings) by catalog index; every user rated
+        users, cols, ratings = by_user_item(users, cols, ratings)
+        cuts = np.flatnonzero(np.diff(users)) + 1
+        self._user_items = dict(zip(self.user_ids, zip(np.split(cols, cuts),
+                                                       np.split(ratings, cuts))))
         self._build_derived()
 
     def _build_derived(self):
@@ -81,27 +76,16 @@ class SlopeOneModel(FittedRecommender):
 class CoClusteringModel(FittedRecommender):
     """Alternating user/item cluster assignment with co-cluster mean prediction."""
 
-    def __init__(self, spec, train, items, seed):
-        super().__init__(spec, train, items, seed)
+    def _fit(self, users, cols, ratings, items):
         ku = self.params["user_clusters"]
         ki = self.params["item_clusters"]
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(self.seed)
         nu, ni = len(self.user_ids), len(self.item_ids)
+        u_arr, i_arr, r_arr = by_user_item(users, cols, ratings)
 
-        u_arr = np.array([self.uidx[r.user_id] for r in train])
-        i_arr = np.array([self.iidx[r.item_id] for r in train])
-        r_arr = np.array([float(r.rating) for r in train])
-        order = np.lexsort((i_arr, u_arr))
-        u_arr, i_arr, r_arr = u_arr[order], i_arr[order], r_arr[order]
-
-        umean = np.full(nu, self.global_mean)
-        imean = np.full(ni, self.global_mean)
-        np.add.at(ucnt := np.zeros(nu), u_arr, 1)
-        np.add.at(usum := np.zeros(nu), u_arr, r_arr)
-        np.add.at(icnt := np.zeros(ni), i_arr, 1)
-        np.add.at(isum := np.zeros(ni), i_arr, r_arr)
-        umean[ucnt > 0] = usum[ucnt > 0] / ucnt[ucnt > 0]
-        imean[icnt > 0] = isum[icnt > 0] / icnt[icnt > 0]
+        umean = np.array([self.user_means[uid] for uid in self.user_ids])
+        # a never-rated item takes the global mean
+        imean = np.nan_to_num(self._item_mean_vector, nan=self.global_mean)
 
         ug = rng.integers(0, ku, size=nu)
         ig = rng.integers(0, ki, size=ni)
@@ -135,20 +119,11 @@ class CoClusteringModel(FittedRecommender):
         self.umean, self.imean = umean, imean
 
     def _averages(self, ku, ki, ug, ig, u_arr, i_arr, r_arr):
-        A_sum = np.zeros((ku, ki))
-        A_cnt = np.zeros((ku, ki))
-        np.add.at(A_sum, (ug[u_arr], ig[i_arr]), r_arr)
-        np.add.at(A_cnt, (ug[u_arr], ig[i_arr]), 1)
-        A = np.where(A_cnt > 0, A_sum / np.maximum(A_cnt, 1), self.global_mean)
-        g_sum, g_cnt = np.zeros(ku), np.zeros(ku)
-        np.add.at(g_sum, ug[u_arr], r_arr)
-        np.add.at(g_cnt, ug[u_arr], 1)
-        Ag = np.where(g_cnt > 0, g_sum / np.maximum(g_cnt, 1), self.global_mean)
-        h_sum, h_cnt = np.zeros(ki), np.zeros(ki)
-        np.add.at(h_sum, ig[i_arr], r_arr)
-        np.add.at(h_cnt, ig[i_arr], 1)
-        Ah = np.where(h_cnt > 0, h_sum / np.maximum(h_cnt, 1), self.global_mean)
-        return A, Ag, Ah
+        """Mean rating of each co-cluster, user cluster and item cluster;
+        the global mean where one holds no rating."""
+        g, h, mu = ug[u_arr], ig[i_arr], self.global_mean
+        return (group_means(g * ki + h, r_arr, ku * ki, mu).reshape(ku, ki),
+                group_means(g, r_arr, ku, mu), group_means(h, r_arr, ki, mu))
 
     def _estimate_catalog(self, user, item_means):
         known = ~np.isnan(item_means)
@@ -165,18 +140,17 @@ class CoClusteringModel(FittedRecommender):
 class SvdMfModel(FittedRecommender):
     """Biased matrix factorization trained by SGD (probabilistic-MF family)."""
 
-    def __init__(self, spec, train, items, seed):
-        super().__init__(spec, train, items, seed)
+    def _fit(self, users, cols, ratings, items):
         f = self.params["factors"]
         lr = self.params["learn_rate"]
         reg = self.params["reg"]
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(self.seed)
         nu, ni = len(self.user_ids), len(self.item_ids)
         p = rng.normal(0.0, self.params["init_std"], size=(nu, f))
         q = rng.normal(0.0, self.params["init_std"], size=(ni, f))
         bu, bi = np.zeros(nu), np.zeros(ni)
         mu = self.global_mean
-        waves = _sgd_waves(self, train)
+        waves = _sgd_waves(users, cols, ratings)
         for _ in range(self.params["epochs"]):
             for u, i, rating in waves:
                 # copies of the wave's rows, as they stand before it
@@ -210,43 +184,28 @@ class KnnBasicModel(FittedRecommender):
     # upper triangle, and the square matrix is rebuilt on load
     _derived = FittedRecommender._derived + ("sim", "_rater_items")
 
-    def __init__(self, spec, train, items, seed):
-        super().__init__(spec, train, items, seed)
-        if self.params["similarity"] != "cosine":
-            raise ValueError("KnnBasic supports only cosine similarity")
-        if self.params["user_based"] is not True:
-            raise ValueError("KnnBasic supports only user_based=True")
-        nu = len(self.user_ids)
-        dot = np.zeros((nu, nu))
-        sq = np.zeros((nu, nu))  # sq[u, v] = sum of r_u^2 over items co-rated with v
-        item_raters: dict = {}
-        by_item: dict = {}
-        for r in train:
-            by_item.setdefault(r.item_id, []).append(r)
-        for iid in sorted(by_item):
-            events = sorted(by_item[iid], key=lambda r: r.user_id)
-            idx = np.array([self.uidx[r.user_id] for r in events])
-            vals = np.array([float(r.rating) for r in events])
-            dot[np.ix_(idx, idx)] += np.outer(vals, vals)
-            sq[np.ix_(idx, idx)] += vals[:, None] ** 2
-            item_raters[iid] = (idx, vals)
-        support = np.zeros((nu, nu), dtype=np.int64)
-        for idx, _ in item_raters.values():
-            support[np.ix_(idx, idx)] += 1
+    def _fit(self, users, cols, ratings, items):
+        # R: the user x catalog ratings, M: its 0/1 pattern. Their products sum
+        # small integers, exact in any order, so sim is exactly symmetric
+        R = np.zeros((len(self.user_ids), len(self.item_ids)))
+        R[users, cols] = ratings
+        M = (R > 0).astype(float)
+        weak = M @ M.T < self.params["min_support"]  # too few co-rated items
+        dot = R @ R.T
         # raters of catalog item j, ascending user index: positions
         # _rater_ptr[j]:_rater_ptr[j + 1] of _raters and _rater_vals
-        no_raters = (np.zeros(0, dtype=np.int64), np.zeros(0))
-        per_item = [item_raters.get(iid, no_raters) for iid in self.item_ids]
-        self._rater_ptr = np.cumsum([0] + [len(idx) for idx, _ in per_item])
-        self._raters = np.concatenate([idx for idx, _ in per_item])
-        self._rater_vals = np.concatenate([vals for _, vals in per_item])
-        # dot, sq * sq.T and support get the same terms in the same order at
-        # (u, v) and (v, u), so sim is exactly symmetric
-        norm = np.sqrt(sq * sq.T)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            sim = np.where(norm > 0, dot / np.where(norm > 0, norm, 1.0), 0.0)
-        sim[support < self.params["min_support"]] = 0.0
-        self._sim_upper = sim[np.triu_indices(nu, 1)]
+        rater_items, raters = np.nonzero(R.T)
+        per_item = np.bincount(rater_items, minlength=len(self.item_ids))
+        self._rater_ptr = np.concatenate(([0], np.cumsum(per_item)))
+        self._raters = raters.astype(np.int32)
+        self._rater_vals = R.T[rater_items, raters].astype(np.int8)
+        sq = np.square(R, out=R) @ M.T  # sq[u, v]: sum of r_u^2 over items co-rated with v
+        del R, M
+        sq *= sq.T
+        norm = np.sqrt(sq, out=sq)
+        sim = np.divide(dot, norm, out=np.zeros_like(dot), where=norm > 0)
+        sim[weak] = 0.0
+        self._sim_upper = sim[np.triu_indices(len(self.user_ids), 1)]
         self._build_derived()
 
     def _build_derived(self):
@@ -288,9 +247,9 @@ class KnnBasicModel(FittedRecommender):
         return np.divide(sums[:, 0], sums[:, 1], out=np.zeros(n), where=defined), defined
 
 
-def _sgd_waves(model, train) -> list:
-    """The SGD updates of `train`, in (user, item) order, grouped into
-    waves of (users, items, ratings) arrays to be applied one after another.
+def _sgd_waves(users, items, ratings) -> list:
+    """The SGD updates of the encoded slice in (user, item) order, grouped
+    into waves of (users, items, ratings) arrays applied one after another.
 
     Each update goes one wave after the last earlier update of its user or
     of its item, so no wave holds a user or an item twice. An update then
@@ -298,20 +257,16 @@ def _sgd_waves(model, train) -> list:
     loop, whatever the order within its wave, and a wave can run as one
     batch with the loop's results (Gemulla et al., KDD 2011).
     """
-    events = sorted(train, key=lambda r: (r.user_id, r.item_id))
-    users = [model.uidx[r.user_id] for r in events]
-    items = [model.iidx[r.item_id] for r in events]
-    next_u = [0] * len(model.user_ids)  # the first wave free for each user
-    next_i = [0] * len(model.item_ids)
+    users, items, ratings = by_user_item(users, items, ratings)
+    next_u = [0] * (int(users.max()) + 1)  # the first wave free for each user
+    next_i = [0] * (int(items.max()) + 1)
     wave = []
-    for u, i in zip(users, items):
+    for u, i in zip(users.tolist(), items.tolist()):
         w = max(next_u[u], next_i[i])
         next_u[u] = next_i[i] = w + 1
         wave.append(w)
     order = np.argsort(wave, kind="stable")
     cuts = np.cumsum(np.bincount(wave))[:-1]
-    users, items = np.array(users), np.array(items)
-    ratings = np.array([float(r.rating) for r in events])
     return [(users[k], items[k], ratings[k]) for k in np.split(order, cuts)]
 
 

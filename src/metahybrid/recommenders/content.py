@@ -47,13 +47,6 @@ def feature_matrix(ptr, cols, width, normalize: bool = True):
     return mat
 
 
-def item_feature_matrix(items: dict, item_ids, use_keywords: bool = True,
-                        normalize: bool = True):
-    """One-hot genre (+ keyword) vectors per item, L2-normalized rows; the
-    columns of `item_feature_columns`."""
-    return feature_matrix(*item_feature_columns(items, item_ids, use_keywords), normalize)
-
-
 class ContentBasedModel(FittedRecommender):
     """r_hat = 1 + 4 * cosine(user profile, item vector).
 
@@ -65,18 +58,15 @@ class ContentBasedModel(FittedRecommender):
     # the pickle keeps each item's feature columns, not the dense matrix
     _derived = FittedRecommender._derived + ("features", "_item_norms")
 
-    def __init__(self, spec, train, items, seed):
-        if not items:
-            raise ValueError("ContentBased requires an item catalog with features")
-        super().__init__(spec, train, items, seed)
+    def _fit(self, users, cols, ratings, items):
         self._feature_ptr, self._feature_cols, self._n_features = item_feature_columns(
             items, self.item_ids, use_keywords=self.params["use_keywords"])
         self._build_derived()
+        # summed in the slice's order, chronological within each user
         profiles: dict = {}
-        for r in train:
-            vec = self.features[self.iidx[r.item_id]]
-            acc = profiles.setdefault(r.user_id, np.zeros(self.features.shape[1]))
-            acc += r.rating * vec
+        for u, j, rating in zip(users.tolist(), cols.tolist(), ratings.tolist()):
+            acc = profiles.setdefault(self.user_ids[u], np.zeros(self._n_features))
+            acc += rating * self.features[j]
         self.profiles = profiles
         self._profile_norms = {u: float(np.linalg.norm(v)) for u, v in profiles.items()}
 

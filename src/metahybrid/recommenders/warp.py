@@ -9,8 +9,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .base import FittedRecommender
-from .content import item_feature_matrix
+from .base import FittedRecommender, by_user_item
+from .content import feature_matrix, item_feature_columns
 
 _BATCH = 64  # positives scored against one snapshot of the parameters
 _CHUNK = 10  # negatives scored for every positive before the rest
@@ -30,47 +30,38 @@ class WarpHybridModel(FittedRecommender):
     """
 
     _derived = FittedRecommender._derived + ("_reps",)
+    _retired = ("_item_feats",)  # per-item feature index lists
 
-    def __init__(self, spec, train, items, seed):
-        if not items:
-            raise ValueError("WarpHybrid requires an item catalog with features")
-        super().__init__(spec, train, items, seed)
+    def _fit(self, users, cols, ratings, items):
         d = self.params["components"]
-        rng = np.random.default_rng(seed)
-
-        content = item_feature_matrix(items, self.item_ids,
-                                      use_keywords=True, normalize=False)
+        rng = np.random.default_rng(self.seed)
+        self._feature_ptr, self._feature_cols, self._n_features = item_feature_columns(
+            items, self.item_ids)
+        content = feature_matrix(self._feature_ptr, self._feature_cols, self._n_features,
+                                 normalize=False)
         ni = len(self.item_ids)
-        # feature index lists per item: content features then the identity feature
-        n_content = content.shape[1]
-        self._item_feats = [
-            np.concatenate([np.flatnonzero(content[i]), [n_content + i]])
-            for i in range(ni)
-        ]
-        nf = n_content + ni
         scale = 1.0 / math.sqrt(d)
-        self.F = rng.normal(0.0, scale, size=(nf, d))
+        self.F = rng.normal(0.0, scale, size=(self._n_features + ni, d))
         self.U = rng.normal(0.0, scale, size=(len(self.user_ids), d))
         self.b = np.zeros(ni)
 
-        thr = self.params["positive_threshold"]
-        positives = [(self.uidx[r.user_id], self.iidx[r.item_id])
-                     for r in sorted(train, key=lambda r: (r.user_id, r.item_id))
-                     if r.rating >= thr]
-        self._train(positives, content, rng)
+        users, cols, ratings = by_user_item(users, cols, ratings)
+        positive = ratings >= self.params["positive_threshold"]
+        self._train(list(zip(users[positive].tolist(), cols[positive].tolist())),
+                    content, rng)
 
     @cached_property
     def _reps(self) -> np.ndarray:
-        """Each item's representation, one row each: the sum of its feature
-        embeddings, added in `_item_feats` order."""
-        lengths = np.array([len(f) for f in self._item_feats])
-        flat = np.concatenate(self._item_feats)
-        start = np.cumsum(lengths) - lengths
+        """Each item's representation, one row each: the sum of its content
+        features' embeddings, in ascending column order, then its identity
+        row."""
+        ptr, cols = self._feature_ptr, self._feature_cols
+        lengths = np.diff(ptr)
         reps = np.zeros((len(lengths), self.F.shape[1]))
-        for j in range(lengths.max()):
+        for j in range(lengths.max(initial=0)):
             rows = np.flatnonzero(lengths > j)
-            reps[rows] += self.F[flat[start[rows] + j]]
-        return reps
+            reps[rows] += self.F[cols[ptr[rows] + j]]
+        return reps + self.F[self._n_features:]
 
     def _train(self, positives, content, rng):
         """Mini-batch WARP with a norm bound.

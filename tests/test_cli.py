@@ -17,6 +17,7 @@ from metahybrid.forest import ForestModel
 from metahybrid.fixtures import make_fixture, write_movielens_files
 from metahybrid.recommenders.collaborative import KnnBasicModel, SlopeOneModel
 from metahybrid.recommenders.content import ContentBasedModel
+from metahybrid.recommenders.warp import WarpHybridModel
 
 
 @pytest.fixture(scope="module")
@@ -48,13 +49,14 @@ def write_config(workdir, name="exp.json", **updates):
     return path
 
 
-def rewrite_in_old_layout(path, cls):
+def rewrite_in_old_layout(path, cls, **retired):
     """Re-pickle an artifact with every `cls` object stored as its whole
-    `__dict__`, as versions before the compact pickles stored them."""
+    `__dict__`, as versions before the compact pickles stored them, plus
+    the `retired` attributes."""
     class OldPickler(pickle.Pickler):
         def reducer_override(self, obj):
             if type(obj) is cls:
-                return copyreg.__newobj__, (cls,), dict(obj.__dict__)
+                return copyreg.__newobj__, (cls,), dict(obj.__dict__, **retired)
             return NotImplemented
 
     with open(path, "rb") as fh:
@@ -127,6 +129,42 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=message):
             load_config(path)
 
+    @pytest.mark.parametrize("cold, message", [
+        ({"max_keep": "10"}, "max_keep must be null or an int >= min_keep"),
+        ({"min_keep": 5, "max_keep": 4}, "max_keep must be null or an int >= min_keep"),
+        ({"min_keep": 0}, "min_keep must be an int >= 1"),
+        ({"min_keep": "5"}, "min_keep must be an int >= 1"),
+    ])
+    def test_bad_cold_start_values(self, workdir, capsys, cold, message):
+        path = write_config(workdir, name="bad8.json", cold_start={"enabled": True, **cold})
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+        assert main(["ingest", "--config", str(path)]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_preset_override_with_candidates_rejected(self, workdir, monkeypatch):
+        path = write_config(workdir, name="bad9.json", preset=None,
+                            candidates=[{"algorithm": "SlopeOne", "params": {}},
+                                        {"algorithm": "SvdMf", "params": {}}])
+        assert load_config(path).candidate_set().names == ["SlopeOne", "SvdMf"]
+        with pytest.raises(ConfigError, match="the config lists candidates"):
+            load_config(path, {"preset": "mixed"})
+        monkeypatch.setenv("METAHYBRID_PRESET", "mixed")
+        with pytest.raises(ConfigError, match="the config lists candidates"):
+            load_config(path)
+
+    @pytest.mark.parametrize("updates, message", [
+        ({"candidates": [{"algorithm": "KnnBasic", "params": {"similarity": "cosine"}}]},
+         r"KnnBasic: unknown params \['similarity'\]"),
+        ({"candidates": [{"algorithm": "KnnBasic", "params": {"user_based": True}}]},
+         r"KnnBasic: unknown params \['user_based'\]"),
+        ({"forest": {"criterion": "gini"}}, r"forest: unknown keys \['criterion'\]"),
+    ])
+    def test_single_value_settings_rejected(self, workdir, updates, message):
+        path = write_config(workdir, name="bad10.json", preset=None, **updates)
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+
     def test_missing_config_file(self, workdir, capsys):
         assert main(["ingest", "--config", str(workdir / "nope.json")]) == 1
         assert "missing config file" in capsys.readouterr().err
@@ -178,14 +216,16 @@ class TestStageOrdering:
         assert "rerun fit-candidates" in capsys.readouterr().err
 
     @pytest.mark.parametrize("stage", ["label", "evaluate"])
-    @pytest.mark.parametrize("cls", [KnnBasicModel, ContentBasedModel],
-                             ids=["KnnBasic", "ContentBased"])
+    @pytest.mark.parametrize("cls", [KnnBasicModel, ContentBasedModel, WarpHybridModel],
+                             ids=["KnnBasic", "ContentBased", "WarpHybrid"])
     def test_stage_rejects_dense_models_of_older_version(self, workdir, completed_mixed_run,
                                                          capsys, stage, cls):
-        # KnnBasic's square similarity matrix or ContentBased's dense features
+        # KnnBasic's square similarity matrix, ContentBased's dense features
+        # or WarpHybrid's per-item feature index lists
+        retired = {"_item_feats": [[0, 5]]} if cls is WarpHybridModel else {}
         out = workdir / f"old_{cls.__name__}_{stage}_out"
         shutil.copytree(completed_mixed_run, out)
-        rewrite_in_old_layout(out / "candidates_eval.pkl", cls)
+        rewrite_in_old_layout(out / "candidates_eval.pkl", cls, **retired)
         path = write_config(workdir, name=f"old_{cls.__name__}_{stage}.json",
                             preset="mixed", output_dir=str(out))
         assert main([stage, "--config", str(path)]) == 1

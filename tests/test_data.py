@@ -73,6 +73,20 @@ def test_referential_integrity_enforced():
                 users={1: UserRecord(user_id=1)})
 
 
+def test_movielens_pair_rated_twice_rejected(tmp_path, tiny_movielens):
+    ratings = tmp_path / "ratings.dat"
+    ratings.write_text("1::1193::5::978300760\n1::661::3::978302109\n1::1193::4::978300800\n")
+    with pytest.raises(IngestError, match="user 1 rated item 1193 twice"):
+        load_movielens(ratings, tiny_movielens / "users.dat", tiny_movielens / "movies.dat")
+
+
+def test_generic_csv_pair_rated_twice_rejected(tmp_path):
+    p = tmp_path / "ratings.csv"
+    p.write_text("user,item,rating,timestamp\nu1,i1,4,100\nu2,i1,5,50\nu1,i1,2,300\n")
+    with pytest.raises(IngestError, match="user 'u1' rated item 'i1' twice"):
+        load_generic_ratings(p)
+
+
 def test_generic_csv_loader(tmp_path):
     p = tmp_path / "ratings.csv"
     p.write_text("user,item,rating,timestamp\nu1,i1,4,100\nu1,i2,2,200\nu2,i1,5,50\n")

@@ -173,8 +173,8 @@ class TestParams:
             ForestParams(min_samples_split=1)
         with pytest.raises(ValueError):
             ForestParams(min_samples_leaf=0)
-        with pytest.raises(ValueError):
-            ForestParams(criterion="entropy")
+        with pytest.raises(TypeError, match="criterion"):  # Gini is the only criterion
+            ForestParams(criterion="gini")
         with pytest.raises(ValueError):
             ForestParams(class_weight="weird")
 

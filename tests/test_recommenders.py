@@ -8,6 +8,7 @@ import pytest
 from metahybrid import recommenders as rec
 from metahybrid.data import RatingEvent, enrich_items, load_movielens
 from metahybrid.recommenders import RecommenderSpec, fit
+from metahybrid.recommenders.content import feature_matrix, item_feature_columns
 from metahybrid.splits import SplitPlan, nested_split
 
 FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -46,7 +47,7 @@ class TestSpecValidation:
         RecommenderSpec("SvdMf", {"factors": 20, "epochs": 30})
         RecommenderSpec("CoClustering", {"user_clusters": 7, "item_clusters": 5,
                                          "epochs": 30})
-        RecommenderSpec("KnnBasic", {"k": 50, "similarity": "cosine"})
+        RecommenderSpec("KnnBasic", {"k": 50, "min_support": 1})
         RecommenderSpec("WarpHybrid", {"components": 30})
 
     def test_unknown_algorithm_rejected(self):
@@ -141,6 +142,17 @@ class TestKnnBasic:
             assert np.array_equal(model.sim, reference_similarities(model, train))
 
 
+    def test_raters_kept_in_narrow_integers(self, trh_slice, shipped_fixture):
+        # user indices as int32 and the integer ratings as int8, one entry
+        # per rating, by (item, user)
+        knn = next(m for m in shipped_fixture[0] if m.spec.algorithm == "KnnBasic")
+        assert knn._raters.dtype == np.int32 and knn._rater_vals.dtype == np.int8
+        entries = sorted((knn.iidx[r.item_id], knn.uidx[r.user_id], r.rating)
+                         for r in trh_slice[2])
+        assert list(zip(knn._rater_items.tolist(), knn._raters.tolist(),
+                        knn._rater_vals.tolist())) == entries
+
+
 class TestContentBased:
     def test_prefers_profile_matching_items(self, small_dataset):
         by_user = small_dataset.ratings_by_user()
@@ -223,7 +235,8 @@ class TestWarpTrainer:
                                               "max_trials": 12, "learn_rate": 0.1})
         model = fit(spec, [ev(1, 1, 5), ev(2, 2, 5)], items=items, seed=0)
         model.params["epochs"] = 1
-        content = rec.item_feature_matrix(items, model.item_ids, normalize=False)
+        content = feature_matrix(*item_feature_columns(items, model.item_ids),
+                                 normalize=False)
         # F: genre g, genre h, then the identity rows of items 0, 1, 2
         model.F = np.array([[0.1, 0.0], [0.0, 0.1], [0.05, 0.02],
                             [-0.03, 0.04], [0.02, -0.01]])
@@ -282,7 +295,7 @@ class TestWarpTrainer:
         reps = model._reps
         model.recommend_top_n(uid, 5)
         assert model._reps is reps
-        assert np.array_equal(reps, [model.F[f].sum(axis=0) for f in model._item_feats])
+        assert np.array_equal(reps, [warp_rep(model, i) for i in range(len(model.item_ids))])
         loaded = pickle.loads(pickle.dumps(model))
         assert not {"_reps", "_item_mean_vector"} & set(loaded.__dict__)
         assert loaded.predict_ratings(uid, items).tolist() == first.tolist()
@@ -486,9 +499,10 @@ def assert_load_rebuilds(model, excludes, derived):
 
 
 def warp_rep(model, i):
-    """WarpHybrid's representation of catalog item i: its feature
-    embeddings summed."""
-    return model.F[model._item_feats[i]].sum(axis=0)
+    """WarpHybrid's representation of catalog item i: its content feature
+    embeddings, ascending, then its identity row, summed."""
+    feats = model._feature_cols[model._feature_ptr[i]:model._feature_ptr[i + 1]]
+    return model.F[np.append(feats, model._n_features + i)].sum(axis=0)
 
 
 def warp_score(model, u, i):
@@ -595,6 +609,14 @@ def reference_rating(model, user, item):
     if est is None or not math.isfinite(est):
         return min(5.0, max(1.0, model._fallback(user, item))), True
     return min(5.0, max(1.0, est)), False
+
+
+def encode(model, train):
+    """The encoded slice that `model` fits from: the (user index, catalog
+    index, rating) arrays of `train`, in its order."""
+    return (np.array([model.uidx[r.user_id] for r in train]),
+            np.array([model.iidx[r.item_id] for r in train]),
+            np.array([float(r.rating) for r in train]))
 
 
 def reference_baseline(model, train):
@@ -706,7 +728,7 @@ class TestBatchedFits:
         from metahybrid.recommenders.collaborative import _sgd_waves
         _, _, train = trh_slice
         model = fit(RecommenderSpec("BaselineOnly", {"epochs": 0}), train, seed=5)
-        waves = _sgd_waves(model, train)
+        waves = _sgd_waves(*encode(model, train))
         assert len(waves) < len(train)
         triples = [(model.uidx[r.user_id], model.iidx[r.item_id], float(r.rating))
                    for r in sorted(train, key=lambda r: (r.user_id, r.item_id))]
@@ -729,7 +751,8 @@ class TestBatchedFits:
         from metahybrid.recommenders.collaborative import _sgd_waves
         train = [ev(1, 1, 5), ev(1, 2, 4), ev(2, 1, 3), ev(2, 2, 2), ev(3, 3, 1)]
         model = fit(RecommenderSpec("BaselineOnly", {"epochs": 0}), train, seed=0)
-        waves = [list(zip(*(a.tolist() for a in wave))) for wave in _sgd_waves(model, train)]
+        waves = [list(zip(*(a.tolist() for a in wave)))
+                 for wave in _sgd_waves(*encode(model, train))]
         # (2, 1) waits for (1, 1) only; (3, 3) shares nothing, so goes first
         assert waves == [[(0, 0, 5.0), (2, 2, 1.0)],
                          [(0, 1, 4.0), (1, 0, 3.0)],
@@ -814,6 +837,12 @@ class TestContracts:
         u, items = train[0].user_id, sorted(small_dataset.items)
         assert loaded.predict_ratings(u, items).tolist() == \
             model.predict_ratings(u, items).tolist()
+
+    def test_models_fit_from_the_base_encoding(self):
+        # the base class encodes the slice once; a model fits in `_fit`
+        for cls in rec._MODEL_CLASSES.values():
+            assert "__init__" not in vars(cls), cls.__name__
+            assert "_fit" in vars(cls), cls.__name__
 
     def test_fallback_counted(self):
         model = fit(RecommenderSpec("SlopeOne"), [ev(1, 1, 4), ev(2, 2, 3)], seed=0)

@@ -8,7 +8,7 @@ import sys
 
 from .config import ConfigError, load_config
 from .data import IngestError
-from .pipeline import STAGE_ORDER, STAGES, StageError, run_all
+from .pipeline import STAGE_ORDER, STAGES, ArtifactStore, StageError, run_all
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,7 +47,7 @@ def main(argv=None) -> int:
         if args.command == "run-all":
             result = run_all(cfg)
         else:
-            result = STAGES[args.command](cfg)
+            result = STAGES[args.command](cfg, ArtifactStore(cfg.output_dir))
     except (ConfigError, StageError, IngestError, ValueError) as e:
         print(f"error [{args.command}]: {e}", file=sys.stderr)
         return 1

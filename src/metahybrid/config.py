@@ -115,6 +115,17 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
 
     if raw.get("preset") and raw.get("candidates"):
         raise ConfigError("set either preset or candidates, not both")
+    candidates = raw.get("candidates")
+    if candidates is not None:
+        if not isinstance(candidates, list):
+            raise ConfigError("candidates must be a list of {algorithm, params} objects")
+        for i, entry in enumerate(candidates):
+            if not isinstance(entry, dict) or "algorithm" not in entry:
+                raise ConfigError(f"candidates[{i}] must be an object with an "
+                                  f"'algorithm' key, got {entry!r}")
+    label_cutoff = raw.get("label_cutoff", 10)
+    if type(label_cutoff) is not int or label_cutoff < 1:
+        raise ConfigError("label_cutoff must be an int >= 1")
 
     merged = dict(overrides or {})
     env_map = {"SEED": ("seed", int), "OUT": ("output_dir", str),
@@ -145,7 +156,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
             cold_start_max_keep=max_keep,
             min_ratings=int(raw.get("min_ratings", 0)),
             preset=merged.pop("preset", raw.get("preset")),
-            explicit_candidates=raw.get("candidates"),
+            explicit_candidates=candidates,
             split=SplitPlan(**split_raw),
             forest=ForestParams(**forest_raw),
             relevance=RelevanceConfig(
@@ -154,7 +165,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
                 cutoffs=tuple(relevance_raw.get("cutoffs", (3, 5, 10))),
                 ndcg_cutoff=relevance_raw.get("ndcg_cutoff", 10)),
             context=ContextConfig(**context_raw),
-            label_cutoff=int(raw.get("label_cutoff", 10)),
+            label_cutoff=label_cutoff,
             output_dir=merged.pop("output_dir", raw.get("output_dir", "out")),
             seed=merged.pop("seed", int(raw.get("seed", 0))),
         )

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from metahybrid import pipeline
 from metahybrid.cli import main
 from metahybrid.config import ConfigError, load_config
 from metahybrid.data import enrich_items, load_movielens
@@ -169,6 +170,31 @@ class TestConfigValidation:
         assert main(["ingest", "--config", str(workdir / "nope.json")]) == 1
         assert "missing config file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("candidates, message", [
+        ("SvdMf", "candidates must be a list"),
+        ({"algorithm": "SvdMf"}, "candidates must be a list"),
+        (["SlopeOne", "SvdMf"], r"candidates\[0\] must be an object"),
+        ([{"algorithm": "SlopeOne"}, {"params": {}}], r"candidates\[1\] must be an object"),
+    ], ids=["string", "object", "string-entries", "no-algorithm"])
+    def test_bad_candidates_shape(self, workdir, capsys, candidates, message):
+        path = write_config(workdir, name="bad11.json", preset=None, candidates=candidates)
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+        assert main(["ingest", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "candidates" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("cutoff", [0, -1, True, 2.5, "10"])
+    def test_bad_label_cutoff(self, workdir, capsys, cutoff):
+        path = write_config(workdir, name="bad12.json", label_cutoff=cutoff)
+        with pytest.raises(ConfigError, match="label_cutoff must be an int >= 1"):
+            load_config(path)
+        assert main(["run-all", "--config", str(path),
+                     "--out", str(workdir / "bad_cutoff_out")]) == 1
+        assert "label_cutoff" in capsys.readouterr().err
+        # rejected before ingest wrote anything
+        assert not (workdir / "bad_cutoff_out").exists()
+
 
 class TestStageOrdering:
     def test_stage_without_prerequisites_fails(self, workdir, capsys):
@@ -239,6 +265,41 @@ class TestStageOrdering:
         path = write_config(workdir, name="no_eval_models.json", output_dir=str(out))
         assert main(["train-meta", "--config", str(path)]) == 0
         assert (out / "meta.pkl").read_bytes() == (completed_run / "meta.pkl").read_bytes()
+
+
+STAGE_SEQUENCE = ("ingest", "split", "fit-candidates", "label", "train-meta",
+                  "evaluate", "report")
+
+
+class TestStagedEqualsRunAll:
+    """`run-all` hands each stage's outputs on in memory, and single stages
+    load them from disk: both ways write the same files."""
+
+    @pytest.mark.parametrize("preset", ["cf", "mixed"])
+    def test_same_files(self, workdir, preset):
+        staged, chained = workdir / f"staged_{preset}", workdir / f"chained_{preset}"
+        path = write_config(workdir, name=f"staged_{preset}.json", preset=preset)
+        for stage in STAGE_SEQUENCE:
+            assert main([stage, "--config", str(path), "--out", str(staged)]) == 0, stage
+        assert main(["run-all", "--config", str(path), "--out", str(chained)]) == 0
+        names = sorted(os.listdir(chained))
+        assert sorted(os.listdir(staged)) == names
+        for name in names:
+            if name == "evaluation.pkl":
+                # the pickle memo may share equal strings differently: compare
+                # the unpickled reports
+                with open(staged / name, "rb") as a, open(chained / name, "rb") as b:
+                    left, right = pickle.load(a)["payload"], pickle.load(b)["payload"]
+                assert left.to_json() == right.to_json()
+                assert left.per_user == right.per_user
+            elif name == "manifest.json":
+                for out in (staged, chained):
+                    files = json.loads((out / name).read_text())["files"]
+                    assert sorted(files) == [n for n in names if n != name]
+                    for n, digest in files.items():
+                        assert hashlib.sha256((out / n).read_bytes()).hexdigest() == digest, n
+            else:
+                assert (staged / name).read_bytes() == (chained / name).read_bytes(), name
 
 
 class TestRunAll:
@@ -346,12 +407,15 @@ class TestFixtureReports:
 
     CANDIDATES_MAX_BYTES = {"cf": 350_000, "mixed": 750_000}
 
-    @pytest.mark.parametrize("preset, report_sha, per_user_sha", [
+    # preset, sha256 of report.json, sha256 of per_user_metrics.csv
+    PINNED = [
         ("cf", "4cc6a3ced8829e367adacf4b7ab519ad1b6bc9e169c2ac64eaae6c62d2e7ecd2",
          "8a11f69d4bb950b2be795ccaba736a7ce8f1f835145b561c70c911e7f1427217"),
         ("mixed", "ce7d46a9ebdda07208305ed1a379e5239ab4c2dabd39135613e849e496e14c12",
          "d24e75812d8466aa43836cd460fec0ecf825988fdd41ec52cf618be1e78ed295"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("preset, report_sha, per_user_sha", PINNED)
     def test_run_all_reports_pinned(self, tmp_path, monkeypatch, preset, report_sha,
                                     per_user_sha):
         monkeypatch.chdir(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -362,3 +426,27 @@ class TestFixtureReports:
             (tmp_path / "per_user_metrics.csv").read_bytes()).hexdigest() == per_user_sha
         # no candidate pickles state that it can rebuild on load
         assert (tmp_path / "candidates_eval.pkl").stat().st_size < self.CANDIDATES_MAX_BYTES[preset]
+
+    @pytest.mark.parametrize("preset", ["cf", "mixed"])
+    def test_run_all_reads_no_pickle_back(self, tmp_path, monkeypatch, preset):
+        def no_load(*args, **kwargs):
+            raise AssertionError("run-all read a pickle back")
+
+        monkeypatch.chdir(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+        monkeypatch.setattr(pipeline.pickle, "load", no_load)
+        monkeypatch.setattr(pipeline.pickle, "loads", no_load)
+        pinned = {p: (r, u) for p, r, u in self.PINNED}[preset]
+        reports = []
+        for out in (tmp_path / "first", tmp_path / "second"):
+            assert main(["run-all", "--config", os.path.join("fixtures", "fixture.cfg"),
+                         "--preset", preset, "--out", str(out)]) == 0
+            assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == pinned[0]
+            assert hashlib.sha256(
+                (out / "per_user_metrics.csv").read_bytes()).hexdigest() == pinned[1]
+            reports.append((out / "report.json").read_bytes())
+        # no state carries over from one call to the next
+        assert reports[0] == reports[1]
+        # a stage run alone does load its inputs, so the patch above was live
+        with pytest.raises(AssertionError, match="read a pickle back"):
+            main(["split", "--config", os.path.join("fixtures", "fixture.cfg"),
+                  "--preset", preset, "--out", str(tmp_path / "first")])

@@ -267,10 +267,6 @@ class TestStageOrdering:
         assert (out / "meta.pkl").read_bytes() == (completed_run / "meta.pkl").read_bytes()
 
 
-STAGE_SEQUENCE = ("ingest", "split", "fit-candidates", "label", "train-meta",
-                  "evaluate", "report")
-
-
 class TestStagedEqualsRunAll:
     """`run-all` hands each stage's outputs on in memory, and single stages
     load them from disk: both ways write the same files."""
@@ -279,7 +275,7 @@ class TestStagedEqualsRunAll:
     def test_same_files(self, workdir, preset):
         staged, chained = workdir / f"staged_{preset}", workdir / f"chained_{preset}"
         path = write_config(workdir, name=f"staged_{preset}.json", preset=preset)
-        for stage in STAGE_SEQUENCE:
+        for stage in pipeline.STAGE_ORDER:
             assert main([stage, "--config", str(path), "--out", str(staged)]) == 0, stage
         assert main(["run-all", "--config", str(path), "--out", str(chained)]) == 0
         names = sorted(os.listdir(chained))

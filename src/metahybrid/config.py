@@ -93,6 +93,8 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     cold = raw.get("cold_start", {})
     _check_keys(cold, ("enabled", "min_keep", "max_keep"), "cold_start")
     min_keep, max_keep = cold.get("min_keep", 5), cold.get("max_keep")
+    if type(cold.get("enabled", False)) is not bool:
+        raise ConfigError("cold_start.enabled must be true or false")
     if type(min_keep) is not int or min_keep < 1:
         raise ConfigError("cold_start.min_keep must be an int >= 1")
     if max_keep is not None and (type(max_keep) is not int or max_keep < min_keep):
@@ -151,7 +153,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
             users_path=ds.get("users"),
             items_path=ds.get("items"),
             metadata_path=ds.get("metadata"),
-            cold_start_enabled=bool(cold.get("enabled", False)),
+            cold_start_enabled=cold.get("enabled", False),
             cold_start_min_keep=min_keep,
             cold_start_max_keep=max_keep,
             min_ratings=int(raw.get("min_ratings", 0)),
@@ -162,7 +164,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
             relevance=RelevanceConfig(
                 threshold=relevance_raw.get("threshold", 4),
                 gain=relevance_raw.get("gain", "graded"),
-                cutoffs=tuple(relevance_raw.get("cutoffs", (3, 5, 10))),
+                cutoffs=relevance_raw.get("cutoffs", (3, 5, 10)),
                 ndcg_cutoff=relevance_raw.get("ndcg_cutoff", 10)),
             context=ContextConfig(**context_raw),
             label_cutoff=label_cutoff,

@@ -313,9 +313,9 @@ def _onehot_cat(value, universe) -> list:
     return row
 
 
-def export_matrix(path, matrix: np.ndarray, names, user_ids):
-    """Write the assembled matrix as headered CSV for offline inspection."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("user_id," + ",".join(names) + "\n")
-        for uid, row in zip(user_ids, matrix):
-            fh.write(str(uid) + "," + ",".join(format_float(v) for v in row) + "\n")
+def matrix_csv(matrix: np.ndarray, names, user_ids) -> str:
+    """The assembled matrix as headered CSV, for offline inspection."""
+    lines = ["user_id," + ",".join(names)]
+    for uid, row in zip(user_ids, matrix):
+        lines.append(str(uid) + "," + ",".join(format_float(v) for v in row))
+    return "\n".join(lines) + "\n"

@@ -49,13 +49,7 @@ class ItemRecord:
     year: int | None = None
     genres: frozenset = frozenset()
     keywords: frozenset = frozenset()
-    cast: tuple = ()
     runtime_minutes: int | None = None
-    language: str | None = None
-    budget: float | None = None
-    profit: float | None = None
-    avg_rating: float | None = None
-    plot: str | None = None
 
     # a frozenset of strings pickles in string-hash order; sorted tuples
     # keep dataset.pkl the same bytes under every PYTHONHASHSEED
@@ -212,14 +206,6 @@ def _maybe_int(token: str):
         return None
 
 
-def _maybe_float(token):
-    try:
-        v = float(token)
-    except (ValueError, TypeError):
-        return None
-    return v if np.isfinite(v) else None
-
-
 def _warn_sparse_genres(ds: Dataset):
     if not ds.items:
         return
@@ -230,7 +216,7 @@ def _warn_sparse_genres(ds: Dataset):
 
 
 def enrich_items(dataset: Dataset, metadata_path) -> Dataset:
-    """Merge external item metadata (keywords, runtime, cast, budget, profit, ...).
+    """Merge external item metadata: keywords and runtime.
 
     Rows match on item_id first, then case-insensitive exact title with
     year within +-1. Unmatched items keep their base fields.
@@ -244,8 +230,7 @@ def enrich_items(dataset: Dataset, metadata_path) -> Dataset:
     by_title: dict = {}
     with fh:
         reader = csv.DictReader(fh)
-        required = {"item_id", "title", "year", "keywords", "runtime", "cast",
-                    "language", "budget", "profit", "plot"}
+        required = {"item_id", "title", "year", "keywords", "runtime"}
         if reader.fieldnames is None or not required.issubset(set(reader.fieldnames)):
             raise IngestError(
                 f"{metadata_path}: header must contain {sorted(required)}"
@@ -274,13 +259,7 @@ def enrich_items(dataset: Dataset, metadata_path) -> Dataset:
         items[iid] = replace(
             it,
             keywords=frozenset(k for k in row["keywords"].split("|") if k),
-            cast=tuple(c for c in row["cast"].split("|") if c),
             runtime_minutes=_maybe_int(row["runtime"]),
-            language=row["language"] or None,
-            budget=_maybe_float(row["budget"]),
-            profit=_maybe_float(row["profit"]),
-            avg_rating=_maybe_float(row.get("avg_rating")),
-            plot=row["plot"] or None,
         )
     rate = matched / len(dataset.items) if dataset.items else 0.0
     log.info("metadata enrichment matched %d/%d items (%.1f%%)",

@@ -33,6 +33,14 @@ class ContextConfig:
     genre_components: int = 10
     keyword_components: int = 15
 
+    def __post_init__(self):
+        if type(self.include_age) is not bool:
+            raise ValueError("include_age must be true or false")
+        for name in ("max_keywords", "genre_components", "keyword_components"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:
+                raise ValueError(f"{name} must be an int >= 0")
+
 
 @dataclass
 class ExperimentReport:

@@ -39,19 +39,14 @@ def make_fixture(n_users: int = 200, n_items: int = 500, seed: int = 13,
         gset = frozenset(rng.choice(pool, size=rng.integers(1, 4), replace=False))
         kpool = KEYWORDS[:20] if cluster[i] == 0 else KEYWORDS[20:]
         kset = frozenset(rng.choice(kpool, size=rng.integers(3, 7), replace=False))
-        items[iid] = ItemRecord(
-            item_id=iid,
-            title=f"Synthetic Movie {iid}",
-            year=int(rng.integers(1950, 2001)),
-            genres=gset,
-            keywords=kset,
-            cast=(f"actor{int(rng.integers(0, 50)):02d}",
-                  f"actor{int(rng.integers(0, 50)):02d}"),
-            runtime_minutes=int(rng.integers(80, 181)),
-            language="en",
-            budget=float(rng.integers(1, 200)) * 1e6,
-            profit=float(rng.normal(0, 50)) * 1e6,
-        )
+        year = int(rng.integers(1950, 2001))
+        # draws for fields no longer kept (two cast members, then budget and
+        # profit): every later draw, and so the shipped fixture, depends on them
+        rng.integers(0, 50), rng.integers(0, 50)
+        runtime = int(rng.integers(80, 181))
+        rng.integers(1, 200), rng.normal(0, 50)
+        items[iid] = ItemRecord(item_id=iid, title=f"Synthetic Movie {iid}", year=year,
+                                genres=gset, keywords=kset, runtime_minutes=runtime)
 
     users = {}
     ratings = []
@@ -103,9 +98,8 @@ def make_fixture(n_users: int = 200, n_items: int = 500, seed: int = 13,
 def write_movielens_files(dataset: Dataset, outdir: str):
     """Write the fixture in MovieLens 1M layout plus an enrichment CSV.
 
-    movies.dat carries only title/year/genres; keywords, runtime, cast,
-    budget, and profit go to metadata.csv so the enrichment path is
-    exercised end to end.
+    movies.dat carries only title/year/genres; keywords and runtime go to
+    metadata.csv so the enrichment path is exercised end to end.
     """
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "ratings.dat"), "w", encoding="utf-8") as fh:
@@ -122,13 +116,8 @@ def write_movielens_files(dataset: Dataset, outdir: str):
     with open(os.path.join(outdir, "metadata.csv"), "w", encoding="utf-8",
               newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["item_id", "title", "year", "keywords", "runtime",
-                         "cast", "language", "budget", "profit", "avg_rating",
-                         "plot"])
+        writer.writerow(["item_id", "title", "year", "keywords", "runtime"])
         for iid in sorted(dataset.items):
             it = dataset.items[iid]
-            writer.writerow([
-                iid, it.title, it.year, "|".join(sorted(it.keywords)),
-                it.runtime_minutes, "|".join(it.cast), it.language,
-                it.budget, it.profit, "", f"Plot of {it.title}.",
-            ])
+            writer.writerow([iid, it.title, it.year, "|".join(sorted(it.keywords)),
+                             it.runtime_minutes])

@@ -489,13 +489,12 @@ def oob_error(model: ForestModel, X, y) -> float:
     return float((pred[covered] != truth[covered]).mean())
 
 
-def export_importances(path, importances: dict):
-    """Two-column CSV report of per-column importances."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("feature,importance\n")
-        for name, value in importances["per_column"].items():
-            fh.write(f"{name},{format_float(value)}\n")
-        if "per_attribute" in importances:
-            fh.write("\nattribute,importance\n")
-            for name, value in importances["per_attribute"].items():
-                fh.write(f"{name},{format_float(value)}\n")
+def importances_csv(importances: dict) -> str:
+    """Two-column CSV report of per-column importances, then per attribute."""
+    lines = ["feature,importance"]
+    lines += [f"{name},{format_float(v)}" for name, v in importances["per_column"].items()]
+    if "per_attribute" in importances:
+        lines += ["", "attribute,importance"]
+        lines += [f"{name},{format_float(v)}"
+                  for name, v in importances["per_attribute"].items()]
+    return "\n".join(lines) + "\n"

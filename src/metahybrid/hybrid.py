@@ -53,12 +53,11 @@ class LabeledTrainingSet:
     skipped_users: list = field(default_factory=list)   # empty holdout
     tied_users: list = field(default_factory=list)      # label assigned by tie rule
 
-    def export_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("user_id,label," + ",".join(
-                f"ndcg_{n}" for n in self.candidate_names) + "\n")
-            for uid, lab, row in zip(self.user_ids, self.labels, self.scores):
-                fh.write(f"{uid},{lab}," + ",".join(format_float(v) for v in row) + "\n")
+    def labels_csv(self) -> str:
+        lines = ["user_id,label," + ",".join(f"ndcg_{n}" for n in self.candidate_names)]
+        for uid, lab, row in zip(self.user_ids, self.labels, self.scores):
+            lines.append(f"{uid},{lab}," + ",".join(format_float(v) for v in row))
+        return "\n".join(lines) + "\n"
 
 
 def generate_labels(candidates: CandidateSet, fitted: dict, user_ids,

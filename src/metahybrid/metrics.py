@@ -16,10 +16,18 @@ class RelevanceConfig:
     ndcg_cutoff: int = 10
 
     def __post_init__(self):
-        if not 1 <= self.threshold <= 5:
-            raise ValueError("relevance threshold must be in [1,5]")
+        if type(self.threshold) is not int or not 1 <= self.threshold <= 5:
+            raise ValueError("relevance threshold must be an int in [1,5]")
         if self.gain not in ("graded", "binary"):
             raise ValueError("gain must be 'graded' or 'binary'")
+        # the report has P@k and R@k columns for k = 3, 5 and 10
+        if not (isinstance(self.cutoffs, (list, tuple))
+                and all(type(k) is int and k >= 1 for k in self.cutoffs)
+                and {3, 5, 10} <= set(self.cutoffs)):
+            raise ValueError("cutoffs must be a list of ints >= 1 that holds 3, 5 and 10")
+        object.__setattr__(self, "cutoffs", tuple(self.cutoffs))
+        if type(self.ndcg_cutoff) is not int or self.ndcg_cutoff < 1:
+            raise ValueError("ndcg_cutoff must be an int >= 1")
 
     def relevance(self, rating: float) -> float:
         if self.gain == "binary":

@@ -1,12 +1,14 @@
 """Stage-wise pipeline behind the CLI.
 
 Each stage reads the artifacts of earlier stages from an `ArtifactStore`,
-calls one methodology step of `evaluation`, and saves that step's outputs
-(pickles and CSV exports), registering the sha256 of every file's bytes as
-written in a content-hash manifest. `run_all` passes one store through all
-seven stages, so each stage gets its inputs in memory and no pickle is read
-back; a stage run alone gets a fresh store and loads its inputs from the
-output directory. `evaluation.run_experiment` chains the same steps in
+calls one methodology step of `evaluation`, and hands that step's outputs
+(pickled objects, and CSV or report text from the model modules'
+formatters) to the store. The store is the only writer of output files: it
+writes each file once and records the sha256 of the bytes it wrote in a
+content-hash manifest. `run_all` passes one store through all seven stages,
+so each stage gets its inputs in memory and no output file is read back; a
+stage run alone gets a fresh store and loads its inputs from the output
+directory. `evaluation.run_experiment` chains the same steps in
 memory, so a staged run and an in-memory run produce identical reports.
 """
 
@@ -41,8 +43,9 @@ class ArtifactStore:
 
     `write` pickles an object once, writes those bytes, records their
     sha256 in the manifest and keeps the object, so a later stage of the
-    same `run_all` gets it without reading the file back. `read` returns a
-    kept object, or loads the file when a stage runs alone.
+    same `run_all` gets it without reading the file back. `write_text`
+    encodes text once and digests the same bytes. `read` returns a kept
+    object, or loads the file when a stage runs alone.
     """
 
     def __init__(self, outdir):
@@ -74,11 +77,6 @@ class ArtifactStore:
 
     def write_text(self, name: str, text: str):
         self._save(name, text.encode("utf-8"))
-
-    def register(self, name: str):
-        """Record a file that an exporter wrote into `outdir` itself."""
-        with open(os.path.join(self.outdir, name), "rb") as fh:
-            self._record(name, fh.read())
 
     def read(self, name: str, stage: str):
         if name not in self._objects:
@@ -143,11 +141,9 @@ def stage_label(cfg: ExperimentConfig, store: ArtifactStore) -> dict:
                                    cfg.context, cfg.relevance, cfg.label_cutoff)
     labeled = bundle["labeled"]
     store.write("labeled.pkl", bundle)
-    labeled.export_csv(os.path.join(cfg.output_dir, "labels.csv"))
-    store.register("labels.csv")
-    ctx.export_matrix(os.path.join(cfg.output_dir, "contexts_train.csv"),
-                      matrix, bundle["feature_names"], split.train_users)
-    store.register("contexts_train.csv")
+    store.write_text("labels.csv", labeled.labels_csv())
+    store.write_text("contexts_train.csv", ctx.matrix_csv(
+        matrix, bundle["feature_names"], split.train_users))
     summary = (f"labeled {len(labeled.labels)} users "
                f"({len(labeled.skipped_users)} skipped, {len(labeled.tied_users)} ties)")
     log.info(summary)
@@ -159,10 +155,6 @@ def stage_train_meta(cfg: ExperimentConfig, store: ArtifactStore) -> dict:
     forest = ev.train_meta_step(bundle, cfg.forest, cfg.seed)
     # the evaluate stage pairs it with the fitted candidates
     store.write("meta.pkl", forest)
-    importances = rf.feature_importances(forest, bundle["feature_names"],
-                                         bundle["schema"].feature_groups())
-    rf.export_importances(os.path.join(cfg.output_dir, "importances.csv"), importances)
-    store.register("importances.csv")
     summary = f"trained forest with {cfg.forest.n_estimators} trees on {len(bundle['labeled'].labels)} labels"
     log.info(summary)
     return {"summary": summary}
@@ -182,6 +174,7 @@ def stage_evaluate(cfg: ExperimentConfig, store: ArtifactStore) -> dict:
                                     cfg.seed, cfg.split.inner_ratio)
     store.write("evaluation.pkl", report)
     store.write_text("per_user_metrics.csv", report.per_user_csv())
+    store.write_text("importances.csv", rf.importances_csv(report.importances))
     summary = f"evaluated {len(report.per_user)} users ({report.skipped_eval_users} skipped)"
     log.info(summary)
     return {"summary": summary, "report": report}

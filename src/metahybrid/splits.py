@@ -24,10 +24,10 @@ class SplitPlan:
     mode: str = "chronological"  # or "random"
 
     def __post_init__(self):
-        if not 0 < self.outer_ratio < 1:
-            raise ValueError("outer_ratio must be in (0,1)")
-        if not 0 < self.inner_ratio < 1:
-            raise ValueError("inner_ratio must be in (0,1)")
+        for name in ("outer_ratio", "inner_ratio"):
+            value = getattr(self, name)
+            if not (isinstance(value, float) and 0 < value < 1):
+                raise ValueError(f"{name} must be a number in (0,1)")
         if self.mode not in ("chronological", "random"):
             raise ValueError("mode must be 'chronological' or 'random'")
 

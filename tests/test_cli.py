@@ -1,8 +1,10 @@
+import builtins
 import copyreg
 import hashlib
 import json
 import os
 import pickle
+import re
 import shutil
 import subprocess
 import sys
@@ -183,6 +185,31 @@ class TestConfigValidation:
         assert main(["ingest", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert "candidates" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("updates, message", [
+        ({"relevance": {"cutoffs": 5}}, "cutoffs must be a list of ints >= 1"),
+        ({"relevance": {"cutoffs": [0]}}, "cutoffs must be a list of ints >= 1"),
+        ({"relevance": {"cutoffs": [5, 10]}}, "cutoffs must be a list of ints >= 1"),
+        ({"relevance": {"threshold": "4"}}, r"threshold must be an int in \[1,5\]"),
+        ({"relevance": {"ndcg_cutoff": 0}}, "ndcg_cutoff must be an int >= 1"),
+        ({"split": {"inner_ratio": "0.8"}}, r"inner_ratio must be a number in \(0,1\)"),
+        ({"context": {"max_keywords": "x"}}, "max_keywords must be an int >= 0"),
+        ({"context": {"genre_components": -1}}, "genre_components must be an int >= 0"),
+        ({"context": {"include_age": "no"}}, "include_age must be true or false"),
+        ({"cold_start": {"enabled": "no"}}, "cold_start.enabled must be true or false"),
+    ], ids=["cutoffs-int", "cutoffs-zero", "cutoffs-no-3", "threshold-string",
+            "ndcg-cutoff-zero", "inner-ratio-string", "max-keywords-string",
+            "genre-components-negative", "include-age-string", "cold-start-string"])
+    def test_bad_section_values(self, workdir, capsys, updates, message):
+        path = write_config(workdir, name="bad13.json", **updates)
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+        assert main(["run-all", "--config", str(path),
+                     "--out", str(workdir / "bad_value_out")]) == 1
+        err = capsys.readouterr().err
+        assert re.search(message, err) and "Traceback" not in err
+        # rejected before ingest wrote anything
+        assert not (workdir / "bad_value_out").exists()
 
     @pytest.mark.parametrize("cutoff", [0, -1, True, 2.5, "10"])
     def test_bad_label_cutoff(self, workdir, capsys, cutoff):
@@ -425,24 +452,40 @@ class TestFixtureReports:
 
     @pytest.mark.parametrize("preset", ["cf", "mixed"])
     def test_run_all_reads_no_pickle_back(self, tmp_path, monkeypatch, preset):
+        outs = [tmp_path / "first", tmp_path / "second"]
+        real_open = builtins.open
+
         def no_load(*args, **kwargs):
             raise AssertionError("run-all read a pickle back")
+
+        def no_read_open(file, mode="r", *args, **kwargs):
+            # any file of an output directory, CSVs and the manifest included
+            if (not set(mode) & set("wax") and isinstance(file, (str, os.PathLike))
+                    and os.path.dirname(os.path.abspath(file)) in map(str, outs)):
+                raise AssertionError(f"run-all read {file} back")
+            return real_open(file, mode, *args, **kwargs)
 
         monkeypatch.chdir(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
         monkeypatch.setattr(pipeline.pickle, "load", no_load)
         monkeypatch.setattr(pipeline.pickle, "loads", no_load)
-        pinned = {p: (r, u) for p, r, u in self.PINNED}[preset]
-        reports = []
-        for out in (tmp_path / "first", tmp_path / "second"):
+        monkeypatch.setattr(builtins, "open", no_read_open)
+        for out in outs:
             assert main(["run-all", "--config", os.path.join("fixtures", "fixture.cfg"),
                          "--preset", preset, "--out", str(out)]) == 0
+        # a stage run alone does load its inputs, so the patches above were live
+        with pytest.raises(AssertionError, match="read .* back"):
+            main(["split", "--config", os.path.join("fixtures", "fixture.cfg"),
+                  "--preset", preset, "--out", str(outs[0])])
+        monkeypatch.undo()
+
+        pinned = {p: (r, u) for p, r, u in self.PINNED}[preset]
+        for out in outs:
             assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == pinned[0]
             assert hashlib.sha256(
                 (out / "per_user_metrics.csv").read_bytes()).hexdigest() == pinned[1]
-            reports.append((out / "report.json").read_bytes())
+            files = json.loads((out / "manifest.json").read_text())["files"]
+            assert set(files) == set(os.listdir(out)) - {"manifest.json"}
+            for name, digest in files.items():
+                assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
         # no state carries over from one call to the next
-        assert reports[0] == reports[1]
-        # a stage run alone does load its inputs, so the patch above was live
-        with pytest.raises(AssertionError, match="read a pickle back"):
-            main(["split", "--config", os.path.join("fixtures", "fixture.cfg"),
-                  "--preset", preset, "--out", str(tmp_path / "first")])
+        assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()

@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 import os
 import subprocess
@@ -11,11 +12,11 @@ from metahybrid.context import (
     ContextSchema,
     assemble_matrix,
     build_schema,
-    export_matrix,
     extract_raw,
     fit_histogram_pcas,
     fit_pca,
     histogram_row,
+    matrix_csv,
     transform_pca,
 )
 from metahybrid.data import ItemRecord, RatingEvent, UserRecord
@@ -289,14 +290,12 @@ class TestSchemaAndAssembly:
             expected = transform_pca(pca_g, h)
             assert np.allclose(matrix[row_idx, g0:g0 + 2], expected, atol=1e-12)
 
-    def test_export_round_trips(self, tmp_path):
+    def test_export_round_trips(self):
         rng = np.random.default_rng(3)
         matrix = np.vstack([rng.normal(size=6), [0.0, 1.0, 1 / 3, 1e-300, -2.5e17, 0.1]])
         names = [f"c{j}" for j in range(6)]
-        path = tmp_path / "contexts.csv"
-        export_matrix(path, matrix, names, ["u1", "u2"])
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+        rows = list(csv.reader(io.StringIO(matrix_csv(matrix, names, ["u1", "u2"]),
+                                           newline="")))
         assert rows[0] == ["user_id"] + names
         assert [r[0] for r in rows[1:]] == ["u1", "u2"]
         back = np.array([[float(c) for c in r[1:]] for r in rows[1:]])

@@ -117,7 +117,6 @@ class TestEnrichment:
         out = enrich_items(ds, tiny_movielens / "metadata.csv")
         assert len(out.items[1193].keywords) == 4
         assert out.items[1193].runtime_minutes == 133
-        assert out.items[1193].budget == 3000000
 
     def test_title_year_fallback(self, tiny_movielens):
         ds = load_movielens(tiny_movielens / "ratings.dat", tiny_movielens / "users.dat",
@@ -235,7 +234,7 @@ def test_genre_coverage_warning(tiny_movielens, caplog):
 
 def test_item_record_pickle_roundtrip():
     item = ItemRecord(3, title="t", genres=frozenset({"Drama", "Comedy"}),
-                      keywords=frozenset({"k2", "k1"}), cast=("a",))
+                      keywords=frozenset({"k2", "k1"}))
     state = item.__getstate__()
     assert state["genres"] == ("Comedy", "Drama") and state["keywords"] == ("k1", "k2")
     back = pickle.loads(pickle.dumps(item))

@@ -1,5 +1,4 @@
 import csv
-import io
 import math
 import os
 import subprocess
@@ -294,8 +293,7 @@ class TestSchemaAndAssembly:
         rng = np.random.default_rng(3)
         matrix = np.vstack([rng.normal(size=6), [0.0, 1.0, 1 / 3, 1e-300, -2.5e17, 0.1]])
         names = [f"c{j}" for j in range(6)]
-        rows = list(csv.reader(io.StringIO(matrix_csv(matrix, names, ["u1", "u2"]),
-                                           newline="")))
+        rows = list(csv.reader(matrix_csv(matrix, names, ["u1", "u2"]).splitlines()))
         assert rows[0] == ["user_id"] + names
         assert [r[0] for r in rows[1:]] == ["u1", "u2"]
         back = np.array([[float(c) for c in r[1:]] for r in rows[1:]])

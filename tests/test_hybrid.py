@@ -1,5 +1,4 @@
 import csv
-import io
 
 import numpy as np
 import pytest
@@ -121,7 +120,7 @@ class TestLabeling:
         labeled = LabeledTrainingSet(user_ids=[1, 2, 3], contexts=np.zeros((3, 1)),
                                      labels=["a", "b", "a"], scores=scores,
                                      candidate_names=["a", "b"])
-        rows = list(csv.reader(io.StringIO(labeled.labels_csv(), newline="")))[1:]
+        rows = list(csv.reader(labeled.labels_csv().splitlines()))[1:]
         assert [r[:2] for r in rows] == [["1", "a"], ["2", "b"], ["3", "a"]]
         assert np.array_equal(np.array([[float(c) for c in r[2:]] for r in rows]), scores)
 

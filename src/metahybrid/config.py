@@ -82,6 +82,9 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
 
     ds = raw.get("dataset", {})
     _check_keys(ds, ("format", "ratings", "users", "items", "metadata"), "dataset")
+    for key in ("ratings", "users", "items", "metadata"):
+        if ds.get(key) is not None and (type(ds[key]) is not str or not ds[key]):
+            raise ConfigError(f"dataset.{key} must be a non-empty path string")
     if not ds.get("ratings"):
         raise ConfigError("dataset.ratings is required")
     fmt = ds.get("format", "movielens")
@@ -128,6 +131,11 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     label_cutoff = raw.get("label_cutoff", 10)
     if type(label_cutoff) is not int or label_cutoff < 1:
         raise ConfigError("label_cutoff must be an int >= 1")
+    min_ratings, seed = raw.get("min_ratings", 0), raw.get("seed", 0)
+    if type(min_ratings) is not int or min_ratings < 0:
+        raise ConfigError("min_ratings must be an int >= 0")
+    if type(seed) is not int:
+        raise ConfigError("seed must be an int")
 
     merged = dict(overrides or {})
     env_map = {"SEED": ("seed", int), "OUT": ("output_dir", str),
@@ -156,7 +164,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
             cold_start_enabled=cold.get("enabled", False),
             cold_start_min_keep=min_keep,
             cold_start_max_keep=max_keep,
-            min_ratings=int(raw.get("min_ratings", 0)),
+            min_ratings=min_ratings,
             preset=merged.pop("preset", raw.get("preset")),
             explicit_candidates=candidates,
             split=SplitPlan(**split_raw),
@@ -169,7 +177,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
             context=ContextConfig(**context_raw),
             label_cutoff=label_cutoff,
             output_dir=merged.pop("output_dir", raw.get("output_dir", "out")),
-            seed=merged.pop("seed", int(raw.get("seed", 0))),
+            seed=merged.pop("seed", seed),
         )
         cfg.candidate_set()  # validates preset / candidate specs
     except ValueError as e:

@@ -1,7 +1,7 @@
 """The nested-split methodology, one function per step (`split_step`,
 `fit_step`, `label_step`, `train_meta_step`, `evaluate_step`), shared by the
-CLI stages and `run_experiment`, which chains them in memory; the report
-aggregates per-algorithm, meta-hybrid, and oracle rows."""
+CLI stages and `run_experiment`, which chains them in memory; every report
+row reads one `hybrid.score_users` table of the test users."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from . import forest as rf
 from . import hybrid as hy
 from . import recommenders as rec
 from .data import Dataset, format_float
-from .metrics import RelevanceConfig, ndcg_at, precision_recall_at, rmse
+from .metrics import RelevanceConfig, rmse
 from .seeding import derive_seed
 from .splits import NestedSplit, SplitPlan, nested_split, slice_events
 
@@ -170,10 +170,6 @@ def build_contexts(user_ids, inner_train: dict, dataset: Dataset,
     return matrix, names, pca_genres, pca_keywords
 
 
-def _items_by_user(inner: dict) -> dict:
-    return {uid: {r.item_id for r in evs} for uid, evs in inner.items()}
-
-
 def label_step(dataset: Dataset, split: NestedSplit, candidates: hy.CandidateSet,
                fitted: dict, context_config: ContextConfig,
                relevance: RelevanceConfig, label_cutoff: int) -> tuple:
@@ -192,9 +188,8 @@ def label_step(dataset: Dataset, split: NestedSplit, candidates: hy.CandidateSet
     matrix, names, pca_g, pca_k = build_contexts(
         split.train_users, split.train_inner_train, dataset, schema, fit_pcas=True)
     labeled = hy.generate_labels(candidates, fitted, split.train_users, matrix,
-                                 _items_by_user(split.train_inner_train),
-                                 split.train_inner_test, n=label_cutoff,
-                                 relevance=relevance)
+                                 split.train_inner_train, split.train_inner_test,
+                                 n=label_cutoff, relevance=relevance)
     bundle = {"labeled": labeled, "schema": schema, "pca_genres": pca_g,
               "pca_keywords": pca_k, "feature_names": names}
     return bundle, matrix
@@ -218,36 +213,12 @@ def meta_model(bundle: dict, candidates: hy.CandidateSet, forest: rf.ForestModel
                               pca_keywords=bundle["pca_keywords"])
 
 
-def _per_user_eval(uid, fitted: dict, candidate_names, train_items, holdout_events,
-                   relevance: RelevanceConfig):
-    """All candidate metrics for one user against the holdout, or None when
-    the holdout is empty."""
-    holdout = {r.item_id: r.rating for r in holdout_events}
-    if not holdout:
-        return None
-    relevant = {iid for iid, r in holdout.items() if r >= relevance.threshold}
-    top_n = max(max(relevance.cutoffs), relevance.ndcg_cutoff)
-    out = {"user_id": uid, "n_train": len(train_items)}
-    for name in candidate_names:
-        model = fitted[name]
-        ranked = model.recommend_top_n(uid, top_n, exclude=train_items)
-        for k in relevance.cutoffs:
-            p, r = precision_recall_at(ranked, relevant, k)
-            out[f"{name}:P@{k}"] = p
-            out[f"{name}:R@{k}"] = r
-        out[f"{name}:nDCG"] = ndcg_at(ranked, holdout, relevance.ndcg_cutoff, relevance)
-        items = sorted(holdout)
-        out[f"{name}:RMSE"] = rmse(zip((holdout[iid] for iid in items),
-                                       model.predict_ratings(uid, items).tolist()))
-    return out
-
-
 def evaluate_step(dataset: Dataset, split: NestedSplit, meta: hy.MetaHybridModel,
                   bundle: dict, relevance: RelevanceConfig, master_seed: int,
                   inner_ratio: float) -> tuple:
     """Steps 6 and 8: TEh contexts with the TRh-fitted PCA models, dispatch,
-    then every candidate, the hybrid and the oracle scored against the TEh
-    inner-test slice.
+    then every candidate, the hybrid and the oracle read from one
+    `hy.score_users` table of the TEh inner-test slice, plus an RMSE column.
 
     Returns (report, dispatched, test_matrix); `dispatched` maps each TEh
     user to the candidate the forest picked.
@@ -257,20 +228,21 @@ def evaluate_step(dataset: Dataset, split: NestedSplit, meta: hy.MetaHybridModel
                                           meta.pca_keywords)
     dispatched = {uid: hy.predict_recommender(meta, test_matrix[row])
                   for row, uid in enumerate(split.test_users)}
-    test_items = _items_by_user(split.test_inner_train)
     names = meta.candidates.names
-    per_user = []
-    skipped = 0
-    for uid in split.test_users:
-        row = _per_user_eval(uid, meta.fitted, names, test_items.get(uid, set()),
-                             split.test_inner_test.get(uid, []), relevance)
-        if row is None:
-            skipped += 1
-            continue
-        row["dispatched"] = dispatched[uid]
-        row["oracle"] = names[int(np.argmax([row[f"{n}:nDCG"] for n in names]))]
-        per_user.append(row)
-    report = _build_report(per_user, names, bundle, meta.forest, skipped,
+    scored, table = hy.score_users(meta.fitted, names, split.test_users,
+                                   split.test_inner_train, split.test_inner_test,
+                                   relevance, relevance.ndcg_cutoff)
+    users = [uid for uid, ok in zip(split.test_users, scored) if ok]
+    errors = []
+    for uid in users:  # test users only: the labels read nDCG alone
+        holdout = {r.item_id: r.rating for r in split.test_inner_test[uid]}
+        items = sorted(holdout)
+        errors.append([rmse(zip(map(holdout.get, items),
+                                meta.fitted[name].predict_ratings(uid, items).tolist()))
+                       for name in names])
+    table = np.dstack((table, np.reshape(errors, (len(users), len(names)))))
+    report = _build_report(users, table, hy.score_columns(relevance) + ["RMSE"],
+                           dispatched, split, names, bundle, meta.forest,
                            master_seed, inner_ratio)
     return report, dispatched, test_matrix
 
@@ -302,55 +274,51 @@ def run_experiment(dataset: Dataset, candidates: hy.CandidateSet,
     return report, artifacts
 
 
-def _build_report(per_user, names, bundle, forest, skipped_eval, master_seed,
-                  inner_ratio) -> ExperimentReport:
+def _build_report(users, table, columns, dispatched, split, names, bundle, forest,
+                  master_seed, inner_ratio) -> ExperimentReport:
     labeled = bundle["labeled"]
+    winners, _ = hy.oracle_select(table[:, :, columns.index("nDCG")], names)
+    n_train = np.array([len(split.test_inner_train.get(uid, [])) for uid in users], dtype=int)
+    per_user = []
+    for uid, n, block, best in zip(users, n_train.tolist(), table.tolist(), winners):
+        row = {"user_id": uid, "n_train": n}
+        for name, values in zip(names, block):
+            row.update((f"{name}:{col}", v) for col, v in zip(columns, values))
+        row.update(dispatched=dispatched[uid], oracle=names[best])
+        per_user.append(row)
 
-    def row_for(picker) -> dict:
-        row = {}
-        for col in METRIC_COLUMNS:
-            vals = [u[f"{picker(u)}:{col}"] for u in per_user]
-            row[col] = float(np.mean(vals)) if vals else 0.0
-        return row
+    def row_for(picks) -> dict:
+        chosen = table[np.arange(len(users)), picks]
+        return {col: float(chosen[:, columns.index(col)].mean()) if users else 0.0
+                for col in METRIC_COLUMNS}
 
-    rows = {}
-    for name in names:
-        rows[name] = row_for(lambda u, n=name: n)
-    rows["Hybrid"] = row_for(lambda u: u["dispatched"])
-    rows["Opt. hybrid"] = row_for(lambda u: u["oracle"])
+    rows = {name: row_for(c) for c, name in enumerate(names)}
+    rows["Hybrid"] = row_for([names.index(dispatched[uid]) for uid in users])
+    rows["Opt. hybrid"] = row_for(winners)
 
     label_dist = {n: labeled.labels.count(n) for n in names}
 
     confusion: dict = {}
     for u in per_user:
-        confusion.setdefault(u["oracle"], {})
-        confusion[u["oracle"]][u["dispatched"]] = \
-            confusion[u["oracle"]].get(u["dispatched"], 0) + 1
+        actual = confusion.setdefault(u["oracle"], {})
+        actual[u["dispatched"]] = actual.get(u["dispatched"], 0) + 1
 
     importances = rf.feature_importances(forest, bundle["feature_names"],
                                          bundle["schema"].feature_groups())
 
+    rmse_best = table[:, :, columns.index("RMSE")].argmin(axis=1)  # first on ties
     rmse_activity = {}
-    for name in names:
-        counts = [u["n_train"] for u in per_user
-                  if name == min(names, key=lambda n: (u[f"{n}:RMSE"], names.index(n)))]
-        if counts:
-            arr = np.array(counts, dtype=float)
-            rmse_activity[name] = {
-                "average": float(arr.mean()),
-                "q25": float(np.percentile(arr, 25)),
-                "q50": float(np.percentile(arr, 50)),
-                "q75": float(np.percentile(arr, 75)),
-                "n_users": len(counts),
-            }
-        else:
-            rmse_activity[name] = {"average": 0.0, "q25": 0.0, "q50": 0.0,
-                                   "q75": 0.0, "n_users": 0}
+    for c, name in enumerate(names):
+        arr = n_train[rmse_best == c].astype(float)
+        q25, q50, q75 = np.percentile(arr, [25, 50, 75]).tolist() if arr.size else [0.0] * 3
+        rmse_activity[name] = {"average": float(arr.mean()) if arr.size else 0.0,
+                               "q25": q25, "q50": q50, "q75": q75,
+                               "n_users": int(arr.size)}
 
     return ExperimentReport(
         rows=rows, label_distribution=label_dist, confusion=confusion,
         importances=importances, rmse_activity=rmse_activity, per_user=per_user,
         skipped_label_users=len(labeled.skipped_users),
         tied_label_users=len(labeled.tied_users),
-        skipped_eval_users=skipped_eval, seed=master_seed,
+        skipped_eval_users=len(split.test_users) - len(users), seed=master_seed,
         inner_ratio=inner_ratio, candidate_names=list(names))

@@ -1,6 +1,7 @@
-"""The meta-hybrid core: label training users with their nDCG-best
-recommender, train the selection forest, dispatch recommendation requests,
-and compute the oracle (per-user best) upper bound."""
+"""The meta-hybrid core: one (users x candidates x metrics) score table,
+training labels as the `oracle_select` argmax of its nDCG column (over the
+test users, the same argmax is the oracle upper bound), the selection
+forest, and dispatch."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from . import forest as rf
 from .data import format_float
-from .metrics import RelevanceConfig, ndcg_at
+from .metrics import RelevanceConfig, ndcg_at, precision_recall_at
 from .recommenders import RecommenderSpec
 
 log = logging.getLogger(__name__)
@@ -60,46 +61,66 @@ class LabeledTrainingSet:
         return "\n".join(lines) + "\n"
 
 
+def score_columns(relevance: RelevanceConfig) -> list:
+    """Column names of the `score_users` table: P@k and R@k per cutoff, then nDCG."""
+    return [f"{m}@{k}" for k in relevance.cutoffs for m in "PR"] + ["nDCG"]
+
+
+def score_users(fitted: dict, names, user_ids, inner_train: dict, inner_test: dict,
+                relevance: RelevanceConfig, ndcg_cutoff: int) -> tuple:
+    """One catalog Top-N per (user, candidate), without the user's inner-train
+    items, scored against the user's inner holdout.
+
+    Returns (scored, table): `scored` marks the users with a non-empty
+    holdout; `table` holds one (candidates x `score_columns`) block each.
+    """
+    for name in names:
+        if name not in fitted:
+            raise ValueError(f"candidate {name!r} has no fitted model")
+    top_n = max(max(relevance.cutoffs), ndcg_cutoff)
+    scored, rows = [], []
+    for uid in user_ids:
+        holdout = {r.item_id: r.rating for r in inner_test.get(uid, [])}
+        scored.append(bool(holdout))
+        if not holdout:
+            continue
+        relevant = {iid for iid, r in holdout.items() if r >= relevance.threshold}
+        exclude = {r.item_id for r in inner_train.get(uid, [])}
+        for name in names:
+            ranked = fitted[name].recommend_top_n(uid, top_n, exclude=exclude)
+            for k in relevance.cutoffs:
+                rows.extend(precision_recall_at(ranked, relevant, k))
+            rows.append(ndcg_at(ranked, holdout, ndcg_cutoff, relevance))
+    table = np.array(rows, dtype=float).reshape(
+        sum(scored), len(names), 2 * len(relevance.cutoffs) + 1)
+    return np.array(scored, dtype=bool), table
+
+
 def generate_labels(candidates: CandidateSet, fitted: dict, user_ids,
-                    context_matrix, train_items_by_user: dict,
-                    holdout_by_user: dict, n: int = 10,
+                    context_matrix, inner_train: dict, inner_test: dict,
+                    n: int = 10,
                     relevance: RelevanceConfig = RelevanceConfig()) -> LabeledTrainingSet:
-    """Score every candidate's Top-n per user against the inner holdout and
-    record the argmax as the training label (ties: candidate-set order).
+    """Label each user with the `oracle_select` winner of the nDCG@n column of
+    `score_users` (ties: candidate-set order, counted in `tied_users`).
 
     Users with an empty holdout are skipped and counted.
     """
-    for name in candidates.names:
-        if name not in fitted:
-            raise ValueError(f"candidate {name!r} has no fitted model")
-    kept_users, kept_rows, labels, score_rows = [], [], [], []
-    skipped, tied = [], []
-    for row, uid in enumerate(user_ids):
-        holdout = {r.item_id: r.rating for r in holdout_by_user.get(uid, [])}
-        if not holdout:
-            skipped.append(uid)
-            continue
-        exclude = train_items_by_user.get(uid, set())
-        scores = []
-        for name in candidates.names:
-            ranked = fitted[name].recommend_top_n(uid, n, exclude=exclude)
-            scores.append(ndcg_at(ranked, holdout, n, relevance))
-        best = int(np.argmax(scores))
-        if scores.count(scores[best]) > 1:
-            tied.append(uid)
-        kept_users.append(uid)
-        kept_rows.append(context_matrix[row])
-        labels.append(candidates.names[best])
-        score_rows.append(scores)
+    scored, table = score_users(fitted, candidates.names, user_ids, inner_train,
+                                inner_test, relevance, n)
+    scores = np.ascontiguousarray(table[:, :, -1])
+    winners, _ = oracle_select(scores, candidates.names)
+    kept = [uid for uid, ok in zip(user_ids, scored) if ok]
+    skipped = [uid for uid, ok in zip(user_ids, scored) if not ok]
+    tied = [uid for uid, row in zip(kept, scores) if (row == row.max()).sum() > 1]
     if skipped:
         log.info("labeling skipped %d users with empty holdouts", len(skipped))
     if tied:
         log.info("%d users had tied nDCG; first candidate assigned", len(tied))
     return LabeledTrainingSet(
-        user_ids=kept_users,
-        contexts=np.array(kept_rows) if kept_rows else np.zeros((0, 0)),
-        labels=labels,
-        scores=np.array(score_rows) if score_rows else np.zeros((0, len(candidates.names))),
+        user_ids=kept,
+        contexts=context_matrix[scored],
+        labels=[candidates.names[w] for w in winners],
+        scores=scores,
         candidate_names=list(candidates.names),
         skipped_users=skipped,
         tied_users=tied,

@@ -197,9 +197,31 @@ class TestConfigValidation:
         ({"context": {"genre_components": -1}}, "genre_components must be an int >= 0"),
         ({"context": {"include_age": "no"}}, "include_age must be true or false"),
         ({"cold_start": {"enabled": "no"}}, "cold_start.enabled must be true or false"),
+        ({"dataset": {"format": "generic", "ratings": 5}},
+         "dataset.ratings must be a non-empty path string"),
+        ({"dataset": {"format": "generic", "ratings": 0}},
+         "dataset.ratings must be a non-empty path string"),
+        ({"dataset": {"ratings": "r.dat", "users": ["u"], "items": "m.dat"}},
+         "dataset.users must be a non-empty path string"),
+        ({"dataset": {"ratings": "r.dat", "users": "u.dat", "items": ""}},
+         "dataset.items must be a non-empty path string"),
+        ({"dataset": {"format": "generic", "ratings": "r.csv", "metadata": ["x"]}},
+         "dataset.metadata must be a non-empty path string"),
+        ({"min_ratings": [1]}, "min_ratings must be an int >= 0"),
+        ({"min_ratings": 2.7}, "min_ratings must be an int >= 0"),
+        ({"min_ratings": -3}, "min_ratings must be an int >= 0"),
+        ({"min_ratings": True}, "min_ratings must be an int >= 0"),
+        ({"seed": [1]}, "seed must be an int"),
+        ({"seed": 2.7}, "seed must be an int"),
+        ({"seed": True}, "seed must be an int"),
+        ({"seed": "7"}, "seed must be an int"),
     ], ids=["cutoffs-int", "cutoffs-zero", "cutoffs-no-3", "threshold-string",
             "ndcg-cutoff-zero", "inner-ratio-string", "max-keywords-string",
-            "genre-components-negative", "include-age-string", "cold-start-string"])
+            "genre-components-negative", "include-age-string", "cold-start-string",
+            "ratings-int", "ratings-zero", "users-list", "items-empty",
+            "metadata-list", "min-ratings-list", "min-ratings-float",
+            "min-ratings-negative", "min-ratings-bool", "seed-list", "seed-float",
+            "seed-bool", "seed-string"])
     def test_bad_section_values(self, workdir, capsys, updates, message):
         path = write_config(workdir, name="bad13.json", **updates)
         with pytest.raises(ConfigError, match=message):
@@ -438,6 +460,12 @@ class TestFixtureReports:
          "d24e75812d8466aa43836cd460fec0ecf825988fdd41ec52cf618be1e78ed295"),
     ]
 
+    # sha256 of labels.csv, which the label stage writes from the TRh score table
+    LABELS_PINNED = {
+        "cf": "8f135b92c386b2e17b736eb8a613348cadc2c5a4d5c3c8d9a93cde0b464b00eb",
+        "mixed": "aff867a87b37eb469d058c394ac266ab4b94258be4785155a5b57e7c9703af54",
+    }
+
     @pytest.mark.parametrize("preset, report_sha, per_user_sha", PINNED)
     def test_run_all_reports_pinned(self, tmp_path, monkeypatch, preset, report_sha,
                                     per_user_sha):
@@ -447,6 +475,8 @@ class TestFixtureReports:
         assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == report_sha
         assert hashlib.sha256(
             (tmp_path / "per_user_metrics.csv").read_bytes()).hexdigest() == per_user_sha
+        assert hashlib.sha256(
+            (tmp_path / "labels.csv").read_bytes()).hexdigest() == self.LABELS_PINNED[preset]
         # no candidate pickles state that it can rebuild on load
         assert (tmp_path / "candidates_eval.pkl").stat().st_size < self.CANDIDATES_MAX_BYTES[preset]
 
@@ -483,6 +513,8 @@ class TestFixtureReports:
             assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == pinned[0]
             assert hashlib.sha256(
                 (out / "per_user_metrics.csv").read_bytes()).hexdigest() == pinned[1]
+            assert hashlib.sha256(
+                (out / "labels.csv").read_bytes()).hexdigest() == self.LABELS_PINNED[preset]
             files = json.loads((out / "manifest.json").read_text())["files"]
             assert set(files) == set(os.listdir(out)) - {"manifest.json"}
             for name, digest in files.items():

@@ -1,12 +1,15 @@
 """Each candidate is fitted once, on every user's inner-train ratings, and
-that one fitted set both labels the training users and serves the test users."""
+that one fitted set both labels the training users and serves the test users.
+The report's oracle is `oracle_select` over its own per-user nDCG columns."""
 
 from collections import Counter
+
+import numpy as np
 
 from metahybrid import evaluation
 from metahybrid import recommenders as rec
 from metahybrid.forest import ForestParams
-from metahybrid.hybrid import preset_candidates
+from metahybrid.hybrid import oracle_select, preset_candidates
 from metahybrid.splits import SplitPlan
 
 
@@ -43,3 +46,14 @@ def test_serving_models_are_the_labelling_models(small_dataset):
         ForestParams(n_estimators=3), master_seed=7)
     assert artifacts["meta"].fitted is artifacts["fitted_eval"]
     assert "fitted_train" not in artifacts
+
+
+def test_opt_hybrid_is_the_oracle_of_the_per_user_ndcg(small_dataset):
+    report, _ = evaluation.run_experiment(
+        small_dataset, preset_candidates("cf"), SplitPlan(),
+        ForestParams(n_estimators=3), master_seed=7)
+    names = report.candidate_names
+    ndcg = np.array([[u[f"{n}:nDCG"] for n in names] for u in report.per_user])
+    winners, mean = oracle_select(ndcg, names)
+    assert report.rows["Opt. hybrid"]["nDCG"] == mean
+    assert [u["oracle"] for u in report.per_user] == [names[w] for w in winners]

@@ -1,8 +1,10 @@
 import csv
+import math
 
 import numpy as np
 import pytest
 
+from metahybrid.data import RatingEvent
 from metahybrid.forest import ForestParams
 from metahybrid.hybrid import (
     CandidateSet,
@@ -12,8 +14,11 @@ from metahybrid.hybrid import (
     oracle_select,
     preset_candidates,
     recommend,
+    score_columns,
+    score_users,
     train_meta,
 )
+from metahybrid.metrics import RelevanceConfig
 from metahybrid.recommenders import RecommenderSpec
 
 
@@ -54,7 +59,6 @@ class TestCandidateSet:
 
 
 def _label_setup():
-    from metahybrid.data import RatingEvent
     candidates = two_candidates()
     # user 1: candidate A nails the holdout, B misses; user 2 reversed;
     # user 3 has an empty holdout; user 4 ties (both miss entirely)
@@ -95,7 +99,7 @@ class TestLabeling:
         candidates, fitted, holdouts, contexts = _label_setup()
         # excluding h1 from user 1 removes SlopeOne's hit; tie at 0 -> first
         labeled = generate_labels(candidates, fitted, [1], contexts[:1],
-                                  {1: {"h1"}}, {1: holdouts[1]})
+                                  {1: [RatingEvent(1, "h1", 3, 9)]}, {1: holdouts[1]})
         assert labeled.labels == ["SlopeOne"]
         assert labeled.tied_users == [1]
         assert np.allclose(labeled.scores, 0.0)
@@ -123,6 +127,61 @@ class TestLabeling:
         rows = list(csv.reader(labeled.labels_csv().splitlines()))[1:]
         assert [r[:2] for r in rows] == [["1", "a"], ["2", "b"], ["3", "a"]]
         assert np.array_equal(np.array([[float(c) for c in r[2:]] for r in rows]), scores)
+
+
+class TestScoreTable:
+    """`score_users` against hand-computed P@k, R@k and nDCG@10 cells."""
+
+    def _setup(self):
+        candidates = two_candidates()
+        fitted = {
+            # user 1 has "t1" in inner-train, so it is excluded from the ranking
+            "SlopeOne": FakeRecommender({1: ["x3", "x4", "x5", "x6", "x7", "h2"],
+                                         3: ["h3"]}),
+            "KnnBasic": FakeRecommender({1: ["t1", "h1", "x1", "h2", "x2"],
+                                         3: ["h3", "y"]}),
+        }
+        inner_train = {1: [RatingEvent(1, "t1", 2, 1)]}
+        inner_test = {1: [RatingEvent(1, "h1", 5, 8), RatingEvent(1, "h2", 3, 9)],
+                      2: [],
+                      3: [RatingEvent(3, "h3", 4, 9)]}
+        return candidates, fitted, inner_train, inner_test
+
+    def test_hand_computed_cells(self):
+        candidates, fitted, inner_train, inner_test = self._setup()
+        scored, table = score_users(fitted, candidates.names, [1, 2, 3], inner_train,
+                                    inner_test, RelevanceConfig(), 10)
+        assert scored.tolist() == [True, False, True]
+        assert score_columns(RelevanceConfig()) == [
+            "P@3", "R@3", "P@5", "R@5", "P@10", "R@10", "nDCG"]
+        ideal_1 = 31 + 7 / math.log2(3)        # holdout ratings 5 and 3, graded gain
+        want = [
+            # user 1: SlopeOne finds h2 (not relevant) at rank 6 of 6;
+            # KnnBasic finds h1 at rank 1 and h2 at rank 3 of 4
+            [[0, 0, 0, 0, 0, 0, (7 / math.log2(7)) / ideal_1],
+             [1 / 3, 1, 1 / 4, 1, 1 / 4, 1, (31 + 7 / 2) / ideal_1]],
+            # user 3: both rank h3 first, of 1 and of 2 items
+            [[1, 1, 1, 1, 1, 1, 1], [1 / 2, 1, 1 / 2, 1, 1 / 2, 1, 1]],
+        ]
+        assert table.shape == (2, 2, 7)
+        assert table == pytest.approx(np.array(want), abs=1e-15)
+
+    def test_labels_are_the_ndcg_oracle(self):
+        candidates, fitted, inner_train, inner_test = self._setup()
+        _, table = score_users(fitted, candidates.names, [1, 2, 3], inner_train,
+                               inner_test, RelevanceConfig(), 10)
+        labeled = generate_labels(candidates, fitted, [1, 2, 3], np.eye(3),
+                                  inner_train, inner_test)
+        ndcg = table[:, :, -1]
+        winners, _ = oracle_select(ndcg, candidates.names)
+        assert labeled.labels == [candidates.names[w] for w in winners] \
+            == ["KnnBasic", "SlopeOne"]
+        assert np.array_equal(labeled.scores, ndcg)
+        ties = [u for u, row in zip(labeled.user_ids, ndcg)
+                if np.sum(row == row.max()) > 1]
+        assert labeled.tied_users == ties == [3]
+        assert labeled.skipped_users == [2]
+        assert np.array_equal(labeled.contexts, np.eye(3)[[0, 2]])
 
 
 class TestOracle:

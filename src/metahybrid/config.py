@@ -10,7 +10,7 @@ import json
 import os
 from dataclasses import dataclass, field, fields
 
-from .evaluation import ContextConfig
+from .context import ContextConfig
 from .forest import ForestParams
 from .hybrid import CandidateSet, preset_candidates
 from .metrics import RelevanceConfig
@@ -52,10 +52,14 @@ class ExperimentConfig:
         return preset_candidates(self.preset or "cf")
 
 
-def _check_keys(section: dict, allowed, where: str):
-    extra = set(section) - set(allowed)
+def _object(value, allowed, where: str) -> dict:
+    """A copy of `value`, which must be a JSON object holding only `allowed` keys."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object, got {value!r}")
+    extra = set(value) - set(allowed)
     if extra:
         raise ConfigError(f"{where}: unknown keys {sorted(extra)}")
+    return dict(value)
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
@@ -76,12 +80,12 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     top_keys = ("schema_version", "dataset", "cold_start", "min_ratings",
                 "preset", "candidates", "split", "forest", "relevance",
                 "context", "label_cutoff", "output_dir", "seed")
-    _check_keys(raw, top_keys, path)
+    raw = _object(raw, top_keys, path)
     if raw.get("schema_version") != 1:
         raise ConfigError(f"{path}: schema_version must be 1")
 
-    ds = raw.get("dataset", {})
-    _check_keys(ds, ("format", "ratings", "users", "items", "metadata"), "dataset")
+    ds = _object(raw.get("dataset", {}), ("format", "ratings", "users", "items", "metadata"),
+                 "dataset")
     for key in ("ratings", "users", "items", "metadata"):
         if ds.get(key) is not None and (type(ds[key]) is not str or not ds[key]):
             raise ConfigError(f"dataset.{key} must be a non-empty path string")
@@ -93,8 +97,8 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     if fmt == "movielens" and (not ds.get("users") or not ds.get("items")):
         raise ConfigError("movielens format requires dataset.users and dataset.items")
 
-    cold = raw.get("cold_start", {})
-    _check_keys(cold, ("enabled", "min_keep", "max_keep"), "cold_start")
+    cold = _object(raw.get("cold_start", {}), ("enabled", "min_keep", "max_keep"),
+                   "cold_start")
     min_keep, max_keep = cold.get("min_keep", 5), cold.get("max_keep")
     if type(cold.get("enabled", False)) is not bool:
         raise ConfigError("cold_start.enabled must be true or false")
@@ -103,20 +107,16 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     if max_keep is not None and (type(max_keep) is not int or max_keep < min_keep):
         raise ConfigError("cold_start.max_keep must be null or an int >= min_keep")
 
-    split_raw = dict(raw.get("split", {}))
-    _check_keys(split_raw, ("outer_ratio", "inner_ratio", "mode"), "split")
-
-    forest_raw = dict(raw.get("forest", {}))
+    split_raw = _object(raw.get("split", {}), ("outer_ratio", "inner_ratio", "mode"), "split")
+    forest_raw = _object(raw.get("forest", {}), [f.name for f in fields(ForestParams)],
+                         "forest")
     if "seed" in forest_raw:
         raise ConfigError("forest.seed has no effect: the forest's seed derives "
                           "from the top-level seed")
-    _check_keys(forest_raw, (f.name for f in fields(ForestParams)), "forest")
-    relevance_raw = dict(raw.get("relevance", {}))
-    _check_keys(relevance_raw, ("threshold", "gain", "cutoffs", "ndcg_cutoff"),
-                "relevance")
-    context_raw = dict(raw.get("context", {}))
-    _check_keys(context_raw, ("include_age", "max_keywords", "genre_components",
-                              "keyword_components"), "context")
+    relevance_raw = _object(raw.get("relevance", {}),
+                            [f.name for f in fields(RelevanceConfig)], "relevance")
+    context_raw = _object(raw.get("context", {}), [f.name for f in fields(ContextConfig)],
+                          "context")
 
     if raw.get("preset") and raw.get("candidates"):
         raise ConfigError("set either preset or candidates, not both")
@@ -128,6 +128,8 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
             if not isinstance(entry, dict) or "algorithm" not in entry:
                 raise ConfigError(f"candidates[{i}] must be an object with an "
                                   f"'algorithm' key, got {entry!r}")
+            if not isinstance(entry.get("params", {}), dict):
+                raise ConfigError(f"candidates[{i}].params must be an object")
     label_cutoff = raw.get("label_cutoff", 10)
     if type(label_cutoff) is not int or label_cutoff < 1:
         raise ConfigError("label_cutoff must be an int >= 1")
@@ -144,7 +146,16 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     for env_key, (name, cast) in env_map.items():
         value = os.environ.get(ENV_PREFIX + env_key)
         if value is not None and name not in merged:
-            merged[name] = cast(value)
+            try:
+                merged[name] = cast(value)
+            except ValueError:
+                raise ConfigError(f"{ENV_PREFIX}{env_key}={value!r} is not "
+                                  f"a valid {cast.__name__}") from None
+
+    # the file's value is checked even when a flag or variable replaces it
+    for output_dir in (raw.get("output_dir", "out"), merged.get("output_dir", "out")):
+        if type(output_dir) is not str or not output_dir:
+            raise ConfigError("output_dir must be a non-empty path string")
 
     if merged.get("preset") and raw.get("candidates"):
         raise ConfigError("--preset or METAHYBRID_PRESET would be ignored: "
@@ -169,11 +180,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
             explicit_candidates=candidates,
             split=SplitPlan(**split_raw),
             forest=ForestParams(**forest_raw),
-            relevance=RelevanceConfig(
-                threshold=relevance_raw.get("threshold", 4),
-                gain=relevance_raw.get("gain", "graded"),
-                cutoffs=relevance_raw.get("cutoffs", (3, 5, 10)),
-                ndcg_cutoff=relevance_raw.get("ndcg_cutoff", 10)),
+            relevance=RelevanceConfig(**relevance_raw),
             context=ContextConfig(**context_raw),
             label_cutoff=label_cutoff,
             output_dir=merged.pop("output_dir", raw.get("output_dir", "out")),

@@ -1,5 +1,8 @@
-"""Per-user context model: raw feature extraction, PCA reduction of the
-genre/keyword histograms, and assembly into a fixed-order numeric matrix."""
+"""Per-user context model: raw attributes from a user's inner-train slice
+and demography (`extract_raw`), PCA reduction of the genre and keyword
+histograms, and one matrix row per user laid out by the one column table
+`ContextSchema.blocks()`, which the column names and the importance groups
+read too. Preferred hours and weekdays are UTC."""
 
 from __future__ import annotations
 
@@ -7,7 +10,6 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
-from datetime import datetime, timezone
 
 import numpy as np
 
@@ -15,10 +17,31 @@ from .data import format_float
 
 log = logging.getLogger(__name__)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
-# MovieLens 1M age-band codes; unseen codes fall into "unknown"
+# MovieLens 1M age-band and occupation codes; unseen codes fall into "unknown"
 ML_AGE_BANDS = (1, 18, 25, 35, 45, 50, 56)
+ML_OCCUPATIONS = tuple(range(21))
+GENDERS = ("M", "F")
+REGIONS = tuple("0123456789")             # first postal digit
+
+
+@dataclass
+class ContextConfig:
+    """The config's `context` section, read by `build_schema`."""
+
+    include_age: bool = True
+    max_keywords: int = 2000
+    genre_components: int = 10
+    keyword_components: int = 15
+
+    def __post_init__(self):
+        if type(self.include_age) is not bool:
+            raise ValueError("include_age must be true or false")
+        for name in ("max_keywords", "genre_components", "keyword_components"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 0:
+                raise ValueError(f"{name} must be an int >= 0")
 
 
 @dataclass
@@ -33,7 +56,7 @@ class RawContextFeatures:
     n_unique_categories: int
     genre_histogram: dict                 # genre -> fraction of genre occurrences
     keyword_histogram: dict
-    mean_runtime_norm: float              # mean runtime / catalog max, in [0,1]
+    mean_runtime: float                   # minutes, over rated items with a runtime
     gender: str
     age_band: int | None
     occupation: int | None
@@ -47,44 +70,29 @@ def extract_raw(user_id, ratings, catalog: dict, demography=None) -> RawContextF
     no preferred hour/day, demographic categories as recorded.
     """
     ratings = list(ratings)
+    n = len(ratings)
+    hist = np.bincount([r.rating - 1 for r in ratings], minlength=5) / max(n, 1)
+    hours = [r.timestamp // 3600 % 24 for r in ratings]          # UTC
+    dows = [(r.timestamp // 86400 + 3) % 7 for r in ratings]     # day 0 was a Thursday
+    genres, keywords, years, runtimes = [], [], [], []
     for r in ratings:
         if r.user_id != user_id:
             raise ValueError(f"rating slice contains foreign user {r.user_id!r}")
-
-    n = len(ratings)
-    hist = np.zeros(5)
-    genre_counts: Counter = Counter()
-    keyword_counts: Counter = Counter()
-    years, runtimes, hours, dows = [], [], [], []
-    for r in ratings:
-        hist[r.rating - 1] += 1
-        ts = datetime.fromtimestamp(r.timestamp, tz=timezone.utc)
-        hours.append(ts.hour)
-        dows.append(ts.weekday())
         it = catalog.get(r.item_id)
         if it is None:
             continue
-        genre_counts.update(it.genres)
-        keyword_counts.update(it.keywords)
+        genres.extend(it.genres)
+        keywords.extend(it.keywords)
         if it.year is not None:
             years.append(it.year)
         if it.runtime_minutes is not None:
             runtimes.append(it.runtime_minutes)
 
-    if n > 0:
-        hist = hist / n
-    genre_total = sum(genre_counts.values())
-    genre_hist = {g: c / genre_total for g, c in genre_counts.items()} if genre_total else {}
-    kw_total = sum(keyword_counts.values())
-    kw_hist = {k: c / kw_total for k, c in keyword_counts.items()} if kw_total else {}
+    genre_hist = {g: c / len(genres) for g, c in Counter(genres).items()}
+    kw_hist = {k: c / len(keywords) for k, c in Counter(keywords).items()}
     # summed in genre order: the histogram's own order follows string hashing
     entropy = -sum(genre_hist[g] * math.log(genre_hist[g])
                    for g in sorted(genre_hist) if genre_hist[g] > 0)
-
-    max_runtime = max((it.runtime_minutes for it in catalog.values()
-                       if it.runtime_minutes is not None), default=0)
-    mean_rt = (sum(runtimes) / len(runtimes) / max_runtime
-               if runtimes and max_runtime else 0.0)
 
     gender, age, occupation, region = "unknown", None, None, "unknown"
     if demography is not None:
@@ -102,10 +110,10 @@ def extract_raw(user_id, ratings, catalog: dict, demography=None) -> RawContextF
         genre_entropy=entropy,
         preferred_hour=_mode(hours),
         preferred_dow=_mode(dows),
-        n_unique_categories=len(genre_counts),
+        n_unique_categories=len(genre_hist),
         genre_histogram=genre_hist,
         keyword_histogram=kw_hist,
-        mean_runtime_norm=mean_rt,
+        mean_runtime=sum(runtimes) / len(runtimes) if runtimes else 0.0,
         gender=gender,
         age_band=age,
         occupation=occupation,
@@ -173,92 +181,84 @@ def transform_pca(model: PcaModel, row: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ContextSchema:
-    """Fixed feature universe: categorical vocabularies and PCA widths.
-
-    Built once per experiment from the catalog and demography tables so
-    the assembled columns are stable across runs.
+    """The context vector's layout, built once per experiment from the
+    catalog and demography: vocabularies, category universes, PCA widths
+    and the catalog's longest runtime, which divides each user's mean
+    runtime. The evaluate stage rejects a schema of another `version`.
     """
 
     genres: tuple
     keywords: tuple                       # capped at max_keywords most frequent
     age_bands: tuple = ML_AGE_BANDS
-    occupations: tuple = tuple(range(21))
+    occupations: tuple = ML_OCCUPATIONS
     include_age: bool = True
     genre_components: int = 10
     keyword_components: int = 15
+    max_runtime: int = 0                  # minutes; 0 when no item has a runtime
     version: int = SCHEMA_VERSION
 
-    SCALARS = ("n_ratings", "year_variance", "genre_entropy",
-               "n_unique_genres", "mean_runtime_norm")
+    def blocks(self) -> list:
+        """(source attribute, column names) per block, in column order."""
+        def onehot(prefix, universe):  # one column per category, then unknown
+            return [f"{prefix}_{u}" for u in universe] + [f"{prefix}_unknown"]
+
+        blocks = [(name, [name]) for name in ("n_ratings", "year_variance", "genre_entropy",
+                                              "n_unique_genres", "mean_runtime_norm")]
+        blocks += [("rating_histogram", [f"rating_frac_{v}" for v in range(1, 6)]),
+                   ("preferred_hour", [f"hour_{h}" for h in range(24)]),
+                   ("preferred_dow", [f"dow_{d}" for d in range(7)]),
+                   ("gender", onehot("gender", GENDERS))]
+        if self.include_age:
+            blocks.append(("age", onehot("age", self.age_bands)))
+        blocks += [("occupation", onehot("occupation", self.occupations)),
+                   ("region", onehot("region", REGIONS)),
+                   ("genre_pca", [f"genre_pc_{j + 1}" for j in range(self.genre_components)]),
+                   ("keyword_pca",
+                    [f"keyword_pc_{j + 1}" for j in range(self.keyword_components)])]
+        return blocks
 
     def feature_names(self) -> list:
-        names = list(self.SCALARS)
-        names += [f"rating_frac_{v}" for v in range(1, 6)]
-        names += [f"hour_{h}" for h in range(24)]
-        names += [f"dow_{d}" for d in range(7)]
-        names += ["gender_M", "gender_F", "gender_unknown"]
-        if self.include_age:
-            names += [f"age_{a}" for a in self.age_bands] + ["age_unknown"]
-        names += [f"occupation_{o}" for o in self.occupations] + ["occupation_unknown"]
-        names += [f"region_{d}" for d in range(10)] + ["region_unknown"]
-        names += [f"genre_pc_{j + 1}" for j in range(self.genre_components)]
-        names += [f"keyword_pc_{j + 1}" for j in range(self.keyword_components)]
+        names = [name for _, columns in self.blocks() for name in columns]
         if len(set(names)) != len(names):
             raise ValueError("feature-name collision in context schema")
         return names
 
     def feature_groups(self) -> list:
-        """Source-attribute group per column, for summed importances."""
-        groups = list(self.SCALARS)
-        groups += ["rating_histogram"] * 5
-        groups += ["preferred_hour"] * 24
-        groups += ["preferred_dow"] * 7
-        groups += ["gender"] * 3
-        if self.include_age:
-            groups += ["age"] * (len(self.age_bands) + 1)
-        groups += ["occupation"] * (len(self.occupations) + 1)
-        groups += ["region"] * 11
-        groups += ["genre_pca"] * self.genre_components
-        groups += ["keyword_pca"] * self.keyword_components
-        return groups
+        """Source attribute per column, for summed importances."""
+        return [attribute for attribute, columns in self.blocks() for _ in columns]
 
 
-def build_schema(catalog: dict, users: dict | None = None, include_age: bool = True,
-                 max_keywords: int = 2000, genre_components: int = 10,
-                 keyword_components: int = 15) -> ContextSchema:
+def build_schema(catalog: dict, users: dict | None = None,
+                 config: ContextConfig = ContextConfig()) -> ContextSchema:
     genres = tuple(sorted({g for it in catalog.values() for g in it.genres}))
-    kw_counts: Counter = Counter()
-    for it in catalog.values():
-        kw_counts.update(it.keywords)
-    top = sorted(kw_counts.items(), key=lambda kv: (-kv[1], kv[0]))[:max_keywords]
+    kw_counts = Counter(k for it in catalog.values() for k in it.keywords)
+    top = sorted(kw_counts.items(), key=lambda kv: (-kv[1], kv[0]))[:config.max_keywords]
     keywords = tuple(sorted(k for k, _ in top))
-    age_bands = ML_AGE_BANDS
-    occupations = tuple(range(21))
+    age_bands, occupations = ML_AGE_BANDS, ML_OCCUPATIONS
     if users:
         seen_ages = sorted({u.age_band for u in users.values() if u.age_band is not None})
         if seen_ages and not set(seen_ages).issubset(ML_AGE_BANDS):
             age_bands = tuple(seen_ages)
         seen_occ = sorted({u.occupation for u in users.values() if u.occupation is not None})
-        if seen_occ and not set(seen_occ).issubset(set(range(21))):
+        if seen_occ and not set(seen_occ).issubset(ML_OCCUPATIONS):
             occupations = tuple(seen_occ)
-    gc = min(genre_components, len(genres)) if genres else 0
-    kc = min(keyword_components, len(keywords)) if keywords else 0
-    if gc < genre_components:
+    gc = min(config.genre_components, len(genres))
+    kc = min(config.keyword_components, len(keywords))
+    if gc < config.genre_components:
         log.warning("genre universe (%d) smaller than requested components; using %d",
                     len(genres), gc)
-    if kc < keyword_components:
+    if kc < config.keyword_components:
         log.warning("keyword universe (%d) smaller than requested components; using %d",
                     len(keywords), kc)
     return ContextSchema(genres=genres, keywords=keywords, age_bands=age_bands,
-                         occupations=occupations, include_age=include_age,
-                         genre_components=gc, keyword_components=kc)
+                         occupations=occupations, include_age=config.include_age,
+                         genre_components=gc, keyword_components=kc,
+                         max_runtime=max((it.runtime_minutes for it in catalog.values()
+                                          if it.runtime_minutes is not None), default=0))
 
 
 def histogram_row(hist: dict, vocabulary) -> np.ndarray:
-    row = np.zeros(len(vocabulary))
-    for j, key in enumerate(vocabulary):
-        row[j] = hist.get(key, 0.0)
-    return row
+    return np.array([hist.get(key, 0.0) for key in vocabulary], dtype=float)
 
 
 def fit_histogram_pcas(raws, schema: ContextSchema):
@@ -271,46 +271,51 @@ def fit_histogram_pcas(raws, schema: ContextSchema):
 
 
 def assemble_matrix(raws, pca_genres, pca_keywords, schema: ContextSchema):
-    """Stack raw features into the fixed-order numeric matrix.
-
-    Column order: scalars, rating histogram, hour/day one-hots,
-    demographic one-hots, genre-PCA values, keyword-PCA values.
-    """
+    """Stack raw features into the matrix laid out by `schema.blocks()`."""
     names = schema.feature_names()
+    blocks = schema.blocks()
     rows = []
     for raw in raws:
-        row = [float(raw.n_ratings), raw.year_variance, raw.genre_entropy,
-               float(raw.n_unique_categories), raw.mean_runtime_norm]
-        row.extend(raw.rating_histogram.tolist())
-        row.extend(_onehot(raw.preferred_hour, range(24)))
-        row.extend(_onehot(raw.preferred_dow, range(7)))
-        row.extend(_onehot_cat(raw.gender, ("M", "F")))
-        if schema.include_age:
-            row.extend(_onehot_cat(raw.age_band, schema.age_bands))
-        row.extend(_onehot_cat(raw.occupation, schema.occupations))
-        row.extend(_onehot_cat(raw.location_region, tuple(str(d) for d in range(10))))
-        if pca_genres is not None:
-            row.extend(transform_pca(pca_genres,
-                                     histogram_row(raw.genre_histogram, schema.genres)).tolist())
-        if pca_keywords is not None:
-            row.extend(transform_pca(pca_keywords,
-                                     histogram_row(raw.keyword_histogram, schema.keywords)).tolist())
-        rows.append(row)
+        values = _block_values(raw, pca_genres, pca_keywords, schema)
+        rows.append([v for attribute, _ in blocks for v in values[attribute]])
     matrix = np.array(rows, dtype=float) if rows else np.zeros((0, len(names)))
     if matrix.shape[1] != len(names):
         raise ValueError(f"assembled {matrix.shape[1]} columns, schema names {len(names)}")
     return matrix, names
 
 
-def _onehot(value, universe) -> list:
-    return [1.0 if value == u else 0.0 for u in universe]
+def _block_values(raw: RawContextFeatures, pca_genres, pca_keywords,
+                  schema: ContextSchema) -> dict:
+    """One user's values per block, keyed by the blocks' source attributes."""
+    return {
+        "n_ratings": [float(raw.n_ratings)],
+        "year_variance": [raw.year_variance],
+        "genre_entropy": [raw.genre_entropy],
+        "n_unique_genres": [float(raw.n_unique_categories)],
+        "mean_runtime_norm": [raw.mean_runtime / schema.max_runtime
+                              if schema.max_runtime else 0.0],
+        "rating_histogram": raw.rating_histogram.tolist(),
+        "preferred_hour": _onehot(raw.preferred_hour, range(24)),
+        "preferred_dow": _onehot(raw.preferred_dow, range(7)),
+        "gender": _onehot(raw.gender, GENDERS, unknown=True),
+        "age": _onehot(raw.age_band, schema.age_bands, unknown=True),
+        "occupation": _onehot(raw.occupation, schema.occupations, unknown=True),
+        "region": _onehot(raw.location_region, REGIONS, unknown=True),
+        "genre_pca": _project(pca_genres, raw.genre_histogram, schema.genres),
+        "keyword_pca": _project(pca_keywords, raw.keyword_histogram, schema.keywords),
+    }
 
 
-def _onehot_cat(value, universe) -> list:
-    """One-hot over a category universe plus a trailing unknown column."""
+def _onehot(value, universe, unknown: bool = False) -> list:
+    """One-hot over `universe`, then with `unknown` a column for none of it."""
     row = [1.0 if value == u else 0.0 for u in universe]
-    row.append(1.0 if not any(row) else 0.0)
+    if unknown:
+        row.append(0.0 if any(row) else 1.0)
     return row
+
+
+def _project(pca, hist: dict, vocabulary) -> list:
+    return [] if pca is None else transform_pca(pca, histogram_row(hist, vocabulary)).tolist()
 
 
 def matrix_csv(matrix: np.ndarray, names, user_ids) -> str:

@@ -27,22 +27,6 @@ METRIC_COLUMNS = ("P@3", "P@5", "P@10", "R@3", "R@5", "R@10", "nDCG", "RMSE")
 
 
 @dataclass
-class ContextConfig:
-    include_age: bool = True
-    max_keywords: int = 2000
-    genre_components: int = 10
-    keyword_components: int = 15
-
-    def __post_init__(self):
-        if type(self.include_age) is not bool:
-            raise ValueError("include_age must be true or false")
-        for name in ("max_keywords", "genre_components", "keyword_components"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 0:
-                raise ValueError(f"{name} must be an int >= 0")
-
-
-@dataclass
 class ExperimentReport:
     rows: dict                      # algorithm/Hybrid/Opt-hybrid -> metric dict
     label_distribution: dict        # training-label histogram (Figure-6 analogue)
@@ -171,28 +155,23 @@ def build_contexts(user_ids, inner_train: dict, dataset: Dataset,
 
 
 def label_step(dataset: Dataset, split: NestedSplit, candidates: hy.CandidateSet,
-               fitted: dict, context_config: ContextConfig,
+               fitted: dict, context_config: ctx.ContextConfig,
                relevance: RelevanceConfig, label_cutoff: int) -> tuple:
     """Step 4: TRh contexts (fitting the PCA models), then each TRh user
     labelled with the candidate of best nDCG on their inner holdout.
 
     Returns (bundle, train_matrix). The bundle holds the labeled set, the
-    context schema, the PCA models and the feature names; the matrix has one
-    context row per TRh user.
+    context schema and the PCA models; the matrix has one context row per
+    TRh user, in the schema's column order.
     """
-    schema = ctx.build_schema(
-        dataset.items, dataset.users, include_age=context_config.include_age,
-        max_keywords=context_config.max_keywords,
-        genre_components=context_config.genre_components,
-        keyword_components=context_config.keyword_components)
-    matrix, names, pca_g, pca_k = build_contexts(
+    schema = ctx.build_schema(dataset.items, dataset.users, context_config)
+    matrix, _, pca_g, pca_k = build_contexts(
         split.train_users, split.train_inner_train, dataset, schema, fit_pcas=True)
     labeled = hy.generate_labels(candidates, fitted, split.train_users, matrix,
                                  split.train_inner_train, split.train_inner_test,
                                  n=label_cutoff, relevance=relevance)
-    bundle = {"labeled": labeled, "schema": schema, "pca_genres": pca_g,
-              "pca_keywords": pca_k, "feature_names": names}
-    return bundle, matrix
+    return {"labeled": labeled, "schema": schema, "pca_genres": pca_g,
+            "pca_keywords": pca_k}, matrix
 
 
 def train_meta_step(bundle: dict, forest_params: rf.ForestParams,
@@ -250,7 +229,7 @@ def evaluate_step(dataset: Dataset, split: NestedSplit, meta: hy.MetaHybridModel
 def run_experiment(dataset: Dataset, candidates: hy.CandidateSet,
                    plan: SplitPlan, forest_params: rf.ForestParams,
                    relevance: RelevanceConfig = RelevanceConfig(),
-                   context_config: ContextConfig = ContextConfig(),
+                   context_config: ctx.ContextConfig = ctx.ContextConfig(),
                    master_seed: int = 0, label_cutoff: int = 10):
     """Execute the full eight-step methodology in memory and build the report.
 
@@ -269,8 +248,8 @@ def run_experiment(dataset: Dataset, candidates: hy.CandidateSet,
     artifacts = {"split": split, "schema": bundle["schema"],
                  # the key keeps its old name: perfbench/workloads.py reads it
                  "fitted_eval": fitted, "labeled": bundle["labeled"], "meta": meta,
-                 "feature_names": bundle["feature_names"], "dispatched": dispatched,
-                 "test_matrix": test_matrix}
+                 "feature_names": bundle["schema"].feature_names(),
+                 "dispatched": dispatched, "test_matrix": test_matrix}
     return report, artifacts
 
 
@@ -303,7 +282,7 @@ def _build_report(users, table, columns, dispatched, split, names, bundle, fores
         actual = confusion.setdefault(u["oracle"], {})
         actual[u["dispatched"]] = actual.get(u["dispatched"], 0) + 1
 
-    importances = rf.feature_importances(forest, bundle["feature_names"],
+    importances = rf.feature_importances(forest, bundle["schema"].feature_names(),
                                          bundle["schema"].feature_groups())
 
     rmse_best = table[:, :, columns.index("RMSE")].argmin(axis=1)  # first on ties

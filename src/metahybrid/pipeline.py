@@ -143,7 +143,7 @@ def stage_label(cfg: ExperimentConfig, store: ArtifactStore) -> dict:
     store.write("labeled.pkl", bundle)
     store.write_text("labels.csv", labeled.labels_csv())
     store.write_text("contexts_train.csv", ctx.matrix_csv(
-        matrix, bundle["feature_names"], split.train_users))
+        matrix, bundle["schema"].feature_names(), split.train_users))
     summary = (f"labeled {len(labeled.labels)} users "
                f"({len(labeled.skipped_users)} skipped, {len(labeled.tied_users)} ties)")
     log.info(summary)
@@ -164,6 +164,9 @@ def stage_evaluate(cfg: ExperimentConfig, store: ArtifactStore) -> dict:
     dataset = store.read("dataset.pkl", "evaluate")
     split = store.read("split.pkl", "evaluate")
     bundle = store.read("labeled.pkl", "evaluate")
+    if bundle["schema"].version != ctx.SCHEMA_VERSION:
+        raise StageError(f"labeled.pkl holds a context schema of version "
+                         f"{bundle['schema'].version}, not {ctx.SCHEMA_VERSION}; rerun label")
     forest = store.read("meta.pkl", "evaluate")
     if not isinstance(forest, rf.ForestModel):
         # an output directory from an older version pickled the whole serving model

@@ -177,7 +177,8 @@ class TestConfigValidation:
         ({"algorithm": "SvdMf"}, "candidates must be a list"),
         (["SlopeOne", "SvdMf"], r"candidates\[0\] must be an object"),
         ([{"algorithm": "SlopeOne"}, {"params": {}}], r"candidates\[1\] must be an object"),
-    ], ids=["string", "object", "string-entries", "no-algorithm"])
+        ([{"algorithm": "SvdMf", "params": 5}], r"candidates\[0\]\.params must be an object"),
+    ], ids=["string", "object", "string-entries", "no-algorithm", "params-int"])
     def test_bad_candidates_shape(self, workdir, capsys, candidates, message):
         path = write_config(workdir, name="bad11.json", preset=None, candidates=candidates)
         with pytest.raises(ConfigError, match=message):
@@ -215,13 +216,23 @@ class TestConfigValidation:
         ({"seed": 2.7}, "seed must be an int"),
         ({"seed": True}, "seed must be an int"),
         ({"seed": "7"}, "seed must be an int"),
+        ({"split": 5}, "split must be an object"),
+        ({"dataset": 5}, "dataset must be an object"),
+        ({"cold_start": 5}, "cold_start must be an object"),
+        ({"context": None}, "context must be an object"),
+        ({"forest": [1]}, "forest must be an object"),
+        ({"relevance": "x"}, "relevance must be an object"),
+        ({"output_dir": 5}, "output_dir must be a non-empty path string"),
+        ({"output_dir": ""}, "output_dir must be a non-empty path string"),
     ], ids=["cutoffs-int", "cutoffs-zero", "cutoffs-no-3", "threshold-string",
             "ndcg-cutoff-zero", "inner-ratio-string", "max-keywords-string",
             "genre-components-negative", "include-age-string", "cold-start-string",
             "ratings-int", "ratings-zero", "users-list", "items-empty",
             "metadata-list", "min-ratings-list", "min-ratings-float",
             "min-ratings-negative", "min-ratings-bool", "seed-list", "seed-float",
-            "seed-bool", "seed-string"])
+            "seed-bool", "seed-string", "split-int", "dataset-int", "cold-start-int",
+            "context-null", "forest-list", "relevance-string", "output-dir-int",
+            "output-dir-empty"])
     def test_bad_section_values(self, workdir, capsys, updates, message):
         path = write_config(workdir, name="bad13.json", **updates)
         with pytest.raises(ConfigError, match=message):
@@ -232,6 +243,17 @@ class TestConfigValidation:
         assert re.search(message, err) and "Traceback" not in err
         # rejected before ingest wrote anything
         assert not (workdir / "bad_value_out").exists()
+
+    def test_config_not_an_object(self, workdir, capsys):
+        path = workdir / "list.json"
+        path.write_text("[]")
+        with pytest.raises(ConfigError, match="must be an object"):
+            load_config(path)
+        assert main(["run-all", "--config", str(path),
+                     "--out", str(workdir / "list_out")]) == 1
+        err = capsys.readouterr().err
+        assert "list.json must be an object" in err and "Traceback" not in err
+        assert not (workdir / "list_out").exists()
 
     @pytest.mark.parametrize("cutoff", [0, -1, True, 2.5, "10"])
     def test_bad_label_cutoff(self, workdir, capsys, cutoff):
@@ -278,6 +300,22 @@ class TestStageOrdering:
         path = write_config(workdir, name="old_forest.json", output_dir=str(out))
         assert main(["evaluate", "--config", str(path)]) == 1
         assert "rerun train-meta" in capsys.readouterr().err
+
+    def test_evaluate_rejects_schema_of_older_version(self, workdir, completed_run, capsys):
+        # a version-1 schema has no catalog runtime, so every runtime would read 0
+        out = workdir / "old_schema_out"
+        shutil.copytree(completed_run, out)
+        with open(out / "labeled.pkl", "rb") as fh:
+            blob = pickle.load(fh)
+        schema = blob["payload"]["schema"]
+        del schema.max_runtime
+        schema.version = 1
+        with open(out / "labeled.pkl", "wb") as fh:
+            pickle.dump(blob, fh)
+        path = write_config(workdir, name="old_schema.json", output_dir=str(out))
+        assert main(["evaluate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "version 1" in err and "rerun label" in err
 
     @pytest.mark.parametrize("stage,name", [("label", "candidates_eval.pkl"),
                                             ("evaluate", "candidates_eval.pkl")])
@@ -422,6 +460,31 @@ class TestOverrides:
         assert (workdir / "flag_out" / "dataset.pkl").exists()
         assert not (workdir / "env_out3").exists()
 
+    @pytest.mark.parametrize("name, value", [("SEED", "abc"), ("INNER_RATIO", "x"),
+                                             ("NDCG_CUTOFF", "1.5")])
+    def test_bad_env_value_named(self, workdir, monkeypatch, capsys, name, value):
+        path = write_config(workdir, name="bad_env.json")
+        monkeypatch.setenv(f"METAHYBRID_{name}", value)
+        with pytest.raises(ConfigError, match=f"METAHYBRID_{name}"):
+            load_config(path)
+        assert main(["run-all", "--config", str(path),
+                     "--out", str(workdir / "bad_env_out")]) == 1
+        err = capsys.readouterr().err
+        assert f"METAHYBRID_{name}='{value}'" in err and "Traceback" not in err
+        assert not (workdir / "bad_env_out").exists()
+
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_empty_output_dir_override_rejected(self, workdir, monkeypatch, capsys, via):
+        path = write_config(workdir, name="empty_out.json")
+        args = ["ingest", "--config", str(path)]
+        if via == "flag":
+            args += ["--out", ""]
+        else:
+            monkeypatch.setenv("METAHYBRID_OUT", "")
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "output_dir must be a non-empty path string" in err and "Traceback" not in err
+
     def test_ingest_independent_of_hash_seed(self, workdir):
         # each hash seed in a fresh interpreter; the item catalog's genre and
         # keyword sets must not pickle in string-hash order
@@ -466,6 +529,9 @@ class TestFixtureReports:
         "mixed": "aff867a87b37eb469d058c394ac266ab4b94258be4785155a5b57e7c9703af54",
     }
 
+    # sha256 of contexts_train.csv, the TRh context matrix; equal on both presets
+    CONTEXTS_PINNED = "d56692729720594a4f6a90668634cf9dba0470d3f2168c01ed3f2d01076afb59"
+
     @pytest.mark.parametrize("preset, report_sha, per_user_sha", PINNED)
     def test_run_all_reports_pinned(self, tmp_path, monkeypatch, preset, report_sha,
                                     per_user_sha):
@@ -477,6 +543,8 @@ class TestFixtureReports:
             (tmp_path / "per_user_metrics.csv").read_bytes()).hexdigest() == per_user_sha
         assert hashlib.sha256(
             (tmp_path / "labels.csv").read_bytes()).hexdigest() == self.LABELS_PINNED[preset]
+        assert hashlib.sha256(
+            (tmp_path / "contexts_train.csv").read_bytes()).hexdigest() == self.CONTEXTS_PINNED
         # no candidate pickles state that it can rebuild on load
         assert (tmp_path / "candidates_eval.pkl").stat().st_size < self.CANDIDATES_MAX_BYTES[preset]
 
@@ -515,6 +583,8 @@ class TestFixtureReports:
                 (out / "per_user_metrics.csv").read_bytes()).hexdigest() == pinned[1]
             assert hashlib.sha256(
                 (out / "labels.csv").read_bytes()).hexdigest() == self.LABELS_PINNED[preset]
+            assert hashlib.sha256(
+                (out / "contexts_train.csv").read_bytes()).hexdigest() == self.CONTEXTS_PINNED
             files = json.loads((out / "manifest.json").read_text())["files"]
             assert set(files) == set(os.listdir(out)) - {"manifest.json"}
             for name, digest in files.items():

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -67,6 +68,21 @@ class TestExtractRaw:
         assert raw.preferred_hour == 20   # 20:00 twice, 09:00 once
         assert raw.preferred_dow == 1     # Tuesday twice, Monday once
 
+    def test_hour_and_weekday_match_datetime(self):
+        # every timestamp of the shipped fixture, the first seconds and day
+        # boundary of the epoch, a leap day and a date past 2038
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        with open(os.path.join(root, "fixtures", "ratings.dat"), encoding="utf-8") as fh:
+            stamps = {int(line.split("::")[3]) for line in fh if line.strip()}
+        assert len(stamps) > 1000
+        leap_day = int(datetime(2024, 2, 29, 13, 30, tzinfo=timezone.utc).timestamp())
+        stamps |= {1, 86399, 86400, leap_day, 2 ** 33}
+        for ts in sorted(stamps):
+            raw = extract_raw(7, [RatingEvent(7, 1, 3, ts)], CATALOG)
+            expected = datetime.fromtimestamp(ts, tz=timezone.utc)
+            assert (raw.preferred_hour, raw.preferred_dow) == \
+                (expected.hour, expected.weekday()), ts
+
     def test_mode_tie_prefers_smaller_value(self):
         events = [RatingEvent(7, 1, 3, MONDAY_20), RatingEvent(7, 2, 3, TUESDAY_20)]
         raw = extract_raw(7, events, CATALOG)
@@ -75,7 +91,14 @@ class TestExtractRaw:
     def test_year_variance_and_runtime(self):
         raw = extract_raw(7, _ratings(), CATALOG)
         assert raw.year_variance == pytest.approx(np.var([1990, 2000, 1990]))
-        assert raw.mean_runtime_norm == pytest.approx((100 + 200 + 100) / 3 / 200)
+        assert raw.mean_runtime == pytest.approx((100 + 200 + 100) / 3)
+        # the schema holds the catalog's longest runtime, which divides the mean
+        schema = build_schema(CATALOG)
+        assert schema.max_runtime == 200
+        raws = [raw, extract_raw(8, [], CATALOG)]
+        matrix, names = assemble_matrix(raws, *fit_histogram_pcas(raws, schema), schema)
+        assert matrix[:, names.index("mean_runtime_norm")] == pytest.approx(
+            [(100 + 200 + 100) / 3 / 200, 0.0])
 
     def test_empty_slice_zero_profile(self):
         raw = extract_raw(7, [], CATALOG)
@@ -83,7 +106,7 @@ class TestExtractRaw:
         assert np.allclose(raw.rating_histogram, 0)
         assert raw.preferred_hour is None and raw.preferred_dow is None
         assert raw.genre_histogram == {} and raw.genre_entropy == 0.0
-        assert raw.year_variance == 0.0 and raw.mean_runtime_norm == 0.0
+        assert raw.year_variance == 0.0 and raw.mean_runtime == 0.0
 
     def test_demography_passthrough(self):
         demo = UserRecord(7, gender="F", age_band=25, occupation=4, location="48067")

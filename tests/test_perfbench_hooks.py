@@ -73,6 +73,8 @@ def test_traced_run_all_counts_every_scored_user(tmp_path):
     users = len(split.train_users) + len(split.test_users)
     for alg in ("BaselineOnly", "CoClustering", "SlopeOne", "SvdMf"):
         assert metrics[f"recommenders.{alg}.topn_calls"] == users
+    # one extract_raw span per TRh and per TEh user
+    assert metrics["context.users"] == users
     rows = (tmp_path / "out" / "labels.csv").read_text().splitlines()[1:]
     assert metrics["hybrid.labels"] == len(rows) > 0
     assert metrics["forest.trees"] == 3

@@ -8,7 +8,7 @@ import sys
 
 from .config import ConfigError, load_config
 from .data import IngestError
-from .pipeline import STAGE_ORDER, STAGES, ArtifactStore, StageError, run_all
+from .pipeline import STAGES, ArtifactStore, StageError, run_all
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -17,7 +17,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Meta-hybrid recommender experiment pipeline")
     parser.add_argument("--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in STAGE_ORDER + ("run-all",):
+    for name in [*STAGES, "run-all"]:
         p = sub.add_parser(name, help=f"run the {name} stage"
                            if name != "run-all" else "run every stage in order")
         p.add_argument("--config", required=True, help="experiment config (JSON)")

@@ -49,7 +49,7 @@ class ExperimentConfig:
         if self.explicit_candidates is not None:
             specs = [RecommenderSpec.from_dict(d) for d in self.explicit_candidates]
             return CandidateSet(specs=specs, names=[s.algorithm for s in specs])
-        return preset_candidates(self.preset or "cf")
+        return preset_candidates("cf" if self.preset is None else self.preset)
 
 
 def _object(value, allowed, where: str) -> dict:
@@ -118,7 +118,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     context_raw = _object(raw.get("context", {}), [f.name for f in fields(ContextConfig)],
                           "context")
 
-    if raw.get("preset") and raw.get("candidates"):
+    if raw.get("preset") is not None and raw.get("candidates") is not None:
         raise ConfigError("set either preset or candidates, not both")
     candidates = raw.get("candidates")
     if candidates is not None:
@@ -157,7 +157,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         if type(output_dir) is not str or not output_dir:
             raise ConfigError("output_dir must be a non-empty path string")
 
-    if merged.get("preset") and raw.get("candidates"):
+    if "preset" in merged and raw.get("candidates") is not None:
         raise ConfigError("--preset or METAHYBRID_PRESET would be ignored: "
                           "the config lists candidates")
     if "inner_ratio" in merged:

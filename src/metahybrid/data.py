@@ -79,7 +79,14 @@ class Dataset:
     provenance: str = ""
 
     def __post_init__(self):
-        self.ratings = sorted(self.ratings, key=lambda r: (r.user_id, r.timestamp, r.item_id))
+        # ids are sorted here and by every model, and an int and a str do not compare
+        for kind, catalog in (("user", self.users), ("item", self.items)):
+            first = {}
+            for i in catalog:
+                first.setdefault(type(i), i)
+            if len(first) > 1:
+                raise IngestError(f"{kind} ids mix types: " + ", ".join(
+                    f"{i!r} ({t.__name__})" for t, i in first.items()))
         rated = set()
         for r in self.ratings:
             if r.item_id not in self.items:
@@ -89,6 +96,7 @@ class Dataset:
             if (r.user_id, r.item_id) in rated:
                 raise IngestError(f"user {r.user_id!r} rated item {r.item_id!r} twice")
             rated.add((r.user_id, r.item_id))
+        self.ratings = sorted(self.ratings, key=lambda r: (r.user_id, r.timestamp, r.item_id))
 
     def ratings_by_user(self) -> dict:
         """Per-user rating lists, chronological (ratings are pre-sorted)."""
@@ -295,14 +303,14 @@ def induce_cold_start(dataset: Dataset, seed: int, min_keep: int = 5,
             continue
         hi = n if max_keep is None else min(max_keep, n)
         m = int(rng.integers(min_keep, hi + 1))
-        kept.extend(sorted(events, key=lambda r: (r.timestamp, r.item_id))[:m])
+        kept.extend(events[:m])  # ratings_by_user lists are chronological
     return Dataset(ratings=kept, items=dataset.items, users=dataset.users,
                    provenance=dataset.provenance
                    + f" + cold_start(seed={seed},min={min_keep},max={max_keep})")
 
 
-def filter_min_ratings(dataset: Dataset, k: int, prune_items: bool = False) -> Dataset:
-    """Drop users with fewer than k ratings; items are retained by default."""
+def filter_min_ratings(dataset: Dataset, k: int) -> Dataset:
+    """Drop users with fewer than k ratings; every item is retained."""
     if k < 0:
         raise ValueError("k must be >= 0")
     counts: dict = {}
@@ -313,9 +321,5 @@ def filter_min_ratings(dataset: Dataset, k: int, prune_items: bool = False) -> D
         keep_users |= set(dataset.users)
     ratings = [r for r in dataset.ratings if r.user_id in keep_users]
     users = {uid: u for uid, u in dataset.users.items() if uid in keep_users}
-    items = dataset.items
-    if prune_items:
-        live = {r.item_id for r in ratings}
-        items = {iid: it for iid, it in items.items() if iid in live}
-    return Dataset(ratings=ratings, items=items, users=users,
+    return Dataset(ratings=ratings, items=dataset.items, users=users,
                    provenance=dataset.provenance + f" + min_ratings({k})")

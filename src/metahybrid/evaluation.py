@@ -17,13 +17,11 @@ from . import forest as rf
 from . import hybrid as hy
 from . import recommenders as rec
 from .data import Dataset, format_float
-from .metrics import RelevanceConfig, rmse
+from .metrics import METRIC_COLUMNS, SCORE_COLUMNS, RelevanceConfig, rmse
 from .seeding import derive_seed
 from .splits import NestedSplit, SplitPlan, nested_split, slice_events
 
 log = logging.getLogger(__name__)
-
-METRIC_COLUMNS = ("P@3", "P@5", "P@10", "R@3", "R@5", "R@10", "nDCG", "RMSE")
 
 
 @dataclass
@@ -220,8 +218,7 @@ def evaluate_step(dataset: Dataset, split: NestedSplit, meta: hy.MetaHybridModel
                                 meta.fitted[name].predict_ratings(uid, items).tolist()))
                        for name in names])
     table = np.dstack((table, np.reshape(errors, (len(users), len(names)))))
-    report = _build_report(users, table, hy.score_columns(relevance) + ["RMSE"],
-                           dispatched, split, names, bundle, meta.forest,
+    report = _build_report(users, table, dispatched, split, names, bundle, meta.forest,
                            master_seed, inner_ratio)
     return report, dispatched, test_matrix
 
@@ -253,22 +250,22 @@ def run_experiment(dataset: Dataset, candidates: hy.CandidateSet,
     return report, artifacts
 
 
-def _build_report(users, table, columns, dispatched, split, names, bundle, forest,
+def _build_report(users, table, dispatched, split, names, bundle, forest,
                   master_seed, inner_ratio) -> ExperimentReport:
     labeled = bundle["labeled"]
-    winners, _ = hy.oracle_select(table[:, :, columns.index("nDCG")], names)
+    winners, _ = hy.oracle_select(table[:, :, SCORE_COLUMNS.index("nDCG")], names)
     n_train = np.array([len(split.test_inner_train.get(uid, [])) for uid in users], dtype=int)
     per_user = []
     for uid, n, block, best in zip(users, n_train.tolist(), table.tolist(), winners):
         row = {"user_id": uid, "n_train": n}
         for name, values in zip(names, block):
-            row.update((f"{name}:{col}", v) for col, v in zip(columns, values))
+            row.update((f"{name}:{col}", v) for col, v in zip(SCORE_COLUMNS, values))
         row.update(dispatched=dispatched[uid], oracle=names[best])
         per_user.append(row)
 
     def row_for(picks) -> dict:
         chosen = table[np.arange(len(users)), picks]
-        return {col: float(chosen[:, columns.index(col)].mean()) if users else 0.0
+        return {col: float(chosen[:, SCORE_COLUMNS.index(col)].mean()) if users else 0.0
                 for col in METRIC_COLUMNS}
 
     rows = {name: row_for(c) for c, name in enumerate(names)}
@@ -285,7 +282,7 @@ def _build_report(users, table, columns, dispatched, split, names, bundle, fores
     importances = rf.feature_importances(forest, bundle["schema"].feature_names(),
                                          bundle["schema"].feature_groups())
 
-    rmse_best = table[:, :, columns.index("RMSE")].argmin(axis=1)  # first on ties
+    rmse_best = table[:, :, SCORE_COLUMNS.index("RMSE")].argmin(axis=1)  # first on ties
     rmse_activity = {}
     for c, name in enumerate(names):
         arr = n_train[rmse_best == c].astype(float)

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import forest as rf
 from .data import format_float
-from .metrics import RelevanceConfig, ndcg_at, precision_recall_at
+from .metrics import CUTOFFS, SCORE_COLUMNS, RelevanceConfig, ndcg_at, precision_recall_at
 from .recommenders import RecommenderSpec
 
 log = logging.getLogger(__name__)
@@ -38,7 +38,7 @@ def preset_candidates(name: str) -> CandidateSet:
         "cf": ["BaselineOnly", "CoClustering", "SlopeOne", "SvdMf"],
         "mixed": ["ContentBased", "KnnBasic", "WarpHybrid"],
     }
-    if name not in presets:
+    if type(name) is not str or name not in presets:
         raise ValueError(f"unknown preset {name!r}; expected one of {sorted(presets)}")
     algs = presets[name]
     return CandidateSet(specs=[RecommenderSpec(a) for a in algs], names=list(algs))
@@ -61,23 +61,19 @@ class LabeledTrainingSet:
         return "\n".join(lines) + "\n"
 
 
-def score_columns(relevance: RelevanceConfig) -> list:
-    """Column names of the `score_users` table: P@k and R@k per cutoff, then nDCG."""
-    return [f"{m}@{k}" for k in relevance.cutoffs for m in "PR"] + ["nDCG"]
-
-
 def score_users(fitted: dict, names, user_ids, inner_train: dict, inner_test: dict,
                 relevance: RelevanceConfig, ndcg_cutoff: int) -> tuple:
     """One catalog Top-N per (user, candidate), without the user's inner-train
     items, scored against the user's inner holdout.
 
     Returns (scored, table): `scored` marks the users with a non-empty
-    holdout; `table` holds one (candidates x `score_columns`) block each.
+    holdout; `table` holds one (candidates x `metrics.SCORE_COLUMNS`) block
+    each, with every column but the last, RMSE, which `evaluation` adds.
     """
     for name in names:
         if name not in fitted:
             raise ValueError(f"candidate {name!r} has no fitted model")
-    top_n = max(max(relevance.cutoffs), ndcg_cutoff)
+    top_n = max(max(CUTOFFS), ndcg_cutoff)
     scored, rows = [], []
     for uid in user_ids:
         holdout = {r.item_id: r.rating for r in inner_test.get(uid, [])}
@@ -88,11 +84,11 @@ def score_users(fitted: dict, names, user_ids, inner_train: dict, inner_test: di
         exclude = {r.item_id for r in inner_train.get(uid, [])}
         for name in names:
             ranked = fitted[name].recommend_top_n(uid, top_n, exclude=exclude)
-            for k in relevance.cutoffs:
+            for k in CUTOFFS:
                 rows.extend(precision_recall_at(ranked, relevant, k))
-            rows.append(ndcg_at(ranked, holdout, ndcg_cutoff, relevance))
+            rows.append(ndcg_at(ranked, holdout, ndcg_cutoff))
     table = np.array(rows, dtype=float).reshape(
-        sum(scored), len(names), 2 * len(relevance.cutoffs) + 1)
+        sum(scored), len(names), len(SCORE_COLUMNS) - 1)
     return np.array(scored, dtype=bool), table
 
 
@@ -107,7 +103,7 @@ def generate_labels(candidates: CandidateSet, fitted: dict, user_ids,
     """
     scored, table = score_users(fitted, candidates.names, user_ids, inner_train,
                                 inner_test, relevance, n)
-    scores = np.ascontiguousarray(table[:, :, -1])
+    scores = np.ascontiguousarray(table[:, :, SCORE_COLUMNS.index("nDCG")])
     winners, _ = oracle_select(scores, candidates.names)
     kept = [uid for uid, ok in zip(user_ids, scored) if ok]
     skipped = [uid for uid, ok in zip(user_ids, scored) if not ok]

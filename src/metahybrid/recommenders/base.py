@@ -22,7 +22,7 @@ PARAM_DEFAULTS = {
     "SvdMf": {"factors": 20, "epochs": 30, "learn_rate": 0.005, "reg": 0.02,
               "init_std": 0.1},
     "KnnBasic": {"k": 50, "min_support": 1},
-    "ContentBased": {"use_keywords": True},
+    "ContentBased": {},
     "WarpHybrid": {"components": 30, "epochs": 30, "learn_rate": 0.05,
                    "margin": 1.0, "max_trials": 100, "positive_threshold": 4},
 }

@@ -8,8 +8,8 @@ import numpy as np
 from .base import FittedRecommender
 
 
-def item_feature_columns(items: dict, item_ids, use_keywords: bool = True):
-    """Each item's one-hot genre (+ keyword) columns, as (ptr, cols, width):
+def item_feature_columns(items: dict, item_ids):
+    """Each item's one-hot genre and keyword columns, as (ptr, cols, width):
     the columns of `item_ids[j]` are `cols[ptr[j]:ptr[j + 1]]`, ascending,
     out of `width`.
 
@@ -17,20 +17,14 @@ def item_feature_columns(items: dict, item_ids, use_keywords: bool = True):
     catalog carries no features at all.
     """
     genres = sorted({g for it in items.values() for g in it.genres})
-    keywords = sorted({k for it in items.values() for k in it.keywords}) if use_keywords else []
+    keywords = sorted({k for it in items.values() for k in it.keywords})
     if not genres and not keywords:
         raise ValueError("item catalog has no genre/keyword features")
     gidx = {g: j for j, g in enumerate(genres)}
     kidx = {k: len(genres) + j for j, k in enumerate(keywords)}
-    per_item = []
-    for iid in item_ids:
-        it = items.get(iid)
-        cols = []
-        if it is not None:
-            cols = [gidx[g] for g in it.genres]
-            if use_keywords:
-                cols += [kidx[k] for k in it.keywords]
-        per_item.append(sorted(cols))
+    per_item = [[] if it is None else sorted([gidx[g] for g in it.genres]
+                                             + [kidx[k] for k in it.keywords])
+                for it in map(items.get, item_ids)]
     ptr = np.cumsum([0] + [len(cols) for cols in per_item])
     cols = np.array([j for cols in per_item for j in cols], dtype=np.int32)
     return ptr, cols, len(genres) + len(keywords)
@@ -60,7 +54,7 @@ class ContentBasedModel(FittedRecommender):
 
     def _fit(self, users, cols, ratings, items):
         self._feature_ptr, self._feature_cols, self._n_features = item_feature_columns(
-            items, self.item_ids, use_keywords=self.params["use_keywords"])
+            items, self.item_ids)
         self._build_derived()
         # summed in the slice's order, chronological within each user
         profiles: dict = {}

@@ -47,15 +47,15 @@ class NestedSplit:
 
 
 def _inner_split(events: list, ratio: float, mode: str, rng) -> tuple:
+    """Split one user's chronological events (as `Dataset.ratings_by_user`
+    lists them) into the first m and the rest, after a shuffle in random mode."""
     n = len(events)
     m = int(round(n * ratio))
     m = max(1, min(m, n))
-    if mode == "chronological":
-        ordered = sorted(events, key=lambda r: (r.timestamp, r.item_id))
-    else:
-        ordered = list(events)
-        rng.shuffle(ordered)
-    return ordered[:m], ordered[m:]
+    if mode == "random":
+        events = list(events)
+        rng.shuffle(events)
+    return events[:m], events[m:]
 
 
 def nested_split(dataset: Dataset, plan: SplitPlan) -> NestedSplit:

@@ -188,9 +188,10 @@ class TestConfigValidation:
         assert "candidates" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("updates, message", [
-        ({"relevance": {"cutoffs": 5}}, "cutoffs must be a list of ints >= 1"),
-        ({"relevance": {"cutoffs": [0]}}, "cutoffs must be a list of ints >= 1"),
-        ({"relevance": {"cutoffs": [5, 10]}}, "cutoffs must be a list of ints >= 1"),
+        ({"relevance": {"cutoffs": 5}}, r"relevance: unknown keys \['cutoffs'\]"),
+        ({"relevance": {"cutoffs": [0]}}, r"relevance: unknown keys \['cutoffs'\]"),
+        ({"relevance": {"cutoffs": [5, 10]}}, r"relevance: unknown keys \['cutoffs'\]"),
+        ({"relevance": {"gain": "binary"}}, r"relevance: unknown keys \['gain'\]"),
         ({"relevance": {"threshold": "4"}}, r"threshold must be an int in \[1,5\]"),
         ({"relevance": {"ndcg_cutoff": 0}}, "ndcg_cutoff must be an int >= 1"),
         ({"split": {"inner_ratio": "0.8"}}, r"inner_ratio must be a number in \(0,1\)"),
@@ -224,15 +225,21 @@ class TestConfigValidation:
         ({"relevance": "x"}, "relevance must be an object"),
         ({"output_dir": 5}, "output_dir must be a non-empty path string"),
         ({"output_dir": ""}, "output_dir must be a non-empty path string"),
-    ], ids=["cutoffs-int", "cutoffs-zero", "cutoffs-no-3", "threshold-string",
-            "ndcg-cutoff-zero", "inner-ratio-string", "max-keywords-string",
-            "genre-components-negative", "include-age-string", "cold-start-string",
+        ({"preset": []}, r"unknown preset \[\]"),
+        ({"preset": False}, "unknown preset False"),
+        ({"preset": 0}, "unknown preset 0"),
+        ({"preset": ""}, "unknown preset ''"),
+    ], ids=["cutoffs-int", "cutoffs-zero", "cutoffs-no-3", "gain-binary",
+            "threshold-string", "ndcg-cutoff-zero", "inner-ratio-string",
+            "max-keywords-string", "genre-components-negative", "include-age-string",
+            "cold-start-string",
             "ratings-int", "ratings-zero", "users-list", "items-empty",
             "metadata-list", "min-ratings-list", "min-ratings-float",
             "min-ratings-negative", "min-ratings-bool", "seed-list", "seed-float",
             "seed-bool", "seed-string", "split-int", "dataset-int", "cold-start-int",
             "context-null", "forest-list", "relevance-string", "output-dir-int",
-            "output-dir-empty"])
+            "output-dir-empty", "preset-list", "preset-false", "preset-zero",
+            "preset-empty"])
     def test_bad_section_values(self, workdir, capsys, updates, message):
         path = write_config(workdir, name="bad13.json", **updates)
         with pytest.raises(ConfigError, match=message):
@@ -243,6 +250,30 @@ class TestConfigValidation:
         assert re.search(message, err) and "Traceback" not in err
         # rejected before ingest wrote anything
         assert not (workdir / "bad_value_out").exists()
+
+    @pytest.mark.parametrize("preset", [None, "absent"])
+    def test_preset_null_or_absent_means_cf(self, workdir, preset):
+        path = write_config(workdir, name="preset_null.json", preset=preset)
+        if preset == "absent":
+            raw = json.loads(path.read_text())
+            del raw["preset"]
+            path.write_text(json.dumps(raw))
+        assert load_config(path).candidate_set().names == [
+            "BaselineOnly", "CoClustering", "SlopeOne", "SvdMf"]
+
+    @pytest.mark.parametrize("rows, kind", [
+        ("1,10,4,100\nu2,10,3,200\n", "user"),
+        ("1,10,4,100\n1,i2,3,200\n", "item"),
+    ], ids=["user-ids", "item-ids"])
+    def test_mixed_id_types_rejected(self, workdir, capsys, rows, kind):
+        ratings = workdir / f"mixed_{kind}_ids.csv"
+        ratings.write_text("user,item,rating,timestamp\n" + rows)
+        path = write_config(workdir, name="mixed_ids.json",
+                            dataset={"format": "generic", "ratings": str(ratings)})
+        assert main(["run-all", "--config", str(path),
+                     "--out", str(workdir / "mixed_ids_out")]) == 1
+        err = capsys.readouterr().err
+        assert f"{kind} ids mix types" in err and "Traceback" not in err
 
     def test_config_not_an_object(self, workdir, capsys):
         path = workdir / "list.json"
@@ -362,7 +393,7 @@ class TestStagedEqualsRunAll:
     def test_same_files(self, workdir, preset):
         staged, chained = workdir / f"staged_{preset}", workdir / f"chained_{preset}"
         path = write_config(workdir, name=f"staged_{preset}.json", preset=preset)
-        for stage in pipeline.STAGE_ORDER:
+        for stage in pipeline.STAGES:
             assert main([stage, "--config", str(path), "--out", str(staged)]) == 0, stage
         assert main(["run-all", "--config", str(path), "--out", str(chained)]) == 0
         names = sorted(os.listdir(chained))
@@ -485,6 +516,17 @@ class TestOverrides:
         err = capsys.readouterr().err
         assert "output_dir must be a non-empty path string" in err and "Traceback" not in err
 
+    def test_empty_preset_env_rejected(self, workdir, monkeypatch, capsys):
+        path = write_config(workdir, name="empty_preset.json")
+        monkeypatch.setenv("METAHYBRID_PRESET", "")
+        with pytest.raises(ConfigError, match="unknown preset ''"):
+            load_config(path)
+        assert main(["run-all", "--config", str(path),
+                     "--out", str(workdir / "empty_preset_out")]) == 1
+        err = capsys.readouterr().err
+        assert "unknown preset ''" in err and "Traceback" not in err
+        assert not (workdir / "empty_preset_out").exists()
+
     def test_ingest_independent_of_hash_seed(self, workdir):
         # each hash seed in a fresh interpreter; the item catalog's genre and
         # keyword sets must not pickle in string-hash order
@@ -529,6 +571,12 @@ class TestFixtureReports:
         "mixed": "aff867a87b37eb469d058c394ac266ab4b94258be4785155a5b57e7c9703af54",
     }
 
+    # sha256 of report.txt, whose columns are metrics.METRIC_COLUMNS
+    REPORT_TXT_PINNED = {
+        "cf": "e9e19fb885c213d86222fa03b158192b10f0742e2b664e9fe0f4e9ba06345482",
+        "mixed": "bcee3ee64cbb496fffc6f1846d0aa379b21e507e9b8b6f9f41e74db2af2e431c",
+    }
+
     # sha256 of contexts_train.csv, the TRh context matrix; equal on both presets
     CONTEXTS_PINNED = "d56692729720594a4f6a90668634cf9dba0470d3f2168c01ed3f2d01076afb59"
 
@@ -539,6 +587,8 @@ class TestFixtureReports:
         assert main(["run-all", "--config", os.path.join("fixtures", "fixture.cfg"),
                      "--preset", preset, "--out", str(tmp_path)]) == 0
         assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == report_sha
+        assert hashlib.sha256((tmp_path / "report.txt").read_bytes()).hexdigest() \
+            == self.REPORT_TXT_PINNED[preset]
         assert hashlib.sha256(
             (tmp_path / "per_user_metrics.csv").read_bytes()).hexdigest() == per_user_sha
         assert hashlib.sha256(
@@ -579,6 +629,8 @@ class TestFixtureReports:
         pinned = {p: (r, u) for p, r, u in self.PINNED}[preset]
         for out in outs:
             assert hashlib.sha256((out / "report.json").read_bytes()).hexdigest() == pinned[0]
+            assert hashlib.sha256((out / "report.txt").read_bytes()).hexdigest() \
+                == self.REPORT_TXT_PINNED[preset]
             assert hashlib.sha256(
                 (out / "per_user_metrics.csv").read_bytes()).hexdigest() == pinned[1]
             assert hashlib.sha256(

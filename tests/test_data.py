@@ -95,6 +95,18 @@ def test_generic_csv_loader(tmp_path):
     assert "u1" in ds.users and "i2" in ds.items
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("1,10,4,100\nu2,10,3,200\n", r"user ids mix types: 1 \(int\), 'u2' \(str\)"),
+    ("1,10,4,100\n1,i2,3,200\n", r"item ids mix types: 10 \(int\), 'i2' \(str\)"),
+], ids=["user-ids", "item-ids"])
+def test_generic_csv_mixed_id_types_rejected(tmp_path, rows, message):
+    # int and str ids do not sort, and the dataset and every model sort them
+    p = tmp_path / "ratings.csv"
+    p.write_text("user,item,rating,timestamp\n" + rows)
+    with pytest.raises(IngestError, match=message):
+        load_generic_ratings(p)
+
+
 @pytest.mark.parametrize("row", ["u1,i2,four,200", "u1,i2"], ids=["bad-rating", "short"])
 def test_generic_csv_malformed_row_names_line_number(tmp_path, row):
     p = tmp_path / "ratings.csv"
@@ -218,8 +230,6 @@ class TestMinRatingsFilter:
         ds = self._ds({1: 25, 2: 2})
         out = filter_min_ratings(ds, 20)
         assert set(out.items) == set(ds.items)
-        pruned = filter_min_ratings(ds, 20, prune_items=True)
-        assert set(pruned.items) == {r.item_id for r in pruned.ratings}
 
 
 def test_genre_coverage_warning(tiny_movielens, caplog):

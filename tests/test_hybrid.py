@@ -14,11 +14,10 @@ from metahybrid.hybrid import (
     oracle_select,
     preset_candidates,
     recommend,
-    score_columns,
     score_users,
     train_meta,
 )
-from metahybrid.metrics import RelevanceConfig
+from metahybrid.metrics import SCORE_COLUMNS, RelevanceConfig
 from metahybrid.recommenders import RecommenderSpec
 
 
@@ -152,8 +151,9 @@ class TestScoreTable:
         scored, table = score_users(fitted, candidates.names, [1, 2, 3], inner_train,
                                     inner_test, RelevanceConfig(), 10)
         assert scored.tolist() == [True, False, True]
-        assert score_columns(RelevanceConfig()) == [
-            "P@3", "R@3", "P@5", "R@5", "P@10", "R@10", "nDCG"]
+        # every column but RMSE, which the evaluate step adds
+        assert SCORE_COLUMNS == (
+            "P@3", "R@3", "P@5", "R@5", "P@10", "R@10", "nDCG", "RMSE")
         ideal_1 = 31 + 7 / math.log2(3)        # holdout ratings 5 and 3, graded gain
         want = [
             # user 1: SlopeOne finds h2 (not relevant) at rank 6 of 6;

@@ -18,10 +18,10 @@ def dcg_brute(rels):
                for pos, rel in enumerate(rels, start=1))
 
 
-def ndcg_brute(ranked, holdout, p, config):
-    rels = [config.relevance(holdout.get(it, 0)) if it in holdout else 0.0
+def ndcg_brute(ranked, holdout, p):
+    rels = [float(holdout.get(it, 0)) if it in holdout else 0.0
             for it in ranked[:p]]
-    ideal = sorted([config.relevance(v) for v in holdout.values()], reverse=True)[:p]
+    ideal = sorted([float(v) for v in holdout.values()], reverse=True)[:p]
     idcg = dcg_brute(ideal)
     return dcg_brute(rels) / idcg if idcg > 0 else 0.0
 
@@ -64,18 +64,6 @@ def test_ndcg_hand_case():
 
 def test_ndcg_empty_holdout_zero():
     assert ndcg_at(["a", "b"], {}, 3) == 0.0
-
-
-def test_ndcg_binary_mode():
-    cfg = RelevanceConfig(gain="binary")
-    holdout = {"a": 5, "b": 1}
-    graded = ndcg_at(["a"], holdout, 1)
-    binary = ndcg_at(["a"], holdout, 1, cfg)
-    assert binary == pytest.approx(1.0)
-    assert graded == pytest.approx(1.0)
-    # only the binary config treats a low-rated hit as irrelevant
-    assert ndcg_at(["b"], holdout, 1, cfg) == 0.0
-    assert ndcg_at(["b"], holdout, 1) > 0.0
 
 
 def test_precision_recall_hand_case():
@@ -147,8 +135,8 @@ def test_randomized_against_brute_force():
                    if rng.random() < 0.5}
         relevant = {it for it, v in holdout.items() if v >= cfg.threshold}
         p = int(rng.integers(1, 20))
-        assert ndcg_at(ranked, holdout, p, cfg) == pytest.approx(
-            ndcg_brute(ranked, holdout, p, cfg), abs=1e-12)
+        assert ndcg_at(ranked, holdout, p) == pytest.approx(
+            ndcg_brute(ranked, holdout, p), abs=1e-12)
         assert precision_recall_at(ranked, relevant, p) == pytest.approx(
             pr_brute(ranked, relevant, p), abs=1e-12)
         if holdout:

@@ -77,5 +77,9 @@ def test_traced_run_all_counts_every_scored_user(tmp_path):
     assert metrics["context.users"] == users
     rows = (tmp_path / "out" / "labels.csv").read_text().splitlines()[1:]
     assert metrics["hybrid.labels"] == len(rows) > 0
+    # one nDCG per candidate for every labelled and every evaluated user
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    ndcg_spans = [span for span in tracer.spans if span[0] == "metrics.ndcg_at"]
+    assert len(ndcg_spans) == 4 * (len(rows) + report["n_evaluated_users"])
     assert metrics["forest.trees"] == 3
     assert metrics["pipeline.label_s"] > 0

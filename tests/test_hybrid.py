@@ -151,7 +151,7 @@ class TestScoreTable:
         scored, table = score_users(fitted, candidates.names, [1, 2, 3], inner_train,
                                     inner_test, RelevanceConfig(), 10)
         assert scored.tolist() == [True, False, True]
-        # every column but RMSE, which the evaluate step adds
+        # the table holds every score column but RMSE, which the evaluate step adds
         assert SCORE_COLUMNS == (
             "P@3", "R@3", "P@5", "R@5", "P@10", "R@10", "nDCG", "RMSE")
         ideal_1 = 31 + 7 / math.log2(3)        # holdout ratings 5 and 3, graded gain

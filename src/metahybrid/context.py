@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import format_float
+from .data import Ratings, format_float
 
 log = logging.getLogger(__name__)
 
@@ -63,30 +63,25 @@ class RawContextFeatures:
     location_region: str                  # first postal digit or "unknown"
 
 
-def extract_raw(user_id, ratings, catalog: dict, demography=None) -> RawContextFeatures:
-    """Compute the raw context attributes from one user's rating slice.
+def extract_raw(user_id, ratings: Ratings, catalog: dict,
+                demography=None) -> RawContextFeatures:
+    """Compute the raw context attributes from one user's rating rows.
 
     An empty slice yields the zero profile: zero histograms and counts,
     no preferred hour/day, demographic categories as recorded.
     """
-    ratings = list(ratings)
+    for code in np.unique(ratings.user).tolist():
+        if ratings.user_ids[code] != user_id:
+            raise ValueError(f"rating slice contains foreign user {ratings.user_ids[code]!r}")
     n = len(ratings)
-    hist = np.bincount([r.rating - 1 for r in ratings], minlength=5) / max(n, 1)
-    hours = [r.timestamp // 3600 % 24 for r in ratings]          # UTC
-    dows = [(r.timestamp // 86400 + 3) % 7 for r in ratings]     # day 0 was a Thursday
-    genres, keywords, years, runtimes = [], [], [], []
-    for r in ratings:
-        if r.user_id != user_id:
-            raise ValueError(f"rating slice contains foreign user {r.user_id!r}")
-        it = catalog.get(r.item_id)
-        if it is None:
-            continue
-        genres.extend(it.genres)
-        keywords.extend(it.keywords)
-        if it.year is not None:
-            years.append(it.year)
-        if it.runtime_minutes is not None:
-            runtimes.append(it.runtime_minutes)
+    hist = np.bincount(ratings.rating - 1, minlength=5) / max(n, 1)
+    hours = (ratings.timestamp // 3600 % 24).tolist()           # UTC
+    dows = ((ratings.timestamp // 86400 + 3) % 7).tolist()      # day 0 was a Thursday
+    rated = [it for it in map(catalog.get, ratings.item_list()) if it is not None]
+    genres = [g for it in rated for g in it.genres]
+    keywords = [k for it in rated for k in it.keywords]
+    years = [it.year for it in rated if it.year is not None]
+    runtimes = [it.runtime_minutes for it in rated if it.runtime_minutes is not None]
 
     genre_hist = {g: c / len(genres) for g, c in Counter(genres).items()}
     kw_hist = {k: c / len(keywords) for k, c in Counter(keywords).items()}

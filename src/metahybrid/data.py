@@ -11,7 +11,8 @@ from __future__ import annotations
 import csv
 import logging
 import re
-from dataclasses import dataclass, field, replace
+from collections.abc import Mapping
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,39 +72,158 @@ class UserRecord:
     location: str | None = None
 
 
+COLUMNS = ("user", "item", "rating", "timestamp")
+DTYPES = {"user": np.int32, "item": np.int32, "rating": np.int8, "timestamp": np.int64}
+
+
+@dataclass(eq=False)
+class Ratings:
+    """Rating rows as four columns: `user` and `item` are int32 codes into
+    the sorted id tables `user_ids` and `item_ids`, `rating` is int8 and
+    `timestamp` int64. The pipeline reads the columns; iterating yields one
+    `RatingEvent` per row, for readers outside it."""
+
+    user_ids: list
+    item_ids: list
+    user: np.ndarray
+    item: np.ndarray
+    rating: np.ndarray
+    timestamp: np.ndarray
+
+    @classmethod
+    def from_events(cls, events, user_ids=None, item_ids=None) -> "Ratings":
+        """`events` as columns, in their order. The id tables default to the
+        events' sorted distinct ids; an id missing from a given table is
+        coded -1."""
+        events = list(events)
+        if user_ids is None:
+            user_ids = sorted({r.user_id for r in events})
+        if item_ids is None:
+            item_ids = sorted({r.item_id for r in events})
+        uidx = {u: k for k, u in enumerate(user_ids)}
+        iidx = {i: k for k, i in enumerate(item_ids)}
+        rows = np.array([(uidx.get(r.user_id, -1), iidx.get(r.item_id, -1), r.rating,
+                          r.timestamp) for r in events], dtype=np.int64).reshape(-1, 4)
+        return cls(user_ids, item_ids,
+                   *(col.astype(DTYPES[c]) for c, col in zip(COLUMNS, rows.T)))
+
+    def __len__(self):
+        return len(self.user)
+
+    def __iter__(self):
+        for u, i, r, t in zip(*(getattr(self, c).tolist() for c in COLUMNS)):
+            yield RatingEvent(self.user_ids[u], self.item_ids[i], r, t)
+
+    def __eq__(self, other):
+        return (isinstance(other, Ratings) and self.user_ids == other.user_ids
+                and self.item_ids == other.item_ids
+                and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in COLUMNS))
+
+    def __setstate__(self, state):
+        # an unpickled array carries its own copy of its dtype; a view takes the
+        # builtin one, so the rows taken from it pickle to the bytes of built ones
+        self.__dict__.update(state, **{c: state[c].view(DTYPES[c]) for c in COLUMNS})
+
+    def take(self, rows) -> "Ratings":
+        """The rows that `rows` (a slice, an index array or a mask) selects."""
+        return Ratings(self.user_ids, self.item_ids,
+                       *(getattr(self, c)[rows] for c in COLUMNS))
+
+    def item_list(self) -> list:
+        """The item id of each row."""
+        return [self.item_ids[j] for j in self.item.tolist()]
+
+
+class RatingSlice(Mapping):
+    """Per-user rows: user id -> that user's `Ratings`, in `users` order.
+
+    `rows` holds every user's rows, each user's contiguous: `ptr[k]` to
+    `ptr[k + 1]` are the rows of `users[k]`. The pickle keeps no user
+    column; the users and their row counts give it.
+    """
+
+    def __init__(self, rows: Ratings, users: list, counts):
+        self.rows, self.users = rows, users
+        self.ptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+        self._index = {u: k for k, u in enumerate(users)}
+
+    def span(self, uid) -> tuple:
+        """(start, stop): the rows of `uid` in `rows`; (0, 0) for a user without an entry."""
+        k = self._index.get(uid)
+        return (0, 0) if k is None else (int(self.ptr[k]), int(self.ptr[k + 1]))
+
+    def __getitem__(self, uid) -> Ratings:
+        k = self._index[uid]
+        return self.rows.take(slice(self.ptr[k], self.ptr[k + 1]))
+
+    def __iter__(self):
+        return iter(self.users)
+
+    def __len__(self):
+        return len(self.users)
+
+    def __getstate__(self):
+        rows = self.rows
+        return {"users": self.users, "ptr": self.ptr, "user_ids": rows.user_ids,
+                "item_ids": rows.item_ids, "item": rows.item, "rating": rows.rating,
+                "timestamp": rows.timestamp}
+
+    def __setstate__(self, state):
+        uidx = {u: k for k, u in enumerate(state["user_ids"])}
+        counts = np.diff(state["ptr"])
+        user = np.repeat(np.array([uidx[u] for u in state["users"]], dtype=np.int32), counts)
+        rows = Ratings(state["user_ids"], state["item_ids"], user,
+                       *(state[c].view(DTYPES[c]) for c in COLUMNS[1:]))
+        self.__init__(rows, state["users"], counts)
+
+
 @dataclass
 class Dataset:
-    ratings: list[RatingEvent]
+    """Ratings, item catalog and users. `ratings` codes its ids by the sorted
+    `users` and `items` keys (or a superset) and is in canonical order: by
+    user, then timestamp, then item. `from_events` validates and sorts; a
+    dataset derived from another takes a row subset of its ratings."""
+
+    ratings: Ratings
     items: dict
     users: dict
     provenance: str = ""
 
-    def __post_init__(self):
+    @classmethod
+    def from_events(cls, events, items: dict, users: dict, provenance: str = "") -> "Dataset":
+        """Validate rating events against the catalogs and sort them into
+        canonical order; raises `IngestError` for ids that mix int and str,
+        for an unknown id and for a (user, item) pair rated twice."""
         # ids are sorted here and by every model, and an int and a str do not compare
-        for kind, catalog in (("user", self.users), ("item", self.items)):
+        for kind, catalog in (("user", users), ("item", items)):
             first = {}
             for i in catalog:
                 first.setdefault(type(i), i)
             if len(first) > 1:
                 raise IngestError(f"{kind} ids mix types: " + ", ".join(
                     f"{i!r} ({t.__name__})" for t, i in first.items()))
-        rated = set()
-        for r in self.ratings:
-            if r.item_id not in self.items:
-                raise IngestError(f"rating references unknown item {r.item_id!r}")
-            if r.user_id not in self.users:
-                raise IngestError(f"rating references unknown user {r.user_id!r}")
-            if (r.user_id, r.item_id) in rated:
-                raise IngestError(f"user {r.user_id!r} rated item {r.item_id!r} twice")
-            rated.add((r.user_id, r.item_id))
-        self.ratings = sorted(self.ratings, key=lambda r: (r.user_id, r.timestamp, r.item_id))
+        events = list(events)
+        ratings = Ratings.from_events(events, sorted(users), sorted(items))
+        unknown = np.flatnonzero((ratings.item < 0) | (ratings.user < 0))
+        if unknown.size:
+            k = unknown[0]
+            if ratings.item[k] < 0:
+                raise IngestError(f"rating references unknown item {events[k].item_id!r}")
+            raise IngestError(f"rating references unknown user {events[k].user_id!r}")
+        pair = ratings.user.astype(np.int64) * len(items) + ratings.item
+        order = np.argsort(pair, kind="stable")
+        repeats = order[1:][pair[order[1:]] == pair[order[:-1]]]
+        if repeats.size:
+            r = events[repeats.min()]
+            raise IngestError(f"user {r.user_id!r} rated item {r.item_id!r} twice")
+        order = np.lexsort((ratings.item, ratings.timestamp, ratings.user))
+        return cls(ratings.take(order), items, users, provenance)
 
-    def ratings_by_user(self) -> dict:
-        """Per-user rating lists, chronological (ratings are pre-sorted)."""
-        by_user: dict = {}
-        for r in self.ratings:
-            by_user.setdefault(r.user_id, []).append(r)
-        return by_user
+    def ratings_by_user(self) -> RatingSlice:
+        """Each user's ratings, chronological; a user without ratings has no entry."""
+        codes, counts = np.unique(self.ratings.user, return_counts=True)
+        return RatingSlice(self.ratings, [self.ratings.user_ids[c] for c in codes.tolist()],
+                           counts)
 
 
 def _parse_id(token: str):
@@ -158,8 +278,7 @@ def load_movielens(ratings_path, users_path, items_path) -> Dataset:
         except ValueError as e:
             raise IngestError(f"{ratings_path}:{lineno}: {e}") from e
 
-    ds = Dataset(ratings=ratings, items=items, users=users,
-                 provenance=f"movielens({ratings_path})")
+    ds = Dataset.from_events(ratings, items, users, provenance=f"movielens({ratings_path})")
     _warn_sparse_genres(ds)
     return ds
 
@@ -187,8 +306,7 @@ def load_generic_ratings(ratings_path) -> Dataset:
                 raise IngestError(f"{ratings_path}:{lineno}: {e}") from e
     users = {r.user_id: UserRecord(user_id=r.user_id) for r in ratings}
     items = {r.item_id: ItemRecord(item_id=r.item_id) for r in ratings}
-    return Dataset(ratings=ratings, items=items, users=users,
-                   provenance=f"generic({ratings_path})")
+    return Dataset.from_events(ratings, items, users, provenance=f"generic({ratings_path})")
 
 
 def _dat_lines(path, n_fields):
@@ -286,7 +404,7 @@ def induce_cold_start(dataset: Dataset, seed: int, min_keep: int = 5,
 
     For a user with n >= min_keep ratings, a target count m is drawn
     uniformly from [min_keep, min(max_keep, n)] and the m chronologically
-    earliest events are kept. Users below min_keep are untouched.
+    earliest ratings are kept. Users below min_keep are untouched.
     """
     if min_keep < 1:
         raise ValueError("min_keep must be >= 1")
@@ -294,18 +412,16 @@ def induce_cold_start(dataset: Dataset, seed: int, min_keep: int = 5,
         raise ValueError("max_keep must be >= min_keep")
     rng = np.random.default_rng(seed)
     by_user = dataset.ratings_by_user()
-    kept: list[RatingEvent] = []
+    keep = np.zeros(len(dataset.ratings), dtype=bool)
     for uid in sorted(dataset.users):
-        events = by_user.get(uid, [])
-        n = len(events)
-        if n < min_keep:
-            kept.extend(events)
-            continue
-        hi = n if max_keep is None else min(max_keep, n)
-        m = int(rng.integers(min_keep, hi + 1))
-        kept.extend(events[:m])  # ratings_by_user lists are chronological
-    return Dataset(ratings=kept, items=dataset.items, users=dataset.users,
-                   provenance=dataset.provenance
+        start, stop = by_user.span(uid)
+        n = stop - start
+        if n >= min_keep:
+            hi = n if max_keep is None else min(max_keep, n)
+            stop = start + int(rng.integers(min_keep, hi + 1))
+        keep[start:stop] = True  # each user's rows are chronological
+    return Dataset(ratings=dataset.ratings.take(keep), items=dataset.items,
+                   users=dataset.users, provenance=dataset.provenance
                    + f" + cold_start(seed={seed},min={min_keep},max={max_keep})")
 
 
@@ -313,13 +429,9 @@ def filter_min_ratings(dataset: Dataset, k: int) -> Dataset:
     """Drop users with fewer than k ratings; every item is retained."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    counts: dict = {}
-    for r in dataset.ratings:
-        counts[r.user_id] = counts.get(r.user_id, 0) + 1
-    keep_users = {uid for uid, c in counts.items() if c >= k}
-    if k == 0:
-        keep_users |= set(dataset.users)
-    ratings = [r for r in dataset.ratings if r.user_id in keep_users]
-    users = {uid: u for uid, u in dataset.users.items() if uid in keep_users}
-    return Dataset(ratings=ratings, items=dataset.items, users=users,
-                   provenance=dataset.provenance + f" + min_ratings({k})")
+    ratings = dataset.ratings
+    counts = np.bincount(ratings.user, minlength=len(ratings.user_ids))
+    kept = {uid for uid, c in zip(ratings.user_ids, counts.tolist()) if c >= k}
+    users = {uid: u for uid, u in dataset.users.items() if uid in kept}
+    return Dataset(ratings=ratings.take(counts[ratings.user] >= k), items=dataset.items,
+                   users=users, provenance=dataset.provenance + f" + min_ratings({k})")

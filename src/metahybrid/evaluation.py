@@ -16,7 +16,7 @@ from . import context as ctx
 from . import forest as rf
 from . import hybrid as hy
 from . import recommenders as rec
-from .data import Dataset, format_float
+from .data import Dataset, RatingSlice, format_float
 from .metrics import METRIC_COLUMNS, SCORE_COLUMNS, RelevanceConfig, rmse
 from .seeding import derive_seed
 from .splits import NestedSplit, SplitPlan, nested_split, slice_events
@@ -113,7 +113,7 @@ def split_step(dataset: Dataset, plan: SplitPlan, master_seed: int) -> NestedSpl
     return nested_split(dataset, plan)
 
 
-def fit_candidates(candidates: hy.CandidateSet, train_events, items,
+def fit_candidates(candidates: hy.CandidateSet, train, items,
                    master_seed: int) -> dict:
     """Fit every candidate on one ratings slice; per-candidate derived seeds.
     Logs one line per fit with its rating count and wall time. (perfbench
@@ -121,9 +121,9 @@ def fit_candidates(candidates: hy.CandidateSet, train_events, items,
     fitted = {}
     for name, spec in zip(candidates.names, candidates.specs):
         t0 = time.perf_counter()
-        fitted[name] = rec.fit(spec, train_events, items=items,
+        fitted[name] = rec.fit(spec, train, items=items,
                                seed=derive_seed(master_seed, "fit", name))
-        log.info("fitted %s on %d ratings in %.2f s", name, len(train_events),
+        log.info("fitted %s on %d ratings in %.2f s", name, len(train),
                  time.perf_counter() - t0)
     return fitted
 
@@ -133,17 +133,17 @@ def fit_step(dataset: Dataset, split: NestedSplit, candidates: hy.CandidateSet,
     """Steps 3 and 7: each candidate fitted once, on every user's inner-train
     ratings (TRh and TEh, no holdout rating). The same models label the TRh
     users and serve the TEh users, so the labels describe the served models."""
-    inner_train = {**split.train_inner_train, **split.test_inner_train}
-    return fit_candidates(candidates, slice_events(inner_train), dataset.items,
-                          master_seed)
+    return fit_candidates(candidates,
+                          slice_events(split.train_inner_train, split.test_inner_train),
+                          dataset.items, master_seed)
 
 
-def build_contexts(user_ids, inner_train: dict, dataset: Dataset,
+def build_contexts(user_ids, inner_train: RatingSlice, dataset: Dataset,
                    schema: ctx.ContextSchema, pca_genres=None, pca_keywords=None,
                    fit_pcas: bool = False):
     """Raw features per user from the inner-train slice, assembled with the
     given (or freshly fitted) PCA models."""
-    raws = [ctx.extract_raw(uid, inner_train.get(uid, []), dataset.items,
+    raws = [ctx.extract_raw(uid, inner_train[uid], dataset.items,
                             dataset.users.get(uid))
             for uid in user_ids]
     if fit_pcas:
@@ -212,10 +212,10 @@ def evaluate_step(dataset: Dataset, split: NestedSplit, meta: hy.MetaHybridModel
     users = [uid for uid, ok in zip(split.test_users, scored) if ok]
     errors = []
     for uid in users:  # test users only: the labels read nDCG alone
-        holdout = {r.item_id: r.rating for r in split.test_inner_test[uid]}
-        items = sorted(holdout)
-        errors.append([rmse(zip(map(holdout.get, items),
-                                meta.fitted[name].predict_ratings(uid, items).tolist()))
+        holdout = split.test_inner_test[uid]
+        holdout = holdout.take(np.argsort(holdout.item))  # by item id
+        items, truth = holdout.item_list(), holdout.rating.tolist()
+        errors.append([rmse(zip(truth, meta.fitted[name].predict_ratings(uid, items).tolist()))
                        for name in names])
     table = np.dstack((table, np.reshape(errors, (len(users), len(names)))))
     report = _build_report(users, table, dispatched, split, names, bundle, meta.forest,
@@ -254,7 +254,7 @@ def _build_report(users, table, dispatched, split, names, bundle, forest,
                   master_seed, inner_ratio) -> ExperimentReport:
     labeled = bundle["labeled"]
     winners, _ = hy.oracle_select(table[:, :, SCORE_COLUMNS.index("nDCG")], names)
-    n_train = np.array([len(split.test_inner_train.get(uid, [])) for uid in users], dtype=int)
+    n_train = np.array([len(split.test_inner_train[uid]) for uid in users], dtype=int)
     per_user = []
     for uid, n, block, best in zip(users, n_train.tolist(), table.tolist(), winners):
         row = {"user_id": uid, "n_train": n}

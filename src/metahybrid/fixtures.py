@@ -89,8 +89,9 @@ def make_fixture(n_users: int = 200, n_items: int = 500, seed: int = 13,
             ratings.append(RatingEvent(user_id=uid, item_id=i + 1,
                                        rating=rating, timestamp=stamp))
 
-    ds = Dataset(ratings=ratings, items=items, users=users,
-                 provenance=f"synthetic-fixture(seed={seed},users={n_users},items={n_items})")
+    ds = Dataset.from_events(
+        ratings, items, users,
+        provenance=f"synthetic-fixture(seed={seed},users={n_users},items={n_items})")
     ds.population = pop_of  # exposed for tests that check the planted structure
     return ds
 

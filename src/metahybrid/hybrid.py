@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import forest as rf
-from .data import format_float
+from .data import RatingSlice, format_float
 from .metrics import CUTOFFS, SCORE_COLUMNS, RelevanceConfig, ndcg_at, precision_recall_at
 from .recommenders import RecommenderSpec
 
@@ -61,8 +61,9 @@ class LabeledTrainingSet:
         return "\n".join(lines) + "\n"
 
 
-def score_users(fitted: dict, names, user_ids, inner_train: dict, inner_test: dict,
-                relevance: RelevanceConfig, ndcg_cutoff: int) -> tuple:
+def score_users(fitted: dict, names, user_ids, inner_train: RatingSlice,
+                inner_test: RatingSlice, relevance: RelevanceConfig,
+                ndcg_cutoff: int) -> tuple:
     """One catalog Top-N per (user, candidate), without the user's inner-train
     items, scored against the user's inner holdout.
 
@@ -76,12 +77,13 @@ def score_users(fitted: dict, names, user_ids, inner_train: dict, inner_test: di
     top_n = max(max(CUTOFFS), ndcg_cutoff)
     scored, rows = [], []
     for uid in user_ids:
-        holdout = {r.item_id: r.rating for r in inner_test.get(uid, [])}
-        scored.append(bool(holdout))
-        if not holdout:
+        test, train = inner_test.get(uid), inner_train.get(uid)
+        scored.append(bool(test))
+        if not test:
             continue
+        holdout = dict(zip(test.item_list(), test.rating.tolist()))
         relevant = {iid for iid, r in holdout.items() if r >= relevance.threshold}
-        exclude = {r.item_id for r in inner_train.get(uid, [])}
+        exclude = set(train.item_list()) if train else set()
         for name in names:
             ranked = fitted[name].recommend_top_n(uid, top_n, exclude=exclude)
             for k in CUTOFFS:
@@ -93,7 +95,7 @@ def score_users(fitted: dict, names, user_ids, inner_train: dict, inner_test: di
 
 
 def generate_labels(candidates: CandidateSet, fitted: dict, user_ids,
-                    context_matrix, inner_train: dict, inner_test: dict,
+                    context_matrix, inner_train: RatingSlice, inner_test: RatingSlice,
                     n: int = 10,
                     relevance: RelevanceConfig = RelevanceConfig()) -> LabeledTrainingSet:
     """Label each user with the `oracle_select` winner of the nDCG@n column of

@@ -1,8 +1,9 @@
 """Common contract for the rating predictors.
 
-Every algorithm fits on a ratings slice (plus the item catalog where it
-needs content features), predicts ratings clamped to [1,5] with a shared
-cold-case fallback chain, and ranks the catalog for Top-N recommendation.
+Every algorithm fits on a ratings slice, a `data.Ratings` (plus the item
+catalog where it needs content features), predicts ratings clamped to [1,5]
+with a shared cold-case fallback chain, and ranks the catalog for Top-N
+recommendation.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ class FittedRecommender:
     _retired = ()  # attributes of older layouts that cannot be loaded
 
     def __init__(self, spec: RecommenderSpec, train, items, seed: int):
-        if not train:
+        if not len(train):
             raise ValueError(f"{spec.algorithm}: empty training set")
         self.spec = spec
         self.params = spec.resolved_params()
@@ -73,16 +74,17 @@ class FittedRecommender:
         self.fallback_count = 0
 
         # the one encoding of the slice: user index, catalog index and
-        # rating of each event, in the slice's order
-        raw_users, raw_items, ratings = zip(*((r.user_id, r.item_id, r.rating)
-                                              for r in train))
-        self.item_ids = sorted(items) if items else sorted(set(raw_items))
+        # rating of each row, in the slice's order
+        self.item_ids = (sorted(items) if items else
+                         [train.item_ids[c] for c in np.unique(train.item).tolist()])
         self.iidx = {iid: j for j, iid in enumerate(self.item_ids)}
-        self.user_ids = sorted(set(raw_users))
+        codes, users = np.unique(train.user, return_inverse=True)
+        self.user_ids = [train.user_ids[c] for c in codes.tolist()]
         self.uidx = {uid: j for j, uid in enumerate(self.user_ids)}
-        users = np.array([self.uidx[u] for u in raw_users])
-        cols = np.array([self.iidx[i] for i in raw_items])
-        ratings = np.array(ratings, dtype=float)
+        cols = np.array([self.iidx.get(i, -1) for i in train.item_ids])[train.item]
+        if (cols < 0).any():
+            raise ValueError(f"{spec.algorithm}: a rated item is not in the catalog")
+        ratings = train.rating.astype(float)
 
         self.global_mean = float(ratings.mean())
         means = group_means(users, ratings, len(self.user_ids)).tolist()

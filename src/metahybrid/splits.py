@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, RatingEvent
+from .data import COLUMNS, Dataset, Ratings, RatingSlice
 
 log = logging.getLogger(__name__)
 
@@ -34,28 +34,29 @@ class SplitPlan:
 
 @dataclass
 class NestedSplit:
-    """Outer user sets plus the four per-user rating slices."""
+    """Outer user sets plus the four per-user rating slices, each a
+    `RatingSlice` over rows of the dataset's ratings, users in ascending
+    order, each user's rows in the order the inner split gave them."""
 
     train_users: list
     test_users: list
-    # slice name -> {user_id: [RatingEvent, ...]}
-    train_inner_train: dict
-    train_inner_test: dict
-    test_inner_train: dict
-    test_inner_test: dict
+    train_inner_train: RatingSlice
+    train_inner_test: RatingSlice
+    test_inner_train: RatingSlice
+    test_inner_test: RatingSlice
     single_rating_users: list = field(default_factory=list)
 
 
-def _inner_split(events: list, ratio: float, mode: str, rng) -> tuple:
-    """Split one user's chronological events (as `Dataset.ratings_by_user`
-    lists them) into the first m and the rest, after a shuffle in random mode."""
-    n = len(events)
+def _inner_split(rows: np.ndarray, ratio: float, mode: str, rng) -> tuple:
+    """Split one user's chronological rows into the first m and the rest,
+    after a shuffle in random mode."""
+    n = len(rows)
     m = int(round(n * ratio))
     m = max(1, min(m, n))
     if mode == "random":
-        events = list(events)
-        rng.shuffle(events)
-    return events[:m], events[m:]
+        rows = rows.copy()
+        rng.shuffle(rows)
+    return rows[:m], rows[m:]
 
 
 def nested_split(dataset: Dataset, plan: SplitPlan) -> NestedSplit:
@@ -70,28 +71,27 @@ def nested_split(dataset: Dataset, plan: SplitPlan) -> NestedSplit:
     test_users = sorted(users[i] for i in perm[n_train:])
 
     by_user = dataset.ratings_by_user()
-    split = NestedSplit(train_users=train_users, test_users=test_users,
-                        train_inner_train={}, train_inner_test={},
-                        test_inner_train={}, test_inner_test={})
-    for uids, tr, te in ((train_users, split.train_inner_train, split.train_inner_test),
-                         (test_users, split.test_inner_train, split.test_inner_test)):
+    single, slices = [], []
+    for uids in (train_users, test_users):
+        parts = ([], [])  # each user's inner-train rows, and inner-test rows
         for uid in uids:
-            events = by_user.get(uid, [])
-            if not events:
-                tr[uid], te[uid] = [], []
-                continue
-            if len(events) == 1:
-                split.single_rating_users.append(uid)
-            tr[uid], te[uid] = _inner_split(events, plan.inner_ratio, plan.mode, rng)
-    if split.single_rating_users:
-        log.warning("%d users have a single rating; it goes to inner-train",
-                    len(split.single_rating_users))
-    return split
+            start, stop = by_user.span(uid)
+            if stop - start == 1:
+                single.append(uid)
+            tr, te = _inner_split(np.arange(start, stop), plan.inner_ratio, plan.mode, rng)
+            parts[0].append(tr)
+            parts[1].append(te)
+        slices += [RatingSlice(dataset.ratings.take(np.concatenate([np.arange(0), *rows])),
+                               uids, [len(r) for r in rows]) for rows in parts]
+    if single:
+        log.warning("%d users have a single rating; it goes to inner-train", len(single))
+    return NestedSplit(train_users, test_users, *slices, single_rating_users=single)
 
 
-def slice_events(inner: dict) -> list:
-    """Flatten a per-user slice into one rating list (stable user order)."""
-    out: list[RatingEvent] = []
-    for uid in sorted(inner):
-        out.extend(inner[uid])
-    return out
+def slice_events(*inners: RatingSlice) -> Ratings:
+    """The rows of slices over disjoint users of one dataset as one
+    `Ratings`: users in ascending order, each user's rows in slice order."""
+    parts = [inner.rows for inner in inners]
+    rows = Ratings(parts[0].user_ids, parts[0].item_ids,
+                   *(np.concatenate([getattr(p, c) for p in parts]) for c in COLUMNS))
+    return rows.take(np.argsort(rows.user, kind="stable"))

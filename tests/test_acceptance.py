@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from metahybrid.context import ContextSchema, fit_pca, transform_pca
-from metahybrid.data import RatingEvent
+from metahybrid.data import RatingEvent, Ratings, RatingSlice
 from metahybrid.evaluation import run_experiment
 from metahybrid.fixtures import GENRES, KEYWORDS, make_fixture
 from metahybrid.forest import ForestParams, gini, predict_label, train_forest
@@ -124,6 +124,9 @@ def test_criterion_3_planted_rule():
         rank_a[u] = hits + junk if lab == "Alpha" else junk
         rank_b[u] = hits + junk if lab == "Beta" else junk
 
+    users = sorted(holdouts)
+    holdouts = RatingSlice(Ratings.from_events(r for u in users for r in holdouts[u]),
+                           users, [len(holdouts[u]) for u in users])
     candidates = CandidateSet(specs=[RecommenderSpec("SlopeOne"),
                                      RecommenderSpec("KnnBasic")],
                               names=["Alpha", "Beta"])
@@ -132,7 +135,8 @@ def test_criterion_3_planted_rule():
     test_users = list(range(200, n_users))
 
     labeled = generate_labels(candidates, fitted, train_users,
-                              contexts[:200], {}, holdouts)
+                              contexts[:200], RatingSlice(Ratings.from_events([]), [], []),
+                              holdouts)
     assert labeled.labels == planted[:200]
     forest = train_meta(labeled, ForestParams(n_estimators=100, seed=1))
 
@@ -177,6 +181,7 @@ def test_criterion_4_svdmf_learning():
               for e in test]
         return math.sqrt(sum(sq) / len(sq))
 
+    train = Ratings.from_events(train)
     svd = fit(RecommenderSpec("SvdMf", {"epochs": 100, "learn_rate": 0.01}),
               train, seed=7)
     base = fit(RecommenderSpec("BaselineOnly"), train, seed=7)
@@ -208,7 +213,7 @@ def _check_slope_one(ratings):
             events.append(RatingEvent(u, 2, r2, u * 10 + 2))
     if not events:
         return True
-    model = fit(RecommenderSpec("SlopeOne"), events, seed=0)
+    model = fit(RecommenderSpec("SlopeOne"), Ratings.from_events(events), seed=0)
     for u, (r1, r2) in ratings.items():
         if r1 and not r2:
             expected = _slope_one_expected(ratings, u)
@@ -321,9 +326,9 @@ def test_criterion_8_methodology_laws():
             for i in rng.permutation(n_items)[: int(rng.integers(1, n_items + 1))]:
                 ratings.append(RatingEvent(u, int(i), int(rng.integers(1, 6)), ts))
                 ts += 1
-        ds = Dataset(ratings=ratings,
-                     items={i: ItemRecord(i) for i in range(n_items)},
-                     users={u: UserRecord(u) for u in range(n_users)})
+        ds = Dataset.from_events(ratings,
+                                 items={i: ItemRecord(i) for i in range(n_items)},
+                                 users={u: UserRecord(u) for u in range(n_users)})
         plan = SplitPlan(inner_ratio=float(rng.choice((0.6, 0.7, 0.8, 0.9))),
                          seed=int(rng.integers(1 << 30)))
         split = nested_split(ds, plan)

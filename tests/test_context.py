@@ -19,7 +19,7 @@ from metahybrid.context import (
     matrix_csv,
     transform_pca,
 )
-from metahybrid.data import ItemRecord, RatingEvent, UserRecord
+from metahybrid.data import ItemRecord, RatingEvent, Ratings, UserRecord
 
 # 2001-01-01 was a Monday; 978300000 is 2001-01-01 00:40 UTC
 MONDAY_20 = 978379200      # 2001-01-01 20:00 UTC
@@ -35,9 +35,14 @@ CATALOG = {
 }
 
 
+def rows(*events):
+    """One user's rating events as the columns that `extract_raw` reads."""
+    return Ratings.from_events(events)
+
+
 def _ratings():
-    return [RatingEvent(7, 1, 5, TUESDAY_20), RatingEvent(7, 2, 5, TUESDAY_09),
-            RatingEvent(7, 1, 5, MONDAY_20)]
+    return rows(RatingEvent(7, 1, 5, TUESDAY_20), RatingEvent(7, 2, 5, TUESDAY_09),
+                RatingEvent(7, 1, 5, MONDAY_20))
 
 
 class TestExtractRaw:
@@ -59,7 +64,7 @@ class TestExtractRaw:
         cat = {1: ItemRecord(1, genres=frozenset({"Drama"})),
                2: ItemRecord(2, genres=frozenset({"Comedy"}))}
         events.append(RatingEvent(7, 2, 4, TUESDAY_09))
-        raw = extract_raw(7, events, cat)
+        raw = extract_raw(7, rows(*events), cat)
         # Drama 2/3, Comedy 1/3: ln 3 - (2/3) ln 2 = 0.6365... nats
         assert raw.genre_entropy == pytest.approx(0.636514168, abs=1e-8)
 
@@ -78,14 +83,14 @@ class TestExtractRaw:
         leap_day = int(datetime(2024, 2, 29, 13, 30, tzinfo=timezone.utc).timestamp())
         stamps |= {1, 86399, 86400, leap_day, 2 ** 33}
         for ts in sorted(stamps):
-            raw = extract_raw(7, [RatingEvent(7, 1, 3, ts)], CATALOG)
+            raw = extract_raw(7, rows(RatingEvent(7, 1, 3, ts)), CATALOG)
             expected = datetime.fromtimestamp(ts, tz=timezone.utc)
             assert (raw.preferred_hour, raw.preferred_dow) == \
                 (expected.hour, expected.weekday()), ts
 
     def test_mode_tie_prefers_smaller_value(self):
         events = [RatingEvent(7, 1, 3, MONDAY_20), RatingEvent(7, 2, 3, TUESDAY_20)]
-        raw = extract_raw(7, events, CATALOG)
+        raw = extract_raw(7, rows(*events), CATALOG)
         assert raw.preferred_dow == 0
 
     def test_year_variance_and_runtime(self):
@@ -95,13 +100,13 @@ class TestExtractRaw:
         # the schema holds the catalog's longest runtime, which divides the mean
         schema = build_schema(CATALOG)
         assert schema.max_runtime == 200
-        raws = [raw, extract_raw(8, [], CATALOG)]
+        raws = [raw, extract_raw(8, rows(), CATALOG)]
         matrix, names = assemble_matrix(raws, *fit_histogram_pcas(raws, schema), schema)
         assert matrix[:, names.index("mean_runtime_norm")] == pytest.approx(
             [(100 + 200 + 100) / 3 / 200, 0.0])
 
     def test_empty_slice_zero_profile(self):
-        raw = extract_raw(7, [], CATALOG)
+        raw = extract_raw(7, rows(), CATALOG)
         assert raw.n_ratings == 0
         assert np.allclose(raw.rating_histogram, 0)
         assert raw.preferred_hour is None and raw.preferred_dow is None
@@ -110,13 +115,13 @@ class TestExtractRaw:
 
     def test_demography_passthrough(self):
         demo = UserRecord(7, gender="F", age_band=25, occupation=4, location="48067")
-        raw = extract_raw(7, [], CATALOG, demo)
+        raw = extract_raw(7, rows(), CATALOG, demo)
         assert (raw.gender, raw.age_band, raw.occupation) == ("F", 25, 4)
         assert raw.location_region == "4"
 
     def test_foreign_rating_rejected(self):
         with pytest.raises(ValueError, match="foreign user"):
-            extract_raw(7, [RatingEvent(8, 1, 3, MONDAY_20)], CATALOG)
+            extract_raw(7, rows(RatingEvent(8, 1, 3, MONDAY_20)), CATALOG)
 
     def test_entropy_independent_of_hash_seed(self):
         # the shipped fixture's users, each in a fresh interpreter per seed
@@ -141,7 +146,7 @@ class TestExtractRaw:
     def test_duplicate_slice_scales_counts_only(self):
         # doubling the multiset doubles n_ratings but leaves fractions alone
         once = extract_raw(7, _ratings(), CATALOG)
-        twice = extract_raw(7, _ratings() + _ratings(), CATALOG)
+        twice = extract_raw(7, rows(*_ratings(), *_ratings()), CATALOG)
         assert twice.n_ratings == 2 * once.n_ratings
         assert np.allclose(twice.rating_histogram, once.rating_histogram)
         assert twice.genre_histogram == pytest.approx(once.genre_histogram)
@@ -277,8 +282,8 @@ class TestSchemaAndAssembly:
         schema = self._schema()
         demo = UserRecord(7, gender="M", age_band=25, occupation=3, location="55117")
         raws = [extract_raw(7, _ratings(), CATALOG, demo),
-                extract_raw(8, [], CATALOG),
-                extract_raw(9, [RatingEvent(9, 2, 2, MONDAY_20)], CATALOG)]
+                extract_raw(8, rows(), CATALOG),
+                extract_raw(9, rows(RatingEvent(9, 2, 2, MONDAY_20)), CATALOG)]
         pca_g, pca_k = fit_histogram_pcas(raws, schema)
         matrix, names = assemble_matrix(raws, pca_g, pca_k, schema)
         assert matrix.shape == (3, len(names))
@@ -302,8 +307,8 @@ class TestSchemaAndAssembly:
     def test_pca_columns_match_manual_projection(self):
         schema = self._schema()
         raws = [extract_raw(7, _ratings(), CATALOG),
-                extract_raw(8, [RatingEvent(8, 2, 4, MONDAY_20)], CATALOG),
-                extract_raw(9, [], CATALOG)]
+                extract_raw(8, rows(RatingEvent(8, 2, 4, MONDAY_20)), CATALOG),
+                extract_raw(9, rows(), CATALOG)]
         pca_g, pca_k = fit_histogram_pcas(raws, schema)
         matrix, names = assemble_matrix(raws, pca_g, pca_k, schema)
         g0 = names.index("genre_pc_1")

@@ -68,9 +68,31 @@ def test_rating_out_of_range_rejected():
 
 def test_referential_integrity_enforced():
     with pytest.raises(IngestError, match="unknown item"):
-        Dataset(ratings=[RatingEvent(1, 99, 3, 5)],
-                items={1: ItemRecord(item_id=1)},
-                users={1: UserRecord(user_id=1)})
+        Dataset.from_events([RatingEvent(1, 99, 3, 5)],
+                            items={1: ItemRecord(item_id=1)},
+                            users={1: UserRecord(user_id=1)})
+
+
+def test_unknown_user_rejected():
+    with pytest.raises(IngestError, match="unknown user 2"):
+        Dataset.from_events([RatingEvent(1, 1, 3, 5), RatingEvent(2, 1, 4, 6)],
+                            items={1: ItemRecord(item_id=1)},
+                            users={1: UserRecord(user_id=1)})
+
+
+def test_ratings_encoded_in_canonical_order(tiny_movielens):
+    # by user, then timestamp, then item; codes index the sorted id tables
+    ds = load_movielens(tiny_movielens / "ratings.dat", tiny_movielens / "users.dat",
+                        tiny_movielens / "movies.dat")
+    rows = ds.ratings
+    assert rows.user_ids == [1, 2, 3] and rows.item_ids == [661, 914, 1193, 3408]
+    keys = [(r.user_id, r.timestamp, r.item_id) for r in rows]
+    assert keys == sorted(keys)
+    assert [rows.item_ids[j] for j in rows.item[:2].tolist()] == [3408, 1193]
+    # a derived dataset takes the columns as they are, or a row subset of them
+    out = enrich_items(ds, tiny_movielens / "metadata.csv")
+    assert out.ratings is ds.ratings
+    assert filter_min_ratings(ds, 4).ratings == rows.take(slice(0, 4))
 
 
 def test_movielens_pair_rated_twice_rejected(tmp_path, tiny_movielens):
@@ -171,7 +193,7 @@ class TestColdStart:
             full = by_user_in[uid]
             m = len(kept)
             assert 5 <= m <= len(full)
-            assert kept == full[:m]
+            assert kept == full.take(slice(0, m))
 
     def test_identity_when_bounds_cover_everything(self, small_dataset):
         counts = {u: len(evs) for u, evs in small_dataset.ratings_by_user().items()}
@@ -213,7 +235,7 @@ class TestMinRatingsFilter:
         items = {i: ItemRecord(item_id=i) for i in range(1, max(counts.values()) + 1)}
         ratings = [RatingEvent(u, i, 3, i) for u, c in counts.items()
                    for i in range(1, c + 1)]
-        return Dataset(ratings=ratings, items=items, users=users)
+        return Dataset.from_events(ratings, items=items, users=users)
 
     def test_threshold(self):
         ds = self._ds({1: 25, 2: 19, 3: 20})

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from metahybrid.data import RatingEvent
+from metahybrid.data import RatingEvent, Ratings, RatingSlice
 from metahybrid.forest import ForestParams
 from metahybrid.hybrid import (
     CandidateSet,
@@ -30,6 +30,13 @@ class FakeRecommender:
     def recommend_top_n(self, user_id, n, exclude=frozenset()):
         ranked = [i for i in self.rankings.get(user_id, []) if i not in exclude]
         return ranked[:n]
+
+
+def slice_of(per_user: dict) -> RatingSlice:
+    """Per-user rating events as a `RatingSlice`, users in ascending order."""
+    users = sorted(per_user)
+    rows = Ratings.from_events([r for u in users for r in per_user[u]], user_ids=users)
+    return RatingSlice(rows, users, [len(per_user[u]) for u in users])
 
 
 def two_candidates():
@@ -67,10 +74,10 @@ def _label_setup():
         "KnnBasic": FakeRecommender({1: ["x", "y"], 2: ["h2", "x"],
                                      4: ["y"], 3: ["y"]}),
     }
-    holdouts = {1: [RatingEvent(1, "h1", 5, 10)],
-                2: [RatingEvent(2, "h2", 4, 10)],
-                3: [],
-                4: [RatingEvent(4, "h4", 5, 10)]}
+    holdouts = slice_of({1: [RatingEvent(1, "h1", 5, 10)],
+                         2: [RatingEvent(2, "h2", 4, 10)],
+                         3: [],
+                         4: [RatingEvent(4, "h4", 5, 10)]})
     contexts = np.arange(8, dtype=float).reshape(4, 2)
     return candidates, fitted, holdouts, contexts
 
@@ -79,7 +86,7 @@ class TestLabeling:
     def test_argmax_and_skip_and_tie(self):
         candidates, fitted, holdouts, contexts = _label_setup()
         labeled = generate_labels(candidates, fitted, [1, 2, 3, 4], contexts,
-                                  {}, holdouts)
+                                  slice_of({}), holdouts)
         assert labeled.user_ids == [1, 2, 4]
         assert labeled.labels == ["SlopeOne", "KnnBasic", "SlopeOne"]
         assert labeled.skipped_users == [3]
@@ -90,7 +97,7 @@ class TestLabeling:
     def test_scores_consistent_with_labels(self):
         candidates, fitted, holdouts, contexts = _label_setup()
         labeled = generate_labels(candidates, fitted, [1, 2, 3, 4], contexts,
-                                  {}, holdouts)
+                                  slice_of({}), holdouts)
         for lab, row in zip(labeled.labels, labeled.scores):
             assert row[candidates.names.index(lab)] == row.max()
 
@@ -98,7 +105,8 @@ class TestLabeling:
         candidates, fitted, holdouts, contexts = _label_setup()
         # excluding h1 from user 1 removes SlopeOne's hit; tie at 0 -> first
         labeled = generate_labels(candidates, fitted, [1], contexts[:1],
-                                  {1: [RatingEvent(1, "h1", 3, 9)]}, {1: holdouts[1]})
+                                  slice_of({1: [RatingEvent(1, "h1", 3, 9)]}),
+                                  slice_of({1: list(holdouts[1])}))
         assert labeled.labels == ["SlopeOne"]
         assert labeled.tied_users == [1]
         assert np.allclose(labeled.scores, 0.0)
@@ -107,12 +115,12 @@ class TestLabeling:
         candidates, fitted, holdouts, contexts = _label_setup()
         del fitted["KnnBasic"]
         with pytest.raises(ValueError, match="no fitted model"):
-            generate_labels(candidates, fitted, [1], contexts[:1], {}, holdouts)
+            generate_labels(candidates, fitted, [1], contexts[:1], slice_of({}), holdouts)
 
     def test_export_csv(self):
         candidates, fitted, holdouts, contexts = _label_setup()
         labeled = generate_labels(candidates, fitted, [1, 2, 3, 4], contexts,
-                                  {}, holdouts)
+                                  slice_of({}), holdouts)
         lines = labeled.labels_csv().strip().split("\n")
         assert lines[0] == "user_id,label,ndcg_SlopeOne,ndcg_KnnBasic"
         assert len(lines) == 4
@@ -140,10 +148,10 @@ class TestScoreTable:
             "KnnBasic": FakeRecommender({1: ["t1", "h1", "x1", "h2", "x2"],
                                          3: ["h3", "y"]}),
         }
-        inner_train = {1: [RatingEvent(1, "t1", 2, 1)]}
-        inner_test = {1: [RatingEvent(1, "h1", 5, 8), RatingEvent(1, "h2", 3, 9)],
-                      2: [],
-                      3: [RatingEvent(3, "h3", 4, 9)]}
+        inner_train = slice_of({1: [RatingEvent(1, "t1", 2, 1)]})
+        inner_test = slice_of({1: [RatingEvent(1, "h1", 5, 8), RatingEvent(1, "h2", 3, 9)],
+                               2: [],
+                               3: [RatingEvent(3, "h3", 4, 9)]})
         return candidates, fitted, inner_train, inner_test
 
     def test_hand_computed_cells(self):

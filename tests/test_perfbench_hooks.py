@@ -2,7 +2,9 @@
 `FittedRecommender.recommend_top_n` and `predict_rating` on the class,
 walks `TreeNode` trees to count nodes, and wraps module functions. A
 traced in-process experiment and a traced staged `run-all`, the path the
-benchmark's workloads run, keep those hooks working."""
+benchmark's workloads run, keep those hooks working. The `fixture-cf`
+workload's own checks, which read the split, dataset and fitted-candidate
+pickles back and use the slices as per-user rows, keep passing."""
 
 import json
 import os
@@ -18,6 +20,7 @@ from metahybrid.splits import SplitPlan
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "perfbench"))
 import tracing  # noqa: E402  (perfbench/tracing.py)
+import workloads  # noqa: E402  (perfbench/workloads.py)
 
 
 def test_traced_experiment_counts_every_layer():
@@ -83,3 +86,15 @@ def test_traced_run_all_counts_every_scored_user(tmp_path):
     assert len(ndcg_spans) == 4 * (len(rows) + report["n_evaluated_users"])
     assert metrics["forest.trees"] == 3
     assert metrics["pipeline.label_s"] > 0
+
+
+def test_fixture_workload_reads_the_pickles_back(tmp_path):
+    # the benchmark's `fixture-cf` workload on its smoke inputs: its checks
+    # read split.pkl, dataset.pkl and candidates_eval.pkl back from disk
+    workload = workloads.make("fixture-cf", str(tmp_path), 1, smoke=True)
+    workload.setup()
+    workload.run(0, False)
+    metrics, errors, _ = workload.finish()
+    assert errors == []
+    assert workload.failed == 0 and workload.attempted > 0
+    assert metrics["artifact_bytes"] > 0

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from metahybrid import recommenders as rec
-from metahybrid.data import RatingEvent, enrich_items, load_movielens
+from metahybrid.data import RatingEvent, Ratings, enrich_items, load_movielens
 from metahybrid.recommenders import RecommenderSpec, fit
 from metahybrid.recommenders.content import feature_matrix, item_feature_columns
-from metahybrid.splits import SplitPlan, nested_split
+from metahybrid.splits import SplitPlan, nested_split, slice_events
 
 FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "fixtures")
@@ -17,6 +17,11 @@ FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__
 
 def ev(u, i, r, ts=None):
     return RatingEvent(user_id=u, item_id=i, rating=r, timestamp=ts or (hash((u, i)) % 1000 + 1))
+
+
+def rows(events):
+    """Rating events as the columns that `fit` takes, in their order."""
+    return Ratings.from_events(events)
 
 
 def rank2_dataset(seed=0, factor_scale=1.2, n_users=50, n_items=40, density=0.3,
@@ -64,25 +69,31 @@ class TestSpecValidation:
 
     def test_empty_train_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            fit(RecommenderSpec("SlopeOne"), [], seed=1)
+            fit(RecommenderSpec("SlopeOne"), rows([]), seed=1)
+
+    def test_rated_item_outside_catalog_rejected(self):
+        from metahybrid.data import ItemRecord
+        with pytest.raises(ValueError, match="not in the catalog"):
+            fit(RecommenderSpec("SlopeOne"), rows([ev(1, 1, 4), ev(1, 2, 3)]),
+                items={1: ItemRecord(item_id=1)}, seed=1)
 
     def test_content_needs_catalog(self):
         with pytest.raises(ValueError, match="catalog"):
-            fit(RecommenderSpec("ContentBased"), [ev(1, 1, 4)], seed=1)
+            fit(RecommenderSpec("ContentBased"), rows([ev(1, 1, 4)]), seed=1)
         with pytest.raises(ValueError, match="catalog"):
-            fit(RecommenderSpec("WarpHybrid"), [ev(1, 1, 4)], seed=1)
+            fit(RecommenderSpec("WarpHybrid"), rows([ev(1, 1, 4)]), seed=1)
 
 
 class TestBaselineOnly:
     def test_constant_data_fixed_point(self):
         train = [ev(u, i, 4) for u in (1, 2, 3) for i in (10, 11)]
-        model = fit(RecommenderSpec("BaselineOnly"), train, seed=1)
+        model = fit(RecommenderSpec("BaselineOnly"), rows(train), seed=1)
         assert model.predict_rating(1, 10) == pytest.approx(4.0, abs=1e-3)
         assert model.predict_rating(99, 999) == pytest.approx(4.0, abs=1e-3)
 
     def test_learns_item_bias_direction(self):
         train = [ev(u, 1, 5) for u in range(1, 8)] + [ev(u, 2, 1) for u in range(1, 8)]
-        model = fit(RecommenderSpec("BaselineOnly"), train, seed=1)
+        model = fit(RecommenderSpec("BaselineOnly"), rows(train), seed=1)
         assert model.predict_rating(1, 1) > model.predict_rating(1, 2)
 
 
@@ -90,7 +101,7 @@ class TestSlopeOne:
     def test_two_item_hand_case(self):
         # A rated i1=1, i2=2; B rated i1=2. dev(i2,i1)=1 so predict(B,i2)=3.
         train = [ev("A", "i1", 1, 10), ev("A", "i2", 2, 20), ev("B", "i1", 2, 30)]
-        model = fit(RecommenderSpec("SlopeOne"), train, seed=0)
+        model = fit(RecommenderSpec("SlopeOne"), rows(train), seed=0)
         assert model.predict_rating("B", "i2") == pytest.approx(3.0, abs=1e-12)
 
     def test_two_item_exactness_exhaustive(self):
@@ -106,7 +117,7 @@ class TestSlopeOne:
             train = [ev(u, i, r, ts=u * 10 + i) for (u, i), r in sorted(ratings.items())]
             if not train:
                 continue
-            model = fit(RecommenderSpec("SlopeOne"), train, seed=0)
+            model = fit(RecommenderSpec("SlopeOne"), rows(train), seed=0)
             co = [(ratings[(u, 2)] - ratings[(u, 1)]) for u in range(n_users)
                   if (u, 1) in ratings and (u, 2) in ratings]
             for u in range(n_users):
@@ -122,12 +133,12 @@ class TestKnnBasic:
         train = [ev("u1", i, r, ts=i) for i, r in common]
         train += [ev("u2", i, r, ts=i) for i, r in common]
         train += [ev("u2", 9, 5, ts=9)]
-        model = fit(RecommenderSpec("KnnBasic"), train, seed=0)
+        model = fit(RecommenderSpec("KnnBasic"), rows(train), seed=0)
         assert model.predict_rating("u1", 9) == pytest.approx(5.0)
 
     def test_cosine_symmetry(self):
         train, _ = rank2_dataset(seed=3, n_users=15, n_items=12)
-        model = fit(RecommenderSpec("KnnBasic"), train, seed=0)
+        model = fit(RecommenderSpec("KnnBasic"), rows(train), seed=0)
         assert np.allclose(model.sim, model.sim.T, atol=1e-12)
         assert np.all(model.sim <= 1.0 + 1e-12)
 
@@ -136,7 +147,7 @@ class TestKnnBasic:
         # fitted matrix equals its own per-pair cosine
         rank2, _ = rank2_dataset(seed=3, n_users=15, n_items=12)
         knn = next(m for m in shipped_fixture[0] if m.spec.algorithm == "KnnBasic")
-        for model, train in ((fit(RecommenderSpec("KnnBasic"), rank2, seed=0), rank2),
+        for model, train in ((fit(RecommenderSpec("KnnBasic"), rows(rank2), seed=0), rank2),
                              (knn, trh_slice[2])):
             assert np.array_equal(model.sim, model.sim.T)
             assert np.array_equal(model.sim, reference_similarities(model, train))
@@ -168,10 +179,10 @@ class TestContentBased:
         assert overlap >= 3
 
     def test_rating_range_mapping(self, small_dataset):
-        train = list(small_dataset.ratings[:200])
+        train = small_dataset.ratings.take(slice(0, 200))
         model = fit(RecommenderSpec("ContentBased"), train,
                     items=small_dataset.items, seed=0)
-        for r in train[:30]:
+        for r in list(train)[:30]:
             v = model.predict_rating(r.user_id, r.item_id)
             assert 1.0 <= v <= 5.0
 
@@ -190,7 +201,7 @@ class TestWarpHybrid:
             for i in rng.permutation(np.arange(2, n_items + 1))[:8]:
                 train.append(RatingEvent(u, int(i), int(rng.integers(1, 4)), ts))
                 ts += 1
-        model = fit(RecommenderSpec("WarpHybrid"), train, items=items, seed=9)
+        model = fit(RecommenderSpec("WarpHybrid"), rows(train), items=items, seed=9)
         ranks = []
         for u in range(1, 21):
             ranked = model.recommend_top_n(u, n_items)
@@ -198,10 +209,10 @@ class TestWarpHybrid:
         assert np.mean(ranks) <= 0.1 * n_items
 
     def test_rank_score_used_for_ordering(self, small_dataset):
-        train = list(small_dataset.ratings[:300])
+        train = small_dataset.ratings.take(slice(0, 300))
         model = fit(RecommenderSpec("WarpHybrid", {"epochs": 5}), train,
                     items=small_dataset.items, seed=1)
-        uid = train[0].user_id
+        uid = next(iter(train)).user_id
         ranked = model.recommend_top_n(uid, 10)
         scores = dict(zip(model.item_ids,
                           model._rank_catalog(uid, np.ones(len(model.item_ids), bool))))
@@ -233,7 +244,7 @@ class TestWarpTrainer:
                  3: ItemRecord(item_id=3, genres=frozenset({"h"}))}
         spec = RecommenderSpec("WarpHybrid", {"epochs": 0, "components": 2,
                                               "max_trials": 12, "learn_rate": 0.1})
-        model = fit(spec, [ev(1, 1, 5), ev(2, 2, 5)], items=items, seed=0)
+        model = fit(spec, rows([ev(1, 1, 5), ev(2, 2, 5)]), items=items, seed=0)
         model.params["epochs"] = 1
         content = feature_matrix(*item_feature_columns(items, model.item_ids),
                                  normalize=False)
@@ -287,10 +298,10 @@ class TestWarpTrainer:
             assert not np.array_equal(getattr(a, name), getattr(other, name)), name
 
     def test_reps_built_once_and_not_pickled(self, small_dataset):
-        train = list(small_dataset.ratings[:200])
+        train = small_dataset.ratings.take(slice(0, 200))
         model = fit(RecommenderSpec("WarpHybrid", {"epochs": 2}), train,
                     items=small_dataset.items, seed=3)
-        uid, items = train[0].user_id, sorted(small_dataset.items)
+        uid, items = next(iter(train)).user_id, sorted(small_dataset.items)
         first = model.predict_ratings(uid, items)
         reps = model._reps
         model.recommend_top_n(uid, 5)
@@ -306,7 +317,7 @@ class TestTopN:
         class Stub(rec.FittedRecommender):
             def __init__(self, preds):
                 train = [ev(1, i, 3, ts=k + 1) for k, i in enumerate(preds)]
-                super().__init__(RecommenderSpec("SlopeOne"), train, {}, 0)
+                super().__init__(RecommenderSpec("SlopeOne"), rows(train), {}, 0)
                 self._preds = preds
 
             def _estimate_catalog(self, user, item_means):
@@ -359,8 +370,7 @@ def trh_slice():
                          for f in ("ratings.dat", "users.dat", "movies.dat"))),
         os.path.join(FIXTURES, "metadata.csv"))
     split = nested_split(dataset, SplitPlan(seed=5))
-    train = [r for uid in split.train_users for r in split.train_inner_train[uid]]
-    return dataset, split, train
+    return dataset, split, slice_events(split.train_inner_train)
 
 
 @pytest.fixture(scope="module")
@@ -750,7 +760,7 @@ class TestBatchedFits:
     def test_sgd_waves_hand_case(self):
         from metahybrid.recommenders.collaborative import _sgd_waves
         train = [ev(1, 1, 5), ev(1, 2, 4), ev(2, 1, 3), ev(2, 2, 2), ev(3, 3, 1)]
-        model = fit(RecommenderSpec("BaselineOnly", {"epochs": 0}), train, seed=0)
+        model = fit(RecommenderSpec("BaselineOnly", {"epochs": 0}), rows(train), seed=0)
         waves = [list(zip(*(a.tolist() for a in wave)))
                  for wave in _sgd_waves(*encode(model, train))]
         # (2, 1) waits for (1, 1) only; (3, 3) shares nothing, so goes first
@@ -798,7 +808,7 @@ class TestNumpyBehaviour:
 class TestContracts:
     @pytest.mark.parametrize("alg", rec.ALGORITHMS)
     def test_clamped_predictions(self, alg, small_dataset):
-        train = list(small_dataset.ratings[:400])
+        train = small_dataset.ratings.take(slice(0, 400))
         model = fit(RecommenderSpec(alg), train, items=small_dataset.items, seed=3)
         rng = np.random.default_rng(0)
         users = list(small_dataset.users)
@@ -810,7 +820,7 @@ class TestContracts:
 
     @pytest.mark.parametrize("alg", rec.ALGORITHMS)
     def test_deterministic_refit(self, alg, small_dataset):
-        train = list(small_dataset.ratings[:400])
+        train = small_dataset.ratings.take(slice(0, 400))
         kwargs = {"items": small_dataset.items, "seed": 11}
         a = fit(RecommenderSpec(alg), train, **kwargs)
         b = fit(RecommenderSpec(alg), train, **kwargs)
@@ -826,7 +836,7 @@ class TestContracts:
     def test_pickle_with_dropped_state_loads(self, alg, small_dataset):
         # earlier versions also pickled rated_by_user, ContentBased's
         # feature_names and WarpHybrid's rating-scale cache
-        train = list(small_dataset.ratings[:200])
+        train = small_dataset.ratings.take(slice(0, 200))
         model = fit(RecommenderSpec(alg, {"epochs": 2} if alg == "WarpHybrid" else {}),
                     train, items=small_dataset.items, seed=3)
         assert not {"rated_by_user", "feature_names"} & set(model.__dict__)
@@ -834,7 +844,7 @@ class TestContracts:
         old.__dict__.update(rated_by_user={1: {2}}, feature_names=["genre:x"],
                             _rating_scale_cache={})
         loaded = pickle.loads(pickle.dumps(old))
-        u, items = train[0].user_id, sorted(small_dataset.items)
+        u, items = next(iter(train)).user_id, sorted(small_dataset.items)
         assert loaded.predict_ratings(u, items).tolist() == \
             model.predict_ratings(u, items).tolist()
 
@@ -845,7 +855,7 @@ class TestContracts:
             assert "_fit" in vars(cls), cls.__name__
 
     def test_fallback_counted(self):
-        model = fit(RecommenderSpec("SlopeOne"), [ev(1, 1, 4), ev(2, 2, 3)], seed=0)
+        model = fit(RecommenderSpec("SlopeOne"), rows([ev(1, 1, 4), ev(2, 2, 3)]), seed=0)
         before = model.fallback_count
         model.predict_rating("ghost-user", "ghost-item")
         assert model.fallback_count == before + 1
@@ -854,6 +864,6 @@ class TestContracts:
 def test_svdmf_beats_baseline_on_rank2():
     train, test = rank2_dataset(seed=0)
     svd = fit(RecommenderSpec("SvdMf", {"epochs": 100, "learn_rate": 0.01}),
-              train, seed=7)
-    base = fit(RecommenderSpec("BaselineOnly"), train, seed=7)
+              rows(train), seed=7)
+    base = fit(RecommenderSpec("BaselineOnly"), rows(train), seed=7)
     assert heldout_rmse(svd, test) < heldout_rmse(base, test)

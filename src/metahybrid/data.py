@@ -39,8 +39,8 @@ class RatingEvent:
     def __post_init__(self):
         if self.rating not in (1, 2, 3, 4, 5):
             raise ValueError(f"rating must be in 1..5, got {self.rating}")
-        if self.timestamp <= 0:
-            raise ValueError(f"timestamp must be positive, got {self.timestamp}")
+        if not 0 < self.timestamp < 2 ** 63:  # the timestamp column is int64
+            raise ValueError(f"timestamp must be in 1..2**63-1, got {self.timestamp}")
 
 
 @dataclass

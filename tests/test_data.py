@@ -64,6 +64,8 @@ def test_rating_out_of_range_rejected():
         RatingEvent(user_id=1, item_id=1, rating=6, timestamp=10)
     with pytest.raises(ValueError):
         RatingEvent(user_id=1, item_id=1, rating=3, timestamp=0)
+    with pytest.raises(ValueError):
+        RatingEvent(user_id=1, item_id=1, rating=3, timestamp=2 ** 63)
 
 
 def test_referential_integrity_enforced():

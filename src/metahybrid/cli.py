@@ -8,6 +8,7 @@ import sys
 
 from .config import ConfigError, load_config
 from .data import IngestError
+from .hybrid import PRESETS
 from .pipeline import STAGES, ArtifactStore, StageError, run_all
 
 
@@ -23,12 +24,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config (JSON)")
         p.add_argument("--out", help="output directory override")
         p.add_argument("--seed", type=int, help="master seed override")
-        p.add_argument("--preset", choices=("cf", "mixed"),
+        p.add_argument("--preset", choices=sorted(PRESETS),
                        help="candidate preset override")
-        p.add_argument("--inner-ratio", type=float, dest="inner_ratio",
-                       help="inner rating-split ratio override")
-        p.add_argument("--ndcg-cutoff", type=int, dest="ndcg_cutoff",
-                       help="nDCG list cutoff override")
     return parser
 
 
@@ -37,9 +34,8 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     overrides = {}
-    for flag, key in (("out", "output_dir"), ("seed", "seed"), ("preset", "preset"),
-                      ("inner_ratio", "inner_ratio"), ("ndcg_cutoff", "ndcg_cutoff")):
-        value = getattr(args, flag, None)
+    for flag, key in (("out", "output_dir"), ("seed", "seed"), ("preset", "preset")):
+        value = getattr(args, flag)
         if value is not None:
             overrides[key] = value
     try:

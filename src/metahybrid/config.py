@@ -1,14 +1,15 @@
 """Experiment configuration: a versioned JSON file validated up front.
 
 Every stage consumes the same config; unknown keys anywhere are rejected
-so typos fail before any work starts.
+so typos fail before any work starts. Each setting has one place in the
+file; only the output directory, the master seed and the preset can also
+be set by a command-line flag.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .context import ContextConfig
 from .forest import ForestParams
@@ -17,8 +18,6 @@ from .metrics import RelevanceConfig
 from .recommenders import RecommenderSpec
 from .splits import SplitPlan
 
-ENV_PREFIX = "METAHYBRID_"
-
 
 class ConfigError(Exception):
     pass
@@ -26,24 +25,27 @@ class ConfigError(Exception):
 
 @dataclass
 class ExperimentConfig:
-    dataset_format: str = "movielens"       # or "generic"
-    ratings_path: str = ""
-    users_path: str | None = None
-    items_path: str | None = None
-    metadata_path: str | None = None
-    cold_start_enabled: bool = False
-    cold_start_min_keep: int = 5
-    cold_start_max_keep: int | None = None
-    min_ratings: int = 0
-    preset: str | None = "cf"
-    explicit_candidates: list | None = None
-    split: SplitPlan = field(default_factory=SplitPlan)
-    forest: ForestParams = field(default_factory=ForestParams)
-    relevance: RelevanceConfig = field(default_factory=RelevanceConfig)
-    context: ContextConfig = field(default_factory=ContextConfig)
-    label_cutoff: int = 10
-    output_dir: str = "out"
-    seed: int = 0
+    """A validated config; `load_config` is the one place that builds it
+    and holds the defaults."""
+
+    dataset_format: str                 # "movielens" or "generic"
+    ratings_path: str
+    users_path: str | None
+    items_path: str | None
+    metadata_path: str | None
+    cold_start_enabled: bool
+    cold_start_min_keep: int
+    cold_start_max_keep: int | None
+    min_ratings: int
+    preset: str | None
+    explicit_candidates: list | None
+    split: SplitPlan
+    forest: ForestParams
+    relevance: RelevanceConfig
+    context: ContextConfig
+    label_cutoff: int                   # nDCG cutoff of the labels and the report
+    output_dir: str
+    seed: int
 
     def candidate_set(self) -> CandidateSet:
         if self.explicit_candidates is not None:
@@ -63,11 +65,11 @@ def _object(value, allowed, where: str) -> dict:
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
-    """Parse and validate a config file; `overrides` win over file values.
+    """Parse and validate a config file.
 
-    Environment variables with the METAHYBRID_ prefix (SEED, OUT, PRESET,
-    INNER_RATIO, NDCG_CUTOFF) sit between the file and explicit flag
-    overrides.
+    `overrides` may hold `output_dir`, `seed` and `preset` (the `--out`,
+    `--seed` and `--preset` flags); each wins over the file's value. No
+    other source, such as a shell variable, changes a setting.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -139,31 +141,13 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     if type(seed) is not int:
         raise ConfigError("seed must be an int")
 
-    merged = dict(overrides or {})
-    env_map = {"SEED": ("seed", int), "OUT": ("output_dir", str),
-               "PRESET": ("preset", str), "INNER_RATIO": ("inner_ratio", float),
-               "NDCG_CUTOFF": ("ndcg_cutoff", int)}
-    for env_key, (name, cast) in env_map.items():
-        value = os.environ.get(ENV_PREFIX + env_key)
-        if value is not None and name not in merged:
-            try:
-                merged[name] = cast(value)
-            except ValueError:
-                raise ConfigError(f"{ENV_PREFIX}{env_key}={value!r} is not "
-                                  f"a valid {cast.__name__}") from None
-
-    # the file's value is checked even when a flag or variable replaces it
-    for output_dir in (raw.get("output_dir", "out"), merged.get("output_dir", "out")):
+    overrides = dict(overrides or {})
+    # the file's value is checked even when a flag replaces it
+    for output_dir in (raw.get("output_dir", "out"), overrides.get("output_dir", "out")):
         if type(output_dir) is not str or not output_dir:
             raise ConfigError("output_dir must be a non-empty path string")
-
-    if "preset" in merged and raw.get("candidates") is not None:
-        raise ConfigError("--preset or METAHYBRID_PRESET would be ignored: "
-                          "the config lists candidates")
-    if "inner_ratio" in merged:
-        split_raw["inner_ratio"] = merged.pop("inner_ratio")
-    if "ndcg_cutoff" in merged:
-        relevance_raw["ndcg_cutoff"] = merged.pop("ndcg_cutoff")
+    if "preset" in overrides and raw.get("candidates") is not None:
+        raise ConfigError("--preset would be ignored: the config lists candidates")
 
     try:
         cfg = ExperimentConfig(
@@ -176,19 +160,19 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
             cold_start_min_keep=min_keep,
             cold_start_max_keep=max_keep,
             min_ratings=min_ratings,
-            preset=merged.pop("preset", raw.get("preset")),
+            preset=overrides.pop("preset", raw.get("preset")),
             explicit_candidates=candidates,
             split=SplitPlan(**split_raw),
             forest=ForestParams(**forest_raw),
             relevance=RelevanceConfig(**relevance_raw),
             context=ContextConfig(**context_raw),
             label_cutoff=label_cutoff,
-            output_dir=merged.pop("output_dir", raw.get("output_dir", "out")),
-            seed=merged.pop("seed", seed),
+            output_dir=overrides.pop("output_dir", raw.get("output_dir", "out")),
+            seed=overrides.pop("seed", seed),
         )
         cfg.candidate_set()  # validates preset / candidate specs
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    if merged:
-        raise ConfigError(f"unknown overrides {sorted(merged)}")
+    if overrides:
+        raise ConfigError(f"unknown overrides {sorted(overrides)}")
     return cfg

@@ -191,11 +191,13 @@ def meta_model(bundle: dict, candidates: hy.CandidateSet, forest: rf.ForestModel
 
 
 def evaluate_step(dataset: Dataset, split: NestedSplit, meta: hy.MetaHybridModel,
-                  bundle: dict, relevance: RelevanceConfig, master_seed: int,
-                  inner_ratio: float) -> tuple:
+                  bundle: dict, relevance: RelevanceConfig, label_cutoff: int,
+                  master_seed: int, inner_ratio: float) -> tuple:
     """Steps 6 and 8: TEh contexts with the TRh-fitted PCA models, dispatch,
     then every candidate, the hybrid and the oracle read from one
     `hy.score_users` table of the TEh inner-test slice, plus an RMSE column.
+    Its nDCG has the labels' cutoff, so the oracle is the argmax the labels
+    took.
 
     Returns (report, dispatched, test_matrix); `dispatched` maps each TEh
     user to the candidate the forest picked.
@@ -208,7 +210,7 @@ def evaluate_step(dataset: Dataset, split: NestedSplit, meta: hy.MetaHybridModel
     names = meta.candidates.names
     scored, table = hy.score_users(meta.fitted, names, split.test_users,
                                    split.test_inner_train, split.test_inner_test,
-                                   relevance, relevance.ndcg_cutoff)
+                                   relevance, label_cutoff)
     users = [uid for uid, ok in zip(split.test_users, scored) if ok]
     errors = []
     for uid in users:  # test users only: the labels read nDCG alone
@@ -241,7 +243,8 @@ def run_experiment(dataset: Dataset, candidates: hy.CandidateSet,
     forest = train_meta_step(bundle, forest_params, master_seed)
     meta = meta_model(bundle, candidates, forest, fitted)
     report, dispatched, test_matrix = evaluate_step(
-        dataset, split, meta, bundle, relevance, master_seed, plan.inner_ratio)
+        dataset, split, meta, bundle, relevance, label_cutoff, master_seed,
+        plan.inner_ratio)
     artifacts = {"split": split, "schema": bundle["schema"],
                  # the key keeps its old name: perfbench/workloads.py reads it
                  "fitted_eval": fitted, "labeled": bundle["labeled"], "meta": meta,

@@ -32,15 +32,18 @@ class CandidateSet:
             raise ValueError("candidate names must be unique")
 
 
+# the shipped candidate sets: 'cf' (collaborative only) and 'mixed'
+PRESETS = {
+    "cf": ["BaselineOnly", "CoClustering", "SlopeOne", "SvdMf"],
+    "mixed": ["ContentBased", "KnnBasic", "WarpHybrid"],
+}
+
+
 def preset_candidates(name: str) -> CandidateSet:
-    """Shipped candidate sets: 'cf' (collaborative only) and 'mixed'."""
-    presets = {
-        "cf": ["BaselineOnly", "CoClustering", "SlopeOne", "SvdMf"],
-        "mixed": ["ContentBased", "KnnBasic", "WarpHybrid"],
-    }
-    if type(name) is not str or name not in presets:
-        raise ValueError(f"unknown preset {name!r}; expected one of {sorted(presets)}")
-    algs = presets[name]
+    """The candidate set of a `PRESETS` entry."""
+    if type(name) is not str or name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; expected one of {sorted(PRESETS)}")
+    algs = PRESETS[name]
     return CandidateSet(specs=[RecommenderSpec(a) for a in algs], names=list(algs))
 
 

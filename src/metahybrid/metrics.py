@@ -20,16 +20,14 @@ METRIC_COLUMNS = tuple(f"{m}@{k}" for m in "PR" for k in CUTOFFS) + ("nDCG", "RM
 
 @dataclass(frozen=True)
 class RelevanceConfig:
-    """Which held-out ratings count as relevant, and the nDCG list length."""
+    """Which held-out ratings count as relevant for P@k and R@k. (nDCG
+    grades by the rating itself; its cutoff is the config's `label_cutoff`.)"""
 
-    threshold: int = 4          # rating >= threshold counts as relevant for P@k / R@k
-    ndcg_cutoff: int = 10
+    threshold: int = 4          # rating >= threshold counts as relevant
 
     def __post_init__(self):
         if type(self.threshold) is not int or not 1 <= self.threshold <= 5:
             raise ValueError("relevance threshold must be an int in [1,5]")
-        if type(self.ndcg_cutoff) is not int or self.ndcg_cutoff < 1:
-            raise ValueError("ndcg_cutoff must be an int >= 1")
 
 
 def rmse(pairs) -> float:

@@ -174,7 +174,7 @@ def stage_evaluate(cfg: ExperimentConfig, store: ArtifactStore) -> dict:
     meta = ev.meta_model(bundle, cfg.candidate_set(), forest,
                          store.read(CANDIDATES, "evaluate"))
     report, _, _ = ev.evaluate_step(dataset, split, meta, bundle, cfg.relevance,
-                                    cfg.seed, cfg.split.inner_ratio)
+                                    cfg.label_cutoff, cfg.seed, cfg.split.inner_ratio)
     store.write("evaluation.pkl", report)
     store.write_text("per_user_metrics.csv", report.per_user_csv())
     store.write_text("importances.csv", rf.importances_csv(report.importances))

@@ -56,13 +56,18 @@ class ContentBasedModel(FittedRecommender):
         self._feature_ptr, self._feature_cols, self._n_features = item_feature_columns(
             items, self.item_ids)
         self._build_derived()
-        # summed in the slice's order, chronological within each user
-        profiles: dict = {}
-        for u, j, rating in zip(users.tolist(), cols.tolist(), ratings.tolist()):
-            acc = profiles.setdefault(self.user_ids[u], np.zeros(self._n_features))
-            acc += rating * self.features[j]
-        self.profiles = profiles
-        self._profile_norms = {u: float(np.linalg.norm(v)) for u, v in profiles.items()}
+        # each row's (rating x feature) products at its item's nonzero
+        # features, summed by one unbuffered add in the slice's order, so
+        # every profile sum keeps its chronological order within the user
+        ptr, counts = self._feature_ptr, np.diff(self._feature_ptr)[cols]
+        # where each row's features sit in `_feature_cols`
+        at = np.arange(counts.sum()) + np.repeat(ptr[cols] - np.cumsum(counts) + counts, counts)
+        feats = self._feature_cols[at]
+        profiles = np.zeros((len(self.user_ids), self._n_features))
+        np.add.at(profiles, (np.repeat(users, counts), feats),
+                  np.repeat(ratings, counts) * self.features[np.repeat(cols, counts), feats])
+        self.profiles = dict(zip(self.user_ids, profiles))
+        self._profile_norms = {u: float(np.linalg.norm(v)) for u, v in self.profiles.items()}
 
     def _build_derived(self):
         """The normalized `features` matrix and its row norms (one row-norm

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from metahybrid import pipeline
@@ -17,6 +18,7 @@ from metahybrid.config import ConfigError, load_config
 from metahybrid.data import enrich_items, load_movielens
 from metahybrid.evaluation import run_experiment
 from metahybrid.forest import ForestModel
+from metahybrid.metrics import ndcg_at
 from metahybrid.fixtures import make_fixture, write_movielens_files
 from metahybrid.recommenders.collaborative import KnnBasicModel, SlopeOneModel
 from metahybrid.recommenders.content import ContentBasedModel
@@ -145,16 +147,13 @@ class TestConfigValidation:
         assert main(["ingest", "--config", str(path)]) == 1
         assert message in capsys.readouterr().err
 
-    def test_preset_override_with_candidates_rejected(self, workdir, monkeypatch):
+    def test_preset_override_with_candidates_rejected(self, workdir):
         path = write_config(workdir, name="bad9.json", preset=None,
                             candidates=[{"algorithm": "SlopeOne", "params": {}},
                                         {"algorithm": "SvdMf", "params": {}}])
         assert load_config(path).candidate_set().names == ["SlopeOne", "SvdMf"]
         with pytest.raises(ConfigError, match="the config lists candidates"):
             load_config(path, {"preset": "mixed"})
-        monkeypatch.setenv("METAHYBRID_PRESET", "mixed")
-        with pytest.raises(ConfigError, match="the config lists candidates"):
-            load_config(path)
 
     @pytest.mark.parametrize("updates, message", [
         ({"candidates": [{"algorithm": "KnnBasic", "params": {"similarity": "cosine"}}]},
@@ -193,7 +192,7 @@ class TestConfigValidation:
         ({"relevance": {"cutoffs": [5, 10]}}, r"relevance: unknown keys \['cutoffs'\]"),
         ({"relevance": {"gain": "binary"}}, r"relevance: unknown keys \['gain'\]"),
         ({"relevance": {"threshold": "4"}}, r"threshold must be an int in \[1,5\]"),
-        ({"relevance": {"ndcg_cutoff": 0}}, "ndcg_cutoff must be an int >= 1"),
+        ({"relevance": {"ndcg_cutoff": 10}}, r"relevance: unknown keys \['ndcg_cutoff'\]"),
         ({"split": {"inner_ratio": "0.8"}}, r"inner_ratio must be a number in \(0,1\)"),
         ({"context": {"max_keywords": "x"}}, "max_keywords must be an int >= 0"),
         ({"context": {"genre_components": -1}}, "genre_components must be an int >= 0"),
@@ -230,7 +229,7 @@ class TestConfigValidation:
         ({"preset": 0}, "unknown preset 0"),
         ({"preset": ""}, "unknown preset ''"),
     ], ids=["cutoffs-int", "cutoffs-zero", "cutoffs-no-3", "gain-binary",
-            "threshold-string", "ndcg-cutoff-zero", "inner-ratio-string",
+            "threshold-string", "ndcg-cutoff-unknown", "inner-ratio-string",
             "max-keywords-string", "genre-components-negative", "include-age-string",
             "cold-start-string",
             "ratings-int", "ratings-zero", "users-list", "items-empty",
@@ -474,14 +473,48 @@ class TestParity:
         assert (out / "per_user_metrics.csv").read_text() == report.per_user_csv()
 
 
+class TestLabelCutoff:
+    """`label_cutoff` is the one nDCG cutoff, of the labels and of the report."""
+
+    def test_staged_run_reports_the_label_cutoff(self, workdir, completed_run):
+        out = workdir / "cutoff5_out"
+        path = write_config(workdir, name="cutoff5.json", label_cutoff=5,
+                            output_dir=str(out))
+        assert main(["run-all", "--config", str(path)]) == 0
+        report, fitted, split = (pickle.loads((out / name).read_bytes())["payload"]
+                                 for name in ("evaluation.pkl", "candidates_eval.pkl",
+                                              "split.pkl"))
+        names = report.candidate_names
+        for row in report.per_user:
+            uid = row["user_id"]
+            test, train = split.test_inner_test[uid], split.test_inner_train.get(uid)
+            holdout = dict(zip(test.item_list(), test.rating.tolist()))
+            exclude = set(train.item_list()) if train else set()
+            for name in names:
+                ranked = fitted[name].recommend_top_n(uid, 5, exclude=exclude)
+                assert row[f"{name}:nDCG"] == ndcg_at(ranked, holdout, 5)
+        best = [max(row[f"{n}:nDCG"] for n in names) for row in report.per_user]
+        assert best and report.rows["Opt. hybrid"]["nDCG"] == np.mean(best)
+        # the default run differs from this one only in `label_cutoff`
+        for name in ("labels.csv", "report.json"):
+            assert (out / name).read_text() != (completed_run / name).read_text()
+
+
 class TestOverrides:
-    def test_env_seed_override(self, workdir, monkeypatch):
+    def test_environment_ignored(self, workdir, monkeypatch):
+        # a stale shell variable cannot change a run
         path = write_config(workdir, name="env.json",
                             output_dir=str(workdir / "env_out"))
-        monkeypatch.setenv("METAHYBRID_OUT", str(workdir / "env_out2"))
+        for name, value in (("OUT", str(workdir / "env_out2")), ("SEED", "9"),
+                            ("PRESET", "mixed"), ("INNER_RATIO", "0.5"),
+                            ("NDCG_CUTOFF", "5")):
+            monkeypatch.setenv(f"METAHYBRID_{name}", value)
+        cfg = load_config(path)
+        assert (cfg.output_dir, cfg.seed, cfg.preset) == (str(workdir / "env_out"), 5, "cf")
+        assert cfg.split.inner_ratio == 0.8 and cfg.label_cutoff == 10
         assert main(["ingest", "--config", str(path)]) == 0
-        assert (workdir / "env_out2" / "dataset.pkl").exists()
-        assert not (workdir / "env_out" / "dataset.pkl").exists()
+        assert (workdir / "env_out" / "dataset.pkl").exists()
+        assert not (workdir / "env_out2").exists()
 
     def test_flag_beats_env(self, workdir, monkeypatch):
         path = write_config(workdir, name="env2.json")
@@ -491,41 +524,31 @@ class TestOverrides:
         assert (workdir / "flag_out" / "dataset.pkl").exists()
         assert not (workdir / "env_out3").exists()
 
-    @pytest.mark.parametrize("name, value", [("SEED", "abc"), ("INNER_RATIO", "x"),
-                                             ("NDCG_CUTOFF", "1.5")])
-    def test_bad_env_value_named(self, workdir, monkeypatch, capsys, name, value):
-        path = write_config(workdir, name="bad_env.json")
-        monkeypatch.setenv(f"METAHYBRID_{name}", value)
-        with pytest.raises(ConfigError, match=f"METAHYBRID_{name}"):
-            load_config(path)
-        assert main(["run-all", "--config", str(path),
-                     "--out", str(workdir / "bad_env_out")]) == 1
-        err = capsys.readouterr().err
-        assert f"METAHYBRID_{name}='{value}'" in err and "Traceback" not in err
-        assert not (workdir / "bad_env_out").exists()
+    @pytest.mark.parametrize("flag, key", [("--ndcg-cutoff", "ndcg_cutoff"),
+                                           ("--inner-ratio", "inner_ratio")],
+                             ids=["ndcg-cutoff", "inner-ratio"])
+    def test_single_key_flags_removed(self, workdir, capsys, flag, key):
+        # the file's `label_cutoff` and `split.inner_ratio` are their one source
+        path = write_config(workdir, name="removed_flag.json")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run-all", "--config", str(path), flag, "5"])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match=rf"unknown overrides \['{key}'\]"):
+            load_config(path, {key: 5})
 
-    @pytest.mark.parametrize("via", ["flag", "env"])
-    def test_empty_output_dir_override_rejected(self, workdir, monkeypatch, capsys, via):
+    @pytest.mark.parametrize("via", ["flag", "overrides"])
+    def test_empty_output_dir_override_rejected(self, workdir, capsys, via):
         path = write_config(workdir, name="empty_out.json")
-        args = ["ingest", "--config", str(path)]
         if via == "flag":
-            args += ["--out", ""]
+            assert main(["ingest", "--config", str(path), "--out", ""]) == 1
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
         else:
-            monkeypatch.setenv("METAHYBRID_OUT", "")
-        assert main(args) == 1
-        err = capsys.readouterr().err
-        assert "output_dir must be a non-empty path string" in err and "Traceback" not in err
-
-    def test_empty_preset_env_rejected(self, workdir, monkeypatch, capsys):
-        path = write_config(workdir, name="empty_preset.json")
-        monkeypatch.setenv("METAHYBRID_PRESET", "")
-        with pytest.raises(ConfigError, match="unknown preset ''"):
-            load_config(path)
-        assert main(["run-all", "--config", str(path),
-                     "--out", str(workdir / "empty_preset_out")]) == 1
-        err = capsys.readouterr().err
-        assert "unknown preset ''" in err and "Traceback" not in err
-        assert not (workdir / "empty_preset_out").exists()
+            with pytest.raises(ConfigError) as raised:
+                load_config(path, {"output_dir": ""})
+            err = str(raised.value)
+        assert "output_dir must be a non-empty path string" in err
 
     def test_ingest_independent_of_hash_seed(self, workdir):
         # each hash seed in a fresh interpreter; the item catalog's genre and

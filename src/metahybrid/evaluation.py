@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,12 +32,12 @@ class ExperimentReport:
     importances: dict               # per_column / per_attribute
     rmse_activity: dict             # candidate -> activity stats where it is RMSE-best
     per_user: list                  # per-user metric dicts, for CSV dumps
-    skipped_label_users: int = 0
-    tied_label_users: int = 0       # labels given by the tie rule, not by a best score
-    skipped_eval_users: int = 0
-    seed: int = 0
-    inner_ratio: float = 0.8
-    candidate_names: list = field(default_factory=list)
+    skipped_label_users: int
+    tied_label_users: int           # labels given by the tie rule, not by a best score
+    skipped_eval_users: int
+    seed: int
+    inner_ratio: float
+    candidate_names: list
 
     def to_text(self) -> str:
         lines = [

@@ -6,8 +6,9 @@ The trees grow in lockstep (`_grow_trees`): each step takes the next node of
 every tree and scores all of them in one padded split search, in chunks of
 at most `_CHUNK` elements. Each tree keeps its own generator and depth-first
 order, so the forest is the one a recursive one-tree-at-a-time build grows,
-node for node. A pickled `ForestModel` holds flat node arrays, and loading
-rebuilds the `TreeNode`s. No bootstrap sample is stored: `_tree_draws`
+node for node. Growth writes flat node arrays (`ForestModel`), prediction
+walks them for all rows and trees at once (`_leaf_frequencies`), and the
+pickle stores them as they are. No bootstrap sample is stored: `_tree_draws`
 redraws each tree's from the seed.
 """
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -264,36 +265,43 @@ def _grow_trees(samples, params, rngs, boots):
     features from its own generator, so its draws come in the order of a
     recursive build. A step pops, from every tree, the next node that the
     stopping rule lets split, and scores all of them in one `_best_splits`;
-    the partitions and the children's class counts are batched too.
-    Returns the roots and the per-tree importance rows.
+    the partitions and the children's class counts are batched too. A node
+    is numbered when it is popped, so each tree's nodes come in depth-first
+    order and the left child of split node k is node k + 1.
+    Returns the flat node arrays of `ForestModel` (`roots`, `feature`,
+    `threshold`, `right`, `class_counts`), trees one after another, and the
+    per-tree importance rows.
     """
     d = len(samples.columns)
     mtry = params.n_features_per_split(d)
     importances = np.zeros((len(boots), d))
     n_root = len(boots[0])
     counts, ginis = _class_counts(samples, boots)
-    roots = [TreeNode(class_counts=c) for c in counts]
-    stacks = [[(root, idx, g, 0)] for root, idx, g in zip(roots, boots, ginis)]
+    nodes = [[] for _ in boots]  # each tree's [feature, threshold, right, class counts]
+    # (samples, class counts, gini, depth, the node whose right child it is or -1)
+    stacks = [[(idx, c, g, 0, -1)] for idx, c, g in zip(boots, counts, ginis)]
     live = list(range(len(boots)))
     while live:
         step = []
         for t in live:
-            stack = stacks[t]
+            stack, numbered = stacks[t], nodes[t]
             while stack:
-                node, idx, node_gini, depth = stack.pop()
+                idx, node_counts, node_gini, depth, parent = stack.pop()
+                if parent >= 0:
+                    numbered[parent][2] = len(numbered)
+                numbered.append([-1, 0.0, -1, node_counts])
                 if (len(idx) < params.min_samples_split or node_gini == 0.0
                         or (params.max_depth is not None and depth >= params.max_depth)):
                     continue
-                step.append((t, node, idx, node_gini, depth,
+                step.append((t, len(numbered) - 1, idx, node_counts, node_gini, depth,
                              rngs[t].choice(d, size=mtry, replace=False)))
                 break
         if not step:
             break
-        tree, nodes, idxs, node_gini, depths, feats = zip(*step)
+        tree, number, idxs, node_counts, node_gini, depths, feats = zip(*step)
         feature, threshold, gain = _best_splits(
-            samples, params.min_samples_leaf, idxs,
-            np.sort(np.array(feats), axis=1), np.array([n.class_counts for n in nodes]),
-            np.array(node_gini))
+            samples, params.min_samples_leaf, idxs, np.sort(np.array(feats), axis=1),
+            np.array(node_counts), np.array(node_gini))
         split = np.flatnonzero(feature >= 0)
         sizes = np.array([len(idx) for idx in idxs])
         importances[np.array(tree)[split], feature[split]] += (
@@ -303,79 +311,62 @@ def _grow_trees(samples, params, rngs, boots):
                                   threshold[split])
             child_counts, child_gini = _class_counts(samples, children)
         for j, k in enumerate(split):
-            node = nodes[k]
-            node.feature, node.threshold = feature[k], threshold[k]
-            node.left = TreeNode(class_counts=child_counts[2 * j])
-            node.right = TreeNode(class_counts=child_counts[2 * j + 1])
-            stacks[tree[k]] += [(node.right, children[2 * j + 1], child_gini[2 * j + 1],
-                                 depths[k] + 1),
-                                (node.left, children[2 * j], child_gini[2 * j],
-                                 depths[k] + 1)]
+            nodes[tree[k]][number[k]][:2] = feature[k], threshold[k]
+            stacks[tree[k]] += [(children[2 * j + 1], child_counts[2 * j + 1],
+                                 child_gini[2 * j + 1], depths[k] + 1, number[k]),
+                                (children[2 * j], child_counts[2 * j], child_gini[2 * j],
+                                 depths[k] + 1, -1)]
         live = [t for t in live if stacks[t]]
-    return roots, importances
-
-
-_STATE_KEYS = {"labels", "d", "params", "roots", "feature", "threshold", "right",
-               "class_counts", "importances"}
+    sizes = [len(tree) for tree in nodes]
+    roots = np.cumsum([0] + sizes[:-1], dtype=np.int64)
+    feature, threshold, right, class_counts = zip(*(node for tree in nodes for node in tree))
+    right = np.array(right, dtype=np.int64)
+    right = np.where(right >= 0, right + np.repeat(roots, sizes), -1)
+    return (roots, np.array(feature, dtype=np.int64), np.array(threshold, dtype=np.float64),
+            right, np.array(class_counts)), importances
 
 
 @dataclass
 class ForestModel:
-    trees: list
-    labels: list                       # class vocabulary (recommender names)
-    d: int
+    """A trained forest as flat node arrays, in the manner of scikit-learn's
+    array `Tree`. Each tree's nodes come in depth-first order, so the left
+    child of split node k is node k + 1, and the trees come one after
+    another. Its fields are its pickled state."""
+    labels: list                # class vocabulary (recommender names)
+    d: int                      # features per row
     params: ForestParams
-    importances_: np.ndarray | None = None
+    roots: np.ndarray           # each tree's root node
+    feature: np.ndarray         # split feature, -1 at a leaf
+    threshold: np.ndarray       # rows with value <= threshold go left; 0.0 at a leaf
+    right: np.ndarray           # right child, -1 at a leaf
+    class_counts: np.ndarray    # (node, class) weighted training counts
+    importances: np.ndarray     # normalized mean impurity decrease per feature
 
     def __post_init__(self):
-        if len(self.trees) != self.params.n_estimators:
+        if len(self.roots) != self.params.n_estimators:
             raise ValueError("tree count does not match n_estimators")
 
-    def __getstate__(self):
-        """Flat node arrays, each tree's nodes in depth-first order (so the
-        left child of split node k is node k + 1), trees one after another."""
-        feature, threshold, right, counts, roots = [], [], [], [], []
-        for tree in self.trees:
-            roots.append(len(feature))
-            stack = [(tree, -1)]  # (node, index of the parent whose right child it is)
-            while stack:
-                node, parent = stack.pop()
-                if parent >= 0:
-                    right[parent] = len(feature)
-                threshold.append(node.threshold)
-                counts.append(node.class_counts)
-                right.append(-1)
-                if node.feature is None:
-                    feature.append(-1)
-                else:
-                    feature.append(node.feature)
-                    stack += [(node.right, len(feature) - 1), (node.left, -1)]
-        return {
-            "labels": self.labels, "d": self.d, "params": self.params,
-            "roots": np.array(roots, dtype=np.int64),
-            "feature": np.array(feature, dtype=np.int64),
-            "threshold": np.array(threshold, dtype=np.float64),
-            "right": np.array(right, dtype=np.int64),
-            "class_counts": np.concatenate(counts).reshape(len(counts), -1),
-            "importances": self.importances_,
-        }
-
     def __setstate__(self, state):
-        if set(state) != _STATE_KEYS:
+        if set(state) != {f.name for f in fields(self)}:
             raise ValueError("meta.pkl holds a forest pickled by an older version; "
                              "rerun train-meta")
         # an unpickled array carries its own copy of its dtype; a view takes the
-        # builtin one, so the rebuilt nodes pickle to the bytes of built ones
-        nodes = [TreeNode(class_counts=c) for c in state["class_counts"].view(np.float64)]
-        feature, threshold, right = state["feature"], state["threshold"], state["right"].tolist()
-        for k in np.flatnonzero(feature >= 0).tolist():
+        # builtin one, so a loaded forest pickles to the bytes of a trained one
+        self.__dict__.update(state, **{k: v.view(v.dtype.type) for k, v in state.items()
+                                       if isinstance(v, np.ndarray)})
+
+    @property
+    def trees(self) -> list:
+        """Each tree's root as linked `TreeNode`s, built from the arrays on
+        every read. The benchmark's tracer counts nodes through it and the
+        tests walk it as the reference; it goes once ROADMAP item 4 has the
+        tracer read the node count from the arrays."""
+        nodes = [TreeNode(class_counts=c) for c in self.class_counts]
+        for k in np.flatnonzero(self.feature >= 0).tolist():
             node = nodes[k]
-            node.feature, node.threshold = feature[k], threshold[k]
-            node.left, node.right = nodes[k + 1], nodes[right[k]]
-        self.trees = [nodes[k] for k in state["roots"].tolist()]
-        self.labels, self.d, self.params = state["labels"], state["d"], state["params"]
-        imp = state["importances"]
-        self.importances_ = None if imp is None else imp.view(np.float64)
+            node.feature, node.threshold = self.feature[k], self.threshold[k]
+            node.left, node.right = nodes[k + 1], nodes[self.right[k]]
+        return [nodes[k] for k in self.roots.tolist()]
 
 
 def _tree_draws(params: ForestParams, n: int):
@@ -410,7 +401,7 @@ def train_forest(X, y, params: ForestParams) -> ForestModel:
         class_w = n / (len(labels) * np.bincount(y_codes, minlength=len(labels)))
 
     samples = _samples_of(X, y_codes, class_w)
-    trees, tree_imp = _grow_trees(samples, params, *_tree_draws(params, n))
+    arrays, tree_imp = _grow_trees(samples, params, *_tree_draws(params, n))
     imp = np.zeros(d)
     for row in tree_imp:
         total = row.sum()
@@ -418,27 +409,38 @@ def train_forest(X, y, params: ForestParams) -> ForestModel:
             imp += row / total
     imp_total = imp.sum()
     importances = imp / imp_total if imp_total > 0 else imp
-    return ForestModel(trees=trees, labels=labels, d=d, params=params,
-                       importances_=importances)
+    return ForestModel(labels, d, params, *arrays, importances)
 
 
-def _leaf_frequencies(node: TreeNode, x) -> np.ndarray:
-    """Class frequencies of the leaf that `x` reaches from `node`; every leaf
-    holds at least one sample, of positive weight."""
-    while node.feature is not None:
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return node.class_counts / node.class_counts.sum()
+def _leaf_frequencies(model: ForestModel, X) -> np.ndarray:
+    """(row, tree, class) frequencies of the leaf that each row of X reaches
+    in each tree. All rows and trees descend together, one level a step; a
+    row goes left where its value is <= the threshold, so NaN goes right.
+    Every leaf holds at least one sample, of positive weight."""
+    node = np.tile(model.roots, len(X))
+    row = np.repeat(np.arange(len(X)), len(model.roots))
+    inner = np.flatnonzero(model.feature[node] >= 0)
+    while inner.size:
+        k = node[inner]
+        left = X[row[inner], model.feature[k]] <= model.threshold[k]
+        node[inner] = np.where(left, k + 1, model.right[k])
+        inner = inner[model.feature[node[inner]] >= 0]
+    counts = model.class_counts[node].reshape(len(X), len(model.roots), -1)
+    return counts / counts.sum(axis=2, keepdims=True)
+
+
+def _sum_trees(frequencies) -> np.ndarray:
+    """Sum over the tree axis (-2), adding the trees one by one in order, as
+    the per-row walk did; `np.sum` may add them pairwise, in other bits."""
+    return np.add.accumulate(frequencies, axis=-2)[..., -1, :]
 
 
 def predict_proba(model: ForestModel, x) -> np.ndarray:
-    """Mean of per-tree leaf class frequencies (soft voting)."""
+    """Mean of per-tree leaf class frequencies (soft voting) for one row."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != model.d:
         raise ValueError(f"expected {model.d} features, got {x.shape[-1]}")
-    acc = np.zeros(len(model.labels))
-    for tree in model.trees:
-        acc += _leaf_frequencies(tree, x)
-    return acc / len(model.trees)
+    return _sum_trees(_leaf_frequencies(model, x[None])[0]) / len(model.roots)
 
 
 def predict_label(model: ForestModel, x):
@@ -455,7 +457,7 @@ def feature_importances(model: ForestModel, feature_names=None,
     With `groups` (source attribute per column), a second map sums the
     one-hot/PCA block columns per source attribute.
     """
-    imp = model.importances_
+    imp = model.importances
     names = feature_names if feature_names is not None else [
         f"feature_{j}" for j in range(model.d)]
     per_column = dict(sorted(zip(names, imp.tolist()), key=lambda kv: -kv[1]))
@@ -474,14 +476,12 @@ def oob_error(model: ForestModel, X, y) -> float:
     sample is redrawn from the seed."""
     X = np.asarray(X, dtype=float)
     label_idx = {lab: j for j, lab in enumerate(model.labels)}
-    votes = np.zeros((len(X), len(model.labels)))
-    covered = np.zeros(len(X), dtype=bool)
-    for tree, idx in zip(model.trees, _tree_draws(model.params, len(X))[1]):
-        out_of_bag = np.ones(len(X), dtype=bool)
-        out_of_bag[idx] = False
-        for row in np.flatnonzero(out_of_bag):
-            votes[row] += _leaf_frequencies(tree, X[row])
-        covered |= out_of_bag
+    out_of_bag = np.ones((len(X), len(model.roots)), dtype=bool)
+    out_of_bag[np.array(_tree_draws(model.params, len(X))[1]),
+               np.arange(len(model.roots))[:, None]] = False
+    # an in-bag tree adds 0.0, which leaves the sum of the others unchanged
+    votes = _sum_trees(np.where(out_of_bag[:, :, None], _leaf_frequencies(model, X), 0.0))
+    covered = out_of_bag.any(axis=1)
     if not covered.any():
         return float("nan")
     pred = votes.argmax(axis=1)

@@ -99,8 +99,7 @@ def score_users(fitted: dict, names, user_ids, inner_train: RatingSlice,
 
 def generate_labels(candidates: CandidateSet, fitted: dict, user_ids,
                     context_matrix, inner_train: RatingSlice, inner_test: RatingSlice,
-                    n: int = 10,
-                    relevance: RelevanceConfig = RelevanceConfig()) -> LabeledTrainingSet:
+                    n: int, relevance: RelevanceConfig) -> LabeledTrainingSet:
     """Label each user with the `oracle_select` winner of the nDCG@n column of
     `score_users` (ties: candidate-set order, counted in `tied_users`).
 

@@ -136,7 +136,7 @@ def test_criterion_3_planted_rule():
 
     labeled = generate_labels(candidates, fitted, train_users,
                               contexts[:200], RatingSlice(Ratings.from_events([]), [], []),
-                              holdouts)
+                              holdouts, n=10, relevance=RelevanceConfig())
     assert labeled.labels == planted[:200]
     forest = train_meta(labeled, ForestParams(n_estimators=100, seed=1))
 
@@ -296,7 +296,7 @@ def test_criterion_7_forest_sanity():
     Xp = rng.uniform(0, 1, size=(200, 5))
     yp = ["high" if v > 0.5 else "low" for v in Xp[:, 0]]
     model = train_forest(Xp, yp, ForestParams(n_estimators=50, seed=2))
-    imp_sum = float(model.importances_.sum())
+    imp_sum = float(model.importances.sum())
     ok &= abs(imp_sum - 1.0) <= 1e-9
 
     # positive scaling is monotone and maps midpoint thresholds exactly,

@@ -54,14 +54,14 @@ def write_config(workdir, name="exp.json", **updates):
     return path
 
 
-def rewrite_in_old_layout(path, cls, **retired):
-    """Re-pickle an artifact with every `cls` object stored as its whole
-    `__dict__`, as versions before the compact pickles stored them, plus
-    the `retired` attributes."""
+def rewrite_in_old_layout(path, cls, old_state=vars, **retired):
+    """Re-pickle an artifact with every `cls` object stored as
+    `old_state(obj)`, by default its whole `__dict__`, as versions before
+    the compact pickles stored them, plus the `retired` attributes."""
     class OldPickler(pickle.Pickler):
         def reducer_override(self, obj):
             if type(obj) is cls:
-                return copyreg.__newobj__, (cls,), dict(obj.__dict__, **retired)
+                return copyreg.__newobj__, (cls,), dict(old_state(obj), **retired)
             return NotImplemented
 
     with open(path, "rb") as fh:
@@ -326,7 +326,10 @@ class TestStageOrdering:
     def test_evaluate_rejects_forest_of_older_version(self, workdir, completed_run, capsys):
         out = workdir / "old_forest_out"
         shutil.copytree(completed_run, out)
-        rewrite_in_old_layout(out / "meta.pkl", ForestModel)
+        # the linked trees, as pickled before the flat node arrays
+        rewrite_in_old_layout(out / "meta.pkl", ForestModel, lambda forest: {
+            "trees": forest.trees, "labels": forest.labels, "d": forest.d,
+            "params": forest.params, "importances_": forest.importances})
         path = write_config(workdir, name="old_forest.json", output_dir=str(out))
         assert main(["evaluate", "--config", str(path)]) == 1
         assert "rerun train-meta" in capsys.readouterr().err

@@ -1,8 +1,8 @@
-import dataclasses
 import functools
 import os
 import pickle
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -137,8 +137,38 @@ def reference_forest(X, y, params):
         if total > 0:
             imp += builder.importances / total
     imp_total = imp.sum()
-    return ForestModel(trees=trees, labels=labels, d=d, params=params,
-                       importances_=imp / imp_total if imp_total > 0 else imp)
+    return SimpleNamespace(trees=trees,
+                           importances=imp / imp_total if imp_total > 0 else imp)
+
+
+def reference_leaf_frequencies(node, x):
+    """The per-row walk of linked `TreeNode`s that the array walk replaced:
+    class frequencies of the leaf that `x` reaches from `node`."""
+    while node.feature is not None:
+        node = node.left if x[node.feature] <= node.threshold else node.right
+    return node.class_counts / node.class_counts.sum()
+
+
+def reference_proba(trees, x):
+    """`predict_proba` as the node walk computed it, tree by tree."""
+    acc = np.zeros(len(trees[0].class_counts))
+    for tree in trees:
+        acc += reference_leaf_frequencies(tree, x)
+    return acc / len(trees)
+
+
+def reference_oob_error(model, X, y):
+    """`oob_error` as the node walk computed it, row by row and tree by tree."""
+    votes = np.zeros((len(X), len(model.labels)))
+    covered = np.zeros(len(X), dtype=bool)
+    for tree, (_, idx) in zip(model.trees, reference_draws(model.params, len(X))):
+        out_of_bag = np.ones(len(X), dtype=bool)
+        out_of_bag[idx] = False
+        for row in np.flatnonzero(out_of_bag):
+            votes[row] += reference_leaf_frequencies(tree, X[row])
+        covered |= out_of_bag
+    truth = np.array([model.labels.index(lab) for lab in y])
+    return float((votes.argmax(axis=1)[covered] != truth[covered]).mean())
 
 
 def planted_data(n=120, seed=0, noise_cols=4):
@@ -237,25 +267,15 @@ class TestTraining:
 
     def test_oob_error_votes_trees_out_of_bag(self):
         X, y = planted_data(n=60, seed=14)
-        params = ForestParams(n_estimators=15, seed=15)
-        model = train_forest(X, y, params)
-        one_tree = dataclasses.replace(params, n_estimators=1)
-        votes = np.zeros((len(X), len(model.labels)))
-        for tree, (_, idx) in zip(model.trees, reference_draws(params, len(X))):
-            single = ForestModel([tree], model.labels, model.d, one_tree)
-            for row in sorted(set(range(len(X))) - set(idx.tolist())):
-                votes[row] += predict_proba(single, X[row])
-        covered = votes.sum(axis=1) > 0
-        truth = np.array([model.labels.index(lab) for lab in y])
-        assert covered.sum() > 50
-        assert oob_error(model, X, y) == (votes.argmax(axis=1) != truth)[covered].mean()
+        model = train_forest(X, y, ForestParams(n_estimators=15, seed=15))
+        assert oob_error(model, X, y) == reference_oob_error(model, X, y)
 
     def test_deterministic(self):
         X, y = planted_data(seed=5)
         p = ForestParams(n_estimators=15, seed=6)
         a = train_forest(X, y, p)
         b = train_forest(X.copy(), list(y), p)
-        assert np.array_equal(a.importances_, b.importances_)
+        assert np.array_equal(a.importances, b.importances)
         rng = np.random.default_rng(2)
         for _ in range(30):
             x = rng.uniform(0, 1, size=X.shape[1])
@@ -285,7 +305,7 @@ class TestTraining:
                 shape(node.right, out)
             return out
 
-        assert np.array_equal(a.importances_, b.importances_)
+        assert np.array_equal(a.importances, b.importances)
         for ta, tb in zip(a.trees, b.trees):
             assert shape(ta, []) == shape(tb, [])
 
@@ -425,18 +445,18 @@ class TestImportances:
         X, y = planted_data(n=150, seed=10, noise_cols=2)
         X = np.hstack([X, np.full((len(X), 1), 3.3)])
         model = train_forest(X, y, ForestParams(n_estimators=30, seed=11))
-        assert model.importances_[-1] == 0.0
+        assert model.importances[-1] == 0.0
 
     def test_single_informative_feature_takes_all(self):
         X, y = planted_data(n=150, seed=11, noise_cols=0)
         model = train_forest(X, y, ForestParams(n_estimators=20, seed=12))
-        assert model.importances_ == pytest.approx([1.0])
+        assert model.importances == pytest.approx([1.0])
 
     def test_normalized_and_signal_dominates(self):
         X, y = planted_data(n=200, seed=12, noise_cols=5)
         model = train_forest(X, y, ForestParams(n_estimators=50, seed=13))
-        assert model.importances_.sum() == pytest.approx(1.0, abs=1e-9)
-        assert model.importances_[0] == max(model.importances_)
+        assert model.importances.sum() == pytest.approx(1.0, abs=1e-9)
+        assert model.importances[0] == max(model.importances)
 
     def test_grouped_report(self):
         X, y = planted_data(n=100, seed=13, noise_cols=3)
@@ -452,9 +472,9 @@ class TestImportances:
 
 
 @functools.lru_cache(maxsize=None)
-def labeled_contexts(preset):
-    """(preset, labeled contexts, forest params) of `run-all` on the shipped
-    fixture config: the selection forest's training set."""
+def fixture_run(preset):
+    """The labeled TRh contexts, the selection forest and the TEh contexts
+    that `run-all` on the shipped fixture config dispatches."""
     cfg = load_config(os.path.join(FIXTURES, "fixture.cfg"), {"preset": preset})
     dataset = enrich_items(
         load_movielens(*(os.path.join(FIXTURES, f)
@@ -465,8 +485,18 @@ def labeled_contexts(preset):
     fitted = evaluation.fit_step(dataset, split, candidates, cfg.seed)
     bundle, _ = evaluation.label_step(dataset, split, candidates, fitted, cfg.context,
                                       cfg.relevance, cfg.label_cutoff)
-    forest = evaluation.train_meta_step(bundle, cfg.forest, cfg.seed)
-    return preset, bundle["labeled"], forest.params
+    test_contexts, _, _, _ = evaluation.build_contexts(
+        split.test_users, split.test_inner_train, dataset, bundle["schema"],
+        bundle["pca_genres"], bundle["pca_keywords"])
+    return SimpleNamespace(labeled=bundle["labeled"], test_contexts=test_contexts,
+                           forest=evaluation.train_meta_step(bundle, cfg.forest, cfg.seed))
+
+
+def labeled_contexts(preset):
+    """(preset, labeled contexts, forest params) of `run-all` on the shipped
+    fixture config: the selection forest's training set."""
+    run = fixture_run(preset)
+    return preset, run.labeled, run.forest.params
 
 
 @pytest.fixture(params=["cf", "mixed"])
@@ -474,19 +504,9 @@ def fixture_contexts(request):
     return labeled_contexts(request.param)
 
 
-def count_nodes(tree):
-    n, stack = 0, [tree]
-    while stack:
-        node = stack.pop()
-        n += 1
-        if node.feature is not None:
-            stack += [node.left, node.right]
-    return n
-
-
 def assert_same_forest(a, b):
     assert pickle.dumps(a.trees) == pickle.dumps(b.trees)
-    assert np.array_equal(a.importances_, b.importances_)
+    assert np.array_equal(a.importances, b.importances)
 
 
 class TestLockstepBuilder:
@@ -497,7 +517,7 @@ class TestLockstepBuilder:
         preset, labeled, params = fixture_contexts
         forest = train_forest(labeled.contexts, labeled.labels, params)
         assert params.n_estimators == 100
-        assert sum(count_nodes(t) for t in forest.trees) == {"cf": 5126, "mixed": 4734}[preset]
+        assert len(forest.feature) == {"cf": 5126, "mixed": 4734}[preset]
         assert_same_forest(forest, reference_forest(labeled.contexts, labeled.labels, params))
 
     @pytest.mark.parametrize("params", [
@@ -559,8 +579,10 @@ class TestLockstepBuilder:
     def test_old_pickle_rejected(self):
         X, y = planted_data(n=40, seed=1)
         forest = train_forest(X, y, ForestParams(n_estimators=2, seed=1))
-        # the whole __dict__, as pickled before the flat node arrays
-        old = dict(vars(forest), bootstrap_indices=[])
+        # the linked trees, as pickled before the flat node arrays
+        old = {"trees": forest.trees, "labels": forest.labels, "d": forest.d,
+               "params": forest.params, "importances_": forest.importances,
+               "bootstrap_indices": []}
         with pytest.raises(ValueError, match="rerun train-meta"):
             ForestModel.__new__(ForestModel).__setstate__(old)
 
@@ -568,7 +590,7 @@ class TestLockstepBuilder:
         # the flat layout that also stored left children, sample counts and
         # bootstrap samples
         X, y = planted_data(n=40, seed=1)
-        state = train_forest(X, y, ForestParams(n_estimators=2, seed=1)).__getstate__()
+        state = vars(train_forest(X, y, ForestParams(n_estimators=2, seed=1)))
         assert set(state) == {"labels", "d", "params", "roots", "feature", "threshold",
                               "right", "class_counts", "importances"}
         n_nodes = len(state["feature"])
@@ -588,3 +610,42 @@ class TestLockstepBuilder:
             assert np.array_equal(idx, ref_idx)
             # the generators go on in step, so the trees grow from the same draws
             assert np.array_equal(rng.random(4), ref_rng.random(4))
+
+
+class TestArrayWalk:
+    """`predict_proba` and `oob_error` walk the flat node arrays, all rows and
+    trees at once; they give, bit for bit, what the per-row walk of the
+    linked `TreeNode`s gives."""
+
+    def test_fixture_dispatch_matches_node_walk(self, fixture_contexts):
+        run = fixture_run(fixture_contexts[0])
+        trees = run.forest.trees
+        assert len(run.test_contexts) > 0
+        for row in run.test_contexts:
+            assert np.array_equal(predict_proba(run.forest, row), reference_proba(trees, row))
+
+    def test_crafted_rows_match_node_walk(self):
+        # column 0 holds -1 and 1 only, so its splits fall at 0.0; a root that
+        # splits on it meets the row of -0.0
+        rng = np.random.default_rng(31)
+        X = rng.normal(size=(120, 4))
+        X[:, 0] = rng.choice([-1.0, 1.0], size=120)
+        y = ["a" if v > 0 else "b" for v in X[:, 0] + 0.5 * X[:, 1]]
+        forest = train_forest(X, y, ForestParams(n_estimators=20, seed=32))
+        on_column_0 = forest.roots[forest.feature[forest.roots] == 0]
+        assert on_column_0.size and (forest.threshold[on_column_0] == 0.0).all()
+        rows = [np.array([-0.0, 0.0, 0.0, 0.0]), np.full(4, np.nan)]
+        for k in np.flatnonzero(forest.feature >= 0)[:60]:
+            on_threshold = rng.normal(size=4)
+            on_threshold[forest.feature[k]] = forest.threshold[k]
+            missing = on_threshold.copy()
+            missing[forest.feature[k]] = np.nan
+            rows += [on_threshold, missing]
+        trees = forest.trees
+        for row in rows:
+            assert np.array_equal(predict_proba(forest, row), reference_proba(trees, row))
+
+    def test_oob_error_matches_node_walk(self):
+        run = fixture_run("cf")
+        X, y = run.labeled.contexts, run.labeled.labels
+        assert oob_error(run.forest, X, y) == reference_oob_error(run.forest, X, y)

@@ -86,7 +86,7 @@ class TestLabeling:
     def test_argmax_and_skip_and_tie(self):
         candidates, fitted, holdouts, contexts = _label_setup()
         labeled = generate_labels(candidates, fitted, [1, 2, 3, 4], contexts,
-                                  slice_of({}), holdouts)
+                                  slice_of({}), holdouts, n=10, relevance=RelevanceConfig())
         assert labeled.user_ids == [1, 2, 4]
         assert labeled.labels == ["SlopeOne", "KnnBasic", "SlopeOne"]
         assert labeled.skipped_users == [3]
@@ -97,7 +97,7 @@ class TestLabeling:
     def test_scores_consistent_with_labels(self):
         candidates, fitted, holdouts, contexts = _label_setup()
         labeled = generate_labels(candidates, fitted, [1, 2, 3, 4], contexts,
-                                  slice_of({}), holdouts)
+                                  slice_of({}), holdouts, n=10, relevance=RelevanceConfig())
         for lab, row in zip(labeled.labels, labeled.scores):
             assert row[candidates.names.index(lab)] == row.max()
 
@@ -106,7 +106,8 @@ class TestLabeling:
         # excluding h1 from user 1 removes SlopeOne's hit; tie at 0 -> first
         labeled = generate_labels(candidates, fitted, [1], contexts[:1],
                                   slice_of({1: [RatingEvent(1, "h1", 3, 9)]}),
-                                  slice_of({1: list(holdouts[1])}))
+                                  slice_of({1: list(holdouts[1])}), n=10,
+                                  relevance=RelevanceConfig())
         assert labeled.labels == ["SlopeOne"]
         assert labeled.tied_users == [1]
         assert np.allclose(labeled.scores, 0.0)
@@ -115,12 +116,13 @@ class TestLabeling:
         candidates, fitted, holdouts, contexts = _label_setup()
         del fitted["KnnBasic"]
         with pytest.raises(ValueError, match="no fitted model"):
-            generate_labels(candidates, fitted, [1], contexts[:1], slice_of({}), holdouts)
+            generate_labels(candidates, fitted, [1], contexts[:1], slice_of({}), holdouts,
+                            n=10, relevance=RelevanceConfig())
 
     def test_export_csv(self):
         candidates, fitted, holdouts, contexts = _label_setup()
         labeled = generate_labels(candidates, fitted, [1, 2, 3, 4], contexts,
-                                  slice_of({}), holdouts)
+                                  slice_of({}), holdouts, n=10, relevance=RelevanceConfig())
         lines = labeled.labels_csv().strip().split("\n")
         assert lines[0] == "user_id,label,ndcg_SlopeOne,ndcg_KnnBasic"
         assert len(lines) == 4
@@ -179,7 +181,7 @@ class TestScoreTable:
         _, table = score_users(fitted, candidates.names, [1, 2, 3], inner_train,
                                inner_test, RelevanceConfig(), 10)
         labeled = generate_labels(candidates, fitted, [1, 2, 3], np.eye(3),
-                                  inner_train, inner_test)
+                                  inner_train, inner_test, n=10, relevance=RelevanceConfig())
         ndcg = table[:, :, -1]
         winners, _ = oracle_select(ndcg, candidates.names)
         assert labeled.labels == [candidates.names[w] for w in winners] \

@@ -1,6 +1,7 @@
 """The benchmark's tracer wraps the program from outside: it patches
 `FittedRecommender.recommend_top_n` and `predict_rating` on the class,
-walks `TreeNode` trees to count nodes, and wraps module functions. A
+counts nodes by walking the `TreeNode` view `ForestModel.trees`, which
+must agree with the flat node arrays, and wraps module functions. A
 traced in-process experiment and a traced staged `run-all`, the path the
 benchmark's workloads run, keep those hooks working. The `fixture-cf`
 workload's own checks, which read the split, dataset and fitted-candidate
@@ -40,9 +41,10 @@ def test_traced_experiment_counts_every_layer():
     assert FittedRecommender.predict_rating is predict
 
     metrics = {k: v["value"] for k, v in tracing.per_layer_metrics(tracer, 1, 0.0).items()}
-    trees = artifacts["meta"].forest.trees
+    forest = artifacts["meta"].forest
     assert metrics["forest.trees"] == 3
-    assert metrics["forest.nodes"] == sum(tracing._count_nodes(t) for t in trees) > 3
+    assert metrics["forest.nodes"] == sum(tracing._count_nodes(t) for t in forest.trees) > 3
+    assert metrics["forest.nodes"] == len(forest.feature)
     users = len(artifacts["split"].train_users) + len(artifacts["split"].test_users)
     for alg in report.candidate_names:
         assert metrics[f"recommenders.{alg}.topn_calls"] == users

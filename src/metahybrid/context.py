@@ -1,19 +1,21 @@
-"""Per-user context model: raw attributes from a user's inner-train slice
-and demography (`extract_raw`), PCA reduction of the genre and keyword
-histograms, and one matrix row per user laid out by the one column table
-`ContextSchema.blocks()`, which the column names and the importance groups
-read too. Preferred hours and weekdays are UTC."""
+"""Per-user context model: raw attributes of a whole user list from their
+inner-train rows, the catalog's one encoding (`data.ItemColumns`) and
+demography, in one pass of array operations (`extract_raw`); PCA
+reduction of the genre and keyword histograms; and one matrix row per user
+laid out by the one column table `ContextSchema.blocks()`, which the column
+names and the importance groups read too. Preferred hours and weekdays
+are UTC."""
 
 from __future__ import annotations
 
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Ratings, format_float
+from .data import (Dataset, ItemColumns, RatingSlice, UserRecord, format_float, runs,
+                   segment_sums)
 
 log = logging.getLogger(__name__)
 
@@ -44,84 +46,108 @@ class ContextConfig:
                 raise ValueError(f"{name} must be an int >= 0")
 
 
-@dataclass
-class RawContextFeatures:
-    user_id: object
-    n_ratings: int
-    rating_histogram: np.ndarray          # 5 fractions, sums to 1 when n_ratings > 0
-    year_variance: float
-    genre_entropy: float                  # nats, over the genre histogram
-    preferred_hour: int | None            # 0..23, None for an empty slice
-    preferred_dow: int | None             # 0=Monday .. 6=Sunday
-    n_unique_categories: int
-    genre_histogram: dict                 # genre -> fraction of genre occurrences
-    keyword_histogram: dict
-    mean_runtime: float                   # minutes, over rated items with a runtime
-    gender: str
-    age_band: int | None
-    occupation: int | None
-    location_region: str                  # first postal digit or "unknown"
+def extract_raw(user_ids, inner_train: RatingSlice, dataset: Dataset,
+                schema: ContextSchema) -> dict:
+    """Every user's raw context attributes from their `inner_train` rows, in
+    one pass: a dict of arrays keyed as the blocks, one row per user.
 
-
-def extract_raw(user_id, ratings: Ratings, catalog: dict,
-                demography=None) -> RawContextFeatures:
-    """Compute the raw context attributes from one user's rating rows.
-
-    An empty slice yields the zero profile: zero histograms and counts,
-    no preferred hour/day, demographic categories as recorded.
+    Preferred hour and weekday: the most frequent, the smaller on ties, -1
+    without ratings. Histograms: a share of all the user's genre (keyword)
+    occurrences per term of the schema; entropy and unique count span every
+    catalog genre. A category is a position in its block, the last unknown.
+    Raises `ValueError` for a user that `inner_train` holds no entry for.
     """
-    for code in np.unique(ratings.user).tolist():
-        if ratings.user_ids[code] != user_id:
-            raise ValueError(f"rating slice contains foreign user {ratings.user_ids[code]!r}")
-    n = len(ratings)
-    hist = np.bincount(ratings.rating - 1, minlength=5) / max(n, 1)
-    hours = (ratings.timestamp // 3600 % 24).tolist()           # UTC
-    dows = ((ratings.timestamp // 86400 + 3) % 7).tolist()      # day 0 was a Thursday
-    rated = [it for it in map(catalog.get, ratings.item_list()) if it is not None]
-    genres = [g for it in rated for g in it.genres]
-    keywords = [k for it in rated for k in it.keywords]
-    years = [it.year for it in rated if it.year is not None]
-    runtimes = [it.runtime_minutes for it in rated if it.runtime_minutes is not None]
+    missing = [uid for uid in user_ids if uid not in inner_train]
+    if missing:
+        raise ValueError(f"user {missing[0]!r} has no entry in the inner-train slice")
+    spans = np.array([inner_train.span(uid) for uid in user_ids], dtype=np.int64).reshape(-1, 2)
+    n_users, n_ratings = len(spans), spans[:, 1] - spans[:, 0]
+    user = np.arange(n_users).repeat(n_ratings)       # of each gathered row
+    rows = runs(spans[:, 0], n_ratings)
+    ratings, catalog = inner_train.rows, dataset.item_columns
+    stamp = ratings.timestamp[rows]
+    item = ratings.item[rows]                          # catalog row, -1 if none
+    if ratings.item_ids != catalog.item_ids:
+        index = {iid: j for j, iid in enumerate(catalog.item_ids)}
+        item = np.array([index.get(i, -1) for i in ratings.item_ids], dtype=np.int64)[item]
+    known = item >= 0
+    rated, item = user[known], item[known]
 
-    genre_hist = {g: c / len(genres) for g, c in Counter(genres).items()}
-    kw_hist = {k: c / len(keywords) for k, c in Counter(keywords).items()}
-    # summed in genre order: the histogram's own order follows string hashing
-    entropy = -sum(genre_hist[g] * math.log(genre_hist[g])
-                   for g in sorted(genre_hist) if genre_hist[g] > 0)
+    # every rated item's genre and keyword columns, whose they are, and each
+    # user's count of genre and of keyword occurrences
+    starts = catalog.ptr[item]
+    lengths = catalog.ptr[item + 1] - starts
+    cols = catalog.cols[runs(starts, lengths)]
+    owner = rated.repeat(lengths)
+    totals = np.bincount(owner * 2 + (cols >= len(catalog.genres)), minlength=n_users * 2)
 
-    gender, age, occupation, region = "unknown", None, None, "unknown"
-    if demography is not None:
-        gender = demography.gender
-        age = demography.age_band
-        occupation = demography.occupation
-        if demography.location and demography.location[0].isdigit():
-            region = demography.location[0]
+    def shares(genres, keywords):  # of the genre (keyword) occurrences per term
+        width = len(genres) + len(keywords)
+        pos = catalog.positions(genres, keywords)[cols]
+        keep = pos >= 0
+        counts = np.bincount(owner[keep] * width + pos[keep], minlength=n_users * width)
+        total = totals.reshape(n_users, 2).repeat([len(genres), len(keywords)], axis=1)
+        return np.divide(counts.reshape(n_users, width), total,
+                         out=np.zeros((n_users, width)), where=total > 0)
 
-    return RawContextFeatures(
-        user_id=user_id,
-        n_ratings=n,
-        rating_histogram=hist,
-        year_variance=float(np.var(years)) if years else 0.0,
-        genre_entropy=entropy,
-        preferred_hour=_mode(hours),
-        preferred_dow=_mode(dows),
-        n_unique_categories=len(genre_hist),
-        genre_histogram=genre_hist,
-        keyword_histogram=kw_hist,
-        mean_runtime=sum(runtimes) / len(runtimes) if runtimes else 0.0,
-        gender=gender,
-        age_band=age,
-        occupation=occupation,
-        location_region=region,
-    )
+    histograms = shares(schema.genres, schema.keywords)
+    n_genres = len(schema.genres)
+    genres = (histograms[:, :n_genres] if schema.genres == catalog.genres
+              else shares(catalog.genres, ()))
+    present = genres > 0
+    # p log p after a 0.0, summed one genre after another (`accumulate`) in
+    # sorted-genre order, with math.log, as the per-user sum took them
+    terms = np.zeros((n_users, 1 + len(catalog.genres)))
+    p = genres[present]
+    terms[:, 1:][present] = p * np.array(list(map(math.log, p.tolist())))
+    entropy = np.add.accumulate(terms, axis=1)[:, -1]
+    year = catalog.year[item]
+    year_mean, year_n = _means(rated, year, n_users)
+    dev = (year - year_mean[rated])[~np.isnan(year)]   # in np.var's pairwise sums
+    people = [dataset.users.get(uid) or UserRecord(uid) for uid in user_ids]
+    return {
+        "n_ratings": n_ratings,
+        "rating_histogram": np.bincount(user * 5 + ratings.rating[rows] - 1,
+                                        minlength=n_users * 5).reshape(n_users, 5)
+        / np.maximum(n_ratings, 1)[:, None],
+        "preferred_hour": _modes(user, stamp // 3600 % 24, 24, n_users),
+        "preferred_dow": _modes(user, (stamp // 86400 + 3) % 7, 7, n_users),  # day 0: Thursday
+        "genre_histogram": histograms[:, :n_genres].copy(),  # C-contiguous, for the PCA
+        "keyword_histogram": histograms[:, n_genres:].copy(),
+        # a user with one genre has entropy -0.0, one without genres 0.0
+        "genre_entropy": np.where(present.any(axis=1), -entropy, 0.0),
+        "n_unique_genres": present.sum(axis=1),
+        "year_variance": np.divide(segment_sums(dev * dev, year_n), year_n,
+                                   out=np.zeros(n_users), where=year_n > 0),
+        "mean_runtime": _means(rated, catalog.runtime[item], n_users)[0],
+        "gender": _positions([u.gender for u in people], GENDERS),
+        "age": _positions([u.age_band for u in people], schema.age_bands),
+        "occupation": _positions([u.occupation for u in people], schema.occupations),
+        "region": _positions([u.location[0] if u.location else None for u in people],
+                             REGIONS),
+    }
 
 
-def _mode(values):
-    if not values:
-        return None
-    counts = Counter(values)
-    best = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))
-    return best[0]
+def _means(owner, values, n_users) -> tuple:
+    """Each user's mean of the non-NaN `values` (whole numbers, so exact
+    sums in any order), 0.0 without any, and their count."""
+    has = ~np.isnan(values)
+    n = np.bincount(owner[has], minlength=n_users)
+    sums = np.bincount(owner[has], weights=values[has], minlength=n_users)
+    return np.divide(sums, n, out=np.zeros(n_users), where=n > 0), n
+
+
+def _modes(user, values, width, n_users) -> np.ndarray:
+    """Each user's most frequent value of 0..width-1, the smaller on ties;
+    -1 for a user without values."""
+    counts = np.bincount(user * width + values, minlength=n_users * width).reshape(n_users, width)
+    return np.where(counts.any(axis=1), counts.argmax(axis=1), -1)
+
+
+def _positions(values, universe) -> np.ndarray:
+    """Each value's position in `universe`, `len(universe)` for none of it."""
+    index = {u: k for k, u in enumerate(universe)}
+    return np.array([index.get(v, len(universe)) for v in values], dtype=np.int64)
 
 
 @dataclass
@@ -223,12 +249,14 @@ class ContextSchema:
         return [attribute for attribute, columns in self.blocks() for _ in columns]
 
 
-def build_schema(catalog: dict, users: dict | None = None,
+def build_schema(columns: ItemColumns, users: dict | None = None,
                  config: ContextConfig = ContextConfig()) -> ContextSchema:
-    genres = tuple(sorted({g for it in catalog.values() for g in it.genres}))
-    kw_counts = Counter(k for it in catalog.values() for k in it.keywords)
-    top = sorted(kw_counts.items(), key=lambda kv: (-kv[1], kv[0]))[:config.max_keywords]
-    keywords = tuple(sorted(k for k, _ in top))
+    """The context layout of a catalog's `data.ItemColumns` and the users."""
+    genres, n_genres = columns.genres, len(columns.genres)
+    counts = np.bincount(columns.cols[columns.cols >= n_genres] - n_genres,
+                         minlength=len(columns.keywords))
+    top = np.argsort(-counts, kind="stable")[:config.max_keywords]  # ties: alphabetical
+    keywords = tuple(columns.keywords[j] for j in sorted(top.tolist()))
     age_bands, occupations = ML_AGE_BANDS, ML_OCCUPATIONS
     if users:
         seen_ages = sorted({u.age_band for u in users.values() if u.age_band is not None})
@@ -245,72 +273,42 @@ def build_schema(catalog: dict, users: dict | None = None,
     if kc < config.keyword_components:
         log.warning("keyword universe (%d) smaller than requested components; using %d",
                     len(keywords), kc)
+    runtimes = columns.runtime[~np.isnan(columns.runtime)]
     return ContextSchema(genres=genres, keywords=keywords, age_bands=age_bands,
                          occupations=occupations, include_age=config.include_age,
                          genre_components=gc, keyword_components=kc,
-                         max_runtime=max((it.runtime_minutes for it in catalog.values()
-                                          if it.runtime_minutes is not None), default=0))
+                         max_runtime=int(runtimes.max()) if runtimes.size else 0)
 
 
-def histogram_row(hist: dict, vocabulary) -> np.ndarray:
-    return np.array([hist.get(key, 0.0) for key in vocabulary], dtype=float)
-
-
-def fit_histogram_pcas(raws, schema: ContextSchema):
+def fit_histogram_pcas(raw: dict, schema: ContextSchema):
     """Fit the genre/keyword PCA models on (training) users' histograms."""
-    genre_m = np.array([histogram_row(r.genre_histogram, schema.genres) for r in raws])
-    kw_m = np.array([histogram_row(r.keyword_histogram, schema.keywords) for r in raws])
-    pca_g = fit_pca(genre_m, schema.genre_components) if schema.genre_components else None
-    pca_k = fit_pca(kw_m, schema.keyword_components) if schema.keyword_components else None
-    return pca_g, pca_k
+    g, k = schema.genre_components, schema.keyword_components
+    return (fit_pca(raw["genre_histogram"], g) if g else None,
+            fit_pca(raw["keyword_histogram"], k) if k else None)
 
 
-def assemble_matrix(raws, pca_genres, pca_keywords, schema: ContextSchema):
-    """Stack raw features into the matrix laid out by `schema.blocks()`."""
-    names = schema.feature_names()
-    blocks = schema.blocks()
-    rows = []
-    for raw in raws:
-        values = _block_values(raw, pca_genres, pca_keywords, schema)
-        rows.append([v for attribute, _ in blocks for v in values[attribute]])
-    matrix = np.array(rows, dtype=float) if rows else np.zeros((0, len(names)))
-    if matrix.shape[1] != len(names):
-        raise ValueError(f"assembled {matrix.shape[1]} columns, schema names {len(names)}")
-    return matrix, names
+# the blocks that `extract_raw` gives as codes, one column per code
+_CATEGORIES = ("preferred_hour", "preferred_dow", "gender", "age", "occupation", "region")
 
 
-def _block_values(raw: RawContextFeatures, pca_genres, pca_keywords,
-                  schema: ContextSchema) -> dict:
-    """One user's values per block, keyed by the blocks' source attributes."""
-    return {
-        "n_ratings": [float(raw.n_ratings)],
-        "year_variance": [raw.year_variance],
-        "genre_entropy": [raw.genre_entropy],
-        "n_unique_genres": [float(raw.n_unique_categories)],
-        "mean_runtime_norm": [raw.mean_runtime / schema.max_runtime
-                              if schema.max_runtime else 0.0],
-        "rating_histogram": raw.rating_histogram.tolist(),
-        "preferred_hour": _onehot(raw.preferred_hour, range(24)),
-        "preferred_dow": _onehot(raw.preferred_dow, range(7)),
-        "gender": _onehot(raw.gender, GENDERS, unknown=True),
-        "age": _onehot(raw.age_band, schema.age_bands, unknown=True),
-        "occupation": _onehot(raw.occupation, schema.occupations, unknown=True),
-        "region": _onehot(raw.location_region, REGIONS, unknown=True),
-        "genre_pca": _project(pca_genres, raw.genre_histogram, schema.genres),
-        "keyword_pca": _project(pca_keywords, raw.keyword_histogram, schema.keywords),
-    }
+def assemble_matrix(raw: dict, pca_genres, pca_keywords, schema: ContextSchema):
+    """Stack the `extract_raw` arrays into the matrix laid out by
+    `schema.blocks()`, the categories one-hot."""
+    n_users = len(raw["n_ratings"])
 
+    def project(pca, hist):  # row by row, as a single user's row is
+        return (np.array([transform_pca(pca, row) for row in hist]).reshape(n_users, pca.k)
+                if pca is not None else np.zeros((n_users, 0)))
 
-def _onehot(value, universe, unknown: bool = False) -> list:
-    """One-hot over `universe`, then with `unknown` a column for none of it."""
-    row = [1.0 if value == u else 0.0 for u in universe]
-    if unknown:
-        row.append(0.0 if any(row) else 1.0)
-    return row
-
-
-def _project(pca, hist: dict, vocabulary) -> list:
-    return [] if pca is None else transform_pca(pca, histogram_row(hist, vocabulary)).tolist()
+    values = dict(raw, genre_pca=project(pca_genres, raw["genre_histogram"]),
+                  keyword_pca=project(pca_keywords, raw["keyword_histogram"]),
+                  mean_runtime_norm=(raw["mean_runtime"] / schema.max_runtime
+                                     if schema.max_runtime else np.zeros(n_users)))
+    matrix = np.concatenate([values[attribute][:, None] == np.arange(len(columns))
+                             if attribute in _CATEGORIES
+                             else values[attribute].reshape(n_users, len(columns))
+                             for attribute, columns in schema.blocks()], axis=1, dtype=float)
+    return matrix, schema.feature_names()
 
 
 def matrix_csv(matrix: np.ndarray, names, user_ids) -> str:

@@ -12,7 +12,8 @@ import csv
 import logging
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -147,6 +148,9 @@ class RatingSlice(Mapping):
         self.ptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
         self._index = {u: k for k, u in enumerate(users)}
 
+    def __contains__(self, uid):
+        return uid in self._index
+
     def span(self, uid) -> tuple:
         """(start, stop): the rows of `uid` in `rows`; (0, 0) for a user without an entry."""
         k = self._index.get(uid)
@@ -219,11 +223,93 @@ class Dataset:
         order = np.lexsort((ratings.item, ratings.timestamp, ratings.user))
         return cls(ratings.take(order), items, users, provenance)
 
+    @cached_property
+    def item_columns(self) -> "ItemColumns":
+        """`items` as columns, built on first use; not pickled."""
+        return item_columns(self.items)
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "item_columns"}
+
     def ratings_by_user(self) -> RatingSlice:
         """Each user's ratings, chronological; a user without ratings has no entry."""
         codes, counts = np.unique(self.ratings.user, return_counts=True)
         return RatingSlice(self.ratings, [self.ratings.user_ids[c] for c in codes.tolist()],
                            counts)
+
+
+@dataclass(eq=False)
+class ItemColumns:
+    """The catalog as columns over its sorted ids: the genre and keyword
+    columns of `item_ids[j]` are `cols[ptr[j]:ptr[j + 1]]`, ascending, the
+    sorted `genres` before the sorted `keywords`; NaN for an unknown year
+    or runtime."""
+
+    item_ids: list
+    genres: tuple
+    keywords: tuple
+    ptr: np.ndarray                       # int64
+    cols: np.ndarray                      # int32
+    year: np.ndarray
+    runtime: np.ndarray                   # minutes
+    _positions: dict = field(default_factory=dict, repr=False)
+
+    def positions(self, genres: tuple, keywords: tuple) -> np.ndarray:
+        """Each column's position in `genres` (a genre's) or after them in
+        `keywords` (a keyword's), -1 for none; kept per vocabulary."""
+        pos = self._positions.get((genres, keywords))
+        if pos is None:
+            gidx = {g: j for j, g in enumerate(genres)}
+            kidx = {k: len(genres) + j for j, k in enumerate(keywords)}
+            pos = self._positions[genres, keywords] = np.array(
+                [gidx.get(g, -1) for g in self.genres]
+                + [kidx.get(k, -1) for k in self.keywords], dtype=np.int64)
+        return pos
+
+
+def item_columns(items: dict) -> ItemColumns:
+    """The catalog `items` (id -> `ItemRecord`) as `ItemColumns`."""
+    item_ids = sorted(items)
+    records = [items[i] for i in item_ids]
+    genres = tuple(sorted({g for it in records for g in it.genres}))
+    keywords = tuple(sorted({k for it in records for k in it.keywords}))
+    gidx = {g: j for j, g in enumerate(genres)}
+    kidx = {k: len(genres) + j for j, k in enumerate(keywords)}
+    per_item = [sorted([gidx[g] for g in it.genres] + [kidx[k] for k in it.keywords])
+                for it in records]
+    return ItemColumns(
+        item_ids, genres, keywords,
+        ptr=np.cumsum([0] + [len(cols) for cols in per_item]),
+        cols=np.array([j for cols in per_item for j in cols], dtype=np.int32),
+        year=np.array([np.nan if it.year is None else it.year for it in records], dtype=float),
+        runtime=np.array([np.nan if it.runtime_minutes is None else it.runtime_minutes
+                          for it in records], dtype=float))
+
+
+def runs(starts, lengths) -> np.ndarray:
+    """The indexes start, ..., start + length - 1 of each run, in run order."""
+    ends = lengths.cumsum()
+    return np.arange(ends[-1] if ends.size else 0) + (starts + lengths - ends).repeat(lengths)
+
+
+def segment_sums(values, lengths) -> np.ndarray:
+    """Sum of each run of rows of `values`, run j holding `lengths[j]` rows.
+
+    Each sum is bit-identical to `run.sum()` of a 1-D run, and each column
+    of a 2-D run's sum to that column summed as a contiguous 1-D array:
+    runs of one length are summed together along a contiguous last axis,
+    which numpy reduces in the same pairwise order as a 1-D array of that
+    length.
+    """
+    columns = np.ascontiguousarray(values.T)  # one row per column of `values`
+    out = np.zeros(columns.shape[:-1] + (len(lengths),))
+    start = np.cumsum(lengths) - lengths
+    for m in np.unique(lengths[lengths > 0]):
+        rows = np.flatnonzero(lengths == m)
+        # take, unlike columns[..., index], returns a C-contiguous array
+        segments = columns.take(start[rows, None] + np.arange(m), axis=-1)
+        out[..., rows] = segments.sum(axis=-1)
+    return out.T
 
 
 def _parse_id(token: str):

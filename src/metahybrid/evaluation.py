@@ -141,14 +141,12 @@ def fit_step(dataset: Dataset, split: NestedSplit, candidates: hy.CandidateSet,
 def build_contexts(user_ids, inner_train: RatingSlice, dataset: Dataset,
                    schema: ctx.ContextSchema, pca_genres=None, pca_keywords=None,
                    fit_pcas: bool = False):
-    """Raw features per user from the inner-train slice, assembled with the
-    given (or freshly fitted) PCA models."""
-    raws = [ctx.extract_raw(uid, inner_train[uid], dataset.items,
-                            dataset.users.get(uid))
-            for uid in user_ids]
+    """The users' raw features from the inner-train slice, in one pass,
+    assembled with the given (or freshly fitted) PCA models."""
+    raw = ctx.extract_raw(user_ids, inner_train, dataset, schema)
     if fit_pcas:
-        pca_genres, pca_keywords = ctx.fit_histogram_pcas(raws, schema)
-    matrix, names = ctx.assemble_matrix(raws, pca_genres, pca_keywords, schema)
+        pca_genres, pca_keywords = ctx.fit_histogram_pcas(raw, schema)
+    matrix, names = ctx.assemble_matrix(raw, pca_genres, pca_keywords, schema)
     return matrix, names, pca_genres, pca_keywords
 
 
@@ -162,7 +160,7 @@ def label_step(dataset: Dataset, split: NestedSplit, candidates: hy.CandidateSet
     context schema and the PCA models; the matrix has one context row per
     TRh user, in the schema's column order.
     """
-    schema = ctx.build_schema(dataset.items, dataset.users, context_config)
+    schema = ctx.build_schema(dataset.item_columns, dataset.users, context_config)
     matrix, _, pca_g, pca_k = build_contexts(
         split.train_users, split.train_inner_train, dataset, schema, fit_pcas=True)
     labeled = hy.generate_labels(candidates, fitted, split.train_users, matrix,

@@ -326,7 +326,7 @@ def _grow_trees(samples, params, rngs, boots):
             right, np.array(class_counts)), importances
 
 
-@dataclass
+@dataclass(eq=False)  # its fields are arrays; `==` is identity
 class ForestModel:
     """A trained forest as flat node arrays, in the manner of scikit-learn's
     array `Tree`. Each tree's nodes come in depth-first order, so the left

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..data import segment_sums
 from .base import FittedRecommender, by_user_item, group_means
 
 
@@ -103,11 +104,11 @@ class CoClusteringModel(FittedRecommender):
             # u's ratings; pred = A[g,h] - Ag[g] + const
             h = ig[i_arr]
             resid = r_arr - (umean[u_arr] + imean[i_arr] - Ah[h])
-            err = _segment_sums((resid[:, None] - (A[:, h].T - Ag)) ** 2, u_count)
+            err = segment_sums((resid[:, None] - (A[:, h].T - Ag)) ** 2, u_count)
             new_ug = np.where(u_count > 0, err.argmin(axis=1), ug)
             g = new_ug[iu_arr]
             resid = ir_arr - (imean[ii_arr] + umean[iu_arr] - Ag[g])
-            err = _segment_sums((resid[:, None] - (A[g, :] - Ah)) ** 2, i_count)
+            err = segment_sums((resid[:, None] - (A[g, :] - Ah)) ** 2, i_count)
             new_ig = np.where(i_count > 0, err.argmin(axis=1), ig)
             if np.array_equal(new_ug, ug) and np.array_equal(new_ig, ig):
                 ug, ig = new_ug, new_ig
@@ -242,7 +243,7 @@ class KnnBasicModel(FittedRecommender):
             pick = pick[np.arange(len(pick)) - start[item] < k]
         sims = sims[pick]
         # num and den in one pass; each column sums as its own 1-D run
-        sums = _segment_sums(np.stack((sims * self._rater_vals[pick], sims)).T, lengths)
+        sums = segment_sums(np.stack((sims * self._rater_vals[pick], sims)).T, lengths)
         defined = lengths > 0
         return np.divide(sums[:, 0], sums[:, 1], out=np.zeros(n), where=defined), defined
 
@@ -268,23 +269,3 @@ def _sgd_waves(users, items, ratings) -> list:
     order = np.argsort(wave, kind="stable")
     cuts = np.cumsum(np.bincount(wave))[:-1]
     return [(users[k], items[k], ratings[k]) for k in np.split(order, cuts)]
-
-
-def _segment_sums(values, lengths) -> np.ndarray:
-    """Sum of each run of rows of `values`, run j holding `lengths[j]` rows.
-
-    Each sum is bit-identical to `run.sum()` of a 1-D run, and each column
-    of a 2-D run's sum to that column summed as a contiguous 1-D array:
-    runs of one length are summed together along a contiguous last axis,
-    which numpy reduces in the same pairwise order as a 1-D array of that
-    length.
-    """
-    columns = np.ascontiguousarray(values.T)  # one row per column of `values`
-    out = np.zeros(columns.shape[:-1] + (len(lengths),))
-    start = np.cumsum(lengths) - lengths
-    for m in np.unique(lengths[lengths > 0]):
-        rows = np.flatnonzero(lengths == m)
-        # take, unlike columns[..., index], returns a C-contiguous array
-        runs = columns.take(start[rows, None] + np.arange(m), axis=-1)
-        out[..., rows] = runs.sum(axis=-1)
-    return out.T

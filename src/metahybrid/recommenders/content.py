@@ -5,34 +5,22 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..data import item_columns, runs
 from .base import FittedRecommender
 
 
-def item_feature_columns(items: dict, item_ids):
-    """Each item's one-hot genre and keyword columns, as (ptr, cols, width):
-    the columns of `item_ids[j]` are `cols[ptr[j]:ptr[j + 1]]`, ascending,
-    out of `width`.
-
-    Columns are the sorted genres, then the sorted keywords. Raises if the
-    catalog carries no features at all.
-    """
-    genres = sorted({g for it in items.values() for g in it.genres})
-    keywords = sorted({k for it in items.values() for k in it.keywords})
-    if not genres and not keywords:
+def feature_columns(items: dict) -> tuple:
+    """`data.ItemColumns`' genre and keyword columns as (ptr, cols, width);
+    raises if the catalog carries no features at all."""
+    columns = item_columns(items or {})
+    if not columns.cols.size:
         raise ValueError("item catalog has no genre/keyword features")
-    gidx = {g: j for j, g in enumerate(genres)}
-    kidx = {k: len(genres) + j for j, k in enumerate(keywords)}
-    per_item = [[] if it is None else sorted([gidx[g] for g in it.genres]
-                                             + [kidx[k] for k in it.keywords])
-                for it in map(items.get, item_ids)]
-    ptr = np.cumsum([0] + [len(cols) for cols in per_item])
-    cols = np.array([j for cols in per_item for j in cols], dtype=np.int32)
-    return ptr, cols, len(genres) + len(keywords)
+    return columns.ptr, columns.cols, len(columns.genres) + len(columns.keywords)
 
 
 def feature_matrix(ptr, cols, width, normalize: bool = True):
-    """The dense item x feature matrix of `item_feature_columns` output,
-    with L2-normalized rows if `normalize`."""
+    """The dense item x feature matrix of `feature_columns` output, with
+    L2-normalized rows if `normalize`."""
     mat = np.zeros((len(ptr) - 1, width))
     mat[np.repeat(np.arange(len(ptr) - 1), np.diff(ptr)), cols] = 1.0
     if normalize:
@@ -53,16 +41,13 @@ class ContentBasedModel(FittedRecommender):
     _derived = FittedRecommender._derived + ("features", "_item_norms")
 
     def _fit(self, users, cols, ratings, items):
-        self._feature_ptr, self._feature_cols, self._n_features = item_feature_columns(
-            items, self.item_ids)
+        self._feature_ptr, self._feature_cols, self._n_features = feature_columns(items)
         self._build_derived()
         # each row's (rating x feature) products at its item's nonzero
         # features, summed by one unbuffered add in the slice's order, so
         # every profile sum keeps its chronological order within the user
         ptr, counts = self._feature_ptr, np.diff(self._feature_ptr)[cols]
-        # where each row's features sit in `_feature_cols`
-        at = np.arange(counts.sum()) + np.repeat(ptr[cols] - np.cumsum(counts) + counts, counts)
-        feats = self._feature_cols[at]
+        feats = self._feature_cols[runs(ptr[cols], counts)]  # each row's features
         profiles = np.zeros((len(self.user_ids), self._n_features))
         np.add.at(profiles, (np.repeat(users, counts), feats),
                   np.repeat(ratings, counts) * self.features[np.repeat(cols, counts), feats])

@@ -10,7 +10,7 @@ from functools import cached_property
 import numpy as np
 
 from .base import FittedRecommender, by_user_item
-from .content import feature_matrix, item_feature_columns
+from .content import feature_columns, feature_matrix
 
 _BATCH = 64  # positives scored against one snapshot of the parameters
 _CHUNK = 10  # negatives scored for every positive before the rest
@@ -35,8 +35,7 @@ class WarpHybridModel(FittedRecommender):
     def _fit(self, users, cols, ratings, items):
         d = self.params["components"]
         rng = np.random.default_rng(self.seed)
-        self._feature_ptr, self._feature_cols, self._n_features = item_feature_columns(
-            items, self.item_ids)
+        self._feature_ptr, self._feature_cols, self._n_features = feature_columns(items)
         content = feature_matrix(self._feature_ptr, self._feature_cols, self._n_features,
                                  normalize=False)
         ni = len(self.item_ids)

@@ -1,5 +1,6 @@
 import pickle
 
+import numpy as np
 import pytest
 
 from metahybrid import data
@@ -264,6 +265,30 @@ def test_genre_coverage_warning(tiny_movielens, caplog):
         load_movielens(tiny_movielens / "ratings.dat", tiny_movielens / "users.dat",
                        tiny_movielens / "movies2.dat")
     assert any("genres" in m for m in caplog.messages)
+
+
+def test_item_columns_encode_the_catalog(tiny_movielens):
+    ds = enrich_items(load_movielens(tiny_movielens / "ratings.dat",
+                                     tiny_movielens / "users.dat",
+                                     tiny_movielens / "movies.dat"),
+                      tiny_movielens / "metadata.csv")
+    blob = pickle.dumps(ds)
+    columns = ds.item_columns
+    assert columns is ds.item_columns  # built once
+    assert pickle.dumps(ds) == blob    # and left out of the pickle
+    assert columns.item_ids == [661, 914, 1193, 3408]
+    assert columns.genres == ("Animation", "Children's", "Drama", "Musical", "Romance")
+    assert columns.keywords == ("asylum", "class", "mental illness", "musical", "nurse",
+                                "rebellion")
+    assert columns.ptr.tolist() == [0, 3, 7, 12, 13]
+    assert columns.cols.tolist() == [0, 1, 3, 3, 4, 6, 8, 2, 5, 7, 9, 10, 2]
+    assert (columns.ptr.dtype, columns.cols.dtype) == (np.int64, np.int32)
+    assert columns.year.tolist() == [1996, 1964, 1975, 2000]
+    assert np.isnan(columns.runtime[[0, 3]]).all() and columns.runtime[[1, 2]].tolist() == [
+        170, 133]
+    # genre positions among the genres, keyword positions after them, -1 elsewhere
+    assert columns.positions(("Drama",), ("class", "zzz")).tolist() == [
+        -1, -1, 0, -1, -1, -1, 1, -1, -1, -1, -1]
 
 
 def test_item_record_pickle_roundtrip():

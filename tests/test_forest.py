@@ -270,6 +270,11 @@ class TestTraining:
         model = train_forest(X, y, ForestParams(n_estimators=15, seed=15))
         assert oob_error(model, X, y) == reference_oob_error(model, X, y)
 
+    def test_comparing_forests_does_not_raise(self):
+        X, y = planted_data(n=40, seed=5)
+        a, b = (train_forest(X, y, ForestParams(n_estimators=3, seed=6)) for _ in range(2))
+        assert a == a and a != b
+
     def test_deterministic(self):
         X, y = planted_data(seed=5)
         p = ForestParams(n_estimators=15, seed=6)

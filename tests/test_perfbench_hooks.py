@@ -5,7 +5,9 @@ must agree with the flat node arrays, and wraps module functions. A
 traced in-process experiment and a traced staged `run-all`, the path the
 benchmark's workloads run, keep those hooks working. The `fixture-cf`
 workload's own checks, which read the split, dataset and fitted-candidate
-pickles back and use the slices as per-user rows, keep passing."""
+pickles back and use the slices as per-user rows, keep passing, and so do
+the `serve-cf` workload's, which compare each one-user context's dispatch
+with the batch dispatch."""
 
 import json
 import os
@@ -78,8 +80,9 @@ def test_traced_run_all_counts_every_scored_user(tmp_path):
     users = len(split.train_users) + len(split.test_users)
     for alg in ("BaselineOnly", "CoClustering", "SlopeOne", "SvdMf"):
         assert metrics[f"recommenders.{alg}.topn_calls"] == users
-    # one extract_raw span per TRh and per TEh user
-    assert metrics["context.users"] == users
+    # one extract_raw span per context build: the TRh users', then the TEh users'
+    # (the metric counts those calls, not users)
+    assert metrics["context.users"] == 2
     rows = (tmp_path / "out" / "labels.csv").read_text().splitlines()[1:]
     assert metrics["hybrid.labels"] == len(rows) > 0
     # one nDCG per candidate for every labelled and every evaluated user
@@ -100,3 +103,16 @@ def test_fixture_workload_reads_the_pickles_back(tmp_path):
     assert errors == []
     assert workload.failed == 0 and workload.attempted > 0
     assert metrics["artifact_bytes"] > 0
+
+
+def test_serve_workload_matches_batch(tmp_path, monkeypatch):
+    # the benchmark's `serve-cf` workload on its smoke inputs: each request
+    # builds one user's context alone, and its checks compare every served
+    # user's dispatch with the batch dispatch of `run_experiment`
+    monkeypatch.chdir(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    workload = workloads.make("serve-cf", str(tmp_path), 1, smoke=True)
+    workload.setup()
+    workload.run(0, False)
+    _, errors, _ = workload.finish()
+    assert errors == []
+    assert workload.failed == 0 and workload.attempted > 0

@@ -8,7 +8,7 @@ import pytest
 from metahybrid import recommenders as rec
 from metahybrid.data import RatingEvent, Ratings, enrich_items, load_movielens
 from metahybrid.recommenders import RecommenderSpec, fit
-from metahybrid.recommenders.content import feature_matrix, item_feature_columns
+from metahybrid.recommenders.content import feature_columns, feature_matrix
 from metahybrid.splits import SplitPlan, nested_split, slice_events
 
 FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -246,7 +246,7 @@ class TestWarpTrainer:
                                               "max_trials": 12, "learn_rate": 0.1})
         model = fit(spec, rows([ev(1, 1, 5), ev(2, 2, 5)]), items=items, seed=0)
         model.params["epochs"] = 1
-        content = feature_matrix(*item_feature_columns(items, model.item_ids),
+        content = feature_matrix(*feature_columns(items),
                                  normalize=False)
         # F: genre g, genre h, then the identity rows of items 0, 1, 2
         model.F = np.array([[0.1, 0.0], [0.0, 0.1], [0.05, 0.02],
@@ -791,13 +791,13 @@ class TestNumpyBehaviour:
         assert np.array_equal(np.add.reduce(rows, 0), expected)
 
     def test_segment_sums_match_per_run_sums(self):
-        from metahybrid.recommenders.collaborative import _segment_sums
+        from metahybrid.data import segment_sums
         rng = np.random.default_rng(2)
         lengths = np.array([0, 1, 3, 8, 9, 17, 130, 3, 0, 300, 17])
         values = rng.normal(size=(lengths.sum(), 5)) * 10.0 ** rng.integers(0, 12, size=(1, 5))
         start = np.cumsum(lengths) - lengths
-        sums = _segment_sums(values, lengths)
-        flat = _segment_sums(values[:, 2], lengths)
+        sums = segment_sums(values, lengths)
+        flat = segment_sums(values[:, 2], lengths)
         for j, (s, m) in enumerate(zip(start, lengths)):
             run = values[s:s + m]
             assert sums[j].tolist() == [np.ascontiguousarray(run[:, c]).sum()

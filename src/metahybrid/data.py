@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import logging
 import re
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -24,6 +25,24 @@ def format_float(value) -> str:
     """A float as a CSV cell: the shortest repr that reads back to the same
     double. numpy scalars are converted first; their own repr is not a number."""
     return repr(float(value))
+
+
+def built_state(state: dict) -> dict:
+    """An unpickled `__setstate__` state as a built object holds it, so that
+    a loaded object pickles to the bytes of a built one: the pickle memo
+    writes an object it met before as a reference. Attribute names are
+    interned, as a plain load interns them, and each numeric array, also
+    one held in a dict, is a view with its dtype's builtin instance, where
+    an unpickled array carries its own copy of its dtype."""
+    return {sys.intern(k): _built(v) for k, v in state.items()}
+
+
+def _built(value):
+    if isinstance(value, np.ndarray) and value.dtype.kind in "biuf":
+        return value.view(value.dtype.type)
+    if isinstance(value, dict):  # in place, as other objects may share it
+        value.update({k: _built(v) for k, v in value.items()})
+    return value
 
 
 class IngestError(Exception):
@@ -121,9 +140,7 @@ class Ratings:
                 and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in COLUMNS))
 
     def __setstate__(self, state):
-        # an unpickled array carries its own copy of its dtype; a view takes the
-        # builtin one, so the rows taken from it pickle to the bytes of built ones
-        self.__dict__.update(state, **{c: state[c].view(DTYPES[c]) for c in COLUMNS})
+        self.__dict__.update(built_state(state))
 
     def take(self, rows) -> "Ratings":
         """The rows that `rows` (a slice, an index array or a mask) selects."""
@@ -176,8 +193,9 @@ class RatingSlice(Mapping):
         uidx = {u: k for k, u in enumerate(state["user_ids"])}
         counts = np.diff(state["ptr"])
         user = np.repeat(np.array([uidx[u] for u in state["users"]], dtype=np.int32), counts)
+        state = built_state(state)
         rows = Ratings(state["user_ids"], state["item_ids"], user,
-                       *(state[c].view(DTYPES[c]) for c in COLUMNS[1:]))
+                       *(state[c] for c in COLUMNS[1:]))
         self.__init__(rows, state["users"], counts)
 
 
@@ -186,7 +204,10 @@ class Dataset:
     """Ratings, item catalog and users. `ratings` codes its ids by the sorted
     `users` and `items` keys (or a superset) and is in canonical order: by
     user, then timestamp, then item. `from_events` validates and sorts; a
-    dataset derived from another takes a row subset of its ratings."""
+    dataset derived from another takes a row subset of its ratings.
+
+    The pickle keeps no `user` column: the rows are in user order, so each
+    user code's row count gives it back."""
 
     ratings: Ratings
     items: dict
@@ -229,7 +250,24 @@ class Dataset:
         return item_columns(self.items)
 
     def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "item_columns"}
+        ratings = self.ratings
+        if (np.diff(ratings.user) < 0).any():
+            raise ValueError("a dataset pickles its ratings in user order only")
+        rows = np.bincount(ratings.user, minlength=len(ratings.user_ids)).astype(np.int32)
+        return {"user_ids": ratings.user_ids, "item_ids": ratings.item_ids, "user_rows": rows,
+                **{c: getattr(ratings, c) for c in COLUMNS[1:]},
+                "items": self.items, "users": self.users, "provenance": self.provenance}
+
+    def __setstate__(self, state):
+        if "ratings" in state:
+            raise ValueError("dataset.pkl holds a dataset pickled by an older version; "
+                             "rerun ingest")
+        state = built_state(state)
+        user = np.repeat(np.arange(len(state["user_ids"]), dtype=np.int32),
+                         state.pop("user_rows"))
+        ratings = Ratings(state.pop("user_ids"), state.pop("item_ids"), user,
+                          *(state.pop(c) for c in COLUMNS[1:]))
+        self.__dict__.update(state, ratings=ratings)
 
     def ratings_by_user(self) -> RatingSlice:
         """Each user's ratings, chronological; a user without ratings has no entry."""

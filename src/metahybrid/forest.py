@@ -8,8 +8,10 @@ at most `_CHUNK` elements. Each tree keeps its own generator and depth-first
 order, so the forest is the one a recursive one-tree-at-a-time build grows,
 node for node. Growth writes flat node arrays (`ForestModel`), prediction
 walks them for all rows and trees at once (`_leaf_frequencies`), and the
-pickle stores them as they are. No bootstrap sample is stored: `_tree_draws`
-redraws each tree's from the seed.
+pickle stores them as they are: node indexes as int32 and each node's
+class counts as sample counts in the narrowest unsigned type, weighed on
+read. No bootstrap sample is stored: `_tree_draws` redraws each tree's
+from the seed.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import format_float
+from .data import built_state, format_float
 
 log = logging.getLogger(__name__)
 
@@ -87,16 +89,28 @@ class TreeNode:
 _CHUNK = 1 << 14  # padded (nodes x features x samples) elements per split-search call
 
 
+def _partial_sums(class_w, m) -> np.ndarray:
+    """(class, k) table of each class's weight summed over k = 0..m samples.
+    All of a class's samples weigh the same, so their weight summed one by
+    one, in any order, is the k-th partial sum of that weight."""
+    partial = np.zeros((len(class_w), m + 1))
+    np.cumsum(np.repeat(class_w[:, None], m, axis=1), axis=1, out=partial[:, 1:])
+    return partial
+
+
+def _weigh(partial, counts) -> np.ndarray:
+    """The weighted class counts of (..., class) sample counts."""
+    return partial[np.arange(len(partial)), counts]
+
+
 def _class_counts(samples, idxs):
-    """Weighted class counts of each index set, each summed in index order,
-    and their Gini impurities."""
-    n_classes = len(samples.class_w)
-    cat = np.concatenate(idxs)
+    """Class sample counts of each index set, and the Gini impurities of
+    their weighted counts."""
+    n_classes = len(samples.partial)
     key = np.repeat(np.arange(len(idxs)) * n_classes, [len(idx) for idx in idxs])
-    key += samples.y[cat]
-    counts = np.bincount(key, weights=samples.class_w[samples.y[cat]],
-                         minlength=len(idxs) * n_classes).reshape(len(idxs), n_classes)
-    return counts, gini(counts)
+    key += samples.y[np.concatenate(idxs)]
+    counts = np.bincount(key, minlength=len(idxs) * n_classes).reshape(len(idxs), n_classes)
+    return counts, gini(_weigh(samples.partial, counts))
 
 
 def _value_ranks(X):
@@ -119,19 +133,20 @@ class _Samples(NamedTuple):
     columns: np.ndarray  # X transposed: one row per feature
     ranks: np.ndarray    # _value_ranks(X)
     y: np.ndarray        # class codes
-    class_w: np.ndarray  # the weight of each class's samples
+    partial: np.ndarray  # _partial_sums of the class weights, up to every row
 
 
 def _samples_of(X, y, class_w) -> _Samples:
-    return _Samples(np.ascontiguousarray(X.T), _value_ranks(X), y, class_w)
+    return _Samples(np.ascontiguousarray(X.T), _value_ranks(X), y,
+                    _partial_sums(class_w, len(y)))
 
 
 def _best_splits(samples, min_leaf, idxs, feats, counts, node_gini, chunk=_CHUNK):
     """Best Gini split of each node over its sampled features.
 
     Node k holds the samples `idxs[k]`, its sampled features `feats[k]` and
-    its class counts `counts[k]`. Returns (feature, threshold, gain) arrays,
-    with feature -1 where a node has no split of positive gain. Nodes are
+    its class sample counts `counts[k]`. Returns (feature, threshold, gain)
+    arrays, with feature -1 where a node has no split of positive gain. Nodes are
     scored in chunks of similar sample counts, each padded to its largest
     node and holding at most `chunk` (node, feature, sample) elements.
     """
@@ -139,11 +154,7 @@ def _best_splits(samples, min_leaf, idxs, feats, counts, node_gini, chunk=_CHUNK
     feature = np.full(m, -1, dtype=np.int64)
     threshold, gain = np.zeros(m), np.zeros(m)
     sizes = np.array([len(idx) for idx in idxs])
-    # all of a class's samples weigh the same, so its weight summed over k
-    # of them, in any order, is the k-th partial sum of that weight
-    partial = np.zeros((len(samples.class_w), sizes.max() + 1))
-    np.cumsum(np.repeat(samples.class_w[:, None], sizes.max(), axis=1), axis=1,
-              out=partial[:, 1:])
+    counts = _weigh(samples.partial, counts)
     order = np.argsort(sizes, kind="stable")
     start = 0
     while start < m:
@@ -152,14 +163,14 @@ def _best_splits(samples, min_leaf, idxs, feats, counts, node_gini, chunk=_CHUNK
             stop += 1
         part = order[start:stop]
         feature[part], threshold[part], gain[part] = _score_chunk(
-            samples, partial, min_leaf, [idxs[k] for k in part], feats[part],
+            samples, min_leaf, [idxs[k] for k in part], feats[part],
             counts[part], node_gini[part])
         start = stop
     return feature, threshold, gain
 
 
-def _score_chunk(samples, partial, min_leaf, idxs, feats, counts, node_gini):
-    """`_best_splits` for one padded chunk.
+def _score_chunk(samples, min_leaf, idxs, feats, counts, node_gini):
+    """`_best_splits` for one padded chunk, of weighted class counts `counts`.
 
     Every threshold of every sampled feature is scored at once from the
     cumulative class counts of the feature-sorted samples. Candidates come
@@ -167,7 +178,7 @@ def _score_chunk(samples, partial, min_leaf, idxs, feats, counts, node_gini):
     only when its gain is larger by more than 1e-15 (so among near-equal
     gains the smallest (feature, threshold) wins).
     """
-    columns, ranks, y, _ = samples
+    columns, ranks, y, partial = samples
     n = columns.shape[1]
     m, mtry = feats.shape
     n_classes = len(partial)
@@ -213,7 +224,7 @@ def _score_chunk(samples, partial, min_leaf, idxs, feats, counts, node_gini):
     # C-ordered like the old `cum[b, f]`: numpy sums a contiguous row of 8
     # or more pairwise, and a strided one in sequence
     fields = np.take(packed, word, axis=1) >> shift & (1 << bits) - 1
-    left = partial[np.arange(n_classes), fields]
+    left = _weigh(partial, fields)
     total_w = counts.sum(axis=1)[node]
     wl = left.sum(axis=1)
     wr = total_w - wl
@@ -318,12 +329,12 @@ def _grow_trees(samples, params, rngs, boots):
                                  depths[k] + 1, -1)]
         live = [t for t in live if stacks[t]]
     sizes = [len(tree) for tree in nodes]
-    roots = np.cumsum([0] + sizes[:-1], dtype=np.int64)
+    roots = np.cumsum([0] + sizes[:-1], dtype=np.int32)
     feature, threshold, right, class_counts = zip(*(node for tree in nodes for node in tree))
-    right = np.array(right, dtype=np.int64)
-    right = np.where(right >= 0, right + np.repeat(roots, sizes), -1)
-    return (roots, np.array(feature, dtype=np.int64), np.array(threshold, dtype=np.float64),
-            right, np.array(class_counts)), importances
+    right = np.array(right, dtype=np.int32)
+    right = np.where(right >= 0, right + np.repeat(roots, sizes), np.int32(-1))
+    return (roots, np.array(feature, dtype=np.int32), np.array(threshold, dtype=np.float64),
+            right, np.array(class_counts, dtype=np.min_scalar_type(n_root))), importances
 
 
 @dataclass(eq=False)  # its fields are arrays; `==` is identity
@@ -331,7 +342,10 @@ class ForestModel:
     """A trained forest as flat node arrays, in the manner of scikit-learn's
     array `Tree`. Each tree's nodes come in depth-first order, so the left
     child of split node k is node k + 1, and the trees come one after
-    another. Its fields are its pickled state."""
+    another. Its fields are its pickled state: node indexes are int32, and
+    each node keeps its class sample counts, in the narrowest unsigned type
+    that holds the training row count, beside the one weight per class;
+    `weighted_counts` weighs them as growth summed them."""
     labels: list                # class vocabulary (recommender names)
     d: int                      # features per row
     params: ForestParams
@@ -339,7 +353,8 @@ class ForestModel:
     feature: np.ndarray         # split feature, -1 at a leaf
     threshold: np.ndarray       # rows with value <= threshold go left; 0.0 at a leaf
     right: np.ndarray           # right child, -1 at a leaf
-    class_counts: np.ndarray    # (node, class) weighted training counts
+    class_counts: np.ndarray    # (node, class) training sample counts
+    class_weight: np.ndarray    # the weight of one sample of each class
     importances: np.ndarray     # normalized mean impurity decrease per feature
 
     def __post_init__(self):
@@ -347,13 +362,17 @@ class ForestModel:
             raise ValueError("tree count does not match n_estimators")
 
     def __setstate__(self, state):
-        if set(state) != {f.name for f in fields(self)}:
+        if (set(state) != {f.name for f in fields(self)}
+                or state["class_counts"].dtype.kind != "u"):
             raise ValueError("meta.pkl holds a forest pickled by an older version; "
                              "rerun train-meta")
-        # an unpickled array carries its own copy of its dtype; a view takes the
-        # builtin one, so a loaded forest pickles to the bytes of a trained one
-        self.__dict__.update(state, **{k: v.view(v.dtype.type) for k, v in state.items()
-                                       if isinstance(v, np.ndarray)})
+        self.__dict__.update(built_state(state))
+
+    def weighted_counts(self, nodes=slice(None)) -> np.ndarray:
+        """(node, class) weighted training counts of `nodes`, bit for bit the
+        sums that growth took."""
+        counts = self.class_counts[nodes]
+        return _weigh(_partial_sums(self.class_weight, int(counts.max(initial=0))), counts)
 
     @property
     def trees(self) -> list:
@@ -361,10 +380,11 @@ class ForestModel:
         every read. The benchmark's tracer counts nodes through it and the
         tests walk it as the reference; it goes once ROADMAP item 4 has the
         tracer read the node count from the arrays."""
-        nodes = [TreeNode(class_counts=c) for c in self.class_counts]
-        for k in np.flatnonzero(self.feature >= 0).tolist():
+        nodes = [TreeNode(class_counts=c) for c in self.weighted_counts()]
+        feature = self.feature.astype(np.int64)  # int64 scalars, as the nodes always held
+        for k in np.flatnonzero(feature >= 0).tolist():
             node = nodes[k]
-            node.feature, node.threshold = self.feature[k], self.threshold[k]
+            node.feature, node.threshold = feature[k], self.threshold[k]
             node.left, node.right = nodes[k + 1], nodes[self.right[k]]
         return [nodes[k] for k in self.roots.tolist()]
 
@@ -409,7 +429,7 @@ def train_forest(X, y, params: ForestParams) -> ForestModel:
             imp += row / total
     imp_total = imp.sum()
     importances = imp / imp_total if imp_total > 0 else imp
-    return ForestModel(labels, d, params, *arrays, importances)
+    return ForestModel(labels, d, params, *arrays, class_w, importances)
 
 
 def _leaf_frequencies(model: ForestModel, X) -> np.ndarray:
@@ -417,15 +437,17 @@ def _leaf_frequencies(model: ForestModel, X) -> np.ndarray:
     in each tree. All rows and trees descend together, one level a step; a
     row goes left where its value is <= the threshold, so NaN goes right.
     Every leaf holds at least one sample, of positive weight."""
-    node = np.tile(model.roots, len(X))
+    # numpy widens an int32 index array on every use; widen the pickled ones once
+    feature, right = model.feature.astype(np.intp), model.right.astype(np.intp)
+    node = np.tile(model.roots.astype(np.intp), len(X))
     row = np.repeat(np.arange(len(X)), len(model.roots))
-    inner = np.flatnonzero(model.feature[node] >= 0)
+    inner = np.flatnonzero(feature[node] >= 0)
     while inner.size:
         k = node[inner]
-        left = X[row[inner], model.feature[k]] <= model.threshold[k]
-        node[inner] = np.where(left, k + 1, model.right[k])
-        inner = inner[model.feature[node[inner]] >= 0]
-    counts = model.class_counts[node].reshape(len(X), len(model.roots), -1)
+        left = X[row[inner], feature[k]] <= model.threshold[k]
+        node[inner] = np.where(left, k + 1, right[k])
+        inner = inner[feature[node[inner]] >= 0]
+    counts = model.weighted_counts(node).reshape(len(X), len(model.roots), -1)
     return counts / counts.sum(axis=2, keepdims=True)
 
 

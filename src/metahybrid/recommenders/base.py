@@ -14,6 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
+from ..data import built_state
+
 # algorithm name -> default params (Table-2-style defaults where the source
 # pins them, house defaults otherwise)
 PARAM_DEFAULTS = {
@@ -105,7 +107,7 @@ class FittedRecommender:
         if not set(self._derived + self._retired).isdisjoint(state):
             raise ValueError(f"{state['spec'].algorithm} model pickled by an older "
                              "version; rerun fit-candidates")
-        self.__dict__.update(state)
+        self.__dict__.update(built_state(state))
         self._build_derived()
 
     def _build_derived(self):

@@ -35,38 +35,51 @@ class BaselineOnlyModel(FittedRecommender):
 
 
 class SlopeOneModel(FittedRecommender):
-    """Weighted Slope One: per item-pair average rating deviations."""
+    """Weighted Slope One: per item-pair average rating deviations.
 
-    # the dense matrices take 16 bytes per item pair; rebuild them on load
+    The pickle keeps the training rows in (user, item) order as columns:
+    the rows of `user_ids[k]` are `_ptr[k]` to `_ptr[k + 1]` of `_cols`
+    (int32 catalog indexes) and `_vals` (int8 ratings). The dense item x
+    item matrices take 16 bytes per item pair and are rebuilt on load."""
+
     _derived = FittedRecommender._derived + ("dev", "counts")
+    _retired = ("_user_items",)  # per-user (catalog indexes, ratings) array pairs
 
     def _fit(self, users, cols, ratings, items):
-        # each user's (catalog indexes, ratings) by catalog index; every user rated
         users, cols, ratings = by_user_item(users, cols, ratings)
-        cuts = np.flatnonzero(np.diff(users)) + 1
-        self._user_items = dict(zip(self.user_ids, zip(np.split(cols, cuts),
-                                                       np.split(ratings, cuts))))
+        # every user of `user_ids` rated
+        self._ptr = np.concatenate(([0], np.cumsum(np.bincount(users))))
+        self._cols = cols.astype(np.int32)
+        self._vals = ratings.astype(np.int8)
         self._build_derived()
+
+    def _rows(self, u) -> tuple:
+        """(catalog indexes, ratings) of user index `u`, by catalog index, as
+        intp and float64: numpy indexes and adds the narrow columns slower."""
+        rows = slice(self._ptr[u], self._ptr[u + 1])
+        return self._cols[rows].astype(np.intp), self._vals[rows].astype(float)
 
     def _build_derived(self):
         """The item x item mean deviations `dev` and co-rating `counts`,
-        accumulated user by user in `_user_items` order."""
+        accumulated user by user in `user_ids` order."""
         n = len(self.item_ids)
         dev_sum = np.zeros((n, n))
         counts = np.zeros((n, n), dtype=np.int64)
-        for idx, vals in self._user_items.values():
+        for u in range(len(self.user_ids)):
+            idx, vals = self._rows(u)
             dev_sum[np.ix_(idx, idx)] += vals[:, None] - vals[None, :]
             counts[np.ix_(idx, idx)] += 1
         np.fill_diagonal(counts, 0)
-        with np.errstate(invalid="ignore"):
-            self.dev = np.where(counts > 0, dev_sum / np.maximum(counts, 1), 0.0)
+        # dev_sum is +0.0 wherever counts is 0, the diagonal included
+        self.dev = np.divide(dev_sum, counts, out=dev_sum, where=counts > 0)
         self.counts = counts
 
     def _estimate_catalog(self, user, item_means):
         n = len(self.item_ids)
-        if user not in self._user_items:
+        u = self.uidx.get(user)
+        if u is None:
             return np.zeros(n), np.zeros(n, dtype=bool)
-        idx, vals = self._user_items[user]
+        idx, vals = self._rows(u)
         c = self.counts[:, idx]  # 0 where an item pair was never co-rated
         num = ((self.dev[:, idx] + vals) * c).sum(axis=1)
         den = c.sum(axis=1)

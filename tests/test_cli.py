@@ -15,7 +15,7 @@ import pytest
 from metahybrid import pipeline
 from metahybrid.cli import main
 from metahybrid.config import ConfigError, load_config
-from metahybrid.data import enrich_items, load_movielens
+from metahybrid.data import Dataset, enrich_items, load_movielens
 from metahybrid.evaluation import run_experiment
 from metahybrid.forest import ForestModel
 from metahybrid.metrics import ndcg_at
@@ -334,6 +334,30 @@ class TestStageOrdering:
         assert main(["evaluate", "--config", str(path)]) == 1
         assert "rerun train-meta" in capsys.readouterr().err
 
+    def test_evaluate_rejects_float_class_counts(self, workdir, completed_run, capsys):
+        out = workdir / "float_counts_out"
+        shutil.copytree(completed_run, out)
+        # the weighted float counts, as pickled before the narrow sample counts
+        rewrite_in_old_layout(out / "meta.pkl", ForestModel, lambda forest: {
+            **{k: v for k, v in vars(forest).items() if k != "class_weight"},
+            "class_counts": forest.weighted_counts()})
+        path = write_config(workdir, name="float_counts.json", output_dir=str(out))
+        assert main(["evaluate", "--config", str(path)]) == 1
+        assert "rerun train-meta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["split", "evaluate"])
+    def test_stage_rejects_dataset_with_user_column(self, workdir, completed_run, capsys,
+                                                    stage):
+        out = workdir / f"user_column_{stage}_out"
+        shutil.copytree(completed_run, out)
+        # the ratings with their user column, as pickled before the row counts
+        rewrite_in_old_layout(out / "dataset.pkl", Dataset, lambda ds: {
+            "ratings": ds.ratings, "items": ds.items, "users": ds.users,
+            "provenance": ds.provenance})
+        path = write_config(workdir, name=f"user_column_{stage}.json", output_dir=str(out))
+        assert main([stage, "--config", str(path)]) == 1
+        assert "rerun ingest" in capsys.readouterr().err
+
     def test_evaluate_rejects_schema_of_older_version(self, workdir, completed_run, capsys):
         # a version-1 schema has no catalog runtime, so every runtime would read 0
         out = workdir / "old_schema_out"
@@ -358,6 +382,22 @@ class TestStageOrdering:
         shutil.copytree(completed_run, out)
         rewrite_in_old_layout(out / name, SlopeOneModel)
         path = write_config(workdir, name=f"old_{stage}.json", output_dir=str(out))
+        assert main([stage, "--config", str(path)]) == 1
+        assert "rerun fit-candidates" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["label", "evaluate"])
+    def test_stage_rejects_slope_one_user_dict(self, workdir, completed_run, capsys, stage):
+        out = workdir / f"slope_one_dict_{stage}_out"
+        shutil.copytree(completed_run, out)
+        # each user's (catalog indexes, ratings) array pair in a dict, as
+        # pickled before the row columns
+        rewrite_in_old_layout(out / "candidates_eval.pkl", SlopeOneModel, lambda model: {
+            **{k: v for k, v in model.__getstate__().items()
+               if k not in ("_ptr", "_cols", "_vals")},
+            "_user_items": {uid: (idx.astype(np.int64), vals.astype(float))
+                            for uid, (idx, vals) in zip(
+                                model.user_ids, map(model._rows, range(len(model.user_ids))))}})
+        path = write_config(workdir, name=f"slope_one_dict_{stage}.json", output_dir=str(out))
         assert main([stage, "--config", str(path)]) == 1
         assert "rerun fit-candidates" in capsys.readouterr().err
 
@@ -577,11 +617,28 @@ class TestOverrides:
             (completed_run / "report.json").read_text()
 
 
+class TestArtifactRoundTrip:
+    """A loaded artifact pickles to the bytes it was loaded from, so an
+    artifact re-written from a loaded object keeps its manifest digest."""
+
+    @pytest.mark.parametrize("name", ["candidates_eval.pkl", "meta.pkl", "dataset.pkl",
+                                      "split.pkl", "labeled.pkl", "evaluation.pkl"])
+    def test_loaded_artifact_pickles_to_its_bytes(self, completed_run, completed_mixed_run,
+                                                  name):
+        for out in (completed_run, completed_mixed_run):
+            blob = (out / name).read_bytes()
+            assert pickle.dumps(pickle.loads(blob), protocol=4) == blob, out.name
+
+
 class TestFixtureReports:
     """`run-all` on the shipped fixture config writes these exact reports, so
     a change that moves any reported figure shows here."""
 
-    CANDIDATES_MAX_BYTES = {"cf": 350_000, "mixed": 750_000}
+    # upper bounds on the pickles that hold models and ratings: the sizes
+    # written today plus about 2%
+    MAX_BYTES = {"candidates_eval.pkl": {"cf": 235_000, "mixed": 577_000},
+                 "meta.pkl": {"cf": 107_000, "mixed": 94_000},
+                 "dataset.pkl": {"cf": 204_000, "mixed": 204_000}}
 
     # preset, sha256 of report.json, sha256 of per_user_metrics.csv
     PINNED = [
@@ -621,8 +678,9 @@ class TestFixtureReports:
             (tmp_path / "labels.csv").read_bytes()).hexdigest() == self.LABELS_PINNED[preset]
         assert hashlib.sha256(
             (tmp_path / "contexts_train.csv").read_bytes()).hexdigest() == self.CONTEXTS_PINNED
-        # no candidate pickles state that it can rebuild on load
-        assert (tmp_path / "candidates_eval.pkl").stat().st_size < self.CANDIDATES_MAX_BYTES[preset]
+        # no pickle holds state that it can rebuild on load, or wider columns
+        for name, bound in self.MAX_BYTES.items():
+            assert (tmp_path / name).stat().st_size < bound[preset], name
 
     @pytest.mark.parametrize("preset", ["cf", "mixed"])
     def test_run_all_reads_no_pickle_back(self, tmp_path, monkeypatch, preset):

@@ -299,3 +299,21 @@ def test_item_record_pickle_roundtrip():
     back = pickle.loads(pickle.dumps(item))
     assert back == item
     assert type(back.genres) is frozenset and type(back.keywords) is frozenset
+
+
+def test_dataset_pickles_row_counts_not_the_user_column(tiny_movielens):
+    full = load_movielens(tiny_movielens / "ratings.dat", tiny_movielens / "users.dat",
+                          tiny_movielens / "movies.dat")
+    # users 2 and 3 drop out, and the id table keeps them without rows
+    ds = filter_min_ratings(full, 4)
+    state = ds.__getstate__()
+    assert "user" not in state and "ratings" not in state
+    assert state["user_rows"].tolist() == [4, 0, 0] and state["user_rows"].dtype == np.int32
+    blob = pickle.dumps(ds)
+    back = pickle.loads(blob)
+    assert same_records(back, ds) and back.ratings.user.dtype == np.int32
+    assert pickle.dumps(back) == blob
+    # rows out of user order have no row counts to stand for their user column
+    backwards = Dataset(full.ratings.take(slice(None, None, -1)), full.items, full.users)
+    with pytest.raises(ValueError, match="user order"):
+        pickle.dumps(backwards)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import os
 import pickle
@@ -597,7 +598,7 @@ class TestLockstepBuilder:
         X, y = planted_data(n=40, seed=1)
         state = vars(train_forest(X, y, ForestParams(n_estimators=2, seed=1)))
         assert set(state) == {"labels", "d", "params", "roots", "feature", "threshold",
-                              "right", "class_counts", "importances"}
+                              "right", "class_counts", "class_weight", "importances"}
         n_nodes = len(state["feature"])
         older = dict(state, left=np.zeros(n_nodes, dtype=np.int64),
                      n_samples=np.zeros(n_nodes, dtype=np.int64),
@@ -654,3 +655,43 @@ class TestArrayWalk:
         run = fixture_run("cf")
         X, y = run.labeled.contexts, run.labeled.labels
         assert oob_error(run.forest, X, y) == reference_oob_error(run.forest, X, y)
+
+
+class TestNarrowCounts:
+    """The forest keeps int32 node indexes and each node's class sample
+    counts in the narrowest unsigned type, and weighs the counts on read;
+    `predict_proba` and `oob_error` give, bit for bit, what the float
+    weighted counts of the recursive builder give."""
+
+    @pytest.mark.parametrize("preset, class_weight",
+                             [("cf", None), ("mixed", None), ("cf", "balanced")])
+    def test_matches_float_counts(self, preset, class_weight):
+        run = fixture_run(preset)
+        X, y = run.labeled.contexts, run.labeled.labels
+        forest = run.forest
+        if class_weight is not None:
+            params = dataclasses.replace(forest.params, n_estimators=30,
+                                         class_weight=class_weight)
+            forest = train_forest(X, y, params)
+            assert len(set(forest.class_weight.tolist())) > 1
+        assert len(X) == 140 and forest.class_counts.dtype == np.uint8
+        assert {a.dtype for a in (forest.roots, forest.feature, forest.right)} == {
+            np.dtype(np.int32)}
+        reference = reference_forest(X, y, forest.params)
+        for row in list(run.test_contexts) + list(X):
+            assert np.array_equal(predict_proba(forest, row),
+                                  reference_proba(reference.trees, row))
+        float_counts = SimpleNamespace(trees=reference.trees, labels=forest.labels,
+                                       params=forest.params)
+        assert oob_error(forest, X, y) == reference_oob_error(float_counts, X, y)
+        assert_same_forest(forest, reference)
+
+    def test_float_counts_rejected(self):
+        # the layout before the narrow counts: float weighted counts, no weights
+        X, y = planted_data(n=40, seed=1)
+        forest = train_forest(X, y, ForestParams(n_estimators=2, seed=1,
+                                                 class_weight="balanced"))
+        older = {k: v for k, v in vars(forest).items() if k != "class_weight"}
+        older["class_counts"] = forest.weighted_counts()
+        with pytest.raises(ValueError, match="rerun train-meta"):
+            ForestModel.__new__(ForestModel).__setstate__(older)

@@ -451,6 +451,37 @@ class TestCatalogTopN:
         assert state["_feature_cols"].size == np.count_nonzero(model.features)
         assert_load_rebuilds(model, excludes, ("features", "_item_norms"))
 
+    def test_slope_one_keeps_narrow_rows(self, trh_slice, shipped_fixture):
+        # each user's rows by catalog index, as the per-user dict of (int64,
+        # float64) arrays held them, and the `dev` and `counts` built from those
+        train = trh_slice[2]
+        model = next(m for m in shipped_fixture[0] if m.spec.algorithm == "SlopeOne")
+        state = model.__getstate__()
+        assert "_user_items" not in state
+        assert [state[k].dtype for k in ("_cols", "_vals")] == [np.int32, np.int8]
+        per_user = {}
+        for r in train:
+            per_user.setdefault(r.user_id, []).append((model.iidx[r.item_id], float(r.rating)))
+        n = len(model.item_ids)
+        dev_sum, counts = np.zeros((n, n)), np.zeros((n, n), dtype=np.int64)
+        for u, uid in enumerate(model.user_ids):
+            idx, vals = map(np.array, zip(*sorted(per_user[uid])))
+            got = model._rows(u)
+            assert np.array_equal(got[0], idx) and np.array_equal(got[1], vals)
+            dev_sum[np.ix_(idx, idx)] += vals[:, None] - vals[None, :]
+            counts[np.ix_(idx, idx)] += 1
+        np.fill_diagonal(counts, 0)
+        with np.errstate(invalid="ignore"):
+            dev = np.where(counts > 0, dev_sum / np.maximum(counts, 1), 0.0)
+        assert model.dev.tobytes() == dev.tobytes()
+        assert np.array_equal(model.counts, counts)
+
+    @pytest.mark.parametrize("which", range(len(rec.ALGORITHMS) + 1),
+                             ids=list(rec.ALGORITHMS) + ["KnnBasic-k3"])
+    def test_loaded_model_pickles_to_its_bytes(self, which, shipped_fixture):
+        blob = pickle.dumps(shipped_fixture[0][which], protocol=4)
+        assert pickle.dumps(pickle.loads(blob), protocol=4) == blob
+
     def test_cold_user_counts_every_fallback(self, shipped_fixture):
         models, excludes = shipped_fixture
         exclude = set(models[0].item_ids[::3])
@@ -549,9 +580,9 @@ def reference_estimate(model, user, item):
         return (model.A[g, h] + (model.umean[u] - model.Ag[g])
                 + (model.imean[i] - model.Ah[h]))
     if alg == "SlopeOne":
-        if i is None or user not in model._user_items:
+        if i is None or u is None:
             return None
-        idx, vals = model._user_items[user]
+        idx, vals = model._rows(u)
         c = model.counts[i, idx]
         mask = c > 0
         if not mask.any():

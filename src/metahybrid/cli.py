@@ -9,7 +9,7 @@ import sys
 from .config import ConfigError, load_config
 from .data import IngestError
 from .hybrid import PRESETS
-from .pipeline import STAGES, ArtifactStore, StageError, run_all
+from .pipeline import STAGES, ArtifactStore, StageError, run_all, run_stage
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,7 +43,7 @@ def main(argv=None) -> int:
         if args.command == "run-all":
             result = run_all(cfg)
         else:
-            result = STAGES[args.command](cfg, ArtifactStore(cfg.output_dir))
+            result = run_stage(args.command, cfg, ArtifactStore(cfg.output_dir))
     except (ConfigError, StageError, IngestError, ValueError) as e:
         print(f"error [{args.command}]: {e}", file=sys.stderr)
         return 1

@@ -31,17 +31,15 @@ def built_state(state: dict) -> dict:
     """An unpickled `__setstate__` state as a built object holds it, so that
     a loaded object pickles to the bytes of a built one: the pickle memo
     writes an object it met before as a reference. Attribute names are
-    interned, as a plain load interns them, and each numeric array, also
-    one held in a dict, is a view with its dtype's builtin instance, where
-    an unpickled array carries its own copy of its dtype."""
+    interned, as a plain load interns them, and each numeric array is a
+    view with its dtype's builtin instance, where an unpickled array
+    carries its own copy of its dtype."""
     return {sys.intern(k): _built(v) for k, v in state.items()}
 
 
 def _built(value):
     if isinstance(value, np.ndarray) and value.dtype.kind in "biuf":
         return value.view(value.dtype.type)
-    if isinstance(value, dict):  # in place, as other objects may share it
-        value.update({k: _built(v) for k, v in value.items()})
     return value
 
 
@@ -152,12 +150,30 @@ class Ratings:
         return [self.item_ids[j] for j in self.item.tolist()]
 
 
+def _pickled_rows(ratings: Ratings) -> dict:
+    """The id tables and the item, rating and timestamp columns of
+    `ratings`, as a pickle keeps them: the timestamps in the narrowest
+    integer type that holds them, uint32 for Unix seconds."""
+    ts = ratings.timestamp
+    narrow = np.result_type(*map(np.min_scalar_type, (ts.min(initial=0), ts.max(initial=0))))
+    return {"user_ids": ratings.user_ids, "item_ids": ratings.item_ids,
+            "item": ratings.item, "rating": ratings.rating, "timestamp": ts.astype(narrow)}
+
+
+def _loaded_rows(state: dict, user) -> Ratings:
+    """The `Ratings` of a `_pickled_rows` state and its `user` column, with
+    int64 timestamps again."""
+    return Ratings(state["user_ids"], state["item_ids"], user, state["item"],
+                   state["rating"], state["timestamp"].astype(np.int64))
+
+
 class RatingSlice(Mapping):
     """Per-user rows: user id -> that user's `Ratings`, in `users` order.
 
     `rows` holds every user's rows, each user's contiguous: `ptr[k]` to
     `ptr[k + 1]` are the rows of `users[k]`. The pickle keeps no user
-    column; the users and their row counts give it.
+    column, as the users and their row counts give it, and keeps the
+    timestamps narrow (`_pickled_rows`).
     """
 
     def __init__(self, rows: Ratings, users: list, counts):
@@ -184,19 +200,14 @@ class RatingSlice(Mapping):
         return len(self.users)
 
     def __getstate__(self):
-        rows = self.rows
-        return {"users": self.users, "ptr": self.ptr, "user_ids": rows.user_ids,
-                "item_ids": rows.item_ids, "item": rows.item, "rating": rows.rating,
-                "timestamp": rows.timestamp}
+        return {"users": self.users, "ptr": self.ptr, **_pickled_rows(self.rows)}
 
     def __setstate__(self, state):
         uidx = {u: k for k, u in enumerate(state["user_ids"])}
         counts = np.diff(state["ptr"])
         user = np.repeat(np.array([uidx[u] for u in state["users"]], dtype=np.int32), counts)
         state = built_state(state)
-        rows = Ratings(state["user_ids"], state["item_ids"], user,
-                       *(state[c] for c in COLUMNS[1:]))
-        self.__init__(rows, state["users"], counts)
+        self.__init__(_loaded_rows(state, user), state["users"], counts)
 
 
 @dataclass
@@ -207,7 +218,8 @@ class Dataset:
     dataset derived from another takes a row subset of its ratings.
 
     The pickle keeps no `user` column: the rows are in user order, so each
-    user code's row count gives it back."""
+    user code's row count gives it back. It keeps the timestamps narrow
+    (`_pickled_rows`)."""
 
     ratings: Ratings
     items: dict
@@ -254,8 +266,7 @@ class Dataset:
         if (np.diff(ratings.user) < 0).any():
             raise ValueError("a dataset pickles its ratings in user order only")
         rows = np.bincount(ratings.user, minlength=len(ratings.user_ids)).astype(np.int32)
-        return {"user_ids": ratings.user_ids, "item_ids": ratings.item_ids, "user_rows": rows,
-                **{c: getattr(ratings, c) for c in COLUMNS[1:]},
+        return {"user_rows": rows, **_pickled_rows(ratings),
                 "items": self.items, "users": self.users, "provenance": self.provenance}
 
     def __setstate__(self, state):
@@ -263,11 +274,9 @@ class Dataset:
             raise ValueError("dataset.pkl holds a dataset pickled by an older version; "
                              "rerun ingest")
         state = built_state(state)
-        user = np.repeat(np.arange(len(state["user_ids"]), dtype=np.int32),
-                         state.pop("user_rows"))
-        ratings = Ratings(state.pop("user_ids"), state.pop("item_ids"), user,
-                          *(state.pop(c) for c in COLUMNS[1:]))
-        self.__dict__.update(state, ratings=ratings)
+        user = np.repeat(np.arange(len(state["user_ids"]), dtype=np.int32), state["user_rows"])
+        self.__dict__.update({k: state[k] for k in ("items", "users", "provenance")},
+                             ratings=_loaded_rows(state, user))
 
     def ratings_by_user(self) -> RatingSlice:
         """Each user's ratings, chronological; a user without ratings has no entry."""

@@ -19,6 +19,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -361,6 +362,9 @@ class ForestModel:
         if len(self.roots) != self.params.n_estimators:
             raise ValueError("tree count does not match n_estimators")
 
+    def __getstate__(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     def __setstate__(self, state):
         if (set(state) != {f.name for f in fields(self)}
                 or state["class_counts"].dtype.kind != "u"):
@@ -368,11 +372,16 @@ class ForestModel:
                              "rerun train-meta")
         self.__dict__.update(built_state(state))
 
+    @cached_property
+    def _partial(self) -> np.ndarray:
+        """`_partial_sums` up to the largest node count, built on first use
+        and not pickled; a cumulative sum's prefix does not depend on its length."""
+        return _partial_sums(self.class_weight, int(self.class_counts.max(initial=0)))
+
     def weighted_counts(self, nodes=slice(None)) -> np.ndarray:
         """(node, class) weighted training counts of `nodes`, bit for bit the
         sums that growth took."""
-        counts = self.class_counts[nodes]
-        return _weigh(_partial_sums(self.class_weight, int(counts.max(initial=0))), counts)
+        return _weigh(self._partial, self.class_counts[nodes])
 
     @property
     def trees(self) -> list:

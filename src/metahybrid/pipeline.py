@@ -5,11 +5,12 @@ calls one methodology step of `evaluation`, and hands that step's outputs
 (pickled objects, and CSV or report text from the model modules'
 formatters) to the store. The store is the only writer of output files: it
 writes each file once and records the sha256 of the bytes it wrote in a
-content-hash manifest. `run_all` passes one store through all seven stages,
-so each stage gets its inputs in memory and no output file is read back; a
-stage run alone gets a fresh store and loads its inputs from the output
-directory. `evaluation.run_experiment` chains the same steps in
-memory, so a staged run and an in-memory run produce identical reports.
+content-hash manifest, which `run_stage` writes once per stage. `run_all`
+passes one store through all seven stages, so each stage gets its inputs
+in memory and no output file is read back; a stage run alone gets a fresh
+store and loads its inputs from the output directory.
+`evaluation.run_experiment` chains the same steps in memory, so a staged
+run and an in-memory run produce identical reports.
 """
 
 from __future__ import annotations
@@ -42,9 +43,10 @@ class ArtifactStore:
     """The artifacts of one CLI invocation in `outdir`.
 
     `write` pickles an object once, writes those bytes, records their
-    sha256 in the manifest and keeps the object, so a later stage of the
+    sha256 for the manifest and keeps the object, so a later stage of the
     same `run_all` gets it without reading the file back. `write_text`
-    encodes text once and digests the same bytes. `read` returns a kept
+    encodes text once and digests the same bytes. `write_manifest` writes
+    the digests recorded since its last call. `read` returns a kept
     object, or loads the file when a stage runs alone.
     """
 
@@ -52,24 +54,29 @@ class ArtifactStore:
         self.outdir = outdir
         self._objects = {}
         self._manifest = None  # merged into the directory's manifest on first write
+        self._recorded = {}  # digests not yet in manifest.json
 
-    def _record(self, name: str, data: bytes):
+    def _save(self, name: str, data: bytes):
+        os.makedirs(self.outdir, exist_ok=True)
+        with open(os.path.join(self.outdir, name), "wb") as fh:
+            fh.write(data)
+        self._recorded[name] = hashlib.sha256(data).hexdigest()
+
+    def write_manifest(self):
+        """Merge the recorded digests into manifest.json, if any were recorded."""
+        if not self._recorded:
+            return
         path = os.path.join(self.outdir, MANIFEST)
         if self._manifest is None:
             self._manifest = {"files": {}}
             if os.path.exists(path):
                 with open(path, encoding="utf-8") as fh:
                     self._manifest = json.load(fh)
-        self._manifest["files"][name] = hashlib.sha256(data).hexdigest()
+        self._manifest["files"].update(self._recorded)
+        self._recorded = {}
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self._manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-    def _save(self, name: str, data: bytes):
-        os.makedirs(self.outdir, exist_ok=True)
-        with open(os.path.join(self.outdir, name), "wb") as fh:
-            fh.write(data)
-        self._record(name, data)
 
     def write(self, name: str, obj):
         self._save(name, pickle.dumps({"format_version": 1, "payload": obj}, protocol=4))
@@ -201,10 +208,19 @@ STAGES = {
 }
 
 
+def run_stage(name: str, cfg: ExperimentConfig, store: ArtifactStore) -> dict:
+    """Run stage `name`, then write the manifest once for the files it
+    wrote, also when it fails after writing some."""
+    try:
+        # looked up per call, so a wrapper put into STAGES (perfbench's tracer) runs
+        return STAGES[name](cfg, store)
+    finally:
+        store.write_manifest()
+
+
 def run_all(cfg: ExperimentConfig) -> dict:
     store = ArtifactStore(cfg.output_dir)
     result = {}
     for name in STAGES:
-        # looked up per call, so a wrapper put into STAGES (perfbench's tracer) runs
-        result = STAGES[name](cfg, store)
+        result = run_stage(name, cfg, store)
     return result

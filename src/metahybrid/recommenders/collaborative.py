@@ -192,45 +192,49 @@ class SvdMfModel(FittedRecommender):
 
 
 class KnnBasicModel(FittedRecommender):
-    """User-based kNN with cosine similarity over co-rated items."""
+    """User-based kNN with cosine similarity over co-rated items.
 
-    # the user x user similarities are symmetric: the pickle keeps the
-    # upper triangle, and the square matrix is rebuilt on load
+    The pickle keeps each catalog item's raters, ascending user index:
+    positions `_rater_ptr[j]` to `_rater_ptr[j + 1]` of `_raters` (int32
+    user indexes) and `_rater_vals` (int8 ratings) are those of
+    `item_ids[j]`. The user x user similarities take 8 bytes per user pair
+    and are rebuilt from them on load, bit for bit."""
+
     _derived = FittedRecommender._derived + ("sim", "_rater_items")
+    _retired = ("_sim_upper",)  # the strict upper triangle of `sim`
 
     def _fit(self, users, cols, ratings, items):
+        nu = len(self.user_ids)
+        # each (item, user) pair once, with its last rating, in (item, user) order
+        pairs, last = np.unique((cols.astype(np.int64) * nu + users)[::-1],
+                                return_index=True)
+        per_item = np.bincount(pairs // nu, minlength=len(self.item_ids))
+        self._rater_ptr = np.concatenate(([0], np.cumsum(per_item)))
+        self._raters = (pairs % nu).astype(np.int32)
+        self._rater_vals = ratings[::-1][last].astype(np.int8)
+        self._build_derived()
+
+    def _build_derived(self):
+        """The catalog index of each `_raters` entry, and the square `sim`
+        with a zero diagonal."""
+        nu, ni = len(self.user_ids), len(self.item_ids)
+        self._rater_items = np.repeat(np.arange(ni), np.diff(self._rater_ptr))
         # R: the user x catalog ratings, M: its 0/1 pattern. Their products sum
-        # small integers, exact in any order, so sim is exactly symmetric
-        R = np.zeros((len(self.user_ids), len(self.item_ids)))
-        R[users, cols] = ratings
+        # small integers, exact in any order, so sim is exactly symmetric and
+        # the same on every build
+        R = np.zeros((nu, ni))
+        R[self._raters, self._rater_items] = self._rater_vals
         M = (R > 0).astype(float)
         weak = M @ M.T < self.params["min_support"]  # too few co-rated items
         dot = R @ R.T
-        # raters of catalog item j, ascending user index: positions
-        # _rater_ptr[j]:_rater_ptr[j + 1] of _raters and _rater_vals
-        rater_items, raters = np.nonzero(R.T)
-        per_item = np.bincount(rater_items, minlength=len(self.item_ids))
-        self._rater_ptr = np.concatenate(([0], np.cumsum(per_item)))
-        self._raters = raters.astype(np.int32)
-        self._rater_vals = R.T[rater_items, raters].astype(np.int8)
         sq = np.square(R, out=R) @ M.T  # sq[u, v]: sum of r_u^2 over items co-rated with v
         del R, M
         sq *= sq.T
         norm = np.sqrt(sq, out=sq)
         sim = np.divide(dot, norm, out=np.zeros_like(dot), where=norm > 0)
         sim[weak] = 0.0
-        self._sim_upper = sim[np.triu_indices(len(self.user_ids), 1)]
-        self._build_derived()
-
-    def _build_derived(self):
-        """The square `sim` (zero diagonal) from its upper triangle, and the
-        catalog index of each `_raters` entry."""
-        upper = np.triu_indices(len(self.user_ids), 1)
-        sim = np.zeros((len(self.user_ids),) * 2)
-        sim[upper] = sim.T[upper] = self._sim_upper
+        np.fill_diagonal(sim, 0.0)
         self.sim = sim
-        self._rater_items = np.repeat(np.arange(len(self.item_ids)),
-                                      np.diff(self._rater_ptr))
 
     def _estimate_catalog(self, user, item_means):
         n = len(self.item_ids)

@@ -3,6 +3,8 @@ and one-hot genre/keyword item vectors."""
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from ..data import item_columns, runs
@@ -34,11 +36,12 @@ class ContentBasedModel(FittedRecommender):
 
     The profile is the rating-weighted centroid of the user's rated item
     vectors; nonnegative features keep the cosine in [0,1], so the affine
-    map covers the 1-5 scale.
+    map covers the 1-5 scale. `profiles` holds one row per user of
+    `user_ids`.
     """
 
     # the pickle keeps each item's feature columns, not the dense matrix
-    _derived = FittedRecommender._derived + ("features", "_item_norms")
+    _derived = FittedRecommender._derived + ("features", "_item_norms", "_profile_norms")
 
     def _fit(self, users, cols, ratings, items):
         self._feature_ptr, self._feature_cols, self._n_features = feature_columns(items)
@@ -51,8 +54,7 @@ class ContentBasedModel(FittedRecommender):
         profiles = np.zeros((len(self.user_ids), self._n_features))
         np.add.at(profiles, (np.repeat(users, counts), feats),
                   np.repeat(ratings, counts) * self.features[np.repeat(cols, counts), feats])
-        self.profiles = dict(zip(self.user_ids, profiles))
-        self._profile_norms = {u: float(np.linalg.norm(v)) for u, v in self.profiles.items()}
+        self.profiles = profiles
 
     def _build_derived(self):
         """The normalized `features` matrix and its row norms (one row-norm
@@ -61,13 +63,19 @@ class ContentBasedModel(FittedRecommender):
                                        self._n_features)
         self._item_norms = np.linalg.norm(self.features, axis=1)
 
+    @cached_property
+    def _profile_norms(self) -> np.ndarray:
+        """Each profile's norm, built on first use as the 1-D norm of its row."""
+        return np.array([np.linalg.norm(p) for p in self.profiles])
+
     def _estimate_catalog(self, user, item_means):
         # one gemv, which may differ from a per-item dot in the last bit
         n = len(self.item_ids)
-        pnorm = self._profile_norms.get(user, 0.0)
+        u = self.uidx.get(user)
+        pnorm = 0.0 if u is None else self._profile_norms[u]
         if pnorm == 0.0:
             return np.zeros(n), np.zeros(n, dtype=bool)
         defined = self._item_norms != 0.0
-        cos = np.divide(self.features @ self.profiles[user], pnorm * self._item_norms,
+        cos = np.divide(self.features @ self.profiles[u], pnorm * self._item_norms,
                         out=np.zeros(n), where=defined)
         return 1.0 + 4.0 * cos, defined

@@ -417,6 +417,26 @@ class TestStageOrdering:
         assert main([stage, "--config", str(path)]) == 1
         assert "rerun fit-candidates" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage", ["label", "evaluate"])
+    @pytest.mark.parametrize("cls, old_state", [
+        # KnnBasic's upper similarity triangle
+        (KnnBasicModel, lambda m: {**m.__getstate__(), "_sim_upper": m.sim[
+            np.triu_indices(len(m.user_ids), 1)]}),
+        # ContentBased's per-user profile and norm dicts
+        (ContentBasedModel, lambda m: {
+            **m.__getstate__(), "profiles": dict(zip(m.user_ids, m.profiles)),
+            "_profile_norms": dict(zip(m.user_ids, m._profile_norms.tolist()))}),
+    ], ids=["KnnBasic", "ContentBased"])
+    def test_stage_rejects_compact_models_of_older_version(self, workdir, completed_mixed_run,
+                                                           capsys, stage, cls, old_state):
+        out = workdir / f"compact_{cls.__name__}_{stage}_out"
+        shutil.copytree(completed_mixed_run, out)
+        rewrite_in_old_layout(out / "candidates_eval.pkl", cls, old_state)
+        path = write_config(workdir, name=f"compact_{cls.__name__}_{stage}.json",
+                            preset="mixed", output_dir=str(out))
+        assert main([stage, "--config", str(path)]) == 1
+        assert "rerun fit-candidates" in capsys.readouterr().err
+
     def test_train_meta_does_not_read_serving_models(self, workdir, completed_run):
         # train-meta trains the forest only; the serving models are read by evaluate
         out = workdir / "no_eval_models_out"
@@ -478,6 +498,20 @@ class TestRunAll:
         for name, digest in files.items():
             actual = hashlib.sha256((completed_run / name).read_bytes()).hexdigest()
             assert actual == digest, name
+
+    def test_manifest_written_once_per_stage(self, workdir, monkeypatch):
+        dumps = []
+        real_dump = pipeline.json.dump
+
+        def dump(obj, fh, **kwargs):
+            dumps.append(fh.name)
+            real_dump(obj, fh, **kwargs)
+
+        monkeypatch.setattr(pipeline.json, "dump", dump)
+        out = workdir / "manifest_once_out"
+        path = write_config(workdir, name="manifest_once.json", output_dir=str(out))
+        assert main(["run-all", "--config", str(path)]) == 0
+        assert dumps == [str(out / "manifest.json")] * len(pipeline.STAGES)
 
     def test_report_layout(self, completed_run):
         text = (completed_run / "report.txt").read_text()
@@ -635,10 +669,11 @@ class TestFixtureReports:
     a change that moves any reported figure shows here."""
 
     # upper bounds on the pickles that hold models and ratings: the sizes
-    # written today plus about 2%
-    MAX_BYTES = {"candidates_eval.pkl": {"cf": 235_000, "mixed": 577_000},
-                 "meta.pkl": {"cf": 107_000, "mixed": 94_000},
-                 "dataset.pkl": {"cf": 204_000, "mixed": 204_000}}
+    # written today, so that a wider layout fails
+    MAX_BYTES = {"candidates_eval.pkl": {"cf": 229_503, "mixed": 396_641},
+                 "meta.pkl": {"cf": 104_651, "mixed": 92_059},
+                 "dataset.pkl": {"cf": 159_567, "mixed": 159_567},
+                 "split.pkl": {"cf": 96_169, "mixed": 96_169}}
 
     # preset, sha256 of report.json, sha256 of per_user_metrics.csv
     PINNED = [
@@ -680,7 +715,7 @@ class TestFixtureReports:
             (tmp_path / "contexts_train.csv").read_bytes()).hexdigest() == self.CONTEXTS_PINNED
         # no pickle holds state that it can rebuild on load, or wider columns
         for name, bound in self.MAX_BYTES.items():
-            assert (tmp_path / name).stat().st_size < bound[preset], name
+            assert (tmp_path / name).stat().st_size <= bound[preset], name
 
     @pytest.mark.parametrize("preset", ["cf", "mixed"])
     def test_run_all_reads_no_pickle_back(self, tmp_path, monkeypatch, preset):

@@ -1,4 +1,6 @@
+import os
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -317,3 +319,56 @@ def test_dataset_pickles_row_counts_not_the_user_column(tiny_movielens):
     backwards = Dataset(full.ratings.take(slice(None, None, -1)), full.items, full.users)
     with pytest.raises(ValueError, match="user order"):
         pickle.dumps(backwards)
+
+
+SLICES = ("train_inner_train", "train_inner_test", "test_inner_train", "test_inner_test")
+
+
+@pytest.fixture(scope="module")
+def fixture_artifacts(tmp_path_factory):
+    """The shipped fixture's dataset.pkl and split.pkl, as the ingest and
+    split stages write them, and the objects loaded from them."""
+    from metahybrid import pipeline
+    from metahybrid.config import load_config
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = tmp_path_factory.mktemp("fixture_out")
+    cfg = load_config(os.path.join(root, "fixtures", "fixture.cfg"),
+                      {"output_dir": str(out)})
+    cfg = replace(cfg, **{k: os.path.join(root, getattr(cfg, k)) for k in (
+        "ratings_path", "users_path", "items_path", "metadata_path")})
+    store = pipeline.ArtifactStore(str(out))
+    pipeline.stage_ingest(cfg, store)
+    pipeline.stage_split(cfg, store)
+    return [pickle.loads((out / name).read_bytes())["payload"]
+            for name in ("dataset.pkl", "split.pkl")]
+
+
+def test_fixture_pickles_hold_uint32_timestamps(fixture_artifacts):
+    dataset, split = fixture_artifacts
+    assert dataset.__getstate__()["timestamp"].dtype == np.uint32
+    for name in SLICES:
+        assert getattr(split, name).__getstate__()["timestamp"].dtype == np.uint32, name
+
+
+def test_timestamps_at_or_above_2_to_32_round_trip(tmp_path):
+    stamps = [2 ** 32, 2 ** 40 + 1, 5, 2 ** 63 - 1]
+    path = tmp_path / "ratings.csv"
+    path.write_text("user,item,rating,timestamp\n" + "".join(
+        f"u{k % 2},i{k},4,{t}\n" for k, t in enumerate(stamps)))
+    ds = load_generic_ratings(path)
+    assert sorted(ds.ratings.timestamp.tolist()) == sorted(stamps)
+    assert ds.__getstate__()["timestamp"].dtype == np.uint64
+    back = pickle.loads(pickle.dumps(ds))
+    assert back.ratings == ds.ratings and back.ratings.timestamp.dtype == np.int64
+    by_user = ds.ratings_by_user()
+    back = pickle.loads(pickle.dumps(by_user))
+    assert back.rows == by_user.rows and back.rows.timestamp.dtype == np.int64
+
+
+def test_loaded_timestamp_columns_are_int64(fixture_artifacts):
+    dataset, split = fixture_artifacts
+    columns = [dataset.ratings.timestamp] + [getattr(split, n).rows.timestamp for n in SLICES]
+    assert [c.dtype for c in columns] == [np.int64] * len(columns)
+    # as iterated events, plain ints
+    assert {type(r.timestamp) for r in getattr(split, SLICES[0])[split.train_users[0]]} == {int}

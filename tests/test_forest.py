@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from metahybrid import evaluation
+from metahybrid import forest as forest_mod
 from metahybrid.config import load_config
 from metahybrid.data import enrich_items, load_movielens
 from metahybrid.forest import (
@@ -581,6 +582,22 @@ class TestLockstepBuilder:
         assert_same_forest(loaded, forest)
         assert oob_error(loaded, labeled.contexts, labeled.labels) == \
             oob_error(forest, labeled.contexts, labeled.labels)
+
+    def test_weight_table_built_once_and_not_pickled(self, monkeypatch):
+        X, y = planted_data(n=60, seed=2)
+        forest = train_forest(X, y, ForestParams(n_estimators=5, seed=2,
+                                                 class_weight="balanced"))
+        blob = pickle.dumps(forest)
+        calls = []
+        real = forest_mod._partial_sums
+        monkeypatch.setattr(forest_mod, "_partial_sums",
+                            lambda *args: calls.append(args) or real(*args))
+        for row in X[:5]:
+            predict_proba(forest, row)
+        oob_error(forest, X, y)
+        assert len(calls) == 1
+        assert set(forest.__getstate__()) == {f.name for f in dataclasses.fields(ForestModel)}
+        assert pickle.dumps(forest) == blob
 
     def test_old_pickle_rejected(self):
         X, y = planted_data(n=40, seed=1)

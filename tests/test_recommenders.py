@@ -434,22 +434,52 @@ class TestCatalogTopN:
         assert len(pickle.dumps(model)) < (model.dev.nbytes + model.counts.nbytes) / 10
         assert_load_rebuilds(model, excludes, ("dev", "counts"))
 
-    def test_knn_pickle_keeps_upper_triangle(self, shipped_fixture):
+    def test_knn_pickle_holds_no_similarity(self, shipped_fixture):
         models, excludes = shipped_fixture
         for model in (m for m in models if m.spec.algorithm == "KnnBasic"):
             state = model.__getstate__()
-            assert not {"sim", "_rater_items"} & set(state)
-            n = len(model.user_ids)
-            assert state["_sim_upper"].shape == (n * (n - 1) // 2,)
-            assert_load_rebuilds(model, excludes, ("sim", "_rater_items"))
+            assert not {"sim", "_sim_upper", "_rater_items"} & set(state)
+            assert [state[k].dtype for k in ("_raters", "_rater_vals")] == [np.int32, np.int8]
+            assert_load_rebuilds(model, excludes, ("_rater_items", "sim"))
+
+    def test_knn_load_rebuilds_fitted_similarities(self, trh_slice, shipped_fixture):
+        # on the fixture, and on a random half of its rows, out of order,
+        # where a minimum support of 3 zeroes some pairs
+        train = trh_slice[2]
+        half = train.take(np.random.default_rng(8).permutation(len(train))[:len(train) // 2])
+        knn = next(m for m in shipped_fixture[0] if m.spec.algorithm == "KnnBasic")
+        weak = fit(RecommenderSpec("KnnBasic", {"min_support": 3}), half, seed=0)
+        assert (weak.sim != fit(RecommenderSpec("KnnBasic"), half, seed=0).sim).any()
+        for model in (knn, weak):
+            assert np.array_equal(pickle.loads(pickle.dumps(model)).sim, model.sim)
+
+    def test_knn_state_with_upper_triangle_rejected(self, shipped_fixture):
+        model = next(m for m in shipped_fixture[0] if m.spec.algorithm == "KnnBasic")
+        upper = model.sim[np.triu_indices(len(model.user_ids), 1)]
+        with pytest.raises(ValueError, match="rerun fit-candidates"):
+            object.__new__(type(model)).__setstate__({**model.__getstate__(),
+                                                      "_sim_upper": upper})
 
     def test_content_pickle_keeps_feature_columns(self, shipped_fixture):
         models, excludes = shipped_fixture
         model = next(m for m in models if m.spec.algorithm == "ContentBased")
         state = model.__getstate__()
-        assert not {"features", "_item_norms"} & set(state)
+        assert not {"features", "_item_norms", "_profile_norms"} & set(state)
         assert state["_feature_cols"].size == np.count_nonzero(model.features)
+        assert state["profiles"].shape == (len(model.user_ids), model._n_features)
         assert_load_rebuilds(model, excludes, ("features", "_item_norms"))
+
+    def test_content_profile_norms_are_row_norms(self, shipped_fixture):
+        # each the 1-D norm of its row, as the per-user dict held them
+        model = next(m for m in shipped_fixture[0] if m.spec.algorithm == "ContentBased")
+        loaded = pickle.loads(pickle.dumps(model))
+        for norms in (model._profile_norms, loaded._profile_norms):
+            assert norms.tolist() == [float(np.linalg.norm(p)) for p in model.profiles]
+        # the per-user dict layout
+        with pytest.raises(ValueError, match="rerun fit-candidates"):
+            object.__new__(type(model)).__setstate__({
+                **model.__getstate__(), "profiles": dict(zip(model.user_ids, model.profiles)),
+                "_profile_norms": dict(zip(model.user_ids, model._profile_norms.tolist()))})
 
     def test_slope_one_keeps_narrow_rows(self, trh_slice, shipped_fixture):
         # each user's rows by catalog index, as the per-user dict of (int64,
@@ -605,14 +635,14 @@ def reference_estimate(model, user, item):
             sims, vals = sims[order], vals[order]
         return float((sims * vals).sum() / sims.sum())
     if alg == "ContentBased":
-        if i is None or user not in model.profiles:
+        if i is None or u is None:
             return None
-        pnorm = model._profile_norms[user]
+        pnorm = np.linalg.norm(model.profiles[u])
         ivec = model.features[i]
         inorm = np.linalg.norm(ivec)
         if pnorm == 0.0 or inorm == 0.0:
             return None
-        return 1.0 + 4.0 * float(model.profiles[user] @ ivec) / (pnorm * inorm)
+        return 1.0 + 4.0 * float(model.profiles[u] @ ivec) / (pnorm * inorm)
     assert alg == "WarpHybrid"
     if i is None or u is None:
         return None

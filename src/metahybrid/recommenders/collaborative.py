@@ -40,9 +40,11 @@ class SlopeOneModel(FittedRecommender):
     The pickle keeps the training rows in (user, item) order as columns:
     the rows of `user_ids[k]` are `_ptr[k]` to `_ptr[k + 1]` of `_cols`
     (int32 catalog indexes) and `_vals` (int8 ratings). The dense item x
-    item matrices take 16 bytes per item pair and are rebuilt on load."""
+    item deviation sums and co-rating counts are rebuilt on load, each in
+    the narrowest integer type that holds it: 3 bytes per item pair up to
+    255 users."""
 
-    _derived = FittedRecommender._derived + ("dev", "counts")
+    _derived = FittedRecommender._derived + ("dev_sum", "counts")
     _retired = ("_user_items",)  # per-user (catalog indexes, ratings) array pairs
 
     def _fit(self, users, cols, ratings, items):
@@ -60,19 +62,22 @@ class SlopeOneModel(FittedRecommender):
         return self._cols[rows].astype(np.intp), self._vals[rows].astype(float)
 
     def _build_derived(self):
-        """The item x item mean deviations `dev` and co-rating `counts`,
-        accumulated user by user in `user_ids` order."""
-        n = len(self.item_ids)
-        dev_sum = np.zeros((n, n))
-        counts = np.zeros((n, n), dtype=np.int64)
-        for u in range(len(self.user_ids)):
-            idx, vals = self._rows(u)
-            dev_sum[np.ix_(idx, idx)] += vals[:, None] - vals[None, :]
-            counts[np.ix_(idx, idx)] += 1
-        np.fill_diagonal(counts, 0)
-        # dev_sum is +0.0 wherever counts is 0, the diagonal included
-        self.dev = np.divide(dev_sum, counts, out=dev_sum, where=counts > 0)
-        self.counts = counts
+        """The item x item rating-deviation sums `dev_sum` and co-rating
+        `counts`, accumulated user by user from the narrow columns. A user
+        adds at most one deviation within +-4 and one count to an item pair,
+        so `dev_sum` takes the narrowest signed type that holds +-4 x the
+        user count and `counts` the narrowest unsigned type that holds it."""
+        n, nu = len(self.item_ids), len(self.user_ids)
+        dev_sum = np.zeros((n, n), dtype=np.min_scalar_type(-4 * nu - 1))
+        counts = np.zeros((n, n), dtype=np.min_scalar_type(nu))
+        for u in range(nu):
+            rows = slice(self._ptr[u], self._ptr[u + 1])
+            idx, vals = self._cols[rows], self._vals[rows]
+            pairs = np.ix_(idx, idx)
+            dev_sum[pairs] += vals[:, None] - vals[None, :]
+            counts[pairs] += 1
+        np.fill_diagonal(counts, 0)  # dev_sum's diagonal sums zeros
+        self.dev_sum, self.counts = dev_sum, counts
 
     def _estimate_catalog(self, user, item_means):
         n = len(self.item_ids)
@@ -81,7 +86,13 @@ class SlopeOneModel(FittedRecommender):
             return np.zeros(n), np.zeros(n, dtype=bool)
         idx, vals = self._rows(u)
         c = self.counts[:, idx]  # 0 where an item pair was never co-rated
-        num = ((self.dev[:, idx] + vals) * c).sum(axis=1)
+        # the mean deviations, 0 where c is. The gathers are column-major,
+        # and so is every buffer made from them, so each row sums in
+        # sequence; a row-major buffer would sum pairwise, to other last bits
+        terms = np.divide(self.dev_sum[:, idx], np.maximum(c, 1))
+        terms += vals
+        terms *= c
+        num = terms.sum(axis=1)
         den = c.sum(axis=1)
         defined = den > 0
         return np.divide(num, den, out=np.zeros(n), where=defined), defined
@@ -219,19 +230,24 @@ class KnnBasicModel(FittedRecommender):
         with a zero diagonal."""
         nu, ni = len(self.user_ids), len(self.item_ids)
         self._rater_items = np.repeat(np.arange(ni), np.diff(self._rater_ptr))
-        # R: the user x catalog ratings, M: its 0/1 pattern. Their products sum
-        # small integers, exact in any order, so sim is exactly symmetric and
-        # the same on every build
-        R = np.zeros((nu, ni))
+        # R: the user x catalog ratings, M: its 0/1 pattern. Each entry of
+        # their products sums at most ni products of two ratings of 1..5,
+        # an integer that float32 holds exactly below 2^24, so the sums are
+        # exact in any order, sim is exactly symmetric and the same on
+        # every build
+        R = np.zeros((nu, ni), dtype=_exact_sum_dtype(ni))
         R[self._raters, self._rater_items] = self._rater_vals
-        M = (R > 0).astype(float)
+        M = (R > 0).astype(R.dtype)
         weak = M @ M.T < self.params["min_support"]  # too few co-rated items
         dot = R @ R.T
         sq = np.square(R, out=R) @ M.T  # sq[u, v]: sum of r_u^2 over items co-rated with v
         del R, M
-        sq *= sq.T
-        norm = np.sqrt(sq, out=sq)
-        sim = np.divide(dot, norm, out=np.zeros_like(dot), where=norm > 0)
+        # sim = dot / sqrt(sq * sq.T), 0 where no item is co-rated, built in
+        # one float64 buffer
+        sim = np.multiply(sq, sq.T, dtype=np.float64)
+        del sq
+        np.sqrt(sim, out=sim)
+        np.divide(dot, sim, out=sim, where=sim > 0)
         sim[weak] = 0.0
         np.fill_diagonal(sim, 0.0)
         self.sim = sim
@@ -263,6 +279,12 @@ class KnnBasicModel(FittedRecommender):
         sums = segment_sums(np.stack((sims * self._rater_vals[pick], sims)).T, lengths)
         defined = lengths > 0
         return np.divide(sums[:, 0], sums[:, 1], out=np.zeros(n), where=defined), defined
+
+
+def _exact_sum_dtype(n_items):
+    """The float type in which a sum of `n_items` products of two ratings
+    of 1..5 is exact: float32 while 25 x n_items < 2^24, else float64."""
+    return np.float32 if 25 * n_items < 2 ** 24 else np.float64
 
 
 def _sgd_waves(users, items, ratings) -> list:

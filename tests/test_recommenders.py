@@ -7,6 +7,7 @@ import pytest
 
 from metahybrid import recommenders as rec
 from metahybrid.data import RatingEvent, Ratings, enrich_items, load_movielens
+from metahybrid.fixtures import make_fixture
 from metahybrid.recommenders import RecommenderSpec, fit
 from metahybrid.recommenders.content import feature_columns, feature_matrix
 from metahybrid.splits import SplitPlan, nested_split, slice_events
@@ -126,6 +127,31 @@ class TestSlopeOne:
                     expected = min(5.0, max(1.0, expected))
                     assert model.predict_rating(u, 2) == pytest.approx(expected, abs=1e-12)
 
+    # numpy's integer `+=` wraps without a warning, so a matrix one type too
+    # narrow would show only in its values
+    def test_deviation_sums_hold_four_times_the_user_count(self):
+        # 32 users each rate i1 5 and i2 1: +-128, past int8, the type that
+        # holds -4 x 32
+        train = [ev(u, i, r, ts=2 * u + i) for u in range(32) for i, r in ((1, 5), (2, 1))]
+        model = fit(RecommenderSpec("SlopeOne"), rows(train), seed=0)
+        assert np.min_scalar_type(-4 * 32) == np.int8
+        assert model.dev_sum.dtype == np.int16
+        assert model.dev_sum.tolist() == [[0, 128], [-128, 0]]
+        assert model.counts.tolist() == [[0, 32], [32, 0]]
+        est, defined = model._estimate_catalog(0, np.array([5.0, 1.0]))
+        assert est.tolist() == [5.0, 1.0] and defined.all()
+
+    def test_counts_hold_the_user_count(self):
+        # 300 users co-rate one pair: past uint8
+        train = [ev(u, i, r, ts=2 * u + i) for u in range(300)
+                 for i, r in ((1, 1 + u % 5), (2, 3))]
+        model = fit(RecommenderSpec("SlopeOne"), rows(train), seed=0)
+        assert model.counts.dtype == np.uint16
+        assert model.counts.tolist() == [[0, 300], [300, 0]]
+        assert model.dev_sum.tolist() == [[0, 0], [0, 0]]  # each rating 60 times
+        est, _ = model._estimate_catalog(9, np.array([3.0, 3.0]))
+        assert est.tolist() == [3.0, 5.0]  # user 9 rated (5, 3)
+
 
 class TestKnnBasic:
     def test_identical_neighbor(self):
@@ -152,6 +178,16 @@ class TestKnnBasic:
             assert np.array_equal(model.sim, model.sim.T)
             assert np.array_equal(model.sim, reference_similarities(model, train))
 
+
+    def test_products_exact_in_their_float_type(self):
+        # the largest sum, 25 x n_items, is an integer: float32 holds every
+        # one up to 2^24, and not 16,777,225 = 25 x 671,089
+        from metahybrid.recommenders.collaborative import _exact_sum_dtype
+        below, above = 2 ** 24 // 25, 2 ** 24 // 25 + 1
+        assert _exact_sum_dtype(500) == _exact_sum_dtype(below) == np.float32
+        assert _exact_sum_dtype(above) == np.float64
+        assert int(np.float32(25 * below)) == 25 * below
+        assert int(np.float32(25 * above)) != 25 * above
 
     def test_raters_kept_in_narrow_integers(self, trh_slice, shipped_fixture):
         # user indices as int32 and the integer ratings as int8, one entry
@@ -431,8 +467,8 @@ class TestCatalogTopN:
     def test_slope_one_pickle_rebuilds_its_matrices(self, shipped_fixture):
         models, excludes = shipped_fixture
         model = next(m for m in models if m.spec.algorithm == "SlopeOne")
-        assert len(pickle.dumps(model)) < (model.dev.nbytes + model.counts.nbytes) / 10
-        assert_load_rebuilds(model, excludes, ("dev", "counts"))
+        assert len(pickle.dumps(model)) < (model.dev_sum.nbytes + model.counts.nbytes) / 10
+        assert_load_rebuilds(model, excludes, ("dev_sum", "counts"))
 
     def test_knn_pickle_holds_no_similarity(self, shipped_fixture):
         models, excludes = shipped_fixture
@@ -483,7 +519,8 @@ class TestCatalogTopN:
 
     def test_slope_one_keeps_narrow_rows(self, trh_slice, shipped_fixture):
         # each user's rows by catalog index, as the per-user dict of (int64,
-        # float64) arrays held them, and the `dev` and `counts` built from those
+        # float64) arrays held them, and the float64 and int64 deviation sums
+        # and counts built from those, which the narrow matrices equal
         train = trh_slice[2]
         model = next(m for m in shipped_fixture[0] if m.spec.algorithm == "SlopeOne")
         state = model.__getstate__()
@@ -503,8 +540,12 @@ class TestCatalogTopN:
         np.fill_diagonal(counts, 0)
         with np.errstate(invalid="ignore"):
             dev = np.where(counts > 0, dev_sum / np.maximum(counts, 1), 0.0)
-        assert model.dev.tobytes() == dev.tobytes()
+        # 140 users: deviation sums within +-560, counts up to 140
+        assert [model.dev_sum.dtype, model.counts.dtype] == [np.int16, np.uint8]
+        assert np.array_equal(model.dev_sum, dev_sum)
         assert np.array_equal(model.counts, counts)
+        narrow_dev = model.dev_sum / np.maximum(model.counts, 1)
+        assert narrow_dev.tobytes() == dev.tobytes()
 
     @pytest.mark.parametrize("which", range(len(rec.ALGORITHMS) + 1),
                              ids=list(rec.ALGORITHMS) + ["KnnBasic-k3"])
@@ -618,7 +659,8 @@ def reference_estimate(model, user, item):
         if not mask.any():
             return None
         c = c[mask]
-        return ((model.dev[i, idx][mask] + vals[mask]) * c).sum() / c.sum()
+        dev = model.dev_sum[i, idx][mask] / c
+        return ((dev + vals[mask]) * c).sum() / c.sum()
     if alg == "KnnBasic":
         if u is None or i is None:
             return None
@@ -830,6 +872,50 @@ class TestBatchedFits:
                          [(1, 1, 2.0)]]
 
 
+class TestScaledExactness:
+    """At `make_fixture(1000, 1500)` the narrow matrices give every SlopeOne
+    catalog estimate and every KnnBasic similarity of float64 and int64
+    ones, bit for bit; the shipped fixture is too small to tell a sum in
+    another order apart."""
+
+    @pytest.fixture(scope="class")
+    def scaled(self):
+        dataset = make_fixture(1000, 1500)
+        return dataset.ratings, dataset.items
+
+    def test_slope_one_catalog_estimates(self, scaled):
+        model = fit(RecommenderSpec("SlopeOne"), *scaled, seed=0)
+        n = len(model.item_ids)
+        dev_sum, counts = np.zeros((n, n)), np.zeros((n, n), dtype=np.int64)
+        for u in range(len(model.user_ids)):
+            idx, vals = model._rows(u)
+            dev_sum[np.ix_(idx, idx)] += vals[:, None] - vals[None, :]
+            counts[np.ix_(idx, idx)] += 1
+        np.fill_diagonal(counts, 0)
+        dev = np.divide(dev_sum, counts, out=dev_sum, where=counts > 0)
+        item_means = model._item_mean_vector
+        for uid in model.user_ids:
+            idx, vals = model._rows(model.uidx[uid])
+            c = counts[:, idx]
+            num = ((dev[:, idx] + vals) * c).sum(axis=1)
+            den = c.sum(axis=1)
+            want = np.divide(num, den, out=np.zeros(n), where=den > 0)
+            est, defined = model._estimate_catalog(uid, item_means)
+            assert est.tobytes() == want.tobytes(), uid
+            assert np.array_equal(defined, den > 0)
+
+    def test_knn_similarities(self, scaled):
+        model = fit(RecommenderSpec("KnnBasic"), *scaled, seed=0)
+        R = np.zeros((len(model.user_ids), len(model.item_ids)))
+        R[model._raters, model._rater_items] = model._rater_vals
+        M = (R > 0).astype(float)
+        dot, sq = R @ R.T, np.square(R) @ M.T
+        norm = np.sqrt(sq * sq.T)
+        sim = np.divide(dot, norm, out=np.zeros_like(dot), where=norm > 0)
+        np.fill_diagonal(sim, 0.0)  # min_support 1: no pair is weak
+        assert model.sim.tobytes() == sim.tobytes()
+
+
 class TestNumpyBehaviour:
     """The numpy behaviours that the batched fits, and the per-item
     references they are checked against, rely on for bit-identical results."""
@@ -850,6 +936,20 @@ class TestNumpyBehaviour:
         for row in rows:
             expected += row
         assert np.array_equal(np.add.reduce(rows, 0), expected)
+
+    def test_column_major_row_sums_add_in_order(self):
+        # SlopeOne's catalog rows sum in sequence because its buffers keep
+        # the column-major layout of a column gather; a row-major copy
+        # sums pairwise
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=(40, 300)) * 10.0 ** rng.integers(0, 12, size=(1, 300))
+        gathered = values[:, rng.permutation(300)[:200]]
+        assert gathered.flags.f_contiguous
+        expected = np.zeros(40)
+        for column in gathered.T:
+            expected += column
+        assert np.array_equal(gathered.sum(axis=1), expected)
+        assert not np.array_equal(np.ascontiguousarray(gathered).sum(axis=1), expected)
 
     def test_segment_sums_match_per_run_sums(self):
         from metahybrid.data import segment_sums

@@ -74,8 +74,8 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except FileNotFoundError as e:
-        raise ConfigError(f"missing config file: {path}") from e
+    except OSError as e:
+        raise ConfigError(f"cannot read config file {path}: {e.strerror}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON ({e})") from e
 

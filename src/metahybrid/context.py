@@ -19,8 +19,6 @@ from .data import (Dataset, ItemColumns, RatingSlice, UserRecord, format_float, 
 
 log = logging.getLogger(__name__)
 
-SCHEMA_VERSION = 2
-
 # MovieLens 1M age-band and occupation codes; unseen codes fall into "unknown"
 ML_AGE_BANDS = (1, 18, 25, 35, 45, 50, 56)
 ML_OCCUPATIONS = tuple(range(21))
@@ -205,7 +203,7 @@ class ContextSchema:
     """The context vector's layout, built once per experiment from the
     catalog and demography: vocabularies, category universes, PCA widths
     and the catalog's longest runtime, which divides each user's mean
-    runtime. The evaluate stage rejects a schema of another `version`.
+    runtime.
     """
 
     genres: tuple
@@ -216,7 +214,6 @@ class ContextSchema:
     genre_components: int = 10
     keyword_components: int = 15
     max_runtime: int = 0                  # minutes; 0 when no item has a runtime
-    version: int = SCHEMA_VERSION
 
     def blocks(self) -> list:
         """(source attribute, column names) per block, in column order."""

@@ -270,9 +270,6 @@ class Dataset:
                 "items": self.items, "users": self.users, "provenance": self.provenance}
 
     def __setstate__(self, state):
-        if "ratings" in state:
-            raise ValueError("dataset.pkl holds a dataset pickled by an older version; "
-                             "rerun ingest")
         state = built_state(state)
         user = np.repeat(np.arange(len(state["user_ids"]), dtype=np.int32), state["user_rows"])
         self.__dict__.update({k: state[k] for k in ("items", "users", "provenance")},
@@ -420,7 +417,7 @@ def load_generic_ratings(ratings_path) -> Dataset:
     """Load a headered `user,item,rating,timestamp` CSV; users/items are
     synthesized. The first malformed row aborts with its line number."""
     ratings = []
-    with open(ratings_path, encoding="utf-8") as fh:
+    with _open(ratings_path) as fh:
         reader = csv.DictReader(fh)
         expected = ["user", "item", "rating", "timestamp"]
         if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != expected:
@@ -442,12 +439,16 @@ def load_generic_ratings(ratings_path) -> Dataset:
     return Dataset.from_events(ratings, items, users, provenance=f"generic({ratings_path})")
 
 
-def _dat_lines(path, n_fields):
+def _open(path, errors=None):
+    """`path` opened for reading as UTF-8 text; any `OSError` is an `IngestError`."""
     try:
-        fh = open(path, encoding="utf-8", errors="replace")
-    except FileNotFoundError as e:
-        raise IngestError(f"missing file: {path}") from e
-    with fh:
+        return open(path, encoding="utf-8", errors=errors)
+    except OSError as e:
+        raise IngestError(f"cannot read {path}: {e.strerror}") from e
+
+
+def _dat_lines(path, n_fields):
+    with _open(path, errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
@@ -480,14 +481,9 @@ def enrich_items(dataset: Dataset, metadata_path) -> Dataset:
     Rows match on item_id first, then case-insensitive exact title with
     year within +-1. Unmatched items keep their base fields.
     """
-    try:
-        fh = open(metadata_path, encoding="utf-8")
-    except FileNotFoundError as e:
-        raise IngestError(f"missing metadata file: {metadata_path}") from e
-
     by_id: dict = {}
     by_title: dict = {}
-    with fh:
+    with _open(metadata_path) as fh:
         reader = csv.DictReader(fh)
         required = {"item_id", "title", "year", "keywords", "runtime"}
         if reader.fieldnames is None or not required.issubset(set(reader.fieldnames)):

@@ -366,10 +366,6 @@ class ForestModel:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def __setstate__(self, state):
-        if (set(state) != {f.name for f in fields(self)}
-                or state["class_counts"].dtype.kind != "u"):
-            raise ValueError("meta.pkl holds a forest pickled by an older version; "
-                             "rerun train-meta")
         self.__dict__.update(built_state(state))
 
     @cached_property

@@ -8,7 +8,8 @@ writes each file once and records the sha256 of the bytes it wrote in a
 content-hash manifest, which `run_stage` writes once per stage. `run_all`
 passes one store through all seven stages, so each stage gets its inputs
 in memory and no output file is read back; a stage run alone gets a fresh
-store and loads its inputs from the output directory.
+store and loads its inputs from the output directory; the store's `read`
+is the one place that refuses a pickle of an older format.
 `evaluation.run_experiment` chains the same steps in memory, so a staged
 run and an in-memory run produce identical reports.
 """
@@ -31,6 +32,12 @@ from .seeding import derive_seed
 log = logging.getLogger(__name__)
 
 MANIFEST = "manifest.json"
+# bumped whenever any pickled class's state changes; that makes every
+# pickle of an output directory stale
+ARTIFACT_FORMAT = 2
+# what unpickling a file that is no current artifact may raise
+_UNREADABLE = (pickle.UnpicklingError, EOFError, AttributeError, ImportError, KeyError,
+               IndexError, TypeError, ValueError)
 # the one fitted candidate set, under the name perfbench/workloads.py loads
 CANDIDATES = "candidates_eval.pkl"
 
@@ -47,7 +54,9 @@ class ArtifactStore:
     same `run_all` gets it without reading the file back. `write_text`
     encodes text once and digests the same bytes. `write_manifest` writes
     the digests recorded since its last call. `read` returns a kept
-    object, or loads the file when a stage runs alone.
+    object, or loads the file when a stage runs alone: an envelope of
+    `ARTIFACT_FORMAT`, or else one `StageError`, also when the unpickling
+    itself fails (an older state can raise in its class's `__setstate__`).
     """
 
     def __init__(self, outdir):
@@ -79,7 +88,8 @@ class ArtifactStore:
             fh.write("\n")
 
     def write(self, name: str, obj):
-        self._save(name, pickle.dumps({"format_version": 1, "payload": obj}, protocol=4))
+        self._save(name, pickle.dumps({"format_version": ARTIFACT_FORMAT, "payload": obj},
+                                      protocol=4))
         self._objects[name] = obj
 
     def write_text(self, name: str, text: str):
@@ -91,12 +101,21 @@ class ArtifactStore:
             if not os.path.exists(path):
                 raise StageError(f"stage '{stage}' requires missing artifact {name}; "
                                  f"run the earlier stages first")
-            with open(path, "rb") as fh:
-                blob = pickle.load(fh)
-            if blob.get("format_version") != 1:
-                raise StageError(f"{name}: unsupported artifact version")
+            try:
+                with open(path, "rb") as fh:
+                    blob = pickle.load(fh)
+            except _UNREADABLE as e:
+                raise _stale(path, f"{type(e).__name__}: {e}") from e
+            version = blob.get("format_version") if isinstance(blob, dict) else None
+            if version != ARTIFACT_FORMAT or "payload" not in blob:
+                raise _stale(path, f"artifact format {version}, not {ARTIFACT_FORMAT}")
             self._objects[name] = blob["payload"]
         return self._objects[name]
+
+
+def _stale(path, reason: str) -> StageError:
+    return StageError(f"cannot read {path} ({reason}); "
+                      f"rerun every stage from ingest, or run-all")
 
 
 def stage_ingest(cfg: ExperimentConfig, store: ArtifactStore) -> dict:
@@ -171,14 +190,7 @@ def stage_evaluate(cfg: ExperimentConfig, store: ArtifactStore) -> dict:
     dataset = store.read("dataset.pkl", "evaluate")
     split = store.read("split.pkl", "evaluate")
     bundle = store.read("labeled.pkl", "evaluate")
-    if bundle["schema"].version != ctx.SCHEMA_VERSION:
-        raise StageError(f"labeled.pkl holds a context schema of version "
-                         f"{bundle['schema'].version}, not {ctx.SCHEMA_VERSION}; rerun label")
-    forest = store.read("meta.pkl", "evaluate")
-    if not isinstance(forest, rf.ForestModel):
-        # an output directory from an older version pickled the whole serving model
-        raise StageError("meta.pkl holds no selection forest; rerun train-meta")
-    meta = ev.meta_model(bundle, cfg.candidate_set(), forest,
+    meta = ev.meta_model(bundle, cfg.candidate_set(), store.read("meta.pkl", "evaluate"),
                          store.read(CANDIDATES, "evaluate"))
     report, _, _ = ev.evaluate_step(dataset, split, meta, bundle, cfg.relevance,
                                     cfg.label_cutoff, cfg.seed, cfg.split.inner_ratio)

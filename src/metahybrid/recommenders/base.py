@@ -62,10 +62,8 @@ class RecommenderSpec:
 class FittedRecommender:
     """Base class holding the training-slice statistics and the fallback chain."""
 
-    # attributes rebuilt from the rest of the model, left out of its pickle;
-    # a pickled state that holds one is of an older, larger layout
+    # attributes rebuilt from the rest of the model, left out of its pickle
     _derived = ("_item_mean_vector",)
-    _retired = ()  # attributes of older layouts that cannot be loaded
 
     def __init__(self, spec: RecommenderSpec, train, items, seed: int):
         if not len(train):
@@ -104,9 +102,6 @@ class FittedRecommender:
         return {k: v for k, v in self.__dict__.items() if k not in self._derived}
 
     def __setstate__(self, state):
-        if not set(self._derived + self._retired).isdisjoint(state):
-            raise ValueError(f"{state['spec'].algorithm} model pickled by an older "
-                             "version; rerun fit-candidates")
         self.__dict__.update(built_state(state))
         self._build_derived()
 

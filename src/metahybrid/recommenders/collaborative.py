@@ -45,7 +45,6 @@ class SlopeOneModel(FittedRecommender):
     255 users."""
 
     _derived = FittedRecommender._derived + ("dev_sum", "counts")
-    _retired = ("_user_items",)  # per-user (catalog indexes, ratings) array pairs
 
     def _fit(self, users, cols, ratings, items):
         users, cols, ratings = by_user_item(users, cols, ratings)
@@ -212,7 +211,6 @@ class KnnBasicModel(FittedRecommender):
     and are rebuilt from them on load, bit for bit."""
 
     _derived = FittedRecommender._derived + ("sim", "_rater_items")
-    _retired = ("_sim_upper",)  # the strict upper triangle of `sim`
 
     def _fit(self, users, cols, ratings, items):
         nu = len(self.user_ids)

@@ -30,7 +30,6 @@ class WarpHybridModel(FittedRecommender):
     """
 
     _derived = FittedRecommender._derived + ("_reps",)
-    _retired = ("_item_feats",)  # per-item feature index lists
 
     def _fit(self, users, cols, ratings, items):
         d = self.params["components"]

@@ -1,6 +1,9 @@
+import copyreg
+import pickle
+
 import pytest
 
-from metahybrid import fixtures
+from metahybrid import fixtures, pipeline
 
 
 @pytest.fixture(scope="session")
@@ -42,3 +45,22 @@ def tiny_movielens(tmp_path_factory):
         ",My Fair Lady,1964,musical|class,170,Audrey Hepburn,en,17000000,55000000,7.8,Plot two.\n"
     )
     return d
+
+
+@pytest.fixture
+def read_older_artifact(tmp_path):
+    """Reads back through the artifact store a `cls` object pickled with
+    `state`, in the format-1 envelope that versions before the current
+    `ARTIFACT_FORMAT` wrote."""
+    def read(cls, state):
+        class OlderPickler(pickle.Pickler):
+            def reducer_override(self, obj):
+                if type(obj) is cls:
+                    return copyreg.__newobj__, (cls,), state
+                return NotImplemented
+
+        with open(tmp_path / "older.pkl", "wb") as fh:
+            OlderPickler(fh, protocol=4).dump({"format_version": 1,
+                                               "payload": cls.__new__(cls)})
+        return pipeline.ArtifactStore(str(tmp_path)).read("older.pkl", "evaluate")
+    return read

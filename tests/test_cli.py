@@ -1,6 +1,7 @@
 import builtins
 import copyreg
 import hashlib
+import io
 import json
 import os
 import pickle
@@ -54,20 +55,122 @@ def write_config(workdir, name="exp.json", **updates):
     return path
 
 
-def rewrite_in_old_layout(path, cls, old_state=vars, **retired):
-    """Re-pickle an artifact with every `cls` object stored as
-    `old_state(obj)`, by default its whole `__dict__`, as versions before
-    the compact pickles stored them, plus the `retired` attributes."""
+def old_layout_pickle(blob, cls, old_state=vars, **retired) -> bytes:
+    """An artifact's `blob` as versions before the compact pickles wrote it:
+    in a format-1 envelope, with every `cls` object stored as
+    `old_state(obj)`, by default its whole `__dict__`, plus the `retired`
+    attributes."""
     class OldPickler(pickle.Pickler):
         def reducer_override(self, obj):
             if type(obj) is cls:
                 return copyreg.__newobj__, (cls,), dict(old_state(obj), **retired)
             return NotImplemented
 
-    with open(path, "rb") as fh:
-        blob = pickle.load(fh)
-    with open(path, "wb") as fh:
-        OldPickler(fh, protocol=4).dump(blob)
+    fh = io.BytesIO()
+    OldPickler(fh, protocol=4).dump(dict(blob, format_version=1))
+    return fh.getvalue()
+
+
+def rewrite_in_old_layout(path, cls, old_state=vars, **retired):
+    path.write_bytes(old_layout_pickle(pickle.loads(path.read_bytes()), cls, old_state,
+                                       **retired))
+
+
+def dataset_before_row_counts(ds):
+    """The ratings with their user column, which `Dataset.__setstate__` now fails on."""
+    return {"ratings": ds.ratings, "items": ds.items, "users": ds.users,
+            "provenance": ds.provenance}
+
+
+def assert_refused(err, path):
+    """`err` is the store's one refusal of the artifact at `path`."""
+    assert f"cannot read {path} (" in err
+    assert err.rstrip().endswith("rerun every stage from ingest, or run-all")
+    assert "Traceback" not in err
+
+
+# each pickled artifact and the first stage that reads it
+FIRST_READS = [("dataset.pkl", "split"), ("split.pkl", "fit-candidates"),
+               ("candidates_eval.pkl", "label"), ("labeled.pkl", "train-meta"),
+               ("meta.pkl", "evaluate"), ("evaluation.pkl", "report")]
+
+
+# the state each pickled class of the package keeps, as `LayoutRecorder`
+# records it on both presets; any change here needs an ARTIFACT_FORMAT bump
+PICKLED_LAYOUTS = {
+    "BaselineOnlyModel": "bi:float64 bu:float64 fallback_count global_mean iidx item_ids "
+                         "item_means mu params seed spec uidx user_ids user_means",
+    "CoClusteringModel": "A:float64 Ag:float64 Ah:float64 fallback_count global_mean ig:int64 "
+                         "iidx imean:float64 item_ids item_means params seed spec ug:int64 "
+                         "uidx umean:float64 user_ids user_means",
+    "ContentBasedModel": "_feature_cols:int32 _feature_ptr:int64 _n_features fallback_count "
+                         "global_mean iidx item_ids item_means params profiles:float64 seed "
+                         "spec uidx user_ids user_means",
+    "ContextSchema": "age_bands genre_components genres include_age keyword_components "
+                     "keywords max_runtime occupations",
+    "Dataset": "item:int32 item_ids items provenance rating:int8 timestamp:uint32 user_ids "
+               "user_rows:int32 users",
+    "ExperimentReport": "candidate_names confusion importances inner_ratio label_distribution "
+                        "per_user rmse_activity rows seed skipped_eval_users "
+                        "skipped_label_users tied_label_users",
+    "ForestModel": "class_counts:uint8 class_weight:float64 d feature:int32 "
+                   "importances:float64 labels params right:int32 roots:int32 "
+                   "threshold:float64",
+    "ForestParams": "bootstrap class_weight max_depth max_features min_samples_leaf "
+                    "min_samples_split n_estimators seed",
+    "ItemRecord": "genres item_id keywords runtime_minutes title year",
+    "KnnBasicModel": "_rater_ptr:int64 _rater_vals:int8 _raters:int32 fallback_count "
+                     "global_mean iidx item_ids item_means params seed spec uidx user_ids "
+                     "user_means",
+    "LabeledTrainingSet": "candidate_names contexts:float64 labels scores:float64 "
+                          "skipped_users tied_users user_ids",
+    "NestedSplit": "single_rating_users test_inner_test test_inner_train test_users "
+                   "train_inner_test train_inner_train train_users",
+    "PcaModel": "components:float64 d explained_variance_ratio:float64 k mean:float64",
+    "RatingSlice": "item:int32 item_ids ptr:int64 rating:int8 timestamp:uint32 user_ids users",
+    "RecommenderSpec": "algorithm params",
+    "SlopeOneModel": "_cols:int32 _ptr:int64 _vals:int8 fallback_count global_mean iidx "
+                     "item_ids item_means params seed spec uidx user_ids user_means",
+    "SvdMfModel": "bi:float64 bu:float64 fallback_count global_mean iidx item_ids item_means "
+                  "mu p:float64 params q:float64 seed spec uidx user_ids user_means",
+    "UserRecord": "age_band gender location occupation user_id",
+    "WarpHybridModel": "F:float64 U:float64 _feature_cols:int32 _feature_ptr:int64 "
+                       "_n_features b:float64 fallback_count global_mean iidx item_ids "
+                       "item_means params seed spec uidx user_ids user_means",
+}
+
+
+def stale_artifact(kind, outdir, name) -> bytes:
+    data = (outdir / name).read_bytes()
+    if kind == "format-1":  # the current payload, as the first format stamped it
+        return pickle.dumps({"format_version": 1, "payload": pickle.loads(data)["payload"]},
+                            protocol=4)
+    if kind == "truncated":
+        return data[:len(data) // 2]
+    if kind == "empty":
+        return b""
+    if kind == "non-dict":
+        return pickle.dumps([1, 2])
+    # "raising-state"
+    return old_layout_pickle(pickle.loads((outdir / "dataset.pkl").read_bytes()), Dataset,
+                             dataset_before_row_counts)
+
+
+class LayoutRecorder(pickle.Pickler):
+    """Records, per class of the package, the sorted keys of the state each
+    of its objects pickles, with each array's dtype."""
+
+    def __init__(self):
+        super().__init__(io.BytesIO(), protocol=4)
+        self.layouts = {}
+
+    def reducer_override(self, obj):
+        if type(obj).__module__.startswith("metahybrid."):
+            state = obj.__reduce_ex__(4)[2]
+            self.layouts[type(obj).__name__] = " ".join(
+                f"{k}:{v.dtype}" if isinstance(v, np.ndarray) else k
+                for k, v in sorted(state.items()))
+        return NotImplemented
 
 
 @pytest.fixture(scope="module")
@@ -169,7 +272,13 @@ class TestConfigValidation:
 
     def test_missing_config_file(self, workdir, capsys):
         assert main(["ingest", "--config", str(workdir / "nope.json")]) == 1
-        assert "missing config file" in capsys.readouterr().err
+        assert "nope.json: No such file or directory" in capsys.readouterr().err
+
+    def test_config_path_is_a_directory(self, workdir, capsys):
+        assert main(["ingest", "--config", str(workdir)]) == 1
+        err = capsys.readouterr().err
+        assert f"cannot read config file {workdir}: Is a directory" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("candidates, message", [
         ("SvdMf", "candidates must be a list"),
@@ -314,6 +423,17 @@ class TestStageOrdering:
         out = capsys.readouterr().out
         assert "[report]" in out
 
+    @pytest.mark.parametrize("kind", ["format-1", "truncated", "empty", "non-dict",
+                                      "raising-state"])
+    @pytest.mark.parametrize("name, stage", FIRST_READS, ids=[n for n, _ in FIRST_READS])
+    def test_stale_artifact_refused(self, workdir, completed_run, capsys, name, stage, kind):
+        out = workdir / f"stale_{name}_{kind}_out"
+        shutil.copytree(completed_run, out)
+        (out / name).write_bytes(stale_artifact(kind, completed_run, name))
+        path = write_config(workdir, name="stale.json", output_dir=str(out))
+        assert main([stage, "--config", str(path)]) == 1
+        assert_refused(capsys.readouterr().err, out / name)
+
     def test_evaluate_rejects_meta_without_forest(self, workdir, completed_run, capsys):
         out = workdir / "stale_meta_out"
         shutil.copytree(completed_run, out)
@@ -321,7 +441,7 @@ class TestStageOrdering:
             pickle.dump({"format_version": 1, "payload": {"forest": None}}, fh)
         path = write_config(workdir, name="stale.json", output_dir=str(out))
         assert main(["evaluate", "--config", str(path)]) == 1
-        assert "rerun train-meta" in capsys.readouterr().err
+        assert_refused(capsys.readouterr().err, out / "meta.pkl")
 
     def test_evaluate_rejects_forest_of_older_version(self, workdir, completed_run, capsys):
         out = workdir / "old_forest_out"
@@ -332,7 +452,7 @@ class TestStageOrdering:
             "params": forest.params, "importances_": forest.importances})
         path = write_config(workdir, name="old_forest.json", output_dir=str(out))
         assert main(["evaluate", "--config", str(path)]) == 1
-        assert "rerun train-meta" in capsys.readouterr().err
+        assert_refused(capsys.readouterr().err, out / "meta.pkl")
 
     def test_evaluate_rejects_float_class_counts(self, workdir, completed_run, capsys):
         out = workdir / "float_counts_out"
@@ -343,36 +463,17 @@ class TestStageOrdering:
             "class_counts": forest.weighted_counts()})
         path = write_config(workdir, name="float_counts.json", output_dir=str(out))
         assert main(["evaluate", "--config", str(path)]) == 1
-        assert "rerun train-meta" in capsys.readouterr().err
+        assert_refused(capsys.readouterr().err, out / "meta.pkl")
 
     @pytest.mark.parametrize("stage", ["split", "evaluate"])
     def test_stage_rejects_dataset_with_user_column(self, workdir, completed_run, capsys,
                                                     stage):
         out = workdir / f"user_column_{stage}_out"
         shutil.copytree(completed_run, out)
-        # the ratings with their user column, as pickled before the row counts
-        rewrite_in_old_layout(out / "dataset.pkl", Dataset, lambda ds: {
-            "ratings": ds.ratings, "items": ds.items, "users": ds.users,
-            "provenance": ds.provenance})
+        rewrite_in_old_layout(out / "dataset.pkl", Dataset, dataset_before_row_counts)
         path = write_config(workdir, name=f"user_column_{stage}.json", output_dir=str(out))
         assert main([stage, "--config", str(path)]) == 1
-        assert "rerun ingest" in capsys.readouterr().err
-
-    def test_evaluate_rejects_schema_of_older_version(self, workdir, completed_run, capsys):
-        # a version-1 schema has no catalog runtime, so every runtime would read 0
-        out = workdir / "old_schema_out"
-        shutil.copytree(completed_run, out)
-        with open(out / "labeled.pkl", "rb") as fh:
-            blob = pickle.load(fh)
-        schema = blob["payload"]["schema"]
-        del schema.max_runtime
-        schema.version = 1
-        with open(out / "labeled.pkl", "wb") as fh:
-            pickle.dump(blob, fh)
-        path = write_config(workdir, name="old_schema.json", output_dir=str(out))
-        assert main(["evaluate", "--config", str(path)]) == 1
-        err = capsys.readouterr().err
-        assert "version 1" in err and "rerun label" in err
+        assert_refused(capsys.readouterr().err, out / "dataset.pkl")
 
     @pytest.mark.parametrize("stage,name", [("label", "candidates_eval.pkl"),
                                             ("evaluate", "candidates_eval.pkl")])
@@ -383,7 +484,7 @@ class TestStageOrdering:
         rewrite_in_old_layout(out / name, SlopeOneModel)
         path = write_config(workdir, name=f"old_{stage}.json", output_dir=str(out))
         assert main([stage, "--config", str(path)]) == 1
-        assert "rerun fit-candidates" in capsys.readouterr().err
+        assert_refused(capsys.readouterr().err, out / name)
 
     @pytest.mark.parametrize("stage", ["label", "evaluate"])
     def test_stage_rejects_slope_one_user_dict(self, workdir, completed_run, capsys, stage):
@@ -399,7 +500,7 @@ class TestStageOrdering:
                                 model.user_ids, map(model._rows, range(len(model.user_ids))))}})
         path = write_config(workdir, name=f"slope_one_dict_{stage}.json", output_dir=str(out))
         assert main([stage, "--config", str(path)]) == 1
-        assert "rerun fit-candidates" in capsys.readouterr().err
+        assert_refused(capsys.readouterr().err, out / "candidates_eval.pkl")
 
     @pytest.mark.parametrize("stage", ["label", "evaluate"])
     @pytest.mark.parametrize("cls", [KnnBasicModel, ContentBasedModel, WarpHybridModel],
@@ -415,7 +516,7 @@ class TestStageOrdering:
         path = write_config(workdir, name=f"old_{cls.__name__}_{stage}.json",
                             preset="mixed", output_dir=str(out))
         assert main([stage, "--config", str(path)]) == 1
-        assert "rerun fit-candidates" in capsys.readouterr().err
+        assert_refused(capsys.readouterr().err, out / "candidates_eval.pkl")
 
     @pytest.mark.parametrize("stage", ["label", "evaluate"])
     @pytest.mark.parametrize("cls, old_state", [
@@ -435,7 +536,17 @@ class TestStageOrdering:
         path = write_config(workdir, name=f"compact_{cls.__name__}_{stage}.json",
                             preset="mixed", output_dir=str(out))
         assert main([stage, "--config", str(path)]) == 1
-        assert "rerun fit-candidates" in capsys.readouterr().err
+        assert_refused(capsys.readouterr().err, out / "candidates_eval.pkl")
+
+    def test_pickled_layouts_are_pinned(self, completed_run, completed_mixed_run):
+        # the store tells an older layout from the current one by the
+        # format number alone, so a layout change must bump it
+        recorder = LayoutRecorder()
+        for outdir in (completed_run, completed_mixed_run):
+            for name, _ in FIRST_READS:
+                recorder.dump(pickle.loads((outdir / name).read_bytes()))
+        assert (pipeline.ARTIFACT_FORMAT, recorder.layouts) == (2, PICKLED_LAYOUTS), (
+            "a pickled layout changed: bump ARTIFACT_FORMAT and re-pin")
 
     def test_train_meta_does_not_read_serving_models(self, workdir, completed_run):
         # train-meta trains the forest only; the serving models are read by evaluate

@@ -1,5 +1,6 @@
 import os
 import pickle
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -50,9 +51,29 @@ def test_title_year_parsing(tiny_movielens):
 
 
 def test_missing_file_fails(tiny_movielens):
-    with pytest.raises(IngestError, match="missing file"):
+    with pytest.raises(IngestError, match="cannot read .*nope.dat: No such file or directory"):
         load_movielens(tiny_movielens / "nope.dat", tiny_movielens / "users.dat",
                        tiny_movielens / "movies.dat")
+
+
+def test_missing_generic_file_fails(tmp_path):
+    with pytest.raises(IngestError, match="cannot read .*nope.csv: No such file or directory"):
+        load_generic_ratings(tmp_path / "nope.csv")
+
+
+@pytest.mark.parametrize("role", ["ratings_path", "users_path", "items_path", "metadata",
+                                  "generic"])
+def test_directory_input_fails(tiny_movielens, tmp_path, role):
+    paths = {"ratings_path": tiny_movielens / "ratings.dat",
+             "users_path": tiny_movielens / "users.dat",
+             "items_path": tiny_movielens / "movies.dat"}
+    with pytest.raises(IngestError, match=f"cannot read {re.escape(str(tmp_path))}: Is a directory"):
+        if role == "metadata":
+            enrich_items(load_movielens(**paths), tmp_path)
+        elif role == "generic":
+            load_generic_ratings(tmp_path)
+        else:
+            load_movielens(**{**paths, role: tmp_path})
 
 
 def test_malformed_line_names_line_number(tmp_path, tiny_movielens):

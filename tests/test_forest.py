@@ -29,6 +29,7 @@ from metahybrid.forest import (
     predict_proba,
     train_forest,
 )
+from metahybrid.pipeline import StageError
 
 FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "fixtures")
@@ -599,17 +600,17 @@ class TestLockstepBuilder:
         assert set(forest.__getstate__()) == {f.name for f in dataclasses.fields(ForestModel)}
         assert pickle.dumps(forest) == blob
 
-    def test_old_pickle_rejected(self):
+    def test_old_pickle_rejected(self, read_older_artifact):
         X, y = planted_data(n=40, seed=1)
         forest = train_forest(X, y, ForestParams(n_estimators=2, seed=1))
         # the linked trees, as pickled before the flat node arrays
         old = {"trees": forest.trees, "labels": forest.labels, "d": forest.d,
                "params": forest.params, "importances_": forest.importances,
                "bootstrap_indices": []}
-        with pytest.raises(ValueError, match="rerun train-meta"):
-            ForestModel.__new__(ForestModel).__setstate__(old)
+        with pytest.raises(StageError, match="rerun every stage from ingest"):
+            read_older_artifact(ForestModel, old)
 
-    def test_flat_pickle_with_stored_bootstraps_rejected(self):
+    def test_flat_pickle_with_stored_bootstraps_rejected(self, read_older_artifact):
         # the flat layout that also stored left children, sample counts and
         # bootstrap samples
         X, y = planted_data(n=40, seed=1)
@@ -620,8 +621,8 @@ class TestLockstepBuilder:
         older = dict(state, left=np.zeros(n_nodes, dtype=np.int64),
                      n_samples=np.zeros(n_nodes, dtype=np.int64),
                      bootstrap=np.zeros((2, 40), dtype=np.int64))
-        with pytest.raises(ValueError, match="rerun train-meta"):
-            ForestModel.__new__(ForestModel).__setstate__(older)
+        with pytest.raises(StageError, match="rerun every stage from ingest"):
+            read_older_artifact(ForestModel, older)
 
     @pytest.mark.parametrize("bootstrap", [True, False])
     def test_tree_draws_match_reference(self, bootstrap):
@@ -703,12 +704,12 @@ class TestNarrowCounts:
         assert oob_error(forest, X, y) == reference_oob_error(float_counts, X, y)
         assert_same_forest(forest, reference)
 
-    def test_float_counts_rejected(self):
+    def test_float_counts_rejected(self, read_older_artifact):
         # the layout before the narrow counts: float weighted counts, no weights
         X, y = planted_data(n=40, seed=1)
         forest = train_forest(X, y, ForestParams(n_estimators=2, seed=1,
                                                  class_weight="balanced"))
         older = {k: v for k, v in vars(forest).items() if k != "class_weight"}
         older["class_counts"] = forest.weighted_counts()
-        with pytest.raises(ValueError, match="rerun train-meta"):
-            ForestModel.__new__(ForestModel).__setstate__(older)
+        with pytest.raises(StageError, match="rerun every stage from ingest"):
+            read_older_artifact(ForestModel, older)

@@ -8,6 +8,7 @@ import pytest
 from metahybrid import recommenders as rec
 from metahybrid.data import RatingEvent, Ratings, enrich_items, load_movielens
 from metahybrid.fixtures import make_fixture
+from metahybrid.pipeline import StageError
 from metahybrid.recommenders import RecommenderSpec, fit
 from metahybrid.recommenders.content import feature_columns, feature_matrix
 from metahybrid.splits import SplitPlan, nested_split, slice_events
@@ -489,12 +490,11 @@ class TestCatalogTopN:
         for model in (knn, weak):
             assert np.array_equal(pickle.loads(pickle.dumps(model)).sim, model.sim)
 
-    def test_knn_state_with_upper_triangle_rejected(self, shipped_fixture):
+    def test_knn_state_with_upper_triangle_rejected(self, shipped_fixture, read_older_artifact):
         model = next(m for m in shipped_fixture[0] if m.spec.algorithm == "KnnBasic")
         upper = model.sim[np.triu_indices(len(model.user_ids), 1)]
-        with pytest.raises(ValueError, match="rerun fit-candidates"):
-            object.__new__(type(model)).__setstate__({**model.__getstate__(),
-                                                      "_sim_upper": upper})
+        with pytest.raises(StageError, match="rerun every stage from ingest"):
+            read_older_artifact(type(model), {**model.__getstate__(), "_sim_upper": upper})
 
     def test_content_pickle_keeps_feature_columns(self, shipped_fixture):
         models, excludes = shipped_fixture
@@ -505,15 +505,15 @@ class TestCatalogTopN:
         assert state["profiles"].shape == (len(model.user_ids), model._n_features)
         assert_load_rebuilds(model, excludes, ("features", "_item_norms"))
 
-    def test_content_profile_norms_are_row_norms(self, shipped_fixture):
+    def test_content_profile_norms_are_row_norms(self, shipped_fixture, read_older_artifact):
         # each the 1-D norm of its row, as the per-user dict held them
         model = next(m for m in shipped_fixture[0] if m.spec.algorithm == "ContentBased")
         loaded = pickle.loads(pickle.dumps(model))
         for norms in (model._profile_norms, loaded._profile_norms):
             assert norms.tolist() == [float(np.linalg.norm(p)) for p in model.profiles]
         # the per-user dict layout
-        with pytest.raises(ValueError, match="rerun fit-candidates"):
-            object.__new__(type(model)).__setstate__({
+        with pytest.raises(StageError, match="rerun every stage from ingest"):
+            read_older_artifact(type(model), {
                 **model.__getstate__(), "profiles": dict(zip(model.user_ids, model.profiles)),
                 "_profile_norms": dict(zip(model.user_ids, model._profile_norms.tolist()))})
 

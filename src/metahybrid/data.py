@@ -150,21 +150,28 @@ class Ratings:
         return [self.item_ids[j] for j in self.item.tolist()]
 
 
+def _narrowest(column: np.ndarray) -> np.ndarray:
+    """`column` in the narrowest integer type that holds its min and max."""
+    return column.astype(np.result_type(*map(np.min_scalar_type, (
+        column.min(initial=0), column.max(initial=0)))))
+
+
 def _pickled_rows(ratings: Ratings) -> dict:
     """The id tables and the item, rating and timestamp columns of
-    `ratings`, as a pickle keeps them: the timestamps in the narrowest
-    integer type that holds them, uint32 for Unix seconds."""
-    ts = ratings.timestamp
-    narrow = np.result_type(*map(np.min_scalar_type, (ts.min(initial=0), ts.max(initial=0))))
+    `ratings`, as a pickle keeps them: the item codes and the timestamps
+    each in the narrowest integer type that holds them, uint16 for up to
+    65,536 items and uint32 for Unix seconds."""
     return {"user_ids": ratings.user_ids, "item_ids": ratings.item_ids,
-            "item": ratings.item, "rating": ratings.rating, "timestamp": ts.astype(narrow)}
+            "item": _narrowest(ratings.item), "rating": ratings.rating,
+            "timestamp": _narrowest(ratings.timestamp)}
 
 
 def _loaded_rows(state: dict, user) -> Ratings:
     """The `Ratings` of a `_pickled_rows` state and its `user` column, with
-    int64 timestamps again."""
-    return Ratings(state["user_ids"], state["item_ids"], user, state["item"],
-                   state["rating"], state["timestamp"].astype(np.int64))
+    int32 item codes and int64 timestamps again."""
+    return Ratings(state["user_ids"], state["item_ids"], user,
+                   state["item"].astype(np.int32), state["rating"],
+                   state["timestamp"].astype(np.int64))
 
 
 class RatingSlice(Mapping):
@@ -172,8 +179,8 @@ class RatingSlice(Mapping):
 
     `rows` holds every user's rows, each user's contiguous: `ptr[k]` to
     `ptr[k + 1]` are the rows of `users[k]`. The pickle keeps no user
-    column, as the users and their row counts give it, and keeps the
-    timestamps narrow (`_pickled_rows`).
+    column, as the users and their row counts give it, and keeps the item
+    codes and timestamps narrow (`_pickled_rows`).
     """
 
     def __init__(self, rows: Ratings, users: list, counts):
@@ -218,8 +225,8 @@ class Dataset:
     dataset derived from another takes a row subset of its ratings.
 
     The pickle keeps no `user` column: the rows are in user order, so each
-    user code's row count gives it back. It keeps the timestamps narrow
-    (`_pickled_rows`)."""
+    user code's row count gives it back. It keeps the item codes and
+    timestamps narrow (`_pickled_rows`)."""
 
     ratings: Ratings
     items: dict

@@ -158,24 +158,31 @@ def label_step(dataset: Dataset, split: NestedSplit, candidates: hy.CandidateSet
 
     Returns (bundle, train_matrix). The bundle holds the labeled set, the
     context schema and the PCA models; the matrix has one context row per
-    TRh user, in the schema's column order.
+    TRh user, in the schema's column order. The bundle keeps no matrix:
+    `train_meta_step` rebuilds the rows it needs from the same inputs.
     """
     schema = ctx.build_schema(dataset.item_columns, dataset.users, context_config)
     matrix, _, pca_g, pca_k = build_contexts(
         split.train_users, split.train_inner_train, dataset, schema, fit_pcas=True)
-    labeled = hy.generate_labels(candidates, fitted, split.train_users, matrix,
+    labeled = hy.generate_labels(candidates, fitted, split.train_users,
                                  split.train_inner_train, split.train_inner_test,
                                  n=label_cutoff, relevance=relevance)
     return {"labeled": labeled, "schema": schema, "pca_genres": pca_g,
             "pca_keywords": pca_k}, matrix
 
 
-def train_meta_step(bundle: dict, forest_params: rf.ForestParams,
-                    master_seed: int) -> rf.ForestModel:
+def train_meta_step(dataset: Dataset, split: NestedSplit, bundle: dict,
+                    forest_params: rf.ForestParams, master_seed: int) -> rf.ForestModel:
     """Step 5: the selection forest on (context -> label), seeded from the
-    master seed."""
+    master seed. The labeled users' TRh contexts are rebuilt with the label
+    step's schema and PCA models; a user's row depends on that user alone,
+    so they are bit for bit the label step's matrix rows of those users."""
+    labeled = bundle["labeled"]
+    contexts, _, _, _ = build_contexts(labeled.user_ids, split.train_inner_train, dataset,
+                                       bundle["schema"], bundle["pca_genres"],
+                                       bundle["pca_keywords"])
     params = replace(forest_params, seed=derive_seed(master_seed, "forest"))
-    return hy.train_meta(bundle["labeled"], params)
+    return hy.train_meta(labeled, contexts, params)
 
 
 def meta_model(bundle: dict, candidates: hy.CandidateSet, forest: rf.ForestModel,
@@ -238,7 +245,7 @@ def run_experiment(dataset: Dataset, candidates: hy.CandidateSet,
     fitted = fit_step(dataset, split, candidates, master_seed)
     bundle, _ = label_step(dataset, split, candidates, fitted, context_config,
                            relevance, label_cutoff)
-    forest = train_meta_step(bundle, forest_params, master_seed)
+    forest = train_meta_step(dataset, split, bundle, forest_params, master_seed)
     meta = meta_model(bundle, candidates, forest, fitted)
     report, dispatched, test_matrix = evaluate_step(
         dataset, split, meta, bundle, relevance, label_cutoff, master_seed,

@@ -7,11 +7,12 @@ every tree and scores all of them in one padded split search, in chunks of
 at most `_CHUNK` elements. Each tree keeps its own generator and depth-first
 order, so the forest is the one a recursive one-tree-at-a-time build grows,
 node for node. Growth writes flat node arrays (`ForestModel`), prediction
-walks them for all rows and trees at once (`_leaf_frequencies`), and the
-pickle stores them as they are: node indexes as int32 and each node's
-class counts as sample counts in the narrowest unsigned type, weighed on
-read. No bootstrap sample is stored: `_tree_draws` redraws each tree's
-from the seed.
+walks them for all rows and trees at once (`_leaf_frequencies`). The
+pickle keeps what a load cannot rebuild: `feature` in the narrowest signed
+type, a threshold and a right child for split nodes only (leaves have none
+to keep), and each node's class counts as sample counts in the narrowest
+unsigned type, weighed on read. No bootstrap sample is stored:
+`_tree_draws` redraws each tree's from the seed.
 """
 
 from __future__ import annotations
@@ -343,10 +344,16 @@ class ForestModel:
     """A trained forest as flat node arrays, in the manner of scikit-learn's
     array `Tree`. Each tree's nodes come in depth-first order, so the left
     child of split node k is node k + 1, and the trees come one after
-    another. Its fields are its pickled state: node indexes are int32, and
+    another. In memory node indexes are int32 and thresholds float64, and
     each node keeps its class sample counts, in the narrowest unsigned type
     that holds the training row count, beside the one weight per class;
-    `weighted_counts` weighs them as growth summed them."""
+    `weighted_counts` weighs them as growth summed them.
+
+    Its pickled state has the same fields, narrower: `feature` in the
+    narrowest signed type that holds -d, and `threshold` and `right` for
+    the split nodes only, `right` in the narrowest unsigned type that holds
+    the node count. A load scatters them back into the in-memory arrays,
+    with 0.0 and -1 at the leaves."""
     labels: list                # class vocabulary (recommender names)
     d: int                      # features per row
     params: ForestParams
@@ -363,10 +370,21 @@ class ForestModel:
             raise ValueError("tree count does not match n_estimators")
 
     def __getstate__(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        state = {f.name: getattr(self, f.name) for f in fields(self)}
+        split = self.feature >= 0
+        state.update(feature=self.feature.astype(np.min_scalar_type(-max(self.d, 1))),
+                     threshold=self.threshold[split],
+                     right=self.right[split].astype(np.min_scalar_type(len(self.feature))))
+        return state
 
     def __setstate__(self, state):
-        self.__dict__.update(built_state(state))
+        state = built_state(state)
+        feature = state["feature"].astype(np.int32)
+        split = feature >= 0
+        threshold = np.zeros(len(feature))
+        right = np.full(len(feature), -1, dtype=np.int32)
+        threshold[split], right[split] = state["threshold"], state["right"]
+        self.__dict__.update(state, feature=feature, threshold=threshold, right=right)
 
     @cached_property
     def _partial(self) -> np.ndarray:

@@ -49,8 +49,10 @@ def preset_candidates(name: str) -> CandidateSet:
 
 @dataclass
 class LabeledTrainingSet:
+    """The labeled TRh users. It keeps no context matrix: the train-meta
+    step rebuilds the users' rows from the split and the fitted schema and
+    PCA models, bit for bit the matrix that the label step built."""
     user_ids: list
-    contexts: np.ndarray          # aligned with user_ids
     labels: list                  # winning candidate name per user
     scores: np.ndarray            # (users, candidates) nDCG matrix
     candidate_names: list
@@ -98,7 +100,7 @@ def score_users(fitted: dict, names, user_ids, inner_train: RatingSlice,
 
 
 def generate_labels(candidates: CandidateSet, fitted: dict, user_ids,
-                    context_matrix, inner_train: RatingSlice, inner_test: RatingSlice,
+                    inner_train: RatingSlice, inner_test: RatingSlice,
                     n: int, relevance: RelevanceConfig) -> LabeledTrainingSet:
     """Label each user with the `oracle_select` winner of the nDCG@n column of
     `score_users` (ties: candidate-set order, counted in `tied_users`).
@@ -118,7 +120,6 @@ def generate_labels(candidates: CandidateSet, fitted: dict, user_ids,
         log.info("%d users had tied nDCG; first candidate assigned", len(tied))
     return LabeledTrainingSet(
         user_ids=kept,
-        contexts=context_matrix[scored],
         labels=[candidates.names[w] for w in winners],
         scores=scores,
         candidate_names=list(candidates.names),
@@ -141,14 +142,16 @@ class MetaHybridModel:
             raise ValueError("forest labels must be a subset of candidate names")
 
 
-def train_meta(labeled: LabeledTrainingSet, params: rf.ForestParams) -> rf.ForestModel:
-    """Train the selection forest on (context vector -> winning label); a
+def train_meta(labeled: LabeledTrainingSet, contexts,
+               params: rf.ForestParams) -> rf.ForestModel:
+    """Train the selection forest on (context vector -> winning label), with
+    one row of `contexts` per user of `labeled.user_ids`; a
     `MetaHybridModel` pairs it with the serving models."""
     if len(labeled.labels) == 0:
         raise ValueError("empty labeled training set")
     if len(set(labeled.labels)) < 2:
         log.warning("only one label present; meta model is degenerate")
-    return rf.train_forest(labeled.contexts, labeled.labels, params)
+    return rf.train_forest(contexts, labeled.labels, params)
 
 
 def predict_recommender(model: MetaHybridModel, context_vector) -> str:

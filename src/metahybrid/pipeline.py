@@ -9,7 +9,15 @@ content-hash manifest, which `run_stage` writes once per stage. `run_all`
 passes one store through all seven stages, so each stage gets its inputs
 in memory and no output file is read back; a stage run alone gets a fresh
 store and loads its inputs from the output directory; the store's `read`
-is the one place that refuses a pickle of an older format.
+is the one place that refuses a pickle of an older format, and an
+operating-system error on any file of the store stops the stage with one
+`StageError` naming the path.
+
+A pickle keeps only what a later stage cannot rebuild. `labeled.pkl` holds
+the labeled set, the context schema and the PCA models, but no context
+matrix: train-meta rebuilds the labeled users' rows from `dataset.pkl` and
+`split.pkl`, as `run_all` and `run_experiment` do in memory. `meta.pkl`
+holds the forest's split fields for its split nodes only.
 `evaluation.run_experiment` chains the same steps in memory, so a staged
 run and an in-memory run produce identical reports.
 """
@@ -34,7 +42,7 @@ log = logging.getLogger(__name__)
 MANIFEST = "manifest.json"
 # bumped whenever any pickled class's state changes; that makes every
 # pickle of an output directory stale
-ARTIFACT_FORMAT = 2
+ARTIFACT_FORMAT = 3
 # what unpickling a file that is no current artifact may raise
 _UNREADABLE = (pickle.UnpicklingError, EOFError, AttributeError, ImportError, KeyError,
                IndexError, TypeError, ValueError)
@@ -57,6 +65,8 @@ class ArtifactStore:
     object, or loads the file when a stage runs alone: an envelope of
     `ARTIFACT_FORMAT`, or else one `StageError`, also when the unpickling
     itself fails (an older state can raise in its class's `__setstate__`).
+    An `OSError` of `read`, `write`, `write_text` or `write_manifest` is one
+    `StageError` too, naming the path.
     """
 
     def __init__(self, outdir):
@@ -66,9 +76,13 @@ class ArtifactStore:
         self._recorded = {}  # digests not yet in manifest.json
 
     def _save(self, name: str, data: bytes):
-        os.makedirs(self.outdir, exist_ok=True)
-        with open(os.path.join(self.outdir, name), "wb") as fh:
-            fh.write(data)
+        path = os.path.join(self.outdir, name)
+        try:
+            os.makedirs(self.outdir, exist_ok=True)
+            with open(path, "wb") as fh:
+                fh.write(data)
+        except OSError as e:
+            raise _failed("write", path, e) from e
         self._recorded[name] = hashlib.sha256(data).hexdigest()
 
     def write_manifest(self):
@@ -76,16 +90,19 @@ class ArtifactStore:
         if not self._recorded:
             return
         path = os.path.join(self.outdir, MANIFEST)
-        if self._manifest is None:
-            self._manifest = {"files": {}}
-            if os.path.exists(path):
-                with open(path, encoding="utf-8") as fh:
-                    self._manifest = json.load(fh)
-        self._manifest["files"].update(self._recorded)
-        self._recorded = {}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self._manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            if self._manifest is None:
+                self._manifest = {"files": {}}
+                if os.path.exists(path):
+                    with open(path, encoding="utf-8") as fh:
+                        self._manifest = json.load(fh)
+            self._manifest["files"].update(self._recorded)
+            self._recorded = {}
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(self._manifest, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as e:
+            raise _failed("write", path, e) from e
 
     def write(self, name: str, obj):
         self._save(name, pickle.dumps({"format_version": ARTIFACT_FORMAT, "payload": obj},
@@ -104,6 +121,8 @@ class ArtifactStore:
             try:
                 with open(path, "rb") as fh:
                     blob = pickle.load(fh)
+            except OSError as e:
+                raise _failed("read", path, e) from e
             except _UNREADABLE as e:
                 raise _stale(path, f"{type(e).__name__}: {e}") from e
             version = blob.get("format_version") if isinstance(blob, dict) else None
@@ -111,6 +130,13 @@ class ArtifactStore:
                 raise _stale(path, f"artifact format {version}, not {ARTIFACT_FORMAT}")
             self._objects[name] = blob["payload"]
         return self._objects[name]
+
+
+def _failed(action: str, path, error: OSError) -> StageError:
+    """The operating system's refusal to `action` a file of the store; the
+    path is the one it names (the output directory, for a failed makedirs)."""
+    return StageError(f"cannot {action} {error.filename or path} "
+                      f"({type(error).__name__}: {error.strerror or error})")
 
 
 def _stale(path, reason: str) -> StageError:
@@ -177,8 +203,10 @@ def stage_label(cfg: ExperimentConfig, store: ArtifactStore) -> dict:
 
 
 def stage_train_meta(cfg: ExperimentConfig, store: ArtifactStore) -> dict:
+    dataset = store.read("dataset.pkl", "train-meta")
+    split = store.read("split.pkl", "train-meta")
     bundle = store.read("labeled.pkl", "train-meta")
-    forest = ev.train_meta_step(bundle, cfg.forest, cfg.seed)
+    forest = ev.train_meta_step(dataset, split, bundle, cfg.forest, cfg.seed)
     # the evaluate stage pairs it with the fitted candidates
     store.write("meta.pkl", forest)
     summary = f"trained forest with {cfg.forest.n_estimators} trees on {len(bundle['labeled'].labels)} labels"

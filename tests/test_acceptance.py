@@ -135,10 +135,11 @@ def test_criterion_3_planted_rule():
     test_users = list(range(200, n_users))
 
     labeled = generate_labels(candidates, fitted, train_users,
-                              contexts[:200], RatingSlice(Ratings.from_events([]), [], []),
+                              RatingSlice(Ratings.from_events([]), [], []),
                               holdouts, n=10, relevance=RelevanceConfig())
     assert labeled.labels == planted[:200]
-    forest = train_meta(labeled, ForestParams(n_estimators=100, seed=1))
+    assert labeled.user_ids == train_users
+    forest = train_meta(labeled, contexts[:200], ForestParams(n_estimators=100, seed=1))
 
     dispatched = [predict_label(forest, contexts[u])[0] for u in test_users]
     accuracy = float(np.mean([dispatched[j] == planted[u]

@@ -82,6 +82,16 @@ def dataset_before_row_counts(ds):
             "provenance": ds.provenance}
 
 
+def run_cli(*args) -> tuple:
+    """(exit code, stderr) of `metahybrid` in a fresh interpreter, where an
+    uncaught exception shows as its traceback."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(root, "src")] + sys.path))
+    done = subprocess.run([sys.executable, "-m", "metahybrid.cli", *args], env=env,
+                          capture_output=True, text=True)
+    return done.returncode, done.stderr
+
+
 def assert_refused(err, path):
     """`err` is the store's one refusal of the artifact at `path`."""
     assert f"cannot read {path} (" in err
@@ -108,13 +118,13 @@ PICKLED_LAYOUTS = {
                          "spec uidx user_ids user_means",
     "ContextSchema": "age_bands genre_components genres include_age keyword_components "
                      "keywords max_runtime occupations",
-    "Dataset": "item:int32 item_ids items provenance rating:int8 timestamp:uint32 user_ids "
+    "Dataset": "item:uint8 item_ids items provenance rating:int8 timestamp:uint32 user_ids "
                "user_rows:int32 users",
     "ExperimentReport": "candidate_names confusion importances inner_ratio label_distribution "
                         "per_user rmse_activity rows seed skipped_eval_users "
                         "skipped_label_users tied_label_users",
-    "ForestModel": "class_counts:uint8 class_weight:float64 d feature:int32 "
-                   "importances:float64 labels params right:int32 roots:int32 "
+    "ForestModel": "class_counts:uint8 class_weight:float64 d feature:int8 "
+                   "importances:float64 labels params right:uint8 roots:int32 "
                    "threshold:float64",
     "ForestParams": "bootstrap class_weight max_depth max_features min_samples_leaf "
                     "min_samples_split n_estimators seed",
@@ -122,12 +132,12 @@ PICKLED_LAYOUTS = {
     "KnnBasicModel": "_rater_ptr:int64 _rater_vals:int8 _raters:int32 fallback_count "
                      "global_mean iidx item_ids item_means params seed spec uidx user_ids "
                      "user_means",
-    "LabeledTrainingSet": "candidate_names contexts:float64 labels scores:float64 "
-                          "skipped_users tied_users user_ids",
+    "LabeledTrainingSet": "candidate_names labels scores:float64 skipped_users tied_users "
+                          "user_ids",
     "NestedSplit": "single_rating_users test_inner_test test_inner_train test_users "
                    "train_inner_test train_inner_train train_users",
     "PcaModel": "components:float64 d explained_variance_ratio:float64 k mean:float64",
-    "RatingSlice": "item:int32 item_ids ptr:int64 rating:int8 timestamp:uint32 user_ids users",
+    "RatingSlice": "item:uint8 item_ids ptr:int64 rating:int8 timestamp:uint32 user_ids users",
     "RecommenderSpec": "algorithm params",
     "SlopeOneModel": "_cols:int32 _ptr:int64 _vals:int8 fallback_count global_mean iidx "
                      "item_ids item_means params seed spec uidx user_ids user_means",
@@ -434,6 +444,27 @@ class TestStageOrdering:
         assert main([stage, "--config", str(path)]) == 1
         assert_refused(capsys.readouterr().err, out / name)
 
+    def test_artifact_that_is_a_directory_refused(self, workdir, completed_run):
+        out = workdir / "directory_split_out"
+        shutil.copytree(completed_run, out)
+        os.remove(out / "split.pkl")
+        os.mkdir(out / "split.pkl")
+        path = write_config(workdir, name="directory_split.json", output_dir=str(out))
+        code, err = run_cli("fit-candidates", "--config", str(path))
+        assert code == 1 and "Traceback" not in err
+        assert err.splitlines()[-1] == (f"error [fit-candidates]: cannot read "
+                                        f"{out / 'split.pkl'} (IsADirectoryError: Is a directory)")
+
+    def test_output_directory_that_is_a_file_refused(self, workdir):
+        target = workdir / "out_is_a_file"
+        target.write_text("")
+        path = write_config(workdir, name="file_out.json")
+        code, err = run_cli("ingest", "--config", str(path), "--out", str(target))
+        assert code == 1 and "Traceback" not in err
+        assert err.splitlines()[-1] == (f"error [ingest]: cannot write {target} "
+                                        f"(FileExistsError: File exists)")
+        assert target.read_text() == ""
+
     def test_evaluate_rejects_meta_without_forest(self, workdir, completed_run, capsys):
         out = workdir / "stale_meta_out"
         shutil.copytree(completed_run, out)
@@ -545,7 +576,7 @@ class TestStageOrdering:
         for outdir in (completed_run, completed_mixed_run):
             for name, _ in FIRST_READS:
                 recorder.dump(pickle.loads((outdir / name).read_bytes()))
-        assert (pipeline.ARTIFACT_FORMAT, recorder.layouts) == (2, PICKLED_LAYOUTS), (
+        assert (pipeline.ARTIFACT_FORMAT, recorder.layouts) == (3, PICKLED_LAYOUTS), (
             "a pickled layout changed: bump ARTIFACT_FORMAT and re-pin")
 
     def test_train_meta_does_not_read_serving_models(self, workdir, completed_run):
@@ -779,12 +810,17 @@ class TestFixtureReports:
     """`run-all` on the shipped fixture config writes these exact reports, so
     a change that moves any reported figure shows here."""
 
-    # upper bounds on the pickles that hold models and ratings: the sizes
-    # written today, so that a wider layout fails
+    # upper bounds on the pickles that hold models, ratings and labels: the
+    # sizes written today, so that a wider layout fails
     MAX_BYTES = {"candidates_eval.pkl": {"cf": 229_503, "mixed": 396_641},
-                 "meta.pkl": {"cf": 104_651, "mixed": 92_059},
-                 "dataset.pkl": {"cf": 159_567, "mixed": 159_567},
-                 "split.pkl": {"cf": 96_169, "mixed": 96_169}}
+                 "meta.pkl": {"cf": 52_950, "mixed": 44_278},
+                 "dataset.pkl": {"cf": 139_667, "mixed": 139_667},
+                 "split.pkl": {"cf": 76_235, "mixed": 76_235},
+                 "labeled.pkl": {"cf": 13_558, "mixed": 12_376}}
+
+    # an upper bound on every file of the output directory together (the
+    # benchmark's artifact_bytes): the total written today
+    MAX_TOTAL_BYTES = {"cf": 741_399, "mixed": 882_565}
 
     # preset, sha256 of report.json, sha256 of per_user_metrics.csv
     PINNED = [
@@ -827,6 +863,22 @@ class TestFixtureReports:
         # no pickle holds state that it can rebuild on load, or wider columns
         for name, bound in self.MAX_BYTES.items():
             assert (tmp_path / name).stat().st_size <= bound[preset], name
+        total = sum(entry.stat().st_size for entry in tmp_path.iterdir())
+        assert total <= self.MAX_TOTAL_BYTES[preset]
+
+    def test_stages_run_alone_write_the_run_all_files(self, tmp_path, monkeypatch):
+        # train-meta run alone rebuilds the TRh contexts from dataset.pkl and
+        # split.pkl; run-all hands them on in memory
+        monkeypatch.chdir(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+        config = os.path.join("fixtures", "fixture.cfg")
+        staged, chained = tmp_path / "staged", tmp_path / "chained"
+        for stage in pipeline.STAGES:
+            assert main([stage, "--config", config, "--out", str(staged)]) == 0, stage
+        assert main(["run-all", "--config", config, "--out", str(chained)]) == 0
+        for name in ("labeled.pkl", "meta.pkl", "report.json"):
+            assert (staged / name).read_bytes() == (chained / name).read_bytes(), name
+        assert hashlib.sha256((staged / "report.json").read_bytes()).hexdigest() == \
+            self.PINNED[0][1]
 
     @pytest.mark.parametrize("preset", ["cf", "mixed"])
     def test_run_all_reads_no_pickle_back(self, tmp_path, monkeypatch, preset):

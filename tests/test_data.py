@@ -12,6 +12,7 @@ from metahybrid.data import (
     IngestError,
     ItemRecord,
     RatingEvent,
+    Ratings,
     UserRecord,
     enrich_items,
     filter_min_ratings,
@@ -370,6 +371,31 @@ def test_fixture_pickles_hold_uint32_timestamps(fixture_artifacts):
     assert dataset.__getstate__()["timestamp"].dtype == np.uint32
     for name in SLICES:
         assert getattr(split, name).__getstate__()["timestamp"].dtype == np.uint32, name
+
+
+def test_fixture_pickles_hold_uint16_item_codes(fixture_artifacts):
+    dataset, split = fixture_artifacts
+    assert len(dataset.items) == 500
+    assert dataset.__getstate__()["item"].dtype == np.uint16
+    for name in SLICES:
+        assert getattr(split, name).__getstate__()["item"].dtype == np.uint16, name
+    columns = [dataset.ratings.item] + [getattr(split, n).rows.item for n in SLICES]
+    assert [c.dtype for c in columns] == [np.int32] * len(columns)
+
+
+def test_item_codes_above_2_to_16_round_trip():
+    codes = np.array([0, 70_000, 65_535, 65_536], dtype=np.int32)
+    ratings = Ratings(["u"], list(range(70_001)), np.zeros(4, dtype=np.int32), codes,
+                      np.full(4, 3, dtype=np.int8), np.arange(1, 5, dtype=np.int64))
+    ds = Dataset(ratings, {}, {})
+    assert ds.__getstate__()["item"].dtype == np.uint32
+    blob = pickle.dumps(ds)
+    back = pickle.loads(blob)
+    assert back.ratings == ratings and back.ratings.item.dtype == np.int32
+    assert pickle.dumps(back) == blob
+    by_user = ds.ratings_by_user()
+    back = pickle.loads(pickle.dumps(by_user))
+    assert back.rows == by_user.rows and back.rows.item.dtype == np.int32
 
 
 def test_timestamps_at_or_above_2_to_32_round_trip(tmp_path):

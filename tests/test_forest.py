@@ -491,13 +491,18 @@ def fixture_run(preset):
     split = evaluation.split_step(dataset, cfg.split, cfg.seed)
     candidates = cfg.candidate_set()
     fitted = evaluation.fit_step(dataset, split, candidates, cfg.seed)
-    bundle, _ = evaluation.label_step(dataset, split, candidates, fitted, cfg.context,
-                                      cfg.relevance, cfg.label_cutoff)
+    bundle, matrix = evaluation.label_step(dataset, split, candidates, fitted, cfg.context,
+                                           cfg.relevance, cfg.label_cutoff)
     test_contexts, _, _, _ = evaluation.build_contexts(
         split.test_users, split.test_inner_train, dataset, bundle["schema"],
         bundle["pca_genres"], bundle["pca_keywords"])
-    return SimpleNamespace(labeled=bundle["labeled"], test_contexts=test_contexts,
-                           forest=evaluation.train_meta_step(bundle, cfg.forest, cfg.seed))
+    # the label step's matrix rows of the labeled users, with their labels
+    labeled = bundle["labeled"]
+    rows = [split.train_users.index(uid) for uid in labeled.user_ids]
+    return SimpleNamespace(labeled=SimpleNamespace(contexts=matrix[rows], labels=labeled.labels),
+                           test_contexts=test_contexts,
+                           forest=evaluation.train_meta_step(dataset, split, bundle, cfg.forest,
+                                                             cfg.seed))
 
 
 def labeled_contexts(preset):
@@ -713,3 +718,75 @@ class TestNarrowCounts:
         older["class_counts"] = forest.weighted_counts()
         with pytest.raises(StageError, match="rerun every stage from ingest"):
             read_older_artifact(ForestModel, older)
+
+
+FOREST_ARRAYS = ("roots", "feature", "threshold", "right", "class_counts", "class_weight",
+                 "importances")
+
+
+class TestSplitOnlyPickle:
+    """The pickle keeps `feature` in the narrowest signed type and a
+    threshold and a right child for split nodes only; a load scatters them
+    back into the arrays growth wrote, so a loaded forest predicts, and
+    re-pickles, as the built one does."""
+
+    def assert_loads_as_built(self, forest, X, y):
+        blob = pickle.dumps(forest)
+        loaded = pickle.loads(blob)
+        for name in FOREST_ARRAYS:
+            built, got = getattr(forest, name), getattr(loaded, name)
+            assert got.dtype == built.dtype and got.tobytes() == built.tobytes(), name
+        assert {a.dtype for a in (loaded.roots, loaded.feature, loaded.right)} == {
+            np.dtype(np.int32)}
+        for row in X:
+            assert np.array_equal(predict_proba(loaded, row), predict_proba(forest, row))
+        assert oob_error(loaded, X, y) == oob_error(forest, X, y)
+        assert pickle.dumps(loaded.trees) == pickle.dumps(forest.trees)
+        assert pickle.dumps(loaded) == blob
+        return forest.__getstate__()
+
+    @pytest.mark.parametrize("preset", ["cf", "mixed"])
+    def test_fixture_forest(self, preset):
+        run = fixture_run(preset)
+        X, y = run.labeled.contexts, run.labeled.labels
+        # train-meta's rebuilt contexts are the label step's matrix rows
+        assert pickle.dumps(run.forest) == pickle.dumps(
+            train_forest(X, y, run.forest.params))
+        state = self.assert_loads_as_built(run.forest, X, y)
+        split = run.forest.feature >= 0
+        assert (run.forest.d, state["feature"].dtype, state["right"].dtype) == (
+            110, np.int8, np.uint16)
+        assert np.array_equal(state["feature"], run.forest.feature)
+        assert np.array_equal(state["threshold"], run.forest.threshold[split])
+        assert np.array_equal(state["right"], run.forest.right[split])
+        assert (run.forest.threshold[~split] == 0.0).all()
+        assert (run.forest.right[~split] == -1).all()
+
+    def test_wide_rows_keep_int16_features(self):
+        rng = np.random.default_rng(41)
+        X = rng.normal(size=(80, 130))
+        y = ["a" if v > 0 else "b" for v in X[:, 129] + 0.3 * X[:, 128]]
+        forest = train_forest(X, y, ForestParams(n_estimators=20, seed=42))
+        assert (forest.feature >= 128).any()
+        state = self.assert_loads_as_built(forest, X, y)
+        assert state["feature"].dtype == np.int16
+
+    def test_single_leaf_trees(self):
+        # one "b" row: a tree whose bootstrap sample misses it is one leaf
+        rng = np.random.default_rng(43)
+        X = rng.normal(size=(10, 3))
+        y = ["a"] * 9 + ["b"]
+        forest = train_forest(X, y, ForestParams(n_estimators=20, seed=44,
+                                                 min_samples_leaf=1))
+        leaf_roots = forest.feature[forest.roots] < 0
+        assert leaf_roots.any() and not leaf_roots.all()
+        self.assert_loads_as_built(forest, X, y)
+
+    def test_forest_of_leaves(self):
+        # constant features: no split has a positive gain, so every tree is its root
+        X = np.ones((12, 2))
+        y = ["a", "b"] * 6
+        forest = train_forest(X, y, ForestParams(n_estimators=5, seed=45))
+        assert len(forest.feature) == 5
+        state = self.assert_loads_as_built(forest, X, y)
+        assert state["threshold"].size == state["right"].size == 0

@@ -85,26 +85,29 @@ def _label_setup():
 class TestLabeling:
     def test_argmax_and_skip_and_tie(self):
         candidates, fitted, holdouts, contexts = _label_setup()
-        labeled = generate_labels(candidates, fitted, [1, 2, 3, 4], contexts,
-                                  slice_of({}), holdouts, n=10, relevance=RelevanceConfig())
+        labeled = generate_labels(candidates, fitted, [1, 2, 3, 4], slice_of({}), holdouts,
+                                  n=10, relevance=RelevanceConfig())
         assert labeled.user_ids == [1, 2, 4]
         assert labeled.labels == ["SlopeOne", "KnnBasic", "SlopeOne"]
         assert labeled.skipped_users == [3]
         assert labeled.tied_users == [4]
-        # context rows follow the kept users
-        assert np.array_equal(labeled.contexts, contexts[[0, 1, 3]])
+        # the forest takes one context row per kept user
+        params = ForestParams(n_estimators=2, min_samples_split=2, min_samples_leaf=1)
+        assert train_meta(labeled, contexts[[0, 1, 3]], params).d == 2
+        with pytest.raises(ValueError, match="aligned"):
+            train_meta(labeled, contexts, params)
 
     def test_scores_consistent_with_labels(self):
         candidates, fitted, holdouts, contexts = _label_setup()
-        labeled = generate_labels(candidates, fitted, [1, 2, 3, 4], contexts,
-                                  slice_of({}), holdouts, n=10, relevance=RelevanceConfig())
+        labeled = generate_labels(candidates, fitted, [1, 2, 3, 4], slice_of({}), holdouts,
+                                  n=10, relevance=RelevanceConfig())
         for lab, row in zip(labeled.labels, labeled.scores):
             assert row[candidates.names.index(lab)] == row.max()
 
     def test_train_items_excluded(self):
         candidates, fitted, holdouts, contexts = _label_setup()
         # excluding h1 from user 1 removes SlopeOne's hit; tie at 0 -> first
-        labeled = generate_labels(candidates, fitted, [1], contexts[:1],
+        labeled = generate_labels(candidates, fitted, [1],
                                   slice_of({1: [RatingEvent(1, "h1", 3, 9)]}),
                                   slice_of({1: list(holdouts[1])}), n=10,
                                   relevance=RelevanceConfig())
@@ -116,13 +119,13 @@ class TestLabeling:
         candidates, fitted, holdouts, contexts = _label_setup()
         del fitted["KnnBasic"]
         with pytest.raises(ValueError, match="no fitted model"):
-            generate_labels(candidates, fitted, [1], contexts[:1], slice_of({}), holdouts,
+            generate_labels(candidates, fitted, [1], slice_of({}), holdouts,
                             n=10, relevance=RelevanceConfig())
 
     def test_export_csv(self):
         candidates, fitted, holdouts, contexts = _label_setup()
-        labeled = generate_labels(candidates, fitted, [1, 2, 3, 4], contexts,
-                                  slice_of({}), holdouts, n=10, relevance=RelevanceConfig())
+        labeled = generate_labels(candidates, fitted, [1, 2, 3, 4], slice_of({}), holdouts,
+                                  n=10, relevance=RelevanceConfig())
         lines = labeled.labels_csv().strip().split("\n")
         assert lines[0] == "user_id,label,ndcg_SlopeOne,ndcg_KnnBasic"
         assert len(lines) == 4
@@ -130,7 +133,7 @@ class TestLabeling:
     def test_export_csv_round_trips(self):
         from metahybrid.hybrid import LabeledTrainingSet
         scores = np.array([[0.0, 1 / 3], [0.1, 1.0], [2.0 ** -40, 0.7071067811865476]])
-        labeled = LabeledTrainingSet(user_ids=[1, 2, 3], contexts=np.zeros((3, 1)),
+        labeled = LabeledTrainingSet(user_ids=[1, 2, 3],
                                      labels=["a", "b", "a"], scores=scores,
                                      candidate_names=["a", "b"])
         rows = list(csv.reader(labeled.labels_csv().splitlines()))[1:]
@@ -180,7 +183,7 @@ class TestScoreTable:
         candidates, fitted, inner_train, inner_test = self._setup()
         _, table = score_users(fitted, candidates.names, [1, 2, 3], inner_train,
                                inner_test, RelevanceConfig(), 10)
-        labeled = generate_labels(candidates, fitted, [1, 2, 3], np.eye(3),
+        labeled = generate_labels(candidates, fitted, [1, 2, 3],
                                   inner_train, inner_test, n=10, relevance=RelevanceConfig())
         ndcg = table[:, :, -1]
         winners, _ = oracle_select(ndcg, candidates.names)
@@ -191,7 +194,8 @@ class TestScoreTable:
                 if np.sum(row == row.max()) > 1]
         assert labeled.tied_users == ties == [3]
         assert labeled.skipped_users == [2]
-        assert np.array_equal(labeled.contexts, np.eye(3)[[0, 2]])
+        # the users whose context rows the forest takes
+        assert labeled.user_ids == [1, 3]
 
 
 class TestOracle:
@@ -233,13 +237,13 @@ class TestMetaModel:
         candidates = two_candidates()
         from metahybrid.hybrid import LabeledTrainingSet
         labeled = LabeledTrainingSet(
-            user_ids=list(range(n)), contexts=contexts, labels=labels,
+            user_ids=list(range(n)), labels=labels,
             scores=scores, candidate_names=candidates.names)
         fitted = {"SlopeOne": FakeRecommender({0: ["s1", "s2"]}),
                   "KnnBasic": FakeRecommender({0: ["k1", "k2"]})}
         model = MetaHybridModel(
             candidates=candidates, fitted=fitted,
-            forest=train_meta(labeled, ForestParams(n_estimators=40, seed=2)),
+            forest=train_meta(labeled, contexts, ForestParams(n_estimators=40, seed=2)),
             schema=None, pca_genres=None, pca_keywords=None)
         return model, contexts, labels, scores
 
@@ -282,11 +286,10 @@ class TestMetaModel:
     def test_empty_labeled_rejected(self):
         from metahybrid.hybrid import LabeledTrainingSet
         candidates = two_candidates()
-        labeled = LabeledTrainingSet(user_ids=[], contexts=np.zeros((0, 2)),
-                                     labels=[], scores=np.zeros((0, 2)),
+        labeled = LabeledTrainingSet(user_ids=[], labels=[], scores=np.zeros((0, 2)),
                                      candidate_names=candidates.names)
         with pytest.raises(ValueError, match="empty"):
-            train_meta(labeled, ForestParams(n_estimators=2))
+            train_meta(labeled, np.zeros((0, 2)), ForestParams(n_estimators=2))
 
     def test_forest_labels_must_be_candidates(self):
         model, _, _, _ = self._planted_model()

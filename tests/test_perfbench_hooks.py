@@ -80,9 +80,10 @@ def test_traced_run_all_counts_every_scored_user(tmp_path):
     users = len(split.train_users) + len(split.test_users)
     for alg in ("BaselineOnly", "CoClustering", "SlopeOne", "SvdMf"):
         assert metrics[f"recommenders.{alg}.topn_calls"] == users
-    # one extract_raw span per context build: the TRh users', then the TEh users'
+    # one extract_raw span per context build: the TRh users' to label them,
+    # the labelled users' again to train the forest, then the TEh users'
     # (the metric counts those calls, not users)
-    assert metrics["context.users"] == 2
+    assert metrics["context.users"] == 3
     rows = (tmp_path / "out" / "labels.csv").read_text().splitlines()[1:]
     assert metrics["hybrid.labels"] == len(rows) > 0
     # one nDCG per candidate for every labelled and every evaluated user

@@ -866,20 +866,6 @@ class TestFixtureReports:
         total = sum(entry.stat().st_size for entry in tmp_path.iterdir())
         assert total <= self.MAX_TOTAL_BYTES[preset]
 
-    def test_stages_run_alone_write_the_run_all_files(self, tmp_path, monkeypatch):
-        # train-meta run alone rebuilds the TRh contexts from dataset.pkl and
-        # split.pkl; run-all hands them on in memory
-        monkeypatch.chdir(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-        config = os.path.join("fixtures", "fixture.cfg")
-        staged, chained = tmp_path / "staged", tmp_path / "chained"
-        for stage in pipeline.STAGES:
-            assert main([stage, "--config", config, "--out", str(staged)]) == 0, stage
-        assert main(["run-all", "--config", config, "--out", str(chained)]) == 0
-        for name in ("labeled.pkl", "meta.pkl", "report.json"):
-            assert (staged / name).read_bytes() == (chained / name).read_bytes(), name
-        assert hashlib.sha256((staged / "report.json").read_bytes()).hexdigest() == \
-            self.PINNED[0][1]
-
     @pytest.mark.parametrize("preset", ["cf", "mixed"])
     def test_run_all_reads_no_pickle_back(self, tmp_path, monkeypatch, preset):
         outs = [tmp_path / "first", tmp_path / "second"]

@@ -499,10 +499,10 @@ def fixture_run(preset):
     # the label step's matrix rows of the labeled users, with their labels
     labeled = bundle["labeled"]
     rows = [split.train_users.index(uid) for uid in labeled.user_ids]
-    return SimpleNamespace(labeled=SimpleNamespace(contexts=matrix[rows], labels=labeled.labels),
-                           test_contexts=test_contexts,
-                           forest=evaluation.train_meta_step(dataset, split, bundle, cfg.forest,
-                                                             cfg.seed))
+    return SimpleNamespace(
+        labeled=SimpleNamespace(contexts=matrix[rows], labels=labeled.labels),
+        test_contexts=test_contexts,
+        forest=evaluation.train_meta_step(dataset, split, bundle, cfg.forest, cfg.seed))
 
 
 def labeled_contexts(preset):
@@ -720,10 +720,6 @@ class TestNarrowCounts:
             read_older_artifact(ForestModel, older)
 
 
-FOREST_ARRAYS = ("roots", "feature", "threshold", "right", "class_counts", "class_weight",
-                 "importances")
-
-
 class TestSplitOnlyPickle:
     """The pickle keeps `feature` in the narrowest signed type and a
     threshold and a right child for split nodes only; a load scatters them
@@ -733,11 +729,10 @@ class TestSplitOnlyPickle:
     def assert_loads_as_built(self, forest, X, y):
         blob = pickle.dumps(forest)
         loaded = pickle.loads(blob)
-        for name in FOREST_ARRAYS:
+        for name in ("roots", "feature", "threshold", "right", "class_counts",
+                     "class_weight", "importances"):
             built, got = getattr(forest, name), getattr(loaded, name)
             assert got.dtype == built.dtype and got.tobytes() == built.tobytes(), name
-        assert {a.dtype for a in (loaded.roots, loaded.feature, loaded.right)} == {
-            np.dtype(np.int32)}
         for row in X:
             assert np.array_equal(predict_proba(loaded, row), predict_proba(forest, row))
         assert oob_error(loaded, X, y) == oob_error(forest, X, y)

@@ -17,7 +17,7 @@ from . import forest as rf
 from . import hybrid as hy
 from . import recommenders as rec
 from .data import Dataset, RatingSlice, format_float
-from .metrics import METRIC_COLUMNS, SCORE_COLUMNS, RelevanceConfig, rmse
+from .metrics import METRIC_COLUMNS, SCORE_COLUMNS, RelevanceConfig
 from .seeding import derive_seed
 from .splits import NestedSplit, SplitPlan, nested_split, slice_events
 
@@ -198,9 +198,10 @@ def meta_model(bundle: dict, candidates: hy.CandidateSet, forest: rf.ForestModel
 def evaluate_step(dataset: Dataset, split: NestedSplit, meta: hy.MetaHybridModel,
                   bundle: dict, relevance: RelevanceConfig, label_cutoff: int,
                   master_seed: int, inner_ratio: float) -> tuple:
-    """Steps 6 and 8: TEh contexts with the TRh-fitted PCA models, dispatch,
-    then every candidate, the hybrid and the oracle read from one
-    `hy.score_users` table of the TEh inner-test slice, plus an RMSE column.
+    """Steps 6 and 8: TEh contexts with the TRh-fitted PCA models, one
+    forest walk that dispatches every TEh user, then every candidate, the
+    hybrid and the oracle read from one `hy.score_users` table of the TEh
+    inner-test slice, with its RMSE column.
     Its nDCG has the labels' cutoff, so the oracle is the argmax the labels
     took.
 
@@ -210,21 +211,13 @@ def evaluate_step(dataset: Dataset, split: NestedSplit, meta: hy.MetaHybridModel
     test_matrix, _, _, _ = build_contexts(split.test_users, split.test_inner_train,
                                           dataset, meta.schema, meta.pca_genres,
                                           meta.pca_keywords)
-    dispatched = {uid: hy.predict_recommender(meta, test_matrix[row])
-                  for row, uid in enumerate(split.test_users)}
+    dispatched = dict(zip(split.test_users, rf.predict_labels(meta.forest, test_matrix)))
     names = meta.candidates.names
+    # test users only: the labels read nDCG alone
     scored, table = hy.score_users(meta.fitted, names, split.test_users,
                                    split.test_inner_train, split.test_inner_test,
-                                   relevance, label_cutoff)
+                                   relevance, label_cutoff, with_rmse=True)
     users = [uid for uid, ok in zip(split.test_users, scored) if ok]
-    errors = []
-    for uid in users:  # test users only: the labels read nDCG alone
-        holdout = split.test_inner_test[uid]
-        holdout = holdout.take(np.argsort(holdout.item))  # by item id
-        items, truth = holdout.item_list(), holdout.rating.tolist()
-        errors.append([rmse(zip(truth, meta.fitted[name].predict_ratings(uid, items).tolist()))
-                       for name in names])
-    table = np.dstack((table, np.reshape(errors, (len(users), len(names)))))
     report = _build_report(users, table, dispatched, split, names, bundle, meta.forest,
                            master_seed, inner_ratio)
     return report, dispatched, test_matrix

@@ -470,7 +470,7 @@ def _leaf_frequencies(model: ForestModel, X) -> np.ndarray:
         left = X[row[inner], feature[k]] <= model.threshold[k]
         node[inner] = np.where(left, k + 1, right[k])
         inner = inner[feature[node[inner]] >= 0]
-    counts = model.weighted_counts(node).reshape(len(X), len(model.roots), -1)
+    counts = model.weighted_counts(node).reshape(len(X), len(model.roots), len(model.labels))
     return counts / counts.sum(axis=2, keepdims=True)
 
 
@@ -480,12 +480,14 @@ def _sum_trees(frequencies) -> np.ndarray:
     return np.add.accumulate(frequencies, axis=-2)[..., -1, :]
 
 
-def predict_proba(model: ForestModel, x) -> np.ndarray:
-    """Mean of per-tree leaf class frequencies (soft voting) for one row."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != model.d:
-        raise ValueError(f"expected {model.d} features, got {x.shape[-1]}")
-    return _sum_trees(_leaf_frequencies(model, x[None])[0]) / len(model.roots)
+def predict_proba(model: ForestModel, X) -> np.ndarray:
+    """Mean of per-tree leaf class frequencies (soft voting): one row of
+    class probabilities per row of the matrix X, or one for the row x."""
+    X = np.asarray(X, dtype=float)
+    if X.shape[-1] != model.d:
+        raise ValueError(f"expected {model.d} features, got {X.shape[-1]}")
+    proba = _sum_trees(_leaf_frequencies(model, X.reshape(-1, model.d))) / len(model.roots)
+    return proba.reshape(X.shape[:-1] + proba.shape[-1:])
 
 
 def predict_label(model: ForestModel, x):
@@ -493,6 +495,11 @@ def predict_label(model: ForestModel, x):
     proba = predict_proba(model, x)
     j = int(np.argmax(proba))  # argmax takes the first maximum
     return model.labels[j], dict(zip(model.labels, proba.tolist()))
+
+
+def predict_labels(model: ForestModel, X) -> list:
+    """The `predict_label` label of each row of X, from one walk of all rows."""
+    return [model.labels[j] for j in predict_proba(model, X).argmax(axis=1).tolist()]
 
 
 def feature_importances(model: ForestModel, feature_names=None,

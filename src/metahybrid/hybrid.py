@@ -6,14 +6,17 @@ forest, and dispatch."""
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from . import forest as rf
-from .data import RatingSlice, format_float
-from .metrics import CUTOFFS, SCORE_COLUMNS, RelevanceConfig, ndcg_at, precision_recall_at
+from .data import RatingSlice, format_float, runs
+from .metrics import CUTOFFS, SCORE_COLUMNS, RelevanceConfig, rmse
 from .recommenders import RecommenderSpec
+from .recommenders.base import block_rows, rank_block
 
 log = logging.getLogger(__name__)
 
@@ -68,35 +71,106 @@ class LabeledTrainingSet:
 
 def score_users(fitted: dict, names, user_ids, inner_train: RatingSlice,
                 inner_test: RatingSlice, relevance: RelevanceConfig,
-                ndcg_cutoff: int) -> tuple:
+                ndcg_cutoff: int, with_rmse: bool = False) -> tuple:
     """One catalog Top-N per (user, candidate), without the user's inner-train
-    items, scored against the user's inner holdout.
+    items, scored against the user's inner holdout, from one `score_block`
+    pass per (block of users, candidate).
 
     Returns (scored, table): `scored` marks the users with a non-empty
     holdout; `table` holds one (candidates x `metrics.SCORE_COLUMNS`) block
-    each, with every column but the last, RMSE, which `evaluation` adds.
+    each, with every column but the last, RMSE, unless `with_rmse`. Each cell
+    is bit for bit the metric function's value on the candidate's
+    `recommend_top_n` or `predict_ratings`.
     """
     for name in names:
         if name not in fitted:
             raise ValueError(f"candidate {name!r} has no fitted model")
-    top_n = max(max(CUTOFFS), ndcg_cutoff)
-    scored, rows = [], []
-    for uid in user_ids:
-        test, train = inner_test.get(uid), inner_train.get(uid)
-        scored.append(bool(test))
-        if not test:
-            continue
-        holdout = dict(zip(test.item_list(), test.rating.tolist()))
-        relevant = {iid for iid, r in holdout.items() if r >= relevance.threshold}
-        exclude = set(train.item_list()) if train else set()
-        for name in names:
-            ranked = fitted[name].recommend_top_n(uid, top_n, exclude=exclude)
-            for k in CUTOFFS:
-                rows.extend(precision_recall_at(ranked, relevant, k))
-            rows.append(ndcg_at(ranked, holdout, ndcg_cutoff))
-    table = np.array(rows, dtype=float).reshape(
-        sum(scored), len(names), len(SCORE_COLUMNS) - 1)
-    return np.array(scored, dtype=bool), table
+    scored = np.array([stop > start for start, stop in map(inner_test.span, user_ids)],
+                      dtype=bool)
+    users = [u for u, ok in zip(user_ids, scored) if ok]
+    table = np.zeros((len(users), len(names), len(SCORE_COLUMNS) - (not with_rmse)))
+    for c, name in enumerate(names):
+        step = block_rows(len(fitted[name].item_ids))
+        for r0 in range(0, len(users), step):
+            table[r0:r0 + step, c] = _block_cells(fitted[name], users[r0:r0 + step],
+                                                  inner_train, inner_test, relevance,
+                                                  ndcg_cutoff, with_rmse)
+    return scored, table
+
+
+def _block_cells(model, users, inner_train, inner_test, relevance, cutoff,
+                 with_rmse) -> np.ndarray:
+    """One candidate's (users x columns) cells for a block of users."""
+    excluded = _in_catalog(model, inner_train, _last_ratings(inner_train, users)) > 0
+    holdout = _last_ratings(inner_test, users)
+    ratings, rank = model.score_block(users, ~excluded)
+    cols, lengths = rank_block(rank, excluded, max(max(CUTOFFS), cutoff))
+    grades = np.take_along_axis(_in_catalog(model, inner_test, holdout), cols, axis=1)
+    grades[np.arange(cols.shape[1]) >= lengths[:, None]] = 0
+    hits = np.cumsum(grades >= relevance.threshold, axis=1)
+    relevant = (holdout >= relevance.threshold).sum(axis=1)
+    cells = []
+    for k in CUTOFFS:
+        hit = hits[:, min(k, hits.shape[1]) - 1]
+        cells += [_ratio(hit, np.minimum(lengths, k)), _ratio(hit, relevant)]
+    ideal = np.sort(holdout, axis=1)[:, :-cutoff - 1:-1]
+    cells.append(_ratio(_dcg(grades[:, :cutoff]), _dcg(ideal)))
+    if with_rmse:
+        # each user's holdout rows by item id; an item off the catalog takes
+        # `predict_rating`
+        owner, item, truth = _rows_of(inner_test, users)
+        order = np.lexsort((item, owner))
+        owner, item, truth = owner[order], item[order], truth[order]
+        table = inner_test.rows.item_ids
+        cols = np.array([model.iidx.get(i, -1) for i in table], dtype=np.intp)[item]
+        preds = ratings[owner, cols]
+        for k in np.flatnonzero(cols < 0).tolist():
+            preds[k] = model.predict_rating(users[owner[k]], table[item[k]])
+        pairs = iter(zip(truth.tolist(), preds.tolist()))
+        cells.append([rmse(islice(pairs, m)) for m in np.bincount(owner).tolist()])
+    return np.stack(cells, axis=1)
+
+
+def _rows_of(ratings: RatingSlice, users) -> tuple:
+    """(owner, item, rating) of the rows of `users` in `ratings`, user by
+    user in slice order; owner indexes `users`, item the slice's item table."""
+    spans = np.array([ratings.span(u) for u in users], dtype=np.int64).reshape(-1, 2)
+    lengths = spans[:, 1] - spans[:, 0]
+    at = runs(spans[:, 0], lengths)
+    return np.repeat(np.arange(len(users)), lengths), ratings.rows.item[at], ratings.rows.rating[at]
+
+
+def _last_ratings(ratings: RatingSlice, users) -> np.ndarray:
+    """(users x item table + 1): each user's last rating of each item of
+    `ratings`, as a dict of the rows keeps it; 0 elsewhere and in the last
+    column."""
+    owner, item, rating = _rows_of(ratings, users)
+    grid = np.zeros((len(users), len(ratings.rows.item_ids) + 1), dtype=np.int8)
+    last = len(owner) - 1 - np.unique((owner * grid.shape[1] + item)[::-1],
+                                      return_index=True)[1]
+    grid[owner[last], item[last]] = rating[last]
+    return grid
+
+
+def _in_catalog(model, ratings: RatingSlice, grid) -> np.ndarray:
+    """The columns of a `_last_ratings` grid in the model's catalog order; 0
+    for a catalog item off the slice's item table."""
+    index = {iid: k for k, iid in enumerate(ratings.rows.item_ids)}
+    return grid[:, [index.get(iid, -1) for iid in model.item_ids]]
+
+
+def _dcg(grades) -> np.ndarray:
+    """Each row's DCG, as `metrics.ndcg_at` takes it: gains 2^rel - 1 (exact
+    from `ldexp`), added position by position from 0."""
+    total = np.zeros(len(grades))
+    for i, column in enumerate((np.ldexp(1.0, grades) - 1.0).T):
+        total += column / math.log2(i + 2)
+    return total
+
+
+def _ratio(num, den) -> np.ndarray:
+    """num / den, 0.0 where den is 0."""
+    return np.divide(num, den, out=np.zeros(len(num)), where=den != 0)
 
 
 def generate_labels(candidates: CandidateSet, fitted: dict, user_ids,

@@ -65,20 +65,24 @@ class ArtifactStore:
     object, or loads the file when a stage runs alone: an envelope of
     `ARTIFACT_FORMAT`, or else one `StageError`, also when the unpickling
     itself fails (an older state can raise in its class's `__setstate__`).
-    An `OSError` of `read`, `write`, `write_text` or `write_manifest` is one
-    `StageError` too, naming the path.
+    The first write reads the directory's manifest, and one that is not a
+    JSON object with a `files` map stops the stage before any output is
+    written. An `OSError` of `read`, `write`, `write_text` or
+    `write_manifest` is one `StageError` too, naming the path.
     """
 
     def __init__(self, outdir):
         self.outdir = outdir
         self._objects = {}
-        self._manifest = None  # merged into the directory's manifest on first write
+        self._manifest = None  # the directory's manifest, read before the first write
         self._recorded = {}  # digests not yet in manifest.json
 
     def _save(self, name: str, data: bytes):
         path = os.path.join(self.outdir, name)
         try:
             os.makedirs(self.outdir, exist_ok=True)
+            if self._manifest is None:
+                self._manifest = _read_manifest(os.path.join(self.outdir, MANIFEST))
             with open(path, "wb") as fh:
                 fh.write(data)
         except OSError as e:
@@ -90,14 +94,9 @@ class ArtifactStore:
         if not self._recorded:
             return
         path = os.path.join(self.outdir, MANIFEST)
+        self._manifest["files"].update(self._recorded)
+        self._recorded = {}
         try:
-            if self._manifest is None:
-                self._manifest = {"files": {}}
-                if os.path.exists(path):
-                    with open(path, encoding="utf-8") as fh:
-                        self._manifest = json.load(fh)
-            self._manifest["files"].update(self._recorded)
-            self._recorded = {}
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(self._manifest, fh, indent=2, sort_keys=True)
                 fh.write("\n")
@@ -130,6 +129,25 @@ class ArtifactStore:
                 raise _stale(path, f"artifact format {version}, not {ARTIFACT_FORMAT}")
             self._objects[name] = blob["payload"]
         return self._objects[name]
+
+
+def _read_manifest(path) -> dict:
+    """The manifest at `path`, or an empty one where there is none. A file
+    that is not a JSON object with a `files` map stops the stage before it
+    writes anything, as does an operating-system error reading it."""
+    if not os.path.exists(path):
+        return {"files": {}}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except OSError as e:
+        raise _failed("read", path, e) from e
+    except ValueError:  # not JSON, or not UTF-8
+        manifest = None
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("files"), dict):
+        raise StageError(f"cannot read {path} (not a JSON object with a files map); "
+                         f"remove it, or write to another output directory")
+    return manifest
 
 
 def _failed(action: str, path, error: OSError) -> StageError:

@@ -1,9 +1,11 @@
 """Common contract for the rating predictors.
 
 Every algorithm fits on a ratings slice, a `data.Ratings` (plus the item
-catalog where it needs content features), predicts ratings clamped to [1,5]
-with a shared cold-case fallback chain, and ranks the catalog for Top-N
-recommendation.
+catalog where it needs content features), and scores the whole catalog for
+a block of users at once (`score_block`): ratings clamped to [1,5] with a
+shared cold-case fallback chain, and the Top-N ordering score that
+`rank_block` sorts by. The one-user forms `predict_ratings` and
+`recommend_top_n` read a block of one user.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ PARAM_DEFAULTS = {
 }
 
 ALGORITHMS = tuple(PARAM_DEFAULTS)
+
+# float64 cells of one (users x catalog) block array; bounds the arrays of a block
+_BLOCK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -116,44 +121,42 @@ class FittedRecommender:
         vec.flags.writeable = False
         return vec
 
-    # -- algorithm hooks -------------------------------------------------
+    # -- algorithm hook --------------------------------------------------
 
-    def _estimate_catalog(self, user, item_means) -> tuple:
-        """The algorithm's rating estimate for every item of `item_ids`.
+    def _estimate_block(self, codes) -> tuple:
+        """The algorithm's rating estimates over `item_ids` for a block of
+        users, given as indexes into `user_ids` (-1 for a user outside it).
 
-        `item_means` holds each item's training mean, NaN where nobody
-        rated it. Returns (estimates, defined): where `defined` is False
-        the algorithm has no estimate, and the item takes the fallback
-        chain.
+        Returns (estimates, defined, rank), each (users x catalog): where
+        `defined` is False the item takes the fallback chain; `rank` is the
+        algorithm's own Top-N score, or None to rank by the rating.
         """
         raise NotImplementedError
 
-    def _ratings(self, user, keep) -> np.ndarray:
-        """Predicted rating of each catalog item that `keep` selects (a
-        boolean mask or an index array over `item_ids`).
-
-        An item whose estimate is undefined or not finite takes the
-        fallback chain and adds 1 to `fallback_count`; every rating is
-        clamped to [1, 5].
-        """
-        item_means = self._item_mean_vector
-        est, defined = self._estimate_catalog(user, item_means)
-        est, item_means = est[keep], item_means[keep]
-        defined = defined[keep] & np.isfinite(est)
-        if not defined.all():
-            self.fallback_count += int((~defined).sum())
-            # `_fallback`: an item without a training mean falls through to
-            # the user mean and beyond
-            fallback = np.where(np.isnan(item_means), self._fallback(user, None), item_means)
-            est = np.where(defined, est, fallback)
-        return np.clip(est, 1.0, 5.0)
-
-    def _rank_catalog(self, user, keep) -> np.ndarray:
-        """Top-N ordering score of each catalog item that `keep` selects;
-        defaults to the predicted rating."""
-        return self._ratings(user, keep)
-
     # -- public contract -------------------------------------------------
+
+    def score_block(self, users, reads) -> tuple:
+        """(ratings, rank), each (users x catalog): every catalog item's
+        predicted rating for each of `users`, and its Top-N score, the
+        rating unless the algorithm ranks by its own.
+
+        An estimate that is undefined or not finite takes the fallback
+        chain; every rating is clamped to [1, 5]. `reads`, a count or an
+        array of counts of the ratings' shape, says how often the caller
+        reads each rating; each read of a fallback adds 1 to
+        `fallback_count`.
+        """
+        est, defined, rank = self._estimate_block(
+            np.array([self.uidx.get(u, -1) for u in users], dtype=np.intp))
+        defined = defined & np.isfinite(est)
+        if not defined.all():
+            self.fallback_count += int((~defined * reads).sum())
+            # an item without a training mean falls through to the user
+            item_means = self._item_mean_vector
+            by_user = np.array([[self._fallback(u, None)] for u in users])
+            est = np.where(defined, est, np.where(np.isnan(item_means), by_user, item_means))
+        ratings = np.clip(est, 1.0, 5.0)
+        return ratings, ratings if rank is None else rank
 
     def predict_ratings(self, user, items) -> np.ndarray:
         """Predicted rating of `user` for each of `items`, from one catalog
@@ -162,8 +165,9 @@ class FittedRecommender:
         items = list(items)
         cols = np.array([self.iidx.get(i, -1) for i in items], dtype=np.intp)
         known = cols >= 0
+        reads = np.bincount(cols[known], minlength=len(self.item_ids))
         out = np.empty(len(items))
-        out[known] = self._ratings(user, cols[known])
+        out[known] = self.score_block([user], reads[None])[0][0, cols[known]]
         off = [self._fallback(user, i) for i, j in zip(items, cols) if j < 0]
         self.fallback_count += len(off)
         out[~known] = np.clip(off, 1.0, 5.0)
@@ -185,12 +189,35 @@ class FittedRecommender:
         """Top-n catalog items by descending score, ties by ascending item id."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        keep = np.ones(len(self.item_ids), dtype=bool)
-        keep[[self.iidx[iid] for iid in exclude if iid in self.iidx]] = False
-        scores = self._rank_catalog(user, keep)
-        positions = np.flatnonzero(keep)  # ascending, so ascending item id
-        order = np.lexsort((positions, -scores))[:n]
-        return [self.item_ids[j] for j in positions[order]]
+        excluded = np.zeros((1, len(self.item_ids)), dtype=bool)
+        excluded[0, [self.iidx[iid] for iid in exclude if iid in self.iidx]] = True
+        cols, lengths = rank_block(self.score_block([user], ~excluded)[1], excluded, n)
+        return [self.item_ids[j] for j in cols[0, :lengths[0]].tolist()]
+
+
+def block_rows(n_items: int) -> int:
+    """Users per block of an `n_items` catalog: at most `_BLOCK_CELLS` cells."""
+    return max(1, _BLOCK_CELLS // max(n_items, 1))
+
+
+def rank_block(rank, excluded, n: int) -> tuple:
+    """The Top-n of each row of a block, (cols, lengths): the first
+    `lengths[r]` entries of `cols[r]` are row r's catalog columns by
+    descending `rank`, ties by ascending column (so item id), without the
+    `excluded` ones and those ranked NaN. One partition bounds each row's
+    n-th best, and one `np.lexsort` orders what ranks no lower."""
+    key = np.where(excluded, np.nan, -rank)  # NaN sorts last
+    ranked = ~np.isnan(key)
+    width = min(n, key.shape[1])
+    bound = np.partition(key, width - 1, axis=1)[:, width - 1, None]
+    rows, cols = np.nonzero((key <= bound) | (np.isnan(bound) & ranked))
+    order = np.lexsort((cols, key[rows, cols], rows))
+    rows, cols = rows[order], cols[order]
+    place = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    top = place < width
+    out = np.zeros((len(key), width), dtype=np.intp)
+    out[rows[top], place[top]] = cols[top]
+    return out, np.minimum(ranked.sum(axis=1), n)
 
 
 def group_means(index, ratings, n, empty=math.nan) -> np.ndarray:

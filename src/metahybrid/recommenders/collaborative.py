@@ -8,6 +8,10 @@ import numpy as np
 from ..data import segment_sums
 from .base import FittedRecommender, by_user_item, group_means
 
+# KnnBasic's neighbour entries summed in one pass: each of its float64
+# arrays holds at most 2^16 cells
+_NEIGHBOUR_ENTRIES = 1 << 15
+
 
 class BaselineOnlyModel(FittedRecommender):
     """r_hat = mu + b_u + b_i with biases learned by regularized SGD."""
@@ -27,11 +31,11 @@ class BaselineOnlyModel(FittedRecommender):
                 bi[i] = bi_i + lr * (err - reg * bi_i)
         self.bu, self.bi, self.mu = bu, bi, mu
 
-    def _estimate_catalog(self, user, item_means):
-        known = ~np.isnan(item_means)
-        u = self.uidx.get(user)
-        est = self.mu if u is None else self.mu + self.bu[u]
-        return np.where(known, est + self.bi, est), known | (u is not None)
+    def _estimate_block(self, codes):
+        known = ~np.isnan(self._item_mean_vector)
+        seen = codes[:, None] >= 0
+        est = np.where(seen, self.mu + self.bu[codes, None], self.mu)
+        return np.where(known, est + self.bi, est), known | seen, None
 
 
 class SlopeOneModel(FittedRecommender):
@@ -78,11 +82,15 @@ class SlopeOneModel(FittedRecommender):
         np.fill_diagonal(counts, 0)  # dev_sum's diagonal sums zeros
         self.dev_sum, self.counts = dev_sum, counts
 
-    def _estimate_catalog(self, user, item_means):
+    def _estimate_block(self, codes):
+        est = np.zeros((len(codes), len(self.item_ids)))
+        defined = np.zeros(est.shape, dtype=bool)
+        for r in np.flatnonzero(codes >= 0).tolist():
+            est[r], defined[r] = self._estimate_user(codes[r])
+        return est, defined, None
+
+    def _estimate_user(self, u):
         n = len(self.item_ids)
-        u = self.uidx.get(user)
-        if u is None:
-            return np.zeros(n), np.zeros(n, dtype=bool)
         idx, vals = self._rows(u)
         c = self.counts[:, idx]  # 0 where an item pair was never co-rated
         # the mean deviations, 0 where c is. The gathers are column-major,
@@ -149,16 +157,16 @@ class CoClusteringModel(FittedRecommender):
         return (group_means(g * ki + h, r_arr, ku * ki, mu).reshape(ku, ki),
                 group_means(g, r_arr, ku, mu), group_means(h, r_arr, ki, mu))
 
-    def _estimate_catalog(self, user, item_means):
+    def _estimate_block(self, codes):
+        item_means = self._item_mean_vector
         known = ~np.isnan(item_means)
-        u = self.uidx.get(user)
-        if u is None:
-            return item_means, known
-        g, h = self.ug[u], self.ig
+        seen = codes[:, None] >= 0
+        g, h = self.ug[codes, None], self.ig
         est = (self.A[g, h]
-               + (self.umean[u] - self.Ag[g])
+               + (self.umean[codes, None] - self.Ag[g])
                + (self.imean - self.Ah[h]))
-        return np.where(known, est, self.user_means[user]), np.ones_like(known)
+        est = np.where(known, est, self.umean[codes, None])
+        return np.where(seen, est, item_means), known | seen, None
 
 
 class SvdMfModel(FittedRecommender):
@@ -189,16 +197,17 @@ class SvdMfModel(FittedRecommender):
                 q[i] = qi + lr * (err * pu - reg * qi)
         self.p, self.q, self.bu, self.bi, self.mu = p, q, bu, bi, mu
 
-    def _estimate_catalog(self, user, item_means):
-        # one gemv for the dot products, which may differ from a per-item
-        # p[u] @ q[i] in the last bit
-        known = ~np.isnan(item_means)
-        u = self.uidx.get(user)
-        if u is None:
-            return np.where(known, self.mu + self.bi, self.mu), known
-        est = self.mu + self.bu[u]
-        return (np.where(known, est + self.bi + self.q @ self.p[u], est),
-                np.ones_like(known))
+    def _estimate_block(self, codes):
+        # one gemv per user for the dot products, which may differ from a
+        # per-item p[u] @ q[i], and from one block gemm, in the last bit
+        known = ~np.isnan(self._item_mean_vector)
+        seen = codes[:, None] >= 0
+        dots = np.zeros((len(codes), len(self.item_ids)))
+        for r, u in enumerate(codes.tolist()):
+            if u >= 0:
+                dots[r] = self.q @ self.p[u]
+        est = np.where(seen, self.mu + self.bu[codes, None], self.mu)
+        return np.where(known, est + self.bi + dots, est), known | seen, None
 
 
 class KnnBasicModel(FittedRecommender):
@@ -250,11 +259,29 @@ class KnnBasicModel(FittedRecommender):
         np.fill_diagonal(sim, 0.0)
         self.sim = sim
 
-    def _estimate_catalog(self, user, item_means):
+    def _estimate_block(self, codes):
+        # each user's neighbours, then the sums, num and den, of a group of
+        # users in one pass; each column sums as its own 1-D run
         n = len(self.item_ids)
-        u = self.uidx.get(user)
-        if u is None:
-            return np.zeros(n), np.zeros(n, dtype=bool)
+        est, defined = np.zeros((len(codes), n)), np.zeros((len(codes), n), dtype=bool)
+        step = max(1, _NEIGHBOUR_ENTRIES // len(self._raters))
+        for r0 in range(0, len(codes), step):
+            sims, vals, lengths = map(np.concatenate, zip(*map(
+                self._neighbours, codes[r0:r0 + step].tolist())))
+            sums = segment_sums(np.stack((sims * vals, sims)).T, lengths)
+            rows = slice(r0, r0 + step)
+            defined[rows] = (lengths > 0).reshape(-1, n)
+            est[rows] = np.divide(sums[:, 0], sums[:, 1], out=np.zeros(len(lengths)),
+                                  where=lengths > 0).reshape(-1, n)
+        return est, defined, None
+
+    def _neighbours(self, u) -> tuple:
+        """(similarities, ratings, lengths): the neighbours of user index u
+        that rated each catalog item, item by item, and how many each item
+        has; none for a user outside `user_ids` (-1)."""
+        n = len(self.item_ids)
+        if u < 0:
+            return np.zeros(0), np.zeros(0, dtype=np.int8), np.zeros(n, dtype=np.int64)
         sims = self.sim[u, self._raters]
         # the neighbours of each item, in the stored (item, user index) order
         pick = np.flatnonzero(sims > 0)
@@ -272,11 +299,7 @@ class KnnBasicModel(FittedRecommender):
             pick[over] = cand[np.lexsort((cand, -sims[cand], item[over]))]
             start = np.cumsum(count) - count
             pick = pick[np.arange(len(pick)) - start[item] < k]
-        sims = sims[pick]
-        # num and den in one pass; each column sums as its own 1-D run
-        sums = segment_sums(np.stack((sims * self._rater_vals[pick], sims)).T, lengths)
-        defined = lengths > 0
-        return np.divide(sums[:, 0], sums[:, 1], out=np.zeros(n), where=defined), defined
+        return sims[pick], self._rater_vals[pick], lengths
 
 
 def _exact_sum_dtype(n_items):

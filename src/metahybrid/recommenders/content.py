@@ -68,14 +68,14 @@ class ContentBasedModel(FittedRecommender):
         """Each profile's norm, built on first use as the 1-D norm of its row."""
         return np.array([np.linalg.norm(p) for p in self.profiles])
 
-    def _estimate_catalog(self, user, item_means):
-        # one gemv, which may differ from a per-item dot in the last bit
-        n = len(self.item_ids)
-        u = self.uidx.get(user)
-        pnorm = 0.0 if u is None else self._profile_norms[u]
-        if pnorm == 0.0:
-            return np.zeros(n), np.zeros(n, dtype=bool)
-        defined = self._item_norms != 0.0
-        cos = np.divide(self.features @ self.profiles[u], pnorm * self._item_norms,
-                        out=np.zeros(n), where=defined)
-        return 1.0 + 4.0 * cos, defined
+    def _estimate_block(self, codes):
+        # one gemv per user, which may differ from a per-item dot, and from
+        # one block gemm, in the last bit
+        pnorms = np.where(codes >= 0, self._profile_norms[codes], 0.0)
+        dots = np.zeros((len(codes), len(self.item_ids)))
+        for r in np.flatnonzero(pnorms != 0.0).tolist():
+            dots[r] = self.features @ self.profiles[codes[r]]
+        defined = (pnorms != 0.0)[:, None] & (self._item_norms != 0.0)
+        cos = np.divide(dots, pnorms[:, None] * self._item_norms,
+                        out=np.zeros(dots.shape), where=defined)
+        return 1.0 + 4.0 * cos, defined, None

@@ -126,25 +126,17 @@ class WarpHybridModel(FittedRecommender):
                 _project(U, u)
                 _project(F, np.concatenate([touched, nc + i, nc + j]))
 
-    def _scores(self, u: int) -> np.ndarray:
-        return self._reps @ self.U[u] + self.b
-
-    def _rank_catalog(self, user, keep) -> np.ndarray:
-        u = self.uidx.get(user)
-        if u is None:
-            return self.b[keep]  # popularity ordering for unseen users
-        return self._scores(u)[keep]
-
-    def _estimate_catalog(self, user, item_means):
-        n = len(self.item_ids)
-        u = self.uidx.get(user)
-        if u is None:
-            return np.zeros(n), np.zeros(n, dtype=bool)
-        scores = self._scores(u)
-        lo, hi = scores.min(), scores.max()
-        if hi <= lo:
-            return np.full(n, 3.0), np.ones(n, dtype=bool)
-        return 1.0 + 4.0 * (scores - lo) / (hi - lo), np.ones(n, dtype=bool)
+    def _estimate_block(self, codes):
+        seen = codes >= 0
+        # the raw scores, one gemv per user; an unseen user ranks by
+        # popularity, b, and rates by the fallback chain
+        scores = np.tile(self.b, (len(codes), 1))
+        for r in np.flatnonzero(seen).tolist():
+            scores[r] = self._reps @ self.U[codes[r]] + self.b
+        lo, hi = scores.min(axis=1, keepdims=True), scores.max(axis=1, keepdims=True)
+        flat = hi <= lo
+        est = np.where(flat, 3.0, 1.0 + 4.0 * (scores - lo) / np.where(flat, 1.0, hi - lo))
+        return est, np.broadcast_to(seen[:, None], scores.shape), scores
 
 
 def _project(M, rows):

@@ -24,7 +24,7 @@ from metahybrid.hybrid import (
     train_meta,
 )
 from metahybrid.metrics import RelevanceConfig, ndcg_at, precision_recall_at, rmse
-from metahybrid.recommenders import RecommenderSpec, fit
+from metahybrid.recommenders import FittedRecommender, RecommenderSpec, fit
 from metahybrid.splits import SplitPlan, nested_split
 
 
@@ -99,12 +99,23 @@ def test_criterion_2_oracle_dominance():
 
 
 class _FixedRanker:
+    """A fixed ranking per user through the block contract: a listed item
+    scores by its place, any other catalog item NaN, which leaves it
+    unranked."""
+
+    recommend_top_n = FittedRecommender.recommend_top_n
+
     def __init__(self, rankings):
         self.rankings = rankings
+        self.item_ids = sorted({i for ranked in rankings.values() for i in ranked})
+        self.iidx = {iid: j for j, iid in enumerate(self.item_ids)}
 
-    def recommend_top_n(self, user_id, n, exclude=frozenset()):
-        return [i for i in self.rankings.get(user_id, [])
-                if i not in exclude][:n]
+    def score_block(self, users, reads):
+        rank = np.full((len(users), len(self.item_ids)), np.nan)
+        for r, user in enumerate(users):
+            ranked = self.rankings.get(user, [])
+            rank[r, [self.iidx[i] for i in ranked]] = -np.arange(len(ranked))
+        return rank, rank
 
 
 def test_criterion_3_planted_rule():

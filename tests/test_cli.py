@@ -465,6 +465,32 @@ class TestStageOrdering:
                                         f"(FileExistsError: File exists)")
         assert target.read_text() == ""
 
+    @pytest.mark.parametrize("text", ["{", "[]"], ids=["not-json", "not-an-object"])
+    def test_malformed_manifest_refused(self, workdir, completed_run, text):
+        out = workdir / "malformed_manifest_out"
+        shutil.copytree(completed_run, out)
+        (out / "manifest.json").write_text(text)
+        before = {n: (out / n).read_bytes() for n in os.listdir(out)}
+        path = write_config(workdir, name="malformed_manifest.json", output_dir=str(out))
+        code, err = run_cli("report", "--config", str(path))
+        assert code == 1 and "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            f"error [report]: cannot read {out / 'manifest.json'} (not a JSON object "
+            f"with a files map); remove it, or write to another output directory")
+        assert {n: (out / n).read_bytes() for n in os.listdir(out)} == before
+        shutil.rmtree(out)
+
+    @pytest.mark.parametrize("stage", list(pipeline.STAGES) + ["run-all"])
+    def test_malformed_manifest_stops_every_stage(self, workdir, completed_run, capsys, stage):
+        out = workdir / f"malformed_manifest_{stage}_out"
+        shutil.copytree(completed_run, out)
+        (out / "manifest.json").write_text('{"files": []}')
+        before = {n: (out / n).read_bytes() for n in os.listdir(out)}
+        path = write_config(workdir, name="malformed_manifest.json", output_dir=str(out))
+        assert main([stage, "--config", str(path)]) == 1
+        assert f"cannot read {out / 'manifest.json'} (" in capsys.readouterr().err
+        assert {n: (out / n).read_bytes() for n in os.listdir(out)} == before
+
     def test_evaluate_rejects_meta_without_forest(self, workdir, completed_run, capsys):
         out = workdir / "stale_meta_out"
         shutil.copytree(completed_run, out)

@@ -1,11 +1,13 @@
 import csv
 import math
+import os
 
 import numpy as np
 import pytest
 
-from metahybrid.data import RatingEvent, Ratings, RatingSlice
-from metahybrid.forest import ForestParams
+from metahybrid.data import RatingEvent, Ratings, RatingSlice, enrich_items, load_movielens
+from metahybrid.evaluation import run_experiment
+from metahybrid.forest import ForestParams, predict_label, predict_labels, predict_proba
 from metahybrid.hybrid import (
     CandidateSet,
     MetaHybridModel,
@@ -17,19 +19,36 @@ from metahybrid.hybrid import (
     score_users,
     train_meta,
 )
-from metahybrid.metrics import SCORE_COLUMNS, RelevanceConfig
-from metahybrid.recommenders import RecommenderSpec
+from metahybrid.metrics import (
+    CUTOFFS,
+    SCORE_COLUMNS,
+    RelevanceConfig,
+    ndcg_at,
+    precision_recall_at,
+    rmse,
+)
+from metahybrid.recommenders import FittedRecommender, RecommenderSpec
+from metahybrid.splits import SplitPlan
 
 
 class FakeRecommender:
-    """Serves a fixed per-user ranking regardless of training data."""
+    """Serves a fixed per-user ranking regardless of training data, through
+    the block contract: a listed item scores by its place, any other
+    catalog item NaN, which leaves it unranked."""
+
+    recommend_top_n = FittedRecommender.recommend_top_n
 
     def __init__(self, rankings):
         self.rankings = rankings
+        self.item_ids = sorted({i for ranked in rankings.values() for i in ranked})
+        self.iidx = {iid: j for j, iid in enumerate(self.item_ids)}
 
-    def recommend_top_n(self, user_id, n, exclude=frozenset()):
-        ranked = [i for i in self.rankings.get(user_id, []) if i not in exclude]
-        return ranked[:n]
+    def score_block(self, users, reads):
+        rank = np.full((len(users), len(self.item_ids)), np.nan)
+        for r, user in enumerate(users):
+            ranked = self.rankings.get(user, [])
+            rank[r, [self.iidx[i] for i in ranked]] = -np.arange(len(ranked))
+        return rank, rank
 
 
 def slice_of(per_user: dict) -> RatingSlice:
@@ -196,6 +215,160 @@ class TestScoreTable:
         assert labeled.skipped_users == [2]
         # the users whose context rows the forest takes
         assert labeled.user_ids == [1, 3]
+
+
+FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "fixtures")
+
+
+@pytest.fixture(scope="module", params=["cf", "mixed"])
+def preset_run(request):
+    """`run_experiment` on the shipped fixture with a preset, as its config
+    runs it: (candidates, artifacts)."""
+    dataset = enrich_items(
+        load_movielens(*(os.path.join(FIXTURES, f)
+                         for f in ("ratings.dat", "users.dat", "movies.dat"))),
+        os.path.join(FIXTURES, "metadata.csv"))
+    candidates = preset_candidates(request.param)
+    _, artifacts = run_experiment(dataset, candidates, SplitPlan(),
+                                  ForestParams(n_estimators=100), master_seed=7)
+    return candidates, artifacts
+
+
+def reference_cells(model, uid, inner_train, inner_test, cutoff=10):
+    """One user's (P@k, R@k per cutoff, nDCG, RMSE) cells from the one-user
+    forms: `recommend_top_n` and `predict_ratings` with the metric
+    functions."""
+    test, train = inner_test[uid], inner_train.get(uid)
+    holdout = dict(zip(test.item_list(), test.rating.tolist()))
+    relevant = {iid for iid, r in holdout.items() if r >= RelevanceConfig().threshold}
+    exclude = set(train.item_list()) if train else set()
+    ranked = model.recommend_top_n(uid, max(max(CUTOFFS), cutoff), exclude=exclude)
+    cells = [v for k in CUTOFFS for v in precision_recall_at(ranked, relevant, k)]
+    cells.append(ndcg_at(ranked, holdout, cutoff))
+    test = test.take(np.argsort(test.item, kind="stable"))  # by item id
+    predicted = model.predict_ratings(uid, test.item_list()).tolist()
+    return cells + [rmse(zip(test.rating.tolist(), predicted))]
+
+
+def assert_table_is_reference(fitted, names, users, inner_train, inner_test, cutoff=10):
+    """The block table, with and without RMSE, equals the one-user
+    reference bit for bit; returns the table."""
+    scored, table = score_users(fitted, names, users, inner_train, inner_test,
+                                RelevanceConfig(), cutoff, with_rmse=True)
+    _, ndcg_only = score_users(fitted, names, users, inner_train, inner_test,
+                               RelevanceConfig(), cutoff)
+    kept = [uid for uid, ok in zip(users, scored) if ok]
+    assert kept == [uid for uid in users if uid in inner_test and len(inner_test[uid])]
+    want = [[reference_cells(fitted[name], uid, inner_train, inner_test, cutoff)
+             for name in names] for uid in kept]
+    assert table.tolist() == want
+    assert ndcg_only.tolist() == [[row[:-1] for row in block] for block in want]
+    return table
+
+
+class FixedScores(FittedRecommender):
+    """Fixed estimates per catalog item, the same for every user, with
+    users 1 and 2 in training."""
+
+    def __init__(self, preds):
+        train = [RatingEvent(u, i, 3, k + 1) for u in (1, 2) for k, i in enumerate(preds)]
+        super().__init__(RecommenderSpec("SlopeOne"), Ratings.from_events(train), {}, 0)
+        self._preds = preds
+
+    def _estimate_block(self, codes):
+        est = np.tile([self._preds[i] for i in self.item_ids], (len(codes), 1))
+        return est, np.ones(est.shape, dtype=bool), None
+
+
+class TestBlockTable:
+    """The block score table against the one-user reference, bit for bit."""
+
+    def test_every_user_of_both_presets(self, preset_run):
+        candidates, artifacts = preset_run
+        split, fitted = artifacts["split"], artifacts["fitted_eval"]
+        for users, train, test in ((split.train_users, split.train_inner_train,
+                                    split.train_inner_test),
+                                   (split.test_users, split.test_inner_train,
+                                    split.test_inner_test)):
+            assert_table_is_reference(fitted, candidates.names, users, train, test)
+
+    def test_batch_dispatch_is_per_row_dispatch(self, preset_run):
+        _, artifacts = preset_run
+        forest, rows = artifacts["meta"].forest, artifacts["test_matrix"]
+        assert predict_labels(forest, rows) == [predict_label(forest, row)[0] for row in rows] \
+            == [artifacts["dispatched"][uid] for uid in artifacts["split"].test_users]
+        for proba, row in zip(predict_proba(forest, rows), rows):
+            assert np.array_equal(proba, predict_proba(forest, row))
+
+    def test_short_prefix_tie_and_no_relevant_item(self):
+        # b, c and d tie above e and f. User 1's inner-train leaves b, c, d
+        # of the catalog, fewer than the Top-10; user 2 holds out one
+        # item, rated below the relevance threshold
+        fitted = {"Fixed": FixedScores({"a": 4.0, "b": 4.0, "c": 4.0, "d": 4.0,
+                                        "e": 2.0, "f": 1.0})}
+        inner_train = slice_of({1: [RatingEvent(1, i, 3, 1) for i in "aef"]})
+        inner_test = slice_of({1: [RatingEvent(1, "d", 5, 2), RatingEvent(1, "x", 4, 3)],
+                               2: [RatingEvent(2, "a", 2, 2)]})
+        table = assert_table_is_reference(fitted, ["Fixed"], [1, 2], inner_train, inner_test)
+        # user 1: b, c, d ranked, d third; x, relevant too, is off the catalog
+        ideal = 31 + 15 / math.log2(3)
+        rms = math.sqrt(((4.0 - 5) ** 2 + (3.0 - 4) ** 2) / 2)  # x takes user 1's mean
+        assert table[0, 0].tolist() == [1 / 3, 1 / 2, 1 / 3, 1 / 2, 1 / 3, 1 / 2,
+                                        (31 / 2) / ideal, rms]
+        # user 2: a, first of the tie, is held out and not relevant
+        assert table[1, 0].tolist() == [0.0] * 6 + [1.0, 2.0]
+
+    @staticmethod
+    def cold_user(artifacts, ratings) -> tuple:
+        """A user outside the fitted models, holding out (catalog item,
+        rating) pairs: (user id, inner-test slice)."""
+        split = artifacts["split"]
+        cold = max(split.train_users + split.test_users) + 1
+        return cold, slice_of({cold: [RatingEvent(cold, i, r, k + 1)
+                                      for k, (i, r) in enumerate(ratings)]})
+
+    def test_unseen_user_takes_the_fallback_chain(self, preset_run):
+        candidates, artifacts = preset_run
+        catalog = artifacts["fitted_eval"][candidates.names[0]].item_ids
+        cold, inner_test = self.cold_user(artifacts, [(catalog[3], 5), (catalog[40], 2),
+                                                      (catalog[41], 4)])
+        assert_table_is_reference(artifacts["fitted_eval"], candidates.names, [cold],
+                                  slice_of({}), inner_test)
+
+    def test_fallbacks_counted_once_per_pass(self, preset_run):
+        # the pass rates the holdout too, so its three items add no count
+        # of their own, as one more `predict_ratings` call did
+        candidates, artifacts = preset_run
+        fitted = artifacts["fitted_eval"]
+        catalog = fitted[candidates.names[0]].item_ids
+        cold, inner_test = self.cold_user(artifacts, [(catalog[3], 5), (catalog[40], 2),
+                                                      (catalog[41], 4)])
+        before = {name: model.fallback_count for name, model in fitted.items()}
+        score_users(fitted, candidates.names, [cold], slice_of({}), inner_test,
+                    RelevanceConfig(), 10, with_rmse=True)
+        counts = {name: model.fallback_count - before[name] for name, model in fitted.items()}
+        # no estimate for an unseen user, but where a model has one from the
+        # item alone: the item biases and means of every rated item
+        assert counts == {name: 0 if name in ("BaselineOnly", "CoClustering", "SvdMf")
+                          else len(catalog) for name in candidates.names}
+
+    @pytest.mark.parametrize("preset_run", ["mixed"], indirect=True)
+    def test_warp_ranks_by_raw_score_and_rates_by_rescale(self, preset_run):
+        _, artifacts = preset_run
+        model = artifacts["fitted_eval"]["WarpHybrid"]
+        # an unseen user ranks by popularity, b, and rates by the fallback
+        # chain, each item's training mean; the top 3 of b are held out
+        top = [model.item_ids[j] for j in np.argsort(-model.b, kind="stable")[:3]]
+        cold, inner_test = self.cold_user(artifacts, [(i, 5) for i in top])
+        table = assert_table_is_reference({"WarpHybrid": model}, ["WarpHybrid"], [cold],
+                                          slice_of({}), inner_test)
+        ratings, rank = model.score_block([cold], 1)
+        assert rank[0].tolist() == model.b.tolist()
+        assert ratings[0].tolist() == [model.item_means[i] for i in model.item_ids]
+        assert table[0, 0, :2].tolist() == [1.0, 1.0]  # P@3 and R@3 by b
+        assert model.recommend_top_n(cold, 3) == top != [
+            model.item_ids[j] for j in np.lexsort((np.arange(len(ratings[0])), -ratings[0]))[:3]]
 
 
 class TestOracle:

@@ -3,7 +3,10 @@
 counts nodes by walking the `TreeNode` view `ForestModel.trees`, which
 must agree with the flat node arrays, and wraps module functions. A
 traced in-process experiment and a traced staged `run-all`, the path the
-benchmark's workloads run, keep those hooks working. The `fixture-cf`
+benchmark's workloads run, keep those hooks working. The pipeline scores
+users in blocks and dispatches every test user in one forest walk, so the
+tests call the one-user forms that the tracer times themselves, and check
+them against the pipeline's results. The `fixture-cf`
 workload's own checks, which read the split, dataset and fitted-candidate
 pickles back and use the slices as per-user rows, keep passing, and so do
 the `serve-cf` workload's, which compare each one-user context's dispatch
@@ -13,7 +16,8 @@ import json
 import os
 import sys
 
-from metahybrid import cli, evaluation, pipeline
+import metahybrid.metrics
+from metahybrid import cli, evaluation, hybrid, pipeline
 from metahybrid.fixtures import make_fixture, write_movielens_files
 from metahybrid.forest import ForestParams
 from metahybrid.hybrid import preset_candidates
@@ -33,10 +37,16 @@ def test_traced_experiment_counts_every_layer():
         report, artifacts = evaluation.run_experiment(
             make_fixture(n_users=40, n_items=80, seed=2), preset_candidates("cf"),
             SplitPlan(), ForestParams(n_estimators=3), master_seed=7)
-        # the pipeline scores ratings through `predict_ratings`; the public
-        # one-item form is what the tracer counts
+        # the one-user forms of the pipeline's block scoring and batch
+        # dispatch, which the tracer counts and times
+        split = artifacts["split"]
         for model in artifacts["fitted_eval"].values():
             model.predict_rating("ghost-user", "ghost-item")
+            for uid in list(split.train_users) + list(split.test_users):
+                model.recommend_top_n(uid, 10)
+        for uid, row in zip(split.test_users, artifacts["test_matrix"]):
+            assert hybrid.predict_recommender(artifacts["meta"], row) == \
+                artifacts["dispatched"][uid]
     finally:
         tracer.uninstall()
     assert FittedRecommender.recommend_top_n is topn
@@ -54,6 +64,8 @@ def test_traced_experiment_counts_every_layer():
         assert metrics[f"recommenders.{alg}.fallbacks"] == 1
         assert metrics[f"recommenders.{alg}.fit_s"] > 0
     assert metrics["hybrid.labels"] == len(artifacts["labeled"].labels)
+    assert metrics["forest.predict_calls"] == len(split.test_users)
+    assert metrics["hybrid.dispatch_ms_p50"] > 0
     assert metrics["pipeline.label_s"] == 0  # run_experiment runs no staged pipeline
 
 
@@ -72,11 +84,29 @@ def test_traced_run_all_counts_every_scored_user(tmp_path):
     tracer = tracing.Tracer().install()
     try:
         assert cli.main(["run-all", "--config", str(config)]) == 0
+        # each labelled and each evaluated user's nDCG, from the one-user
+        # Top-N that the tracer counts, is the one that run-all wrote
+        store = pipeline.ArtifactStore(str(tmp_path / "out"))
+        split, fitted = store.read("split.pkl", "test"), store.read(pipeline.CANDIDATES, "test")
+        labeled = store.read("labeled.pkl", "test")["labeled"]
+        per_user = store.read("evaluation.pkl", "test").per_user
+        for users, scores, train, test in (
+                (labeled.user_ids, labeled.scores, split.train_inner_train,
+                 split.train_inner_test),
+                ([u["user_id"] for u in per_user],
+                 [[u[f"{name}:nDCG"] for name in fitted] for u in per_user],
+                 split.test_inner_train, split.test_inner_test)):
+            for uid, row in zip(users, scores):
+                holdout = dict(zip(test[uid].item_list(), test[uid].rating.tolist()))
+                exclude = set(train[uid].item_list()) if uid in train else set()
+                # through the module, whose attribute the tracer wraps
+                assert [metahybrid.metrics.ndcg_at(
+                    model.recommend_top_n(uid, 10, exclude=exclude), holdout, 10)
+                        for model in fitted.values()] == list(row)
     finally:
         tracer.uninstall()
 
     metrics = {k: v["value"] for k, v in tracing.per_layer_metrics(tracer, 1, 0.0).items()}
-    split = pipeline.ArtifactStore(str(tmp_path / "out")).read("split.pkl", "test")
     users = len(split.train_users) + len(split.test_users)
     for alg in ("BaselineOnly", "CoClustering", "SlopeOne", "SvdMf"):
         assert metrics[f"recommenders.{alg}.topn_calls"] == users

@@ -139,8 +139,8 @@ class TestSlopeOne:
         assert model.dev_sum.dtype == np.int16
         assert model.dev_sum.tolist() == [[0, 128], [-128, 0]]
         assert model.counts.tolist() == [[0, 32], [32, 0]]
-        est, defined = model._estimate_catalog(0, np.array([5.0, 1.0]))
-        assert est.tolist() == [5.0, 1.0] and defined.all()
+        est, defined, _ = model._estimate_block(np.array([model.uidx[0]]))
+        assert est[0].tolist() == [5.0, 1.0] and defined.all()
 
     def test_counts_hold_the_user_count(self):
         # 300 users co-rate one pair: past uint8
@@ -150,8 +150,8 @@ class TestSlopeOne:
         assert model.counts.dtype == np.uint16
         assert model.counts.tolist() == [[0, 300], [300, 0]]
         assert model.dev_sum.tolist() == [[0, 0], [0, 0]]  # each rating 60 times
-        est, _ = model._estimate_catalog(9, np.array([3.0, 3.0]))
-        assert est.tolist() == [3.0, 5.0]  # user 9 rated (5, 3)
+        est, _, _ = model._estimate_block(np.array([model.uidx[9]]))
+        assert est[0].tolist() == [3.0, 5.0]  # user 9 rated (5, 3)
 
 
 class TestKnnBasic:
@@ -251,8 +251,7 @@ class TestWarpHybrid:
                     items=small_dataset.items, seed=1)
         uid = next(iter(train)).user_id
         ranked = model.recommend_top_n(uid, 10)
-        scores = dict(zip(model.item_ids,
-                          model._rank_catalog(uid, np.ones(len(model.item_ids), bool))))
+        scores = dict(zip(model.item_ids, model.score_block([uid], 1)[1][0]))
         assert ranked == sorted(model.item_ids, key=lambda i: (-scores[i], i))[:10]
         assert [scores[i] for i in ranked] == sorted(
             (scores[i] for i in ranked), reverse=True)
@@ -357,9 +356,9 @@ class TestTopN:
                 super().__init__(RecommenderSpec("SlopeOne"), rows(train), {}, 0)
                 self._preds = preds
 
-            def _estimate_catalog(self, user, item_means):
-                est = np.array([self._preds[i] for i in self.item_ids])
-                return est, np.ones(len(est), dtype=bool)
+            def _estimate_block(self, codes):
+                est = np.tile([self._preds[i] for i in self.item_ids], (len(codes), 1))
+                return est, np.ones(est.shape, dtype=bool), None
 
         return Stub(preds)
 
@@ -439,15 +438,14 @@ class TestCatalogTopN:
             ranked = model.recommend_top_n(uid, 10, exclude=exclude)
             served = model.fallback_count - before
             kept = [i for i in model.item_ids if i not in exclude]
-            if warp:  # ranks by its raw score, no fallback chain
+            scores, fell_back = zip(*(reference_rating(model, uid, i) for i in kept))
+            # one fallback per kept item the chain rates, also where the
+            # ranking reads another score
+            assert served == sum(fell_back)
+            if warp:  # ranks by its raw score
                 u = model.uidx.get(uid)
                 scores = [float(model.b[model.iidx[i]]) if u is None else
                           warp_score(model, u, model.iidx[i]) for i in kept]
-                assert served == 0
-            else:
-                scores, fell_back = zip(*(reference_rating(model, uid, i) for i in kept))
-                # one fallback per kept item the chain serves
-                assert served == sum(fell_back)
             expected = [i for _, i in sorted(zip((-s for s in scores), kept))[:10]]
             assert ranked == expected, uid
             assert not set(ranked) & exclude
@@ -458,9 +456,9 @@ class TestCatalogTopN:
         # which may round differently from a per-item dot product
         models, excludes = shipped_fixture
         for model in (m for m in models if m.spec.algorithm == alg):
-            item_means = np.array([model.item_means.get(i, np.nan) for i in model.item_ids])
-            for uid in list(excludes)[::4] + ["cold-user"]:
-                est, defined = model._estimate_catalog(uid, item_means)
+            users = list(excludes)[::4] + ["cold-user"]
+            block = model._estimate_block(np.array([model.uidx.get(uid, -1) for uid in users]))
+            for uid, est, defined in zip(users, *block[:2]):
                 per_item = [reference_estimate(model, uid, i) for i in model.item_ids]
                 assert [e is not None for e in per_item] == defined.tolist()
                 assert [e for e in per_item if e is not None] == est[defined].tolist()
@@ -559,9 +557,7 @@ class TestCatalogTopN:
         chains = []
         for model in models:
             kept = [i for i in model.item_ids if i not in exclude]
-            chain = (0 if model.spec.algorithm == "WarpHybrid" else
-                     sum(reference_estimate(model, "cold-user", i) is None
-                         for i in kept))
+            chain = sum(reference_estimate(model, "cold-user", i) is None for i in kept)
             before = model.fallback_count
             model.recommend_top_n("cold-user", 10, exclude=exclude)
             assert model.fallback_count - before == chain
@@ -603,11 +599,9 @@ def assert_load_rebuilds(model, excludes, derived):
                                      if k not in model._derived] + list(derived)
     for name in derived:
         assert np.array_equal(getattr(loaded, name), getattr(model, name)), name
-    item_means = np.array([model.item_means.get(i, np.nan) for i in model.item_ids])
-    for uid in list(excludes) + ["cold-user"]:
-        for a, b in zip(loaded._estimate_catalog(uid, item_means),
-                        model._estimate_catalog(uid, item_means)):
-            assert np.array_equal(a, b)
+    codes = np.array([model.uidx.get(uid, -1) for uid in list(excludes) + ["cold-user"]])
+    for a, b in zip(loaded._estimate_block(codes), model._estimate_block(codes)):
+        assert a is b is None or np.array_equal(a, b)
 
 
 def warp_rep(model, i):
@@ -688,7 +682,7 @@ def reference_estimate(model, user, item):
     assert alg == "WarpHybrid"
     if i is None or u is None:
         return None
-    scores = model._scores(u)
+    scores = model._reps @ model.U[u] + model.b  # the raw catalog scores
     lo, hi = float(scores.min()), float(scores.max())
     if hi <= lo:
         return 3.0
@@ -893,14 +887,13 @@ class TestScaledExactness:
             counts[np.ix_(idx, idx)] += 1
         np.fill_diagonal(counts, 0)
         dev = np.divide(dev_sum, counts, out=dev_sum, where=counts > 0)
-        item_means = model._item_mean_vector
-        for uid in model.user_ids:
+        block = model._estimate_block(np.arange(len(model.user_ids)))
+        for uid, est, defined in zip(model.user_ids, *block[:2]):
             idx, vals = model._rows(model.uidx[uid])
             c = counts[:, idx]
             num = ((dev[:, idx] + vals) * c).sum(axis=1)
             den = c.sum(axis=1)
             want = np.divide(num, den, out=np.zeros(n), where=den > 0)
-            est, defined = model._estimate_catalog(uid, item_means)
             assert est.tobytes() == want.tobytes(), uid
             assert np.array_equal(defined, den > 0)
 

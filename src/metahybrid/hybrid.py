@@ -105,6 +105,7 @@ def _block_cells(model, users, inner_train, inner_test, relevance, cutoff,
     holdout = _last_ratings(inner_test, users)
     ratings, rank = model.score_block(users, ~excluded)
     cols, lengths = rank_block(rank, excluded, max(max(CUTOFFS), cutoff))
+    # the holdout grade of each ranked item, 0 past a user's list
     grades = np.take_along_axis(_in_catalog(model, inner_test, holdout), cols, axis=1)
     grades[np.arange(cols.shape[1]) >= lengths[:, None]] = 0
     hits = np.cumsum(grades >= relevance.threshold, axis=1)
@@ -122,9 +123,9 @@ def _block_cells(model, users, inner_train, inner_test, relevance, cutoff,
         order = np.lexsort((item, owner))
         owner, item, truth = owner[order], item[order], truth[order]
         table = inner_test.rows.item_ids
-        cols = np.array([model.iidx.get(i, -1) for i in table], dtype=np.intp)[item]
-        preds = ratings[owner, cols]
-        for k in np.flatnonzero(cols < 0).tolist():
+        at = np.array([model.iidx.get(i, -1) for i in table], dtype=np.intp)[item]
+        preds = ratings[owner, at]
+        for k in np.flatnonzero(at < 0).tolist():
             preds[k] = model.predict_rating(users[owner[k]], table[item[k]])
         pairs = iter(zip(truth.tolist(), preds.tolist()))
         cells.append([rmse(islice(pairs, m)) for m in np.bincount(owner).tolist()])
@@ -137,7 +138,8 @@ def _rows_of(ratings: RatingSlice, users) -> tuple:
     spans = np.array([ratings.span(u) for u in users], dtype=np.int64).reshape(-1, 2)
     lengths = spans[:, 1] - spans[:, 0]
     at = runs(spans[:, 0], lengths)
-    return np.repeat(np.arange(len(users)), lengths), ratings.rows.item[at], ratings.rows.rating[at]
+    return (np.repeat(np.arange(len(users)), lengths), ratings.rows.item[at],
+            ratings.rows.rating[at])
 
 
 def _last_ratings(ratings: RatingSlice, users) -> np.ndarray:

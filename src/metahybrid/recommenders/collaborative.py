@@ -92,15 +92,16 @@ class SlopeOneModel(FittedRecommender):
     def _estimate_user(self, u):
         n = len(self.item_ids)
         idx, vals = self._rows(u)
-        c = self.counts[:, idx]  # 0 where an item pair was never co-rated
-        # the mean deviations, 0 where c is. The gathers are column-major,
-        # and so is every buffer made from them, so each row sums in
-        # sequence; a row-major buffer would sum pairwise, to other last bits
-        terms = np.divide(self.dev_sum[:, idx], np.maximum(c, 1))
-        terms += vals
+        # the rows of the user's items: `counts` is symmetric and `dev_sum`
+        # antisymmetric, so vals - dev_sum[j, i] / c is dev_sum[i, j] / c +
+        # vals, bit for bit. Summed over axis 0 the rows add in sequence; a
+        # sum along the contiguous axis would add pairwise, to other last bits
+        c = self.counts[idx]  # 0 where an item pair was never co-rated
+        terms = np.divide(self.dev_sum[idx], np.maximum(c, 1))
+        np.subtract(vals[:, None], terms, out=terms)
         terms *= c
-        num = terms.sum(axis=1)
-        den = c.sum(axis=1)
+        num = terms.sum(axis=0)
+        den = c.sum(axis=0)
         defined = den > 0
         return np.divide(num, den, out=np.zeros(n), where=defined), defined
 
@@ -203,9 +204,8 @@ class SvdMfModel(FittedRecommender):
         known = ~np.isnan(self._item_mean_vector)
         seen = codes[:, None] >= 0
         dots = np.zeros((len(codes), len(self.item_ids)))
-        for r, u in enumerate(codes.tolist()):
-            if u >= 0:
-                dots[r] = self.q @ self.p[u]
+        for r in np.flatnonzero(codes >= 0).tolist():
+            dots[r] = self.q @ self.p[codes[r]]
         est = np.where(seen, self.mu + self.bu[codes, None], self.mu)
         return np.where(known, est + self.bi + dots, est), known | seen, None
 

@@ -296,8 +296,9 @@ class TestBlockTable:
     def test_batch_dispatch_is_per_row_dispatch(self, preset_run):
         _, artifacts = preset_run
         forest, rows = artifacts["meta"].forest, artifacts["test_matrix"]
-        assert predict_labels(forest, rows) == [predict_label(forest, row)[0] for row in rows] \
-            == [artifacts["dispatched"][uid] for uid in artifacts["split"].test_users]
+        labels = predict_labels(forest, rows)
+        assert labels == [predict_label(forest, row)[0] for row in rows]
+        assert labels == [artifacts["dispatched"][uid] for uid in artifacts["split"].test_users]
         for proba, row in zip(predict_proba(forest, rows), rows):
             assert np.array_equal(proba, predict_proba(forest, row))
 
@@ -367,8 +368,8 @@ class TestBlockTable:
         assert rank[0].tolist() == model.b.tolist()
         assert ratings[0].tolist() == [model.item_means[i] for i in model.item_ids]
         assert table[0, 0, :2].tolist() == [1.0, 1.0]  # P@3 and R@3 by b
-        assert model.recommend_top_n(cold, 3) == top != [
-            model.item_ids[j] for j in np.lexsort((np.arange(len(ratings[0])), -ratings[0]))[:3]]
+        by_rating = np.lexsort((np.arange(len(ratings[0])), -ratings[0]))[:3]
+        assert model.recommend_top_n(cold, 3) == top != [model.item_ids[j] for j in by_rating]
 
 
 class TestOracle:

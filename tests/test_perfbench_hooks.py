@@ -87,7 +87,8 @@ def test_traced_run_all_counts_every_scored_user(tmp_path):
         # each labelled and each evaluated user's nDCG, from the one-user
         # Top-N that the tracer counts, is the one that run-all wrote
         store = pipeline.ArtifactStore(str(tmp_path / "out"))
-        split, fitted = store.read("split.pkl", "test"), store.read(pipeline.CANDIDATES, "test")
+        split = store.read("split.pkl", "test")
+        fitted = store.read(pipeline.CANDIDATES, "test")
         labeled = store.read("labeled.pkl", "test")["labeled"]
         per_user = store.read("evaluation.pkl", "test").per_user
         for users, scores, train, test in (

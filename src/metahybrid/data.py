@@ -15,6 +15,7 @@ import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,18 +48,12 @@ class IngestError(Exception):
     """Raised when an input file is missing or malformed beyond tolerance."""
 
 
-@dataclass(frozen=True)
-class RatingEvent:
+class RatingEvent(NamedTuple):
+    """One row of `Ratings`, as iterating it yields."""
     user_id: int | str
     item_id: int | str
     rating: int
     timestamp: int
-
-    def __post_init__(self):
-        if self.rating not in (1, 2, 3, 4, 5):
-            raise ValueError(f"rating must be in 1..5, got {self.rating}")
-        if not 0 < self.timestamp < 2 ** 63:  # the timestamp column is int64
-            raise ValueError(f"timestamp must be in 1..2**63-1, got {self.timestamp}")
 
 
 @dataclass
@@ -91,7 +86,6 @@ class UserRecord:
 
 
 COLUMNS = ("user", "item", "rating", "timestamp")
-DTYPES = {"user": np.int32, "item": np.int32, "rating": np.int8, "timestamp": np.int64}
 
 
 @dataclass(eq=False)
@@ -107,23 +101,6 @@ class Ratings:
     item: np.ndarray
     rating: np.ndarray
     timestamp: np.ndarray
-
-    @classmethod
-    def from_events(cls, events, user_ids=None, item_ids=None) -> "Ratings":
-        """`events` as columns, in their order. The id tables default to the
-        events' sorted distinct ids; an id missing from a given table is
-        coded -1."""
-        events = list(events)
-        if user_ids is None:
-            user_ids = sorted({r.user_id for r in events})
-        if item_ids is None:
-            item_ids = sorted({r.item_id for r in events})
-        uidx = {u: k for k, u in enumerate(user_ids)}
-        iidx = {i: k for k, i in enumerate(item_ids)}
-        rows = np.array([(uidx.get(r.user_id, -1), iidx.get(r.item_id, -1), r.rating,
-                          r.timestamp) for r in events], dtype=np.int64).reshape(-1, 4)
-        return cls(user_ids, item_ids,
-                   *(col.astype(DTYPES[c]) for c, col in zip(COLUMNS, rows.T)))
 
     def __len__(self):
         return len(self.user)
@@ -144,10 +121,6 @@ class Ratings:
         """The rows that `rows` (a slice, an index array or a mask) selects."""
         return Ratings(self.user_ids, self.item_ids,
                        *(getattr(self, c)[rows] for c in COLUMNS))
-
-    def item_list(self) -> list:
-        """The item id of each row."""
-        return [self.item_ids[j] for j in self.item.tolist()]
 
 
 def _narrowest(column: np.ndarray) -> np.ndarray:
@@ -221,7 +194,7 @@ class RatingSlice(Mapping):
 class Dataset:
     """Ratings, item catalog and users. `ratings` codes its ids by the sorted
     `users` and `items` keys (or a superset) and is in canonical order: by
-    user, then timestamp, then item. `from_events` validates and sorts; a
+    user, then timestamp, then item. `from_columns` checks and sorts; a
     dataset derived from another takes a row subset of its ratings.
 
     The pickle keeps no `user` column: the rows are in user order, so each
@@ -234,10 +207,12 @@ class Dataset:
     provenance: str = ""
 
     @classmethod
-    def from_events(cls, events, items: dict, users: dict, provenance: str = "") -> "Dataset":
-        """Validate rating events against the catalogs and sort them into
-        canonical order; raises `IngestError` for ids that mix int and str,
-        for an unknown id and for a (user, item) pair rated twice."""
+    def from_columns(cls, user, item, rating, timestamp, items: dict, users: dict,
+                     provenance: str = "") -> "Dataset":
+        """The ratings (`user[k]`, `item[k]`, `rating[k]`, `timestamp[k]`),
+        ids of the catalogs `users` and `items`, in canonical order; raises
+        `IngestError` for ids that mix int and str, for an unknown id and
+        for a (user, item) pair rated twice."""
         # ids are sorted here and by every model, and an int and a str do not compare
         for kind, catalog in (("user", users), ("item", items)):
             first = {}
@@ -246,22 +221,28 @@ class Dataset:
             if len(first) > 1:
                 raise IngestError(f"{kind} ids mix types: " + ", ".join(
                     f"{i!r} ({t.__name__})" for t, i in first.items()))
-        events = list(events)
-        ratings = Ratings.from_events(events, sorted(users), sorted(items))
-        unknown = np.flatnonzero((ratings.item < 0) | (ratings.user < 0))
+        user_ids, item_ids = sorted(users), sorted(items)
+        codes = []
+        for ids, table in ((user, user_ids), (item, item_ids)):
+            index = {i: k for k, i in enumerate(table)}
+            codes.append(np.array([index.get(i, -1) for i in ids], dtype=np.int32))
+        ucode, icode = codes
+        unknown = np.flatnonzero((icode < 0) | (ucode < 0))
         if unknown.size:
             k = unknown[0]
-            if ratings.item[k] < 0:
-                raise IngestError(f"rating references unknown item {events[k].item_id!r}")
-            raise IngestError(f"rating references unknown user {events[k].user_id!r}")
-        pair = ratings.user.astype(np.int64) * len(items) + ratings.item
+            kind, ids = ("item", item) if icode[k] < 0 else ("user", user)
+            raise IngestError(f"rating references unknown {kind} {ids[k]!r}")
+        pair = ucode.astype(np.int64) * len(items) + icode
         order = np.argsort(pair, kind="stable")
         repeats = order[1:][pair[order[1:]] == pair[order[:-1]]]
         if repeats.size:
-            r = events[repeats.min()]
-            raise IngestError(f"user {r.user_id!r} rated item {r.item_id!r} twice")
-        order = np.lexsort((ratings.item, ratings.timestamp, ratings.user))
-        return cls(ratings.take(order), items, users, provenance)
+            k = repeats.min()
+            raise IngestError(f"user {user[k]!r} rated item {item[k]!r} twice")
+        timestamp = np.array(timestamp, dtype=np.int64)
+        order = np.lexsort((icode, timestamp, ucode))
+        return cls(Ratings(user_ids, item_ids, ucode[order], icode[order],
+                           np.array(rating, dtype=np.int8)[order], timestamp[order]),
+                   items, users, provenance)
 
     @cached_property
     def item_columns(self) -> "ItemColumns":
@@ -401,21 +382,8 @@ def load_movielens(ratings_path, users_path, items_path) -> Dataset:
         genres = frozenset(g for g in fields[2].split("|") if g)
         items[iid] = ItemRecord(item_id=iid, title=title, year=year, genres=genres)
 
-    ratings = []
-    for lineno, fields in _dat_lines(ratings_path, 4):
-        try:
-            ratings.append(
-                RatingEvent(
-                    user_id=_parse_id(fields[0]),
-                    item_id=_parse_id(fields[1]),
-                    rating=int(fields[2]),
-                    timestamp=int(fields[3]),
-                )
-            )
-        except ValueError as e:
-            raise IngestError(f"{ratings_path}:{lineno}: {e}") from e
-
-    ds = Dataset.from_events(ratings, items, users, provenance=f"movielens({ratings_path})")
+    ds = Dataset.from_columns(*_rating_columns(ratings_path, _dat_lines(ratings_path, 4)),
+                              items, users, provenance=f"movielens({ratings_path})")
     _warn_sparse_genres(ds)
     return ds
 
@@ -423,27 +391,46 @@ def load_movielens(ratings_path, users_path, items_path) -> Dataset:
 def load_generic_ratings(ratings_path) -> Dataset:
     """Load a headered `user,item,rating,timestamp` CSV; users/items are
     synthesized. The first malformed row aborts with its line number."""
-    ratings = []
-    with _open(ratings_path) as fh:
-        reader = csv.DictReader(fh)
-        expected = ["user", "item", "rating", "timestamp"]
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != expected:
-            raise IngestError(f"{ratings_path}: header must be {','.join(expected)}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                ratings.append(
-                    RatingEvent(
-                        user_id=_parse_id(row["user"]),
-                        item_id=_parse_id(row["item"]),
-                        rating=int(row["rating"]),
-                        timestamp=int(row["timestamp"]),
-                    )
-                )
-            except (ValueError, TypeError) as e:
-                raise IngestError(f"{ratings_path}:{lineno}: {e}") from e
-    users = {r.user_id: UserRecord(user_id=r.user_id) for r in ratings}
-    items = {r.item_id: ItemRecord(item_id=r.item_id) for r in ratings}
-    return Dataset.from_events(ratings, items, users, provenance=f"generic({ratings_path})")
+    user, item, rating, timestamp = _rating_columns(ratings_path, _csv_lines(ratings_path))
+    users = {u: UserRecord(user_id=u) for u in dict.fromkeys(user)}
+    items = {i: ItemRecord(item_id=i) for i in dict.fromkeys(item)}
+    return Dataset.from_columns(user, item, rating, timestamp, items, users,
+                                provenance=f"generic({ratings_path})")
+
+
+def _rating_columns(path, lines) -> tuple:
+    """The user ids, item ids, ratings and timestamps of `lines`, (line
+    number, [user, item, rating, timestamp] fields) pairs, as four lists.
+    The first line whose rating or timestamp is not an integer, or whose
+    rating is not in 1..5 or timestamp in 1..2**63-1, raises `IngestError`
+    with its line number."""
+    numbers, user, item, rating, timestamp = [], [], [], [], []
+    try:
+        for number, (u, i, r, t) in lines:
+            r, t = int(r), int(t)
+            numbers.append(number)
+            user.append(u)
+            item.append(i)
+            rating.append(r)
+            timestamp.append(t)
+    except ValueError as e:
+        _check_ranges(path, numbers, rating, timestamp)  # an earlier line's error first
+        raise IngestError(f"{path}:{number}: {e}") from e
+    _check_ranges(path, numbers, rating, timestamp)
+    ids = {token: _parse_id(token) for token in {*user, *item}}
+    return [ids[u] for u in user], [ids[i] for i in item], rating, timestamp
+
+
+def _check_ranges(path, numbers, rating, timestamp):
+    """Raise `IngestError` for the first line whose rating is not in 1..5
+    or timestamp in 1..2**63-1; the int64 column cannot hold 2**63."""
+    if rating and (min(rating) < 1 or max(rating) > 5
+                   or min(timestamp) < 1 or max(timestamp) >= 2 ** 63):
+        for number, r, t in zip(numbers, rating, timestamp):
+            if not 1 <= r <= 5:
+                raise IngestError(f"{path}:{number}: rating must be in 1..5, got {r}")
+            if not 0 < t < 2 ** 63:
+                raise IngestError(f"{path}:{number}: timestamp must be in 1..2**63-1, got {t}")
 
 
 def _open(path, errors=None):
@@ -464,6 +451,21 @@ def _dat_lines(path, n_fields):
             if len(fields) != n_fields:
                 raise IngestError(f"{path}:{lineno}: expected {n_fields} '::'-separated fields")
             yield lineno, fields
+
+
+def _csv_lines(path):
+    """(line number, fields) of each non-empty row of the ratings CSV
+    `path`, after its `user,item,rating,timestamp` header."""
+    with _open(path) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [c.strip() for c in header] != list(COLUMNS):
+            raise IngestError(f"{path}: header must be {','.join(COLUMNS)}")
+        for row in filter(None, reader):  # a blank line reads as an empty row
+            if len(row) != len(COLUMNS):
+                raise IngestError(f"{path}:{reader.line_num}: expected {len(COLUMNS)} "
+                                  "','-separated fields")
+            yield reader.line_num, row
 
 
 def _maybe_int(token: str):

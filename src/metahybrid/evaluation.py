@@ -213,10 +213,9 @@ def evaluate_step(dataset: Dataset, split: NestedSplit, meta: hy.MetaHybridModel
                                           meta.pca_keywords)
     dispatched = dict(zip(split.test_users, rf.predict_labels(meta.forest, test_matrix)))
     names = meta.candidates.names
-    # test users only: the labels read nDCG alone
     scored, table = hy.score_users(meta.fitted, names, split.test_users,
                                    split.test_inner_train, split.test_inner_test,
-                                   relevance, label_cutoff, with_rmse=True)
+                                   relevance, label_cutoff)
     users = [uid for uid, ok in zip(split.test_users, scored) if ok]
     report = _build_report(users, table, dispatched, split, names, bundle, meta.forest,
                            master_seed, inner_ratio)

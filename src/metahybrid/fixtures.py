@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from .data import Dataset, ItemRecord, RatingEvent, UserRecord
+from .data import COLUMNS, Dataset, ItemRecord, UserRecord
 
 GENRES = (
     "Action", "Adventure", "Animation", "Children's", "Comedy", "Crime",
@@ -49,7 +49,7 @@ def make_fixture(n_users: int = 200, n_items: int = 500, seed: int = 13,
                                 genres=gset, keywords=kset, runtime_minutes=runtime)
 
     users = {}
-    ratings = []
+    columns = [], [], [], []  # user, item, rating, timestamp
     pop_of = {}
     for u in range(n_users):
         uid = u + 1
@@ -86,11 +86,11 @@ def make_fixture(n_users: int = 200, n_items: int = 500, seed: int = 13,
             rating = int(min(5, max(1, round(value))))
             day_offset = int(rng.integers(0, 120))
             stamp = ts + day_offset * 86_400 + hour * 3600 + j * 60
-            ratings.append(RatingEvent(user_id=uid, item_id=i + 1,
-                                       rating=rating, timestamp=stamp))
+            for column, cell in zip(columns, (uid, i + 1, rating, stamp)):
+                column.append(cell)
 
-    ds = Dataset.from_events(
-        ratings, items, users,
+    ds = Dataset.from_columns(
+        *columns, items, users,
         provenance=f"synthetic-fixture(seed={seed},users={n_users},items={n_items})")
     ds.population = pop_of  # exposed for tests that check the planted structure
     return ds
@@ -104,8 +104,9 @@ def write_movielens_files(dataset: Dataset, outdir: str):
     """
     os.makedirs(outdir, exist_ok=True)
     with open(os.path.join(outdir, "ratings.dat"), "w", encoding="utf-8") as fh:
-        for r in dataset.ratings:
-            fh.write(f"{r.user_id}::{r.item_id}::{r.rating}::{r.timestamp}\n")
+        rows = dataset.ratings
+        for u, i, r, t in zip(*(getattr(rows, c).tolist() for c in COLUMNS)):
+            fh.write(f"{rows.user_ids[u]}::{rows.item_ids[i]}::{r}::{t}\n")
     with open(os.path.join(outdir, "users.dat"), "w", encoding="utf-8") as fh:
         for uid in sorted(dataset.users):
             u = dataset.users[uid]

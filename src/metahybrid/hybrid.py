@@ -71,16 +71,15 @@ class LabeledTrainingSet:
 
 def score_users(fitted: dict, names, user_ids, inner_train: RatingSlice,
                 inner_test: RatingSlice, relevance: RelevanceConfig,
-                ndcg_cutoff: int, with_rmse: bool = False) -> tuple:
+                ndcg_cutoff: int) -> tuple:
     """One catalog Top-N per (user, candidate), without the user's inner-train
     items, scored against the user's inner holdout, from one `score_block`
     pass per (block of users, candidate).
 
     Returns (scored, table): `scored` marks the users with a non-empty
     holdout; `table` holds one (candidates x `metrics.SCORE_COLUMNS`) block
-    each, with every column but the last, RMSE, unless `with_rmse`. Each cell
-    is bit for bit the metric function's value on the candidate's
-    `recommend_top_n` or `predict_ratings`.
+    each. Each cell is bit for bit the metric function's value on the
+    candidate's `recommend_top_n` or `predict_ratings`.
     """
     for name in names:
         if name not in fitted:
@@ -88,18 +87,17 @@ def score_users(fitted: dict, names, user_ids, inner_train: RatingSlice,
     scored = np.array([stop > start for start, stop in map(inner_test.span, user_ids)],
                       dtype=bool)
     users = [u for u, ok in zip(user_ids, scored) if ok]
-    table = np.zeros((len(users), len(names), len(SCORE_COLUMNS) - (not with_rmse)))
+    table = np.zeros((len(users), len(names), len(SCORE_COLUMNS)))
     for c, name in enumerate(names):
         step = block_rows(len(fitted[name].item_ids))
         for r0 in range(0, len(users), step):
             table[r0:r0 + step, c] = _block_cells(fitted[name], users[r0:r0 + step],
                                                   inner_train, inner_test, relevance,
-                                                  ndcg_cutoff, with_rmse)
+                                                  ndcg_cutoff)
     return scored, table
 
 
-def _block_cells(model, users, inner_train, inner_test, relevance, cutoff,
-                 with_rmse) -> np.ndarray:
+def _block_cells(model, users, inner_train, inner_test, relevance, cutoff) -> np.ndarray:
     """One candidate's (users x columns) cells for a block of users."""
     excluded = _in_catalog(model, inner_train, _last_ratings(inner_train, users)) > 0
     holdout = _last_ratings(inner_test, users)
@@ -116,19 +114,18 @@ def _block_cells(model, users, inner_train, inner_test, relevance, cutoff,
         cells += [_ratio(hit, np.minimum(lengths, k)), _ratio(hit, relevant)]
     ideal = np.sort(holdout, axis=1)[:, :-cutoff - 1:-1]
     cells.append(_ratio(_dcg(grades[:, :cutoff]), _dcg(ideal)))
-    if with_rmse:
-        # each user's holdout rows by item id; an item off the catalog takes
-        # `predict_rating`
-        owner, item, truth = _rows_of(inner_test, users)
-        order = np.lexsort((item, owner))
-        owner, item, truth = owner[order], item[order], truth[order]
-        table = inner_test.rows.item_ids
-        at = np.array([model.iidx.get(i, -1) for i in table], dtype=np.intp)[item]
-        preds = ratings[owner, at]
-        for k in np.flatnonzero(at < 0).tolist():
-            preds[k] = model.predict_rating(users[owner[k]], table[item[k]])
-        pairs = iter(zip(truth.tolist(), preds.tolist()))
-        cells.append([rmse(islice(pairs, m)) for m in np.bincount(owner).tolist()])
+    # each user's holdout rows by item id; an item off the catalog takes
+    # `predict_rating`
+    owner, item, truth = _rows_of(inner_test, users)
+    order = np.lexsort((item, owner))
+    owner, item, truth = owner[order], item[order], truth[order]
+    table = inner_test.rows.item_ids
+    at = np.array([model.iidx.get(i, -1) for i in table], dtype=np.intp)[item]
+    preds = ratings[owner, at]
+    for k in np.flatnonzero(at < 0).tolist():
+        preds[k] = model.predict_rating(users[owner[k]], table[item[k]])
+    pairs = iter(zip(truth.tolist(), preds.tolist()))
+    cells.append([rmse(islice(pairs, m)) for m in np.bincount(owner).tolist()])
     return np.stack(cells, axis=1)
 
 

@@ -733,8 +733,8 @@ class TestLabelCutoff:
         for row in report.per_user:
             uid = row["user_id"]
             test, train = split.test_inner_test[uid], split.test_inner_train.get(uid)
-            holdout = dict(zip(test.item_list(), test.rating.tolist()))
-            exclude = set(train.item_list()) if train else set()
+            holdout = {r.item_id: r.rating for r in test}
+            exclude = {r.item_id for r in train} if train else set()
             for name in names:
                 ranked = fitted[name].recommend_top_n(uid, 5, exclude=exclude)
                 assert row[f"{name}:nDCG"] == ndcg_at(ranked, holdout, 5)

@@ -32,11 +32,10 @@ from metahybrid.context import (
     matrix_csv,
     transform_pca,
 )
+from helpers import ratings_of
 from metahybrid.data import (
     Dataset,
     ItemRecord,
-    RatingEvent,
-    Ratings,
     RatingSlice,
     UserRecord,
     enrich_items,
@@ -64,9 +63,10 @@ CATALOG = {
 
 
 def slice_of(histories: dict) -> RatingSlice:
-    """Users' rating events (user id -> events, in row order) as one slice."""
+    """Users' rating rows (user id -> (user, item, rating, timestamp) rows,
+    in row order) as one slice."""
     events = [e for evs in histories.values() for e in evs]
-    return RatingSlice(Ratings.from_events(events), list(histories),
+    return RatingSlice(ratings_of(events), list(histories),
                        [len(evs) for evs in histories.values()])
 
 
@@ -79,8 +79,7 @@ def extract(histories: dict, catalog=CATALOG, people=None, schema=None) -> dict:
 
 
 def _events(uid=7):
-    return [RatingEvent(uid, 1, 5, TUESDAY_20), RatingEvent(uid, 2, 5, TUESDAY_09),
-            RatingEvent(uid, 1, 5, MONDAY_20)]
+    return [(uid, 1, 5, TUESDAY_20), (uid, 2, 5, TUESDAY_09), (uid, 1, 5, MONDAY_20)]
 
 
 class TestExtractRaw:
@@ -98,10 +97,10 @@ class TestExtractRaw:
         assert raw["n_unique_genres"].tolist() == [2]
 
     def test_two_thirds_entropy_hand_value(self):
-        events = [RatingEvent(7, 1, 4, MONDAY_20), RatingEvent(7, 1, 4, TUESDAY_20)]
+        events = [(7, 1, 4, MONDAY_20), (7, 1, 4, TUESDAY_20)]
         cat = {1: ItemRecord(1, genres=frozenset({"Drama"})),
                2: ItemRecord(2, genres=frozenset({"Comedy"}))}
-        events.append(RatingEvent(7, 2, 4, TUESDAY_09))
+        events.append((7, 2, 4, TUESDAY_09))
         raw = extract({7: events}, cat)
         # Drama 2/3, Comedy 1/3: ln 3 - (2/3) ln 2 = 0.6365... nats
         assert raw["genre_entropy"][0] == pytest.approx(0.636514168, abs=1e-8)
@@ -119,14 +118,14 @@ class TestExtractRaw:
         assert len(stamps) > 1000
         leap_day = int(datetime(2024, 2, 29, 13, 30, tzinfo=timezone.utc).timestamp())
         stamps = sorted(stamps | {1, 86399, 86400, leap_day, 2 ** 33})
-        raw = extract({k: [RatingEvent(k, 1, 3, ts)] for k, ts in enumerate(stamps)})
+        raw = extract({k: [(k, 1, 3, ts)] for k, ts in enumerate(stamps)})
         for ts, hour, dow in zip(stamps, raw["preferred_hour"].tolist(),
                                  raw["preferred_dow"].tolist()):
             expected = datetime.fromtimestamp(ts, tz=timezone.utc)
             assert (hour, dow) == (expected.hour, expected.weekday()), ts
 
     def test_mode_tie_prefers_smaller_value(self):
-        events = [RatingEvent(7, 1, 3, MONDAY_20), RatingEvent(7, 2, 3, TUESDAY_20)]
+        events = [(7, 1, 3, MONDAY_20), (7, 2, 3, TUESDAY_20)]
         assert extract({7: events})["preferred_dow"].tolist() == [0]
 
     def test_year_variance_and_runtime(self):
@@ -324,7 +323,7 @@ class TestSchemaAndAssembly:
     def test_assembled_matrix_matches_names(self):
         schema = self._schema()
         demo = UserRecord(7, gender="M", age_band=25, occupation=3, location="55117")
-        raw = extract({7: _events(), 8: [], 9: [RatingEvent(9, 2, 2, MONDAY_20)]},
+        raw = extract({7: _events(), 8: [], 9: [(9, 2, 2, MONDAY_20)]},
                       people={7: demo}, schema=schema)
         pca_g, pca_k = fit_histogram_pcas(raw, schema)
         matrix, names = assemble_matrix(raw, pca_g, pca_k, schema)
@@ -348,7 +347,7 @@ class TestSchemaAndAssembly:
 
     def test_pca_columns_match_manual_projection(self):
         schema = self._schema()
-        raw = extract({7: _events(), 8: [RatingEvent(8, 2, 4, MONDAY_20)], 9: []},
+        raw = extract({7: _events(), 8: [(8, 2, 4, MONDAY_20)], 9: []},
                       schema=schema)
         pca_g, pca_k = fit_histogram_pcas(raw, schema)
         matrix, names = assemble_matrix(raw, pca_g, pca_k, schema)
@@ -387,7 +386,7 @@ def reference_raw(ratings, catalog, demography=None):
     hist = np.bincount(ratings.rating - 1, minlength=5) / max(n, 1)
     hours = (ratings.timestamp // 3600 % 24).tolist()
     dows = ((ratings.timestamp // 86400 + 3) % 7).tolist()
-    rated = [it for it in map(catalog.get, ratings.item_list()) if it is not None]
+    rated = [it for it in map(catalog.get, [r.item_id for r in ratings]) if it is not None]
     genres = [g for it in rated for g in it.genres]
     keywords = [k for it in rated for k in it.keywords]
     years = [it.year for it in rated if it.year is not None]
@@ -549,7 +548,7 @@ class TestPerUserReference:
 
     def test_crafted_users(self):
         def ev(user, item, k):
-            return RatingEvent(user, item, 1 + k % 5, MONDAY_20 + k * 4_000 + user * 7_919)
+            return (user, item, 1 + k % 5, MONDAY_20 + k * 4_000 + user * 7_919)
 
         histories = {
             1: [],                                                 # empty slice

@@ -6,12 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import columns
 from metahybrid import data
 from metahybrid.data import (
     Dataset,
     IngestError,
     ItemRecord,
-    RatingEvent,
     Ratings,
     UserRecord,
     enrich_items,
@@ -84,27 +84,41 @@ def test_malformed_line_names_line_number(tmp_path, tiny_movielens):
         load_movielens(bad, tiny_movielens / "users.dat", tiny_movielens / "movies.dat")
 
 
-def test_rating_out_of_range_rejected():
-    with pytest.raises(ValueError):
-        RatingEvent(user_id=1, item_id=1, rating=6, timestamp=10)
-    with pytest.raises(ValueError):
-        RatingEvent(user_id=1, item_id=1, rating=3, timestamp=0)
-    with pytest.raises(ValueError):
-        RatingEvent(user_id=1, item_id=1, rating=3, timestamp=2 ** 63)
+@pytest.mark.parametrize("loader", ["movielens", "generic"])
+@pytest.mark.parametrize("rating, timestamp, message", [
+    (0, 10, "rating must be in 1..5, got 0"),
+    (6, 10, "rating must be in 1..5, got 6"),
+    (3, 0, "timestamp must be in 1..2**63-1, got 0"),
+    (3, 2 ** 63, f"timestamp must be in 1..2**63-1, got {2 ** 63}"),
+], ids=["rating-0", "rating-6", "timestamp-0", "timestamp-2**63"])
+def test_rating_out_of_range_names_line(tmp_path, tiny_movielens, loader, rating, timestamp,
+                                        message):
+    # line 2 holds the bad value, with a good line before and after it
+    if loader == "movielens":
+        path = tmp_path / "ratings.dat"
+        path.write_text(f"1::1193::5::978300760\n1::661::{rating}::{timestamp}\n"
+                        "2::914::4::978299800\n")
+    else:
+        path = tmp_path / "ratings.csv"
+        path.write_text(f"user,item,rating,timestamp\nu1,i1,{rating},{timestamp}\n"
+                        "u1,i2,4,100\n")
+    with pytest.raises(IngestError, match=re.escape(f"{path.name}:2: {message}")):
+        if loader == "movielens":
+            load_movielens(path, tiny_movielens / "users.dat", tiny_movielens / "movies.dat")
+        else:
+            load_generic_ratings(path)
 
 
 def test_referential_integrity_enforced():
     with pytest.raises(IngestError, match="unknown item"):
-        Dataset.from_events([RatingEvent(1, 99, 3, 5)],
-                            items={1: ItemRecord(item_id=1)},
-                            users={1: UserRecord(user_id=1)})
+        Dataset.from_columns([1], [99], [3], [5], items={1: ItemRecord(item_id=1)},
+                             users={1: UserRecord(user_id=1)})
 
 
 def test_unknown_user_rejected():
     with pytest.raises(IngestError, match="unknown user 2"):
-        Dataset.from_events([RatingEvent(1, 1, 3, 5), RatingEvent(2, 1, 4, 6)],
-                            items={1: ItemRecord(item_id=1)},
-                            users={1: UserRecord(user_id=1)})
+        Dataset.from_columns([1, 2], [1, 1], [3, 4], [5, 6], items={1: ItemRecord(item_id=1)},
+                             users={1: UserRecord(user_id=1)})
 
 
 def test_ratings_encoded_in_canonical_order(tiny_movielens):
@@ -156,12 +170,43 @@ def test_generic_csv_mixed_id_types_rejected(tmp_path, rows, message):
         load_generic_ratings(p)
 
 
-@pytest.mark.parametrize("row", ["u1,i2,four,200", "u1,i2"], ids=["bad-rating", "short"])
+@pytest.mark.parametrize("row", ["u1,i2,four,200", "u1,i2", "u1,i2,4,200,9"],
+                         ids=["bad-rating", "short", "long"])
 def test_generic_csv_malformed_row_names_line_number(tmp_path, row):
     p = tmp_path / "ratings.csv"
     p.write_text(f"user,item,rating,timestamp\nu1,i1,4,100\n{row}\nu2,i1,5,50\n")
     with pytest.raises(IngestError, match="ratings.csv:3"):
         load_generic_ratings(p)
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("1::661::9::978302109\n1::914::x::978301968\n", "ratings.dat:2: rating must be in 1..5"),
+    ("1::661::x::978302109\n1::914::9::978301968\n", "ratings.dat:2: invalid literal"),
+], ids=["range-then-parse", "parse-then-range"])
+def test_first_bad_line_named(tmp_path, tiny_movielens, lines, message):
+    # a value out of range and a value that is no integer: the earlier line is named
+    path = tmp_path / "ratings.dat"
+    path.write_text("1::1193::5::978300760\n" + lines)
+    with pytest.raises(IngestError, match=re.escape(message)):
+        load_movielens(path, tiny_movielens / "users.dat", tiny_movielens / "movies.dat")
+
+
+def test_generic_csv_line_numbers_count_blank_lines(tmp_path):
+    p = tmp_path / "ratings.csv"
+    p.write_text("user,item,rating,timestamp\nu1,i1,4,100\n\nu1,i2,four,200\n")
+    with pytest.raises(IngestError, match="ratings.csv:4"):
+        load_generic_ratings(p)
+
+
+def test_fixture_files_regenerate(tmp_path):
+    # metadata.csv is left out: the shipped file carries older extra columns
+    from metahybrid.fixtures import make_fixture, write_movielens_files
+    write_movielens_files(make_fixture(), tmp_path)
+    shipped = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                           "fixtures")
+    for name in ("ratings.dat", "users.dat", "movies.dat"):
+        with open(os.path.join(shipped, name), "rb") as fh:
+            assert (tmp_path / name).read_bytes() == fh.read(), name
 
 
 def test_generic_csv_header_checked(tmp_path):
@@ -260,9 +305,8 @@ class TestMinRatingsFilter:
     def _ds(self, counts):
         users = {u: UserRecord(user_id=u) for u in counts}
         items = {i: ItemRecord(item_id=i) for i in range(1, max(counts.values()) + 1)}
-        ratings = [RatingEvent(u, i, 3, i) for u, c in counts.items()
-                   for i in range(1, c + 1)]
-        return Dataset.from_events(ratings, items=items, users=users)
+        ratings = [(u, i, 3, i) for u, c in counts.items() for i in range(1, c + 1)]
+        return Dataset.from_columns(*columns(ratings), items=items, users=users)
 
     def test_threshold(self):
         ds = self._ds({1: 25, 2: 19, 3: 20})

@@ -69,8 +69,8 @@ def ndcg_cells(fitted, names, user_ids, inner_train, inner_test, cutoff) -> np.n
     cells = []
     for uid in user_ids:
         test, train = inner_test[uid], inner_train.get(uid)
-        holdout = dict(zip(test.item_list(), test.rating.tolist()))
-        exclude = set(train.item_list()) if train else set()
+        holdout = {r.item_id: r.rating for r in test}
+        exclude = {r.item_id for r in train} if train else set()
         cells.append([ndcg_at(fitted[name].recommend_top_n(uid, cutoff, exclude=exclude),
                               holdout, cutoff)
                       for name in names])

@@ -98,8 +98,8 @@ def test_traced_run_all_counts_every_scored_user(tmp_path):
                  [[u[f"{name}:nDCG"] for name in fitted] for u in per_user],
                  split.test_inner_train, split.test_inner_test)):
             for uid, row in zip(users, scores):
-                holdout = dict(zip(test[uid].item_list(), test[uid].rating.tolist()))
-                exclude = set(train[uid].item_list()) if uid in train else set()
+                holdout = {r.item_id: r.rating for r in test[uid]}
+                exclude = {r.item_id for r in train[uid]} if uid in train else set()
                 # through the module, whose attribute the tracer wraps
                 assert [metahybrid.metrics.ndcg_at(
                     model.recommend_top_n(uid, 10, exclude=exclude), holdout, 10)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from metahybrid import recommenders as rec
-from metahybrid.data import RatingEvent, Ratings, enrich_items, load_movielens
+from helpers import ratings_of
+from metahybrid.data import enrich_items, load_movielens
 from metahybrid.fixtures import make_fixture
 from metahybrid.pipeline import StageError
 from metahybrid.recommenders import RecommenderSpec, fit
@@ -18,12 +19,13 @@ FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__
 
 
 def ev(u, i, r, ts=None):
-    return RatingEvent(user_id=u, item_id=i, rating=r, timestamp=ts or (hash((u, i)) % 1000 + 1))
+    return u, i, r, ts or (hash((u, i)) % 1000 + 1)
 
 
 def rows(events):
-    """Rating events as the columns that `fit` takes, in their order."""
-    return Ratings.from_events(events)
+    """(user, item, rating, timestamp) rows as the columns that `fit` takes,
+    in their order."""
+    return ratings_of(events)
 
 
 def rank2_dataset(seed=0, factor_scale=1.2, n_users=50, n_items=40, density=0.3,
@@ -38,14 +40,14 @@ def rank2_dataset(seed=0, factor_scale=1.2, n_users=50, n_items=40, density=0.3,
             if rng.random() < density:
                 v = 3.0 + p[u] @ q[i] + rng.normal(0, noise)
                 r = int(min(5, max(1, round(v))))
-                event = RatingEvent(u + 1, i + 1, r, ts)
+                event = (u + 1, i + 1, r, ts)
                 ts += 1
                 (train if rng.random() < 0.8 else test).append(event)
     return train, test
 
 
 def heldout_rmse(model, events):
-    sq = [(model.predict_rating(e.user_id, e.item_id) - e.rating) ** 2 for e in events]
+    sq = [(model.predict_rating(u, i) - r) ** 2 for u, i, r, _ in events]
     return math.sqrt(sum(sq) / len(sq))
 
 
@@ -172,9 +174,9 @@ class TestKnnBasic:
     def test_similarities_exactly_symmetric(self, trh_slice, shipped_fixture):
         # the pickle keeps the upper triangle; every ordered pair of the
         # fitted matrix equals its own per-pair cosine
-        rank2, _ = rank2_dataset(seed=3, n_users=15, n_items=12)
+        rank2 = rows(rank2_dataset(seed=3, n_users=15, n_items=12)[0])
         knn = next(m for m in shipped_fixture[0] if m.spec.algorithm == "KnnBasic")
-        for model, train in ((fit(RecommenderSpec("KnnBasic"), rows(rank2), seed=0), rank2),
+        for model, train in ((fit(RecommenderSpec("KnnBasic"), rank2, seed=0), rank2),
                              (knn, trh_slice[2])):
             assert np.array_equal(model.sim, model.sim.T)
             assert np.array_equal(model.sim, reference_similarities(model, train))
@@ -234,9 +236,9 @@ class TestWarpHybrid:
         train = []
         ts = 1
         for u in range(1, 21):
-            train.append(RatingEvent(u, 1, 5, ts)); ts += 1  # everyone loves item 1
+            train.append((u, 1, 5, ts)); ts += 1  # everyone loves item 1
             for i in rng.permutation(np.arange(2, n_items + 1))[:8]:
-                train.append(RatingEvent(u, int(i), int(rng.integers(1, 4)), ts))
+                train.append((u, int(i), int(rng.integers(1, 4)), ts))
                 ts += 1
         model = fit(RecommenderSpec("WarpHybrid"), rows(train), items=items, seed=9)
         ranks = []
@@ -856,8 +858,8 @@ class TestBatchedFits:
 
     def test_sgd_waves_hand_case(self):
         from metahybrid.recommenders.collaborative import _sgd_waves
-        train = [ev(1, 1, 5), ev(1, 2, 4), ev(2, 1, 3), ev(2, 2, 2), ev(3, 3, 1)]
-        model = fit(RecommenderSpec("BaselineOnly", {"epochs": 0}), rows(train), seed=0)
+        train = rows([ev(1, 1, 5), ev(1, 2, 4), ev(2, 1, 3), ev(2, 2, 2), ev(3, 3, 1)])
+        model = fit(RecommenderSpec("BaselineOnly", {"epochs": 0}), train, seed=0)
         waves = [list(zip(*(a.tolist() for a in wave)))
                  for wave in _sgd_waves(*encode(model, train))]
         # (2, 1) waits for (1, 1) only; (3, 3) shares nothing, so goes first

@@ -3,11 +3,11 @@ import pickle
 import numpy as np
 import pytest
 
+from helpers import columns
 from metahybrid.data import (
     COLUMNS,
     Dataset,
     ItemRecord,
-    RatingEvent,
     UserRecord,
     filter_min_ratings,
     induce_cold_start,
@@ -51,7 +51,7 @@ class TestOuterSplit:
 
     def test_too_few_users_rejected(self, small_dataset):
         from metahybrid.data import Dataset, UserRecord
-        tiny = Dataset.from_events([], items={}, users={1: UserRecord(1)})
+        tiny = Dataset.from_columns([], [], [], [], items={}, users={1: UserRecord(1)})
         with pytest.raises(ValueError, match="at least 10"):
             nested_split(tiny, SplitPlan())
 
@@ -78,12 +78,10 @@ class TestInnerSplit:
             assert len(split.train_inner_train[uid]) == expected
 
     def test_ten_ratings_give_8_2(self):
-        from metahybrid.data import Dataset, ItemRecord, RatingEvent, UserRecord
         users = {u: UserRecord(u) for u in range(12)}
         items = {i: ItemRecord(i) for i in range(10)}
-        ratings = [RatingEvent(u, i, 3, 100 * u + i + 1)
-                   for u in range(12) for i in range(10)]
-        ds = Dataset.from_events(ratings, items=items, users=users)
+        ratings = [(u, i, 3, 100 * u + i + 1) for u in range(12) for i in range(10)]
+        ds = Dataset.from_columns(*columns(ratings), items=items, users=users)
         split = nested_split(ds, SplitPlan(seed=0, inner_ratio=0.8))
         for d in collect(split):
             for uid, evs in d.items():
@@ -110,12 +108,10 @@ class TestInnerSplit:
         assert collect(a) == collect(b)
 
     def test_single_rating_user_flagged(self):
-        from metahybrid.data import Dataset, ItemRecord, RatingEvent, UserRecord
         users = {u: UserRecord(u) for u in range(11)}
         items = {1: ItemRecord(1), 2: ItemRecord(2)}
-        ratings = [RatingEvent(u, 1, 3, u + 1) for u in range(11)]
-        ratings += [RatingEvent(0, 2, 4, 100)]
-        ds = Dataset.from_events(ratings, items=items, users=users)
+        ratings = [(u, 1, 3, u + 1) for u in range(11)] + [(0, 2, 4, 100)]
+        ds = Dataset.from_columns(*columns(ratings), items=items, users=users)
         split = nested_split(ds, SplitPlan(seed=0))
         assert sorted(split.single_rating_users) == list(range(1, 11))
         for d in (split.train_inner_train, split.test_inner_train):
@@ -133,22 +129,22 @@ def test_slice_events_flattens_in_user_order(small_dataset):
 
 
 def hand_built_events():
-    """Fourteen users' ratings in shuffled order: user 0 has none, users 1
-    and 3 one each, user 2 two with a timestamp tie (broken by item), user
-    u > 2 has u - 2."""
+    """Fourteen users' (user, item, rating, timestamp) rows in shuffled
+    order: user 0 has none, users 1 and 3 one each, user 2 two with a
+    timestamp tie (broken by item), user u > 2 has u - 2."""
     rng = np.random.default_rng(17)
-    events = [RatingEvent(1, 4, 2, 50), RatingEvent(2, 7, 5, 30), RatingEvent(2, 3, 1, 30)]
+    events = [(1, 4, 2, 50), (2, 7, 5, 30), (2, 3, 1, 30)]
     for u in range(3, 14):
         for k, i in enumerate(rng.permutation(12)[:u - 2].tolist()):
-            events.append(RatingEvent(u, i, int(rng.integers(1, 6)), 1000 * u + 7 * (k % 3) + 1))
+            events.append((u, i, int(rng.integers(1, 6)), 1000 * u + 7 * (k % 3) + 1))
     return [events[k] for k in rng.permutation(len(events))]
 
 
 def reference_by_user(events) -> dict:
     """Each user's events in (timestamp, item) order, one list per user."""
     by_user: dict = {}
-    for r in sorted(events, key=lambda r: (r.user_id, r.timestamp, r.item_id)):
-        by_user.setdefault(r.user_id, []).append(r)
+    for u, i, r, t in sorted(events, key=lambda e: (e[0], e[3], e[1])):
+        by_user.setdefault(u, []).append((u, i, r, t))
     return by_user
 
 
@@ -165,7 +161,7 @@ def reference_cold_start(events, users, seed, min_keep, max_keep) -> list:
 
 def reference_split(events, users, plan) -> list:
     """The nested split computed event by event: the four slices as dicts of
-    per-user `RatingEvent` lists, and the single-rating users."""
+    per-user row lists, and the single-rating users."""
     rng = np.random.default_rng(plan.seed)
     users = sorted(users)
     perm = rng.permutation(len(users))
@@ -190,14 +186,14 @@ def reference_split(events, users, plan) -> list:
 def test_slices_match_event_reference(mode, derive):
     events = hand_built_events()
     users = {u: UserRecord(u) for u in range(14)}
-    ds = Dataset.from_events(events, {i: ItemRecord(i) for i in range(12)}, users)
+    ds = Dataset.from_columns(*columns(events), {i: ItemRecord(i) for i in range(12)}, users)
     if derive == "cold-start":
         ds = induce_cold_start(ds, seed=3, min_keep=2, max_keep=4)
         events = reference_cold_start(events, users, 3, 2, 4)
     elif derive == "min-ratings":
         ds = filter_min_ratings(ds, 2)
         kept = {u for u, evs in reference_by_user(events).items() if len(evs) >= 2}
-        events = [r for r in events if r.user_id in kept]
+        events = [e for e in events if e[0] in kept]
         users = {u: r for u, r in users.items() if u in kept}
     assert list(ds.ratings) == [r for evs in reference_by_user(events).values() for r in evs]
     assert sorted(ds.users) == sorted(users)

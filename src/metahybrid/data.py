@@ -358,11 +358,14 @@ _TITLE_YEAR_RE = re.compile(r"^(?P<title>.*)\s+\((?P<year>\d{4})\)\s*$")
 def load_movielens(ratings_path, users_path, items_path) -> Dataset:
     """Load the MovieLens 1M double-colon layout into a Dataset.
 
-    The first malformed line aborts with its line number.
+    The first malformed line aborts with its line number, as does a user or
+    item id that an earlier line of its file already defined.
     """
     users: dict = {}
+    first_lines: dict = {}
     for lineno, fields in _dat_lines(users_path, 5):
         uid = _parse_id(fields[0])
+        _check_new_id(users_path, lineno, "user", uid, first_lines)
         gender = fields[1] if fields[1] in ("M", "F") else "unknown"
         users[uid] = UserRecord(
             user_id=uid,
@@ -373,8 +376,10 @@ def load_movielens(ratings_path, users_path, items_path) -> Dataset:
         )
 
     items: dict = {}
+    first_lines = {}
     for lineno, fields in _dat_lines(items_path, 3):
         iid = _parse_id(fields[0])
+        _check_new_id(items_path, lineno, "item", iid, first_lines)
         title, year = fields[1], None
         m = _TITLE_YEAR_RE.match(fields[1])
         if m:
@@ -396,6 +401,14 @@ def load_generic_ratings(ratings_path) -> Dataset:
     items = {i: ItemRecord(item_id=i) for i in dict.fromkeys(item)}
     return Dataset.from_columns(user, item, rating, timestamp, items, users,
                                 provenance=f"generic({ratings_path})")
+
+
+def _check_new_id(path, lineno, kind, id_, first_lines):
+    """Record that line `lineno` of `path` defines `kind` `id_`; raise
+    `IngestError` if an earlier line of the file did."""
+    first = first_lines.setdefault(id_, lineno)
+    if first != lineno:
+        raise IngestError(f"{path}:{lineno}: {kind} id {id_!r} repeats line {first}")
 
 
 def _rating_columns(path, lines) -> tuple:
@@ -488,9 +501,11 @@ def enrich_items(dataset: Dataset, metadata_path) -> Dataset:
     """Merge external item metadata: keywords and runtime.
 
     Rows match on item_id first, then case-insensitive exact title with
-    year within +-1. Unmatched items keep their base fields.
+    year within +-1. Unmatched items keep their base fields. An item_id
+    that an earlier row already gave aborts with both line numbers.
     """
     by_id: dict = {}
+    first_lines: dict = {}
     by_title: dict = {}
     with _open(metadata_path) as fh:
         reader = csv.DictReader(fh)
@@ -502,6 +517,7 @@ def enrich_items(dataset: Dataset, metadata_path) -> Dataset:
         for row in reader:
             iid = _parse_id(row["item_id"]) if row["item_id"] else None
             if iid is not None and iid != "":
+                _check_new_id(metadata_path, reader.line_num, "item", iid, first_lines)
                 by_id[iid] = row
             year = _maybe_int(row["year"])
             if row["title"] and year is not None:

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pickle
+import pickletools
 import re
 import shutil
 import subprocess
@@ -161,6 +162,10 @@ def stale_artifact(kind, outdir, name) -> bytes:
         return b""
     if kind == "non-dict":
         return pickle.dumps([1, 2])
+    if kind == "corrupt-payload":  # one byte flipped inside the deflated payload
+        blob = next(arg for _, arg, _ in pickletools.genops(data) if isinstance(arg, bytes))
+        at = data.index(blob) + len(blob) // 2
+        return data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1:]
     # "raising-state"
     return old_layout_pickle(pickle.loads((outdir / "dataset.pkl").read_bytes()), Dataset,
                              dataset_before_row_counts)
@@ -434,7 +439,7 @@ class TestStageOrdering:
         assert "[report]" in out
 
     @pytest.mark.parametrize("kind", ["format-1", "truncated", "empty", "non-dict",
-                                      "raising-state"])
+                                      "raising-state", "corrupt-payload"])
     @pytest.mark.parametrize("name, stage", FIRST_READS, ids=[n for n, _ in FIRST_READS])
     def test_stale_artifact_refused(self, workdir, completed_run, capsys, name, stage, kind):
         out = workdir / f"stale_{name}_{kind}_out"
@@ -602,7 +607,7 @@ class TestStageOrdering:
         for outdir in (completed_run, completed_mixed_run):
             for name, _ in FIRST_READS:
                 recorder.dump(pickle.loads((outdir / name).read_bytes()))
-        assert (pipeline.ARTIFACT_FORMAT, recorder.layouts) == (3, PICKLED_LAYOUTS), (
+        assert (pipeline.ARTIFACT_FORMAT, recorder.layouts) == (4, PICKLED_LAYOUTS), (
             "a pickled layout changed: bump ARTIFACT_FORMAT and re-pin")
 
     def test_train_meta_does_not_read_serving_models(self, workdir, completed_run):
@@ -820,8 +825,9 @@ class TestOverrides:
 
 
 class TestArtifactRoundTrip:
-    """A loaded artifact pickles to the bytes it was loaded from, so an
-    artifact re-written from a loaded object keeps its manifest digest."""
+    """A loaded artifact's payload, encoded again by the store, gives the
+    bytes it was loaded from, so an artifact re-written from a loaded object
+    keeps its manifest digest."""
 
     @pytest.mark.parametrize("name", ["candidates_eval.pkl", "meta.pkl", "dataset.pkl",
                                       "split.pkl", "labeled.pkl", "evaluation.pkl"])
@@ -829,24 +835,51 @@ class TestArtifactRoundTrip:
                                                   name):
         for out in (completed_run, completed_mixed_run):
             blob = (out / name).read_bytes()
-            assert pickle.dumps(pickle.loads(blob), protocol=4) == blob, out.name
+            encoded = pipeline.encode_artifact(pickle.loads(blob)["payload"])
+            assert encoded == blob, out.name
+            digest = json.loads((out / "manifest.json").read_text())["files"][name]
+            assert hashlib.sha256(encoded).hexdigest() == digest, out.name
+
+    @pytest.mark.parametrize("preset", ["cf", "mixed"])
+    def test_plain_load_is_the_stored_payload(self, workdir, preset):
+        # perfbench/workloads.py reads artifacts with a plain pickle.load
+        cfg = load_config(write_config(workdir, name=f"plain_{preset}.json", preset=preset,
+                                       output_dir=str(workdir / f"plain_{preset}_out")))
+        store = pipeline.ArtifactStore(cfg.output_dir)
+        for stage in pipeline.STAGES:
+            pipeline.run_stage(stage, cfg, store)
+        for name, _ in FIRST_READS:
+            with open(os.path.join(cfg.output_dir, name), "rb") as fh:
+                plain = pickle.load(fh)["payload"]
+            kept = store.read(name, "report")
+            assert type(plain) is type(kept), name
+            assert pickle.dumps(plain, protocol=4) == pickle.dumps(kept, protocol=4), name
 
 
 class TestFixtureReports:
     """`run-all` on the shipped fixture config writes these exact reports, so
     a change that moves any reported figure shows here."""
 
-    # upper bounds on the pickles that hold models, ratings and labels: the
-    # sizes written today, so that a wider layout fails
+    # upper bounds on the uncompressed pickles of the payloads that hold
+    # models, ratings and labels, so that a wider layout fails although
+    # compression hides it in the file size
     MAX_BYTES = {"candidates_eval.pkl": {"cf": 229_503, "mixed": 396_641},
                  "meta.pkl": {"cf": 52_950, "mixed": 44_278},
                  "dataset.pkl": {"cf": 139_667, "mixed": 139_667},
                  "split.pkl": {"cf": 76_235, "mixed": 76_235},
                  "labeled.pkl": {"cf": 13_558, "mixed": 12_376}}
 
+    # upper bounds on the deflated files of the same payloads: the sizes
+    # written today
+    MAX_FILE_BYTES = {"candidates_eval.pkl": {"cf": 158_192, "mixed": 291_391},
+                      "meta.pkl": {"cf": 36_550, "mixed": 32_320},
+                      "dataset.pkl": {"cf": 72_465, "mixed": 72_465},
+                      "split.pkl": {"cf": 58_408, "mixed": 58_408},
+                      "labeled.pkl": {"cf": 9_286, "mixed": 9_127}}
+
     # an upper bound on every file of the output directory together (the
     # benchmark's artifact_bytes): the total written today
-    MAX_TOTAL_BYTES = {"cf": 741_399, "mixed": 882_565}
+    MAX_TOTAL_BYTES = {"cf": 516_728, "mixed": 639_984}
 
     # preset, sha256 of report.json, sha256 of per_user_metrics.csv
     PINNED = [
@@ -888,7 +921,9 @@ class TestFixtureReports:
             (tmp_path / "contexts_train.csv").read_bytes()).hexdigest() == self.CONTEXTS_PINNED
         # no pickle holds state that it can rebuild on load, or wider columns
         for name, bound in self.MAX_BYTES.items():
-            assert (tmp_path / name).stat().st_size <= bound[preset], name
+            payload = pickle.loads((tmp_path / name).read_bytes())["payload"]
+            assert len(pickle.dumps(payload, protocol=4)) <= bound[preset], name
+            assert (tmp_path / name).stat().st_size <= self.MAX_FILE_BYTES[name][preset], name
         total = sum(entry.stat().st_size for entry in tmp_path.iterdir())
         assert total <= self.MAX_TOTAL_BYTES[preset]
 

@@ -143,6 +143,22 @@ def test_movielens_pair_rated_twice_rejected(tmp_path, tiny_movielens):
         load_movielens(ratings, tiny_movielens / "users.dat", tiny_movielens / "movies.dat")
 
 
+def test_movielens_repeated_user_id_rejected(tmp_path, tiny_movielens):
+    users = tmp_path / "users.dat"
+    users.write_text("1::F::1::10::48067\n2::M::56::16::70072\n3::M::25::15::55117\n"
+                     "1::M::25::15::55117\n")
+    with pytest.raises(IngestError, match=re.escape(f"{users}:4: user id 1 repeats line 1")):
+        load_movielens(tiny_movielens / "ratings.dat", users, tiny_movielens / "movies.dat")
+
+
+def test_movielens_repeated_item_id_rejected(tmp_path, tiny_movielens):
+    movies = tmp_path / "movies.dat"
+    movies.write_text((tiny_movielens / "movies.dat").read_text()
+                      + "\n661::Another Title (1990)::Drama\n")
+    with pytest.raises(IngestError, match=re.escape(f"{movies}:6: item id 661 repeats line 2")):
+        load_movielens(tiny_movielens / "ratings.dat", tiny_movielens / "users.dat", movies)
+
+
 def test_generic_csv_pair_rated_twice_rejected(tmp_path):
     p = tmp_path / "ratings.csv"
     p.write_text("user,item,rating,timestamp\nu1,i1,4,100\nu2,i1,5,50\nu1,i1,2,300\n")
@@ -246,6 +262,15 @@ class TestEnrichment:
                             tmp_path / "movies.dat")
         out = enrich_items(ds, tmp_path / "metadata.csv")
         assert all(out.items[i].keywords for i in out.items)
+
+    def test_repeated_item_id_rejected(self, tiny_movielens, tmp_path):
+        ds = load_movielens(tiny_movielens / "ratings.dat", tiny_movielens / "users.dat",
+                            tiny_movielens / "movies.dat")
+        meta = tmp_path / "metadata.csv"
+        meta.write_text((tiny_movielens / "metadata.csv").read_text()
+                        + "1193,Other,1975,other,90,,en,0,0,5.0,Plot three.\n")
+        with pytest.raises(IngestError, match=re.escape(f"{meta}:4: item id 1193 repeats line 2")):
+            enrich_items(ds, meta)
 
     def test_malformed_metadata_fails(self, tiny_movielens, tmp_path):
         ds = load_movielens(tiny_movielens / "ratings.dat", tiny_movielens / "users.dat",

@@ -53,8 +53,14 @@ def extract_raw(user_ids, inner_train: RatingSlice, dataset: Dataset,
     without ratings. Histograms: a share of all the user's genre (keyword)
     occurrences per term of the schema; entropy and unique count span every
     catalog genre. A category is a position in its block, the last unknown.
-    Raises `ValueError` for a user that `inner_train` holds no entry for.
+    The slice's item codes are rows of `dataset.item_columns`. Raises
+    `ValueError` for a user that `inner_train` holds no entry for, and for
+    a slice whose item table is not the catalog's.
     """
+    ratings, catalog = inner_train.rows, dataset.item_columns
+    if ratings.item_ids != catalog.item_ids:
+        raise ValueError("the inner-train slice's item table is not the dataset's "
+                         "item catalog")
     missing = [uid for uid in user_ids if uid not in inner_train]
     if missing:
         raise ValueError(f"user {missing[0]!r} has no entry in the inner-train slice")
@@ -62,21 +68,15 @@ def extract_raw(user_ids, inner_train: RatingSlice, dataset: Dataset,
     n_users, n_ratings = len(spans), spans[:, 1] - spans[:, 0]
     user = np.arange(n_users).repeat(n_ratings)       # of each gathered row
     rows = runs(spans[:, 0], n_ratings)
-    ratings, catalog = inner_train.rows, dataset.item_columns
     stamp = ratings.timestamp[rows]
-    item = ratings.item[rows]                          # catalog row, -1 if none
-    if ratings.item_ids != catalog.item_ids:
-        index = {iid: j for j, iid in enumerate(catalog.item_ids)}
-        item = np.array([index.get(i, -1) for i in ratings.item_ids], dtype=np.int64)[item]
-    known = item >= 0
-    rated, item = user[known], item[known]
+    item = ratings.item[rows]                          # its catalog row
 
     # every rated item's genre and keyword columns, whose they are, and each
     # user's count of genre and of keyword occurrences
     starts = catalog.ptr[item]
     lengths = catalog.ptr[item + 1] - starts
     cols = catalog.cols[runs(starts, lengths)]
-    owner = rated.repeat(lengths)
+    owner = user.repeat(lengths)
     totals = np.bincount(owner * 2 + (cols >= len(catalog.genres)), minlength=n_users * 2)
 
     def shares(genres, keywords):  # of the genre (keyword) occurrences per term
@@ -100,8 +100,8 @@ def extract_raw(user_ids, inner_train: RatingSlice, dataset: Dataset,
     terms[:, 1:][present] = p * np.array(list(map(math.log, p.tolist())))
     entropy = np.add.accumulate(terms, axis=1)[:, -1]
     year = catalog.year[item]
-    year_mean, year_n = _means(rated, year, n_users)
-    dev = (year - year_mean[rated])[~np.isnan(year)]   # in np.var's pairwise sums
+    year_mean, year_n = _means(user, year, n_users)
+    dev = (year - year_mean[user])[~np.isnan(year)]    # in np.var's pairwise sums
     people = [dataset.users.get(uid) or UserRecord(uid) for uid in user_ids]
     return {
         "n_ratings": n_ratings,
@@ -117,7 +117,7 @@ def extract_raw(user_ids, inner_train: RatingSlice, dataset: Dataset,
         "n_unique_genres": present.sum(axis=1),
         "year_variance": np.divide(segment_sums(dev * dev, year_n), year_n,
                                    out=np.zeros(n_users), where=year_n > 0),
-        "mean_runtime": _means(rated, catalog.runtime[item], n_users)[0],
+        "mean_runtime": _means(user, catalog.runtime[item], n_users)[0],
         "gender": _positions([u.gender for u in people], GENDERS),
         "age": _positions([u.age_band for u in people], schema.age_bands),
         "occupation": _positions([u.occupation for u in people], schema.occupations),

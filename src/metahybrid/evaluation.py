@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -77,20 +77,10 @@ class ExperimentReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        payload = {
-            "seed": self.seed,
-            "inner_ratio": self.inner_ratio,
-            "candidate_names": self.candidate_names,
-            "rows": self.rows,
-            "label_distribution": self.label_distribution,
-            "confusion": self.confusion,
-            "importances": self.importances,
-            "rmse_activity": self.rmse_activity,
-            "skipped_label_users": self.skipped_label_users,
-            "tied_label_users": self.tied_label_users,
-            "skipped_eval_users": self.skipped_eval_users,
-            "n_evaluated_users": len(self.per_user),
-        }
+        """Every field but `per_user`, which `per_user_csv` writes, and
+        the count of evaluated users."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "per_user"}
+        payload["n_evaluated_users"] = len(self.per_user)
         return json.dumps(payload, indent=2, sort_keys=True)
 
     def per_user_csv(self) -> str:

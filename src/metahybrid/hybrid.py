@@ -76,6 +76,10 @@ def score_users(fitted: dict, names, user_ids, inner_train: RatingSlice,
     items, scored against the user's inner holdout, from one `score_block`
     pass per (block of users, candidate).
 
+    Every model's catalog is both slices' item table, so a slice's item
+    codes are its columns; a model whose `item_ids` differ from either
+    table raises `ValueError`.
+
     Returns (scored, table): `scored` marks the users with a non-empty
     holdout; `table` holds one (candidates x `metrics.SCORE_COLUMNS`) block
     each. Each cell is bit for bit the metric function's value on the
@@ -84,6 +88,10 @@ def score_users(fitted: dict, names, user_ids, inner_train: RatingSlice,
     for name in names:
         if name not in fitted:
             raise ValueError(f"candidate {name!r} has no fitted model")
+        for part, ratings in (("inner-train", inner_train), ("inner-test", inner_test)):
+            if fitted[name].item_ids != ratings.rows.item_ids:
+                raise ValueError(f"candidate {name!r}: its catalog is not the "
+                                 f"{part} slice's item table")
     scored = np.array([stop > start for start, stop in map(inner_test.span, user_ids)],
                       dtype=bool)
     users = [u for u, ok in zip(user_ids, scored) if ok]
@@ -99,12 +107,12 @@ def score_users(fitted: dict, names, user_ids, inner_train: RatingSlice,
 
 def _block_cells(model, users, inner_train, inner_test, relevance, cutoff) -> np.ndarray:
     """One candidate's (users x columns) cells for a block of users."""
-    excluded = _in_catalog(model, inner_train, _last_ratings(inner_train, users)) > 0
+    excluded = _last_ratings(inner_train, users) > 0
     holdout = _last_ratings(inner_test, users)
     ratings, rank = model.score_block(users, ~excluded)
     cols, lengths = rank_block(rank, excluded, max(max(CUTOFFS), cutoff))
     # the holdout grade of each ranked item, 0 past a user's list
-    grades = np.take_along_axis(_in_catalog(model, inner_test, holdout), cols, axis=1)
+    grades = np.take_along_axis(holdout, cols, axis=1)
     grades[np.arange(cols.shape[1]) >= lengths[:, None]] = 0
     hits = np.cumsum(grades >= relevance.threshold, axis=1)
     relevant = (holdout >= relevance.threshold).sum(axis=1)
@@ -114,17 +122,11 @@ def _block_cells(model, users, inner_train, inner_test, relevance, cutoff) -> np
         cells += [_ratio(hit, np.minimum(lengths, k)), _ratio(hit, relevant)]
     ideal = np.sort(holdout, axis=1)[:, :-cutoff - 1:-1]
     cells.append(_ratio(_dcg(grades[:, :cutoff]), _dcg(ideal)))
-    # each user's holdout rows by item id; an item off the catalog takes
-    # `predict_rating`
+    # each user's holdout rows by item id
     owner, item, truth = _rows_of(inner_test, users)
     order = np.lexsort((item, owner))
     owner, item, truth = owner[order], item[order], truth[order]
-    table = inner_test.rows.item_ids
-    at = np.array([model.iidx.get(i, -1) for i in table], dtype=np.intp)[item]
-    preds = ratings[owner, at]
-    for k in np.flatnonzero(at < 0).tolist():
-        preds[k] = model.predict_rating(users[owner[k]], table[item[k]])
-    pairs = iter(zip(truth.tolist(), preds.tolist()))
+    pairs = iter(zip(truth.tolist(), ratings[owner, item].tolist()))
     cells.append([rmse(islice(pairs, m)) for m in np.bincount(owner).tolist()])
     return np.stack(cells, axis=1)
 
@@ -140,22 +142,15 @@ def _rows_of(ratings: RatingSlice, users) -> tuple:
 
 
 def _last_ratings(ratings: RatingSlice, users) -> np.ndarray:
-    """(users x item table + 1): each user's last rating of each item of
-    `ratings`, as a dict of the rows keeps it; 0 elsewhere and in the last
-    column."""
+    """(users x item table): each user's last rating of each item of the
+    slice's item table, as a dict of the rows keeps it, 0 elsewhere; the
+    table is the models' catalog, so a column is a catalog column."""
     owner, item, rating = _rows_of(ratings, users)
-    grid = np.zeros((len(users), len(ratings.rows.item_ids) + 1), dtype=np.int8)
+    grid = np.zeros((len(users), len(ratings.rows.item_ids)), dtype=np.int8)
     last = len(owner) - 1 - np.unique((owner * grid.shape[1] + item)[::-1],
                                       return_index=True)[1]
     grid[owner[last], item[last]] = rating[last]
     return grid
-
-
-def _in_catalog(model, ratings: RatingSlice, grid) -> np.ndarray:
-    """The columns of a `_last_ratings` grid in the model's catalog order; 0
-    for a catalog item off the slice's item table."""
-    index = {iid: k for k, iid in enumerate(ratings.rows.item_ids)}
-    return grid[:, [index.get(iid, -1) for iid in model.item_ids]]
 
 
 def _dcg(grades) -> np.ndarray:

@@ -55,7 +55,7 @@ ARTIFACT_FORMAT = 4
 DEFLATE_LEVEL = 1
 # what unpickling a file that is no current artifact may raise
 _UNREADABLE = (pickle.UnpicklingError, EOFError, AttributeError, ImportError, KeyError,
-               IndexError, TypeError, ValueError, zlib.error)
+               IndexError, TypeError, ValueError)
 # the one fitted candidate set, under the name perfbench/workloads.py loads
 CANDIDATES = "candidates_eval.pkl"
 
@@ -155,6 +155,8 @@ class ArtifactStore:
                     blob = pickle.load(fh)
             except OSError as e:
                 raise _failed("read", path, e) from e
+            except zlib.error as e:  # whose class name, "error", says nothing
+                raise _stale(path, f"compressed payload failed its integrity check: {e}") from e
             except _UNREADABLE as e:
                 raise _stale(path, f"{type(e).__name__}: {e}") from e
             version = blob.get("format_version") if isinstance(blob, dict) else None

@@ -25,8 +25,9 @@ _MODEL_CLASSES = {
 
 
 def fit(spec: RecommenderSpec, train, items=None, seed: int = 0) -> FittedRecommender:
-    """Train `spec` on a ratings slice, a `data.Ratings`; content-aware
-    algorithms need `items`."""
+    """Train `spec` on a ratings slice, a `data.Ratings`, whose item table
+    is the model's catalog; content-aware algorithms need a record in
+    `items` for each item of it."""
     if spec.algorithm in ("ContentBased", "WarpHybrid") and not items:
         raise ValueError(f"{spec.algorithm} requires an item catalog with features")
     return _MODEL_CLASSES[spec.algorithm](spec, train, items or {}, seed)

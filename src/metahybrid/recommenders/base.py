@@ -1,11 +1,11 @@
 """Common contract for the rating predictors.
 
 Every algorithm fits on a ratings slice, a `data.Ratings` (plus the item
-catalog where it needs content features), and scores the whole catalog for
-a block of users at once (`score_block`): ratings clamped to [1,5] with a
-shared cold-case fallback chain, and the Top-N ordering score that
-`rank_block` sorts by. The one-user forms `predict_ratings` and
-`recommend_top_n` read a block of one user.
+records where it needs content features), and scores the whole catalog,
+the slice's item table, for a block of users at once (`score_block`):
+ratings clamped to [1,5] with a shared cold-case fallback chain, and the
+Top-N ordering score that `rank_block` sorts by. The one-user forms
+`predict_ratings` and `recommend_top_n` read a block of one user.
 """
 
 from __future__ import annotations
@@ -65,7 +65,11 @@ class RecommenderSpec:
 
 
 class FittedRecommender:
-    """Base class holding the training-slice statistics and the fallback chain."""
+    """Base class holding the training-slice statistics and the fallback chain.
+
+    The catalog, `item_ids`, is the training slice's sorted item table,
+    rated or not: in the pipeline the dataset's item ids, which every slice
+    of a run shares, so a slice's item codes are the model's columns."""
 
     # attributes rebuilt from the rest of the model, left out of its pickle
     _derived = ("_item_mean_vector",)
@@ -80,15 +84,14 @@ class FittedRecommender:
 
         # the one encoding of the slice: user index, catalog index and
         # rating of each row, in the slice's order
-        self.item_ids = (sorted(items) if items else
-                         [train.item_ids[c] for c in np.unique(train.item).tolist()])
+        self.item_ids = list(train.item_ids)
+        if self.item_ids != sorted(self.item_ids):  # as feature rows and tie-breaks read it
+            raise ValueError(f"{spec.algorithm}: the slice's item table is not sorted")
         self.iidx = {iid: j for j, iid in enumerate(self.item_ids)}
         codes, users = np.unique(train.user, return_inverse=True)
         self.user_ids = [train.user_ids[c] for c in codes.tolist()]
         self.uidx = {uid: j for j, uid in enumerate(self.user_ids)}
-        cols = np.array([self.iidx.get(i, -1) for i in train.item_ids])[train.item]
-        if (cols < 0).any():
-            raise ValueError(f"{spec.algorithm}: a rated item is not in the catalog")
+        cols = train.item.astype(np.int64)
         ratings = train.rating.astype(float)
 
         self.global_mean = float(ratings.mean())
@@ -101,7 +104,7 @@ class FittedRecommender:
 
     def _fit(self, users, cols, ratings, items):
         """Fit the algorithm on the encoded slice (indexes into `user_ids`
-        and `item_ids`); `items` is the item catalog, or empty."""
+        and `item_ids`); `items` holds the item records, or is empty."""
 
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k not in self._derived}

@@ -11,10 +11,15 @@ from ..data import item_columns, runs
 from .base import FittedRecommender
 
 
-def feature_columns(items: dict) -> tuple:
-    """`data.ItemColumns`' genre and keyword columns as (ptr, cols, width);
-    raises if the catalog carries no features at all."""
-    columns = item_columns(items or {})
+def feature_columns(item_ids, items: dict) -> tuple:
+    """`data.ItemColumns`' genre and keyword columns of the sorted catalog
+    `item_ids` as (ptr, cols, width), from their records in `items`; raises
+    `ValueError` for an id without a record, and if the records carry no
+    features at all."""
+    missing = [iid for iid in item_ids if iid not in items]
+    if missing:
+        raise ValueError(f"item {missing[0]!r} has no record in the item catalog")
+    columns = item_columns({iid: items[iid] for iid in item_ids})
     if not columns.cols.size:
         raise ValueError("item catalog has no genre/keyword features")
     return columns.ptr, columns.cols, len(columns.genres) + len(columns.keywords)
@@ -44,7 +49,8 @@ class ContentBasedModel(FittedRecommender):
     _derived = FittedRecommender._derived + ("features", "_item_norms", "_profile_norms")
 
     def _fit(self, users, cols, ratings, items):
-        self._feature_ptr, self._feature_cols, self._n_features = feature_columns(items)
+        self._feature_ptr, self._feature_cols, self._n_features = feature_columns(
+            self.item_ids, items)
         self._build_derived()
         # each row's (rating x feature) products at its item's nonzero
         # features, summed by one unbuffered add in the slice's order, so

@@ -34,7 +34,8 @@ class WarpHybridModel(FittedRecommender):
     def _fit(self, users, cols, ratings, items):
         d = self.params["components"]
         rng = np.random.default_rng(self.seed)
-        self._feature_ptr, self._feature_cols, self._n_features = feature_columns(items)
+        self._feature_ptr, self._feature_cols, self._n_features = feature_columns(
+            self.item_ids, items)
         content = feature_matrix(self._feature_ptr, self._feature_cols, self._n_features,
                                  normalize=False)
         ni = len(self.item_ids)

@@ -102,13 +102,13 @@ def test_criterion_2_oracle_dominance():
 class _FixedRanker:
     """A fixed ranking per user through the block contract: a listed item
     scores by its place, any other catalog item NaN, which leaves it
-    unranked."""
+    unranked. The catalog is the slices' item table `item_ids`."""
 
     recommend_top_n = FittedRecommender.recommend_top_n
 
-    def __init__(self, rankings):
+    def __init__(self, rankings, item_ids):
         self.rankings = rankings
-        self.item_ids = sorted({i for ranked in rankings.values() for i in ranked})
+        self.item_ids = item_ids
         self.iidx = {iid: j for j, iid in enumerate(self.item_ids)}
 
     def score_block(self, users, reads):
@@ -117,9 +117,6 @@ class _FixedRanker:
             ranked = self.rankings.get(user, [])
             rank[r, [self.iidx[i] for i in ranked]] = -np.arange(len(ranked))
         return rank, rank
-
-    def predict_rating(self, user, item):
-        return np.nan  # an off-catalog holdout item's RMSE cell, which labels do not read
 
 
 def test_criterion_3_planted_rule():
@@ -140,17 +137,19 @@ def test_criterion_3_planted_rule():
         rank_b[u] = hits + junk if lab == "Beta" else junk
 
     users = sorted(holdouts)
-    holdouts = RatingSlice(ratings_of(r for u in users for r in holdouts[u]),
+    items = sorted({i for ranked in rank_a.values() for i in ranked}
+                   | {i for ranked in rank_b.values() for i in ranked})
+    holdouts = RatingSlice(ratings_of((r for u in users for r in holdouts[u]), item_ids=items),
                            users, [len(holdouts[u]) for u in users])
     candidates = CandidateSet(specs=[RecommenderSpec("SlopeOne"),
                                      RecommenderSpec("KnnBasic")],
                               names=["Alpha", "Beta"])
-    fitted = {"Alpha": _FixedRanker(rank_a), "Beta": _FixedRanker(rank_b)}
+    fitted = {"Alpha": _FixedRanker(rank_a, items), "Beta": _FixedRanker(rank_b, items)}
     train_users = list(range(200))
     test_users = list(range(200, n_users))
 
     labeled = generate_labels(candidates, fitted, train_users,
-                              RatingSlice(ratings_of([]), [], []),
+                              RatingSlice(ratings_of([], item_ids=items), [], []),
                               holdouts, n=10, relevance=RelevanceConfig())
     assert labeled.labels == planted[:200]
     assert labeled.user_ids == train_users

@@ -62,17 +62,19 @@ CATALOG = {
 }
 
 
-def slice_of(histories: dict) -> RatingSlice:
+def slice_of(histories: dict, item_ids=None) -> RatingSlice:
     """Users' rating rows (user id -> (user, item, rating, timestamp) rows,
-    in row order) as one slice."""
+    in row order) as one slice, coded by the item table `item_ids` (by
+    default the rated items)."""
     events = [e for evs in histories.values() for e in evs]
-    return RatingSlice(ratings_of(events), list(histories),
+    return RatingSlice(ratings_of(events, item_ids=item_ids), list(histories),
                        [len(evs) for evs in histories.values()])
 
 
 def extract(histories: dict, catalog=CATALOG, people=None, schema=None) -> dict:
-    """`extract_raw` of every user of `histories`, over `catalog`."""
-    inner = slice_of(histories)
+    """`extract_raw` of every user of `histories`, over `catalog`, whose
+    sorted ids are the slice's item table."""
+    inner = slice_of(histories, sorted(catalog))
     schema = schema or build_schema(item_columns(catalog))
     return extract_raw(list(histories), inner, Dataset(inner.rows, catalog, people or {}),
                        schema)
@@ -164,6 +166,13 @@ class TestExtractRaw:
         with pytest.raises(ValueError, match="user 8 "):
             evaluation.build_contexts([8], inner, dataset,
                                       build_schema(item_columns(CATALOG)), fit_pcas=True)
+
+    def test_slice_off_the_catalog_table_rejected(self):
+        # the slice's table lacks item 2, so its codes are not catalog rows
+        inner = slice_of({7: [(7, 1, 3, MONDAY_20)]})
+        with pytest.raises(ValueError, match="item table is not the dataset's item catalog"):
+            extract_raw([7], inner, Dataset(inner.rows, CATALOG, {}),
+                        build_schema(item_columns(CATALOG)))
 
     def test_entropy_independent_of_hash_seed(self):
         # the shipped fixture's users, each seed in a fresh interpreter
@@ -556,15 +565,15 @@ class TestPerUserReference:
             3: [ev(3, 3, 0)],                                      # no year, no runtime
             4: [ev(4, 3, 0), ev(4, 2, 1), ev(4, 1, 2)],            # keywords outside
             5: [ev(5, item, k) for k, item in enumerate(range(5, 19))],  # 14 dated ratings
-            6: [ev(6, 99, 0), ev(6, 2, 1)],                        # item 99 not in the catalog
+            6: [ev(6, 99, 0), ev(6, 2, 1)],                        # item 99 has no features
             7: [ev(7, item, k) for k, item in enumerate((19, 2, 3, 5, 6, 7, 8, 9, 1))],
             8: [ev(8, item, k) for k, item in enumerate(range(20, 57))],  # see the catalog
         }
-        catalog = _crafted_catalog()
+        catalog = {**_crafted_catalog(), 99: ItemRecord(99)}
         people = {2: UserRecord(2, gender="F", age_band=25, occupation=4, location="48067"),
                   3: UserRecord(3, gender="M", age_band=33, occupation=99, location="A1B"),
                   4: UserRecord(4, location="")}
-        inner = slice_of(histories)
+        inner = slice_of(histories, sorted(catalog))
         dataset = Dataset(inner.rows, catalog, people)
         config = ContextConfig(max_keywords=2, genre_components=3, keyword_components=2)
         schema = build_schema(item_columns(catalog), people, config)

@@ -35,13 +35,14 @@ from metahybrid.splits import SplitPlan
 class FakeRecommender:
     """Serves a fixed per-user ranking regardless of training data, through
     the block contract: a listed item scores by its place, any other
-    catalog item NaN, which leaves it unranked."""
+    catalog item NaN, which leaves it unranked. The catalog is `item_ids`,
+    the slices' item table, by default the listed items."""
 
     recommend_top_n = FittedRecommender.recommend_top_n
 
-    def __init__(self, rankings):
+    def __init__(self, rankings, item_ids=None):
         self.rankings = rankings
-        self.item_ids = sorted({i for ranked in rankings.values() for i in ranked})
+        self.item_ids = item_ids or sorted({i for ranked in rankings.values() for i in ranked})
         self.iidx = {iid: j for j, iid in enumerate(self.item_ids)}
 
     def score_block(self, users, reads):
@@ -51,14 +52,13 @@ class FakeRecommender:
             rank[r, [self.iidx[i] for i in ranked]] = -np.arange(len(ranked))
         return rank, rank
 
-    def predict_rating(self, user, item):
-        return np.nan  # an off-catalog holdout item's RMSE cell, which labels do not read
 
-
-def slice_of(per_user: dict) -> RatingSlice:
-    """Per-user rating events as a `RatingSlice`, users in ascending order."""
+def slice_of(per_user: dict, item_ids=None) -> RatingSlice:
+    """Per-user rating events as a `RatingSlice`, users in ascending order,
+    coded by the item table `item_ids` (by default the events' items)."""
     users = sorted(per_user)
-    rows = ratings_of([r for u in users for r in per_user[u]], user_ids=users)
+    rows = ratings_of([r for u in users for r in per_user[u]], user_ids=users,
+                      item_ids=item_ids)
     return RatingSlice(rows, users, [len(per_user[u]) for u in users])
 
 
@@ -87,20 +87,24 @@ class TestCandidateSet:
             preset_candidates("all")
 
 
+# the item table of `_label_setup`'s models and slices
+LABEL_ITEMS = ["h1", "h2", "h4", "x", "y"]
+
+
 def _label_setup():
     candidates = two_candidates()
     # user 1: candidate A nails the holdout, B misses; user 2 reversed;
     # user 3 has an empty holdout; user 4 ties (both miss entirely)
     fitted = {
         "SlopeOne": FakeRecommender({1: ["h1", "x"], 2: ["x", "y"],
-                                     4: ["x"], 3: ["x"]}),
+                                     4: ["x"], 3: ["x"]}, LABEL_ITEMS),
         "KnnBasic": FakeRecommender({1: ["x", "y"], 2: ["h2", "x"],
-                                     4: ["y"], 3: ["y"]}),
+                                     4: ["y"], 3: ["y"]}, LABEL_ITEMS),
     }
     holdouts = slice_of({1: [(1, "h1", 5, 10)],
                          2: [(2, "h2", 4, 10)],
                          3: [],
-                         4: [(4, "h4", 5, 10)]})
+                         4: [(4, "h4", 5, 10)]}, LABEL_ITEMS)
     contexts = np.arange(8, dtype=float).reshape(4, 2)
     return candidates, fitted, holdouts, contexts
 
@@ -108,8 +112,8 @@ def _label_setup():
 class TestLabeling:
     def test_argmax_and_skip_and_tie(self):
         candidates, fitted, holdouts, contexts = _label_setup()
-        labeled = generate_labels(candidates, fitted, [1, 2, 3, 4], slice_of({}), holdouts,
-                                  n=10, relevance=RelevanceConfig())
+        labeled = generate_labels(candidates, fitted, [1, 2, 3, 4], slice_of({}, LABEL_ITEMS),
+                                  holdouts, n=10, relevance=RelevanceConfig())
         assert labeled.user_ids == [1, 2, 4]
         assert labeled.labels == ["SlopeOne", "KnnBasic", "SlopeOne"]
         assert labeled.skipped_users == [3]
@@ -122,8 +126,8 @@ class TestLabeling:
 
     def test_scores_consistent_with_labels(self):
         candidates, fitted, holdouts, contexts = _label_setup()
-        labeled = generate_labels(candidates, fitted, [1, 2, 3, 4], slice_of({}), holdouts,
-                                  n=10, relevance=RelevanceConfig())
+        labeled = generate_labels(candidates, fitted, [1, 2, 3, 4], slice_of({}, LABEL_ITEMS),
+                                  holdouts, n=10, relevance=RelevanceConfig())
         for lab, row in zip(labeled.labels, labeled.scores):
             assert row[candidates.names.index(lab)] == row.max()
 
@@ -131,8 +135,8 @@ class TestLabeling:
         candidates, fitted, holdouts, contexts = _label_setup()
         # excluding h1 from user 1 removes SlopeOne's hit; tie at 0 -> first
         labeled = generate_labels(candidates, fitted, [1],
-                                  slice_of({1: [(1, "h1", 3, 9)]}),
-                                  slice_of({1: list(holdouts[1])}), n=10,
+                                  slice_of({1: [(1, "h1", 3, 9)]}, LABEL_ITEMS),
+                                  slice_of({1: list(holdouts[1])}, LABEL_ITEMS), n=10,
                                   relevance=RelevanceConfig())
         assert labeled.labels == ["SlopeOne"]
         assert labeled.tied_users == [1]
@@ -142,13 +146,13 @@ class TestLabeling:
         candidates, fitted, holdouts, contexts = _label_setup()
         del fitted["KnnBasic"]
         with pytest.raises(ValueError, match="no fitted model"):
-            generate_labels(candidates, fitted, [1], slice_of({}), holdouts,
+            generate_labels(candidates, fitted, [1], slice_of({}, LABEL_ITEMS), holdouts,
                             n=10, relevance=RelevanceConfig())
 
     def test_export_csv(self):
         candidates, fitted, holdouts, contexts = _label_setup()
-        labeled = generate_labels(candidates, fitted, [1, 2, 3, 4], slice_of({}), holdouts,
-                                  n=10, relevance=RelevanceConfig())
+        labeled = generate_labels(candidates, fitted, [1, 2, 3, 4], slice_of({}, LABEL_ITEMS),
+                                  holdouts, n=10, relevance=RelevanceConfig())
         lines = labeled.labels_csv().strip().split("\n")
         assert lines[0] == "user_id,label,ndcg_SlopeOne,ndcg_KnnBasic"
         assert len(lines) == 4
@@ -169,17 +173,18 @@ class TestScoreTable:
 
     def _setup(self):
         candidates = two_candidates()
+        items = sorted(["h1", "h2", "h3", "t1", "y"] + [f"x{k}" for k in range(1, 8)])
         fitted = {
             # user 1 has "t1" in inner-train, so it is excluded from the ranking
             "SlopeOne": FakeRecommender({1: ["x3", "x4", "x5", "x6", "x7", "h2"],
-                                         3: ["h3"]}),
+                                         3: ["h3"]}, items),
             "KnnBasic": FakeRecommender({1: ["t1", "h1", "x1", "h2", "x2"],
-                                         3: ["h3", "y"]}),
+                                         3: ["h3", "y"]}, items),
         }
-        inner_train = slice_of({1: [(1, "t1", 2, 1)]})
+        inner_train = slice_of({1: [(1, "t1", 2, 1)]}, items)
         inner_test = slice_of({1: [(1, "h1", 5, 8), (1, "h2", 3, 9)],
                                2: [],
-                               3: [(3, "h3", 4, 9)]})
+                               3: [(3, "h3", 4, 9)]}, items)
         return candidates, fitted, inner_train, inner_test
 
     def test_hand_computed_cells(self):
@@ -225,16 +230,20 @@ FIXTURES = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__
                         "fixtures")
 
 
+def shipped_dataset():
+    """The shipped fixture, enriched as its config loads it."""
+    return enrich_items(
+        load_movielens(*(os.path.join(FIXTURES, f)
+                         for f in ("ratings.dat", "users.dat", "movies.dat"))),
+        os.path.join(FIXTURES, "metadata.csv"))
+
+
 @pytest.fixture(scope="module", params=["cf", "mixed"])
 def preset_run(request):
     """`run_experiment` on the shipped fixture with a preset, as its config
     runs it: (candidates, artifacts)."""
-    dataset = enrich_items(
-        load_movielens(*(os.path.join(FIXTURES, f)
-                         for f in ("ratings.dat", "users.dat", "movies.dat"))),
-        os.path.join(FIXTURES, "metadata.csv"))
     candidates = preset_candidates(request.param)
-    _, artifacts = run_experiment(dataset, candidates, SplitPlan(),
+    _, artifacts = run_experiment(shipped_dataset(), candidates, SplitPlan(),
                                   ForestParams(n_estimators=100), master_seed=7)
     return candidates, artifacts
 
@@ -269,17 +278,20 @@ def assert_table_is_reference(fitted, names, users, inner_train, inner_test, cut
 
 
 class FixedScores(FittedRecommender):
-    """Fixed estimates per catalog item, the same for every user, with
-    users 1 and 2 in training."""
+    """Fixed estimates per item of `preds`, the same for every user, with
+    users 1 and 2 in training on those items; the catalog is the item table
+    `item_ids`. A catalog item without an estimate is unranked, and rates
+    by the fallback chain."""
 
-    def __init__(self, preds):
+    def __init__(self, preds, item_ids):
         train = [(u, i, 3, k + 1) for u in (1, 2) for k, i in enumerate(preds)]
-        super().__init__(RecommenderSpec("SlopeOne"), ratings_of(train), {}, 0)
+        super().__init__(RecommenderSpec("SlopeOne"), ratings_of(train, item_ids=item_ids),
+                         {}, 0)
         self._preds = preds
 
     def _estimate_block(self, codes):
-        est = np.tile([self._preds[i] for i in self.item_ids], (len(codes), 1))
-        return est, np.ones(est.shape, dtype=bool), None
+        est = np.tile([self._preds.get(i, np.nan) for i in self.item_ids], (len(codes), 1))
+        return est, ~np.isnan(est), est
 
 
 class TestBlockTable:
@@ -294,6 +306,25 @@ class TestBlockTable:
                                     split.test_inner_test)):
             assert_table_is_reference(fitted, candidates.names, users, train, test)
 
+    def test_every_catalog_is_the_dataset_item_table(self, preset_run):
+        _, artifacts = preset_run
+        item_ids = shipped_dataset().ratings.item_ids
+        for model in artifacts["fitted_eval"].values():
+            assert model.item_ids == item_ids
+
+    def test_catalog_off_a_slice_table_rejected(self, preset_run):
+        # a slice coded by another item table would index other columns
+        candidates, artifacts = preset_run
+        split, fitted = artifacts["split"], artifacts["fitted_eval"]
+        users = split.test_users[:3]
+        narrow = slice_of({u: list(split.test_inner_test[u]) for u in users})
+        for train, test, part in ((split.test_inner_train, narrow, "inner-test"),
+                                  (narrow, split.test_inner_test, "inner-train")):
+            with pytest.raises(ValueError, match=f"{candidates.names[0]}.*not the {part} "
+                                                 "slice's item table"):
+                score_users(fitted, candidates.names, users, train, test,
+                            RelevanceConfig(), 10)
+
     def test_batch_dispatch_is_per_row_dispatch(self, preset_run):
         _, artifacts = preset_run
         forest, rows = artifacts["meta"].forest, artifacts["test_matrix"]
@@ -304,16 +335,18 @@ class TestBlockTable:
             assert np.array_equal(proba, predict_proba(forest, row))
 
     def test_short_prefix_tie_and_no_relevant_item(self):
-        # b, c and d tie above e and f. User 1's inner-train leaves b, c, d
-        # of the catalog, fewer than the Top-10; user 2 holds out one
-        # item, rated below the relevance threshold
+        # b, c and d tie above e and f, and x has no estimate. User 1's
+        # inner-train leaves b, c, d and the unranked x of the catalog,
+        # fewer than the Top-10; user 2 holds out one item, rated below the
+        # relevance threshold
+        items = list("abcdefx")
         fitted = {"Fixed": FixedScores({"a": 4.0, "b": 4.0, "c": 4.0, "d": 4.0,
-                                        "e": 2.0, "f": 1.0})}
-        inner_train = slice_of({1: [(1, i, 3, 1) for i in "aef"]})
+                                        "e": 2.0, "f": 1.0}, items)}
+        inner_train = slice_of({1: [(1, i, 3, 1) for i in "aef"]}, items)
         inner_test = slice_of({1: [(1, "d", 5, 2), (1, "x", 4, 3)],
-                               2: [(2, "a", 2, 2)]})
+                               2: [(2, "a", 2, 2)]}, items)
         table = assert_table_is_reference(fitted, ["Fixed"], [1, 2], inner_train, inner_test)
-        # user 1: b, c, d ranked, d third; x, relevant too, is off the catalog
+        # user 1: b, c, d ranked, d third; x, relevant too, is unranked
         ideal = 31 + 15 / math.log2(3)
         rms = math.sqrt(((4.0 - 5) ** 2 + (3.0 - 4) ** 2) / 2)  # x takes user 1's mean
         assert table[0, 0].tolist() == [1 / 3, 1 / 2, 1 / 3, 1 / 2, 1 / 3, 1 / 2,
@@ -324,19 +357,21 @@ class TestBlockTable:
     @staticmethod
     def cold_user(artifacts, ratings) -> tuple:
         """A user outside the fitted models, holding out (catalog item,
-        rating) pairs: (user id, inner-test slice)."""
+        rating) pairs: (user id, empty inner-train slice, inner-test slice),
+        both coded by the models' item table."""
         split = artifacts["split"]
         cold = max(split.train_users + split.test_users) + 1
-        return cold, slice_of({cold: [(cold, i, r, k + 1)
-                                      for k, (i, r) in enumerate(ratings)]})
+        items = split.train_inner_train.rows.item_ids
+        return cold, slice_of({}, items), slice_of(
+            {cold: [(cold, i, r, k + 1) for k, (i, r) in enumerate(ratings)]}, items)
 
     def test_unseen_user_takes_the_fallback_chain(self, preset_run):
         candidates, artifacts = preset_run
         catalog = artifacts["fitted_eval"][candidates.names[0]].item_ids
-        cold, inner_test = self.cold_user(artifacts, [(catalog[3], 5), (catalog[40], 2),
-                                                      (catalog[41], 4)])
+        cold, inner_train, inner_test = self.cold_user(
+            artifacts, [(catalog[3], 5), (catalog[40], 2), (catalog[41], 4)])
         assert_table_is_reference(artifacts["fitted_eval"], candidates.names, [cold],
-                                  slice_of({}), inner_test)
+                                  inner_train, inner_test)
 
     def test_fallbacks_counted_once_per_pass(self, preset_run):
         # the pass rates the holdout too, so its three items add no count
@@ -344,10 +379,10 @@ class TestBlockTable:
         candidates, artifacts = preset_run
         fitted = artifacts["fitted_eval"]
         catalog = fitted[candidates.names[0]].item_ids
-        cold, inner_test = self.cold_user(artifacts, [(catalog[3], 5), (catalog[40], 2),
-                                                      (catalog[41], 4)])
+        cold, inner_train, inner_test = self.cold_user(
+            artifacts, [(catalog[3], 5), (catalog[40], 2), (catalog[41], 4)])
         before = {name: model.fallback_count for name, model in fitted.items()}
-        score_users(fitted, candidates.names, [cold], slice_of({}), inner_test,
+        score_users(fitted, candidates.names, [cold], inner_train, inner_test,
                     RelevanceConfig(), 10)
         counts = {name: model.fallback_count - before[name] for name, model in fitted.items()}
         # no estimate for an unseen user, but where a model has one from the
@@ -362,9 +397,9 @@ class TestBlockTable:
         # an unseen user ranks by popularity, b, and rates by the fallback
         # chain, each item's training mean; the top 3 of b are held out
         top = [model.item_ids[j] for j in np.argsort(-model.b, kind="stable")[:3]]
-        cold, inner_test = self.cold_user(artifacts, [(i, 5) for i in top])
+        cold, inner_train, inner_test = self.cold_user(artifacts, [(i, 5) for i in top])
         table = assert_table_is_reference({"WarpHybrid": model}, ["WarpHybrid"], [cold],
-                                          slice_of({}), inner_test)
+                                          inner_train, inner_test)
         ratings, rank = model.score_block([cold], 1)
         assert rank[0].tolist() == model.b.tolist()
         assert ratings[0].tolist() == [model.item_means[i] for i in model.item_ids]

@@ -75,11 +75,30 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="empty"):
             fit(RecommenderSpec("SlopeOne"), rows([]), seed=1)
 
-    def test_rated_item_outside_catalog_rejected(self):
+    def test_catalog_is_the_slice_item_table(self):
+        # item 3 is in the table but unrated: the catalog covers it, ranks
+        # it and rates it by the fallback chain, user 1's mean; the records
+        # in `items` do not narrow the catalog
         from metahybrid.data import ItemRecord
-        with pytest.raises(ValueError, match="not in the catalog"):
-            fit(RecommenderSpec("SlopeOne"), rows([ev(1, 1, 4), ev(1, 2, 3)]),
-                items={1: ItemRecord(item_id=1)}, seed=1)
+        model = fit(RecommenderSpec("SlopeOne"),
+                    ratings_of([ev(1, 1, 4), ev(1, 2, 3)], item_ids=[1, 2, 3]),
+                    items={1: ItemRecord(item_id=1)}, seed=1)
+        assert model.item_ids == [1, 2, 3]
+        assert model.predict_rating(1, 3) == 3.5
+        assert model.fallback_count == 1
+        assert model.recommend_top_n(1, 3, exclude={1, 2}) == [3]
+
+    def test_unsorted_item_table_rejected(self):
+        with pytest.raises(ValueError, match="item table is not sorted"):
+            fit(RecommenderSpec("SlopeOne"), ratings_of([ev(1, 1, 4)], item_ids=[2, 1]), seed=1)
+
+    def test_content_item_without_record_rejected(self):
+        from metahybrid.data import ItemRecord
+        items = {1: ItemRecord(item_id=1, genres=frozenset({"g"}))}
+        for algorithm in ("ContentBased", "WarpHybrid"):
+            with pytest.raises(ValueError, match="item 2 has no record"):
+                fit(RecommenderSpec(algorithm), rows([ev(1, 1, 4), ev(1, 2, 3)]),
+                    items=items, seed=1)
 
     def test_content_needs_catalog(self):
         with pytest.raises(ValueError, match="catalog"):
@@ -282,9 +301,10 @@ class TestWarpTrainer:
                  3: ItemRecord(item_id=3, genres=frozenset({"h"}))}
         spec = RecommenderSpec("WarpHybrid", {"epochs": 0, "components": 2,
                                               "max_trials": 12, "learn_rate": 0.1})
-        model = fit(spec, rows([ev(1, 1, 5), ev(2, 2, 5)]), items=items, seed=0)
+        model = fit(spec, ratings_of([ev(1, 1, 5), ev(2, 2, 5)], item_ids=[1, 2, 3]),
+                    items=items, seed=0)
         model.params["epochs"] = 1
-        content = feature_matrix(*feature_columns(items),
+        content = feature_matrix(*feature_columns(model.item_ids, items),
                                  normalize=False)
         # F: genre g, genre h, then the identity rows of items 0, 1, 2
         model.F = np.array([[0.1, 0.0], [0.0, 0.1], [0.05, 0.02],
